@@ -59,22 +59,28 @@ def parametric_fixture(name: str, **params) -> ParametricFixture:
     figure8_sphere_param    tilted spherical figure eight
     """
     if name == "great_circle":
-        return ParametricFixture(name, GreatCircle(), (0.0, 0.0, -1.0), 5e-3, {})
-    if name == "latitude":
+        fx = ParametricFixture(name, GreatCircle(), (0.0, 0.0, -1.0), 5e-3, {})
+    elif name == "latitude":
         alpha = float(params.pop("alpha", math.pi / 3))
-        return ParametricFixture(
+        fx = ParametricFixture(
             name, LatitudeCircle(alpha), (0.0, 0.0, -1.0), 5e-3, {"alpha": alpha}
         )
-    if name == "circle_torus":
+    elif name == "circle_torus":
         rho = float(params.pop("rho", 0.2))
-        return ParametricFixture(
+        fx = ParametricFixture(
             name, TorusCircle(rho), (0.05, 0.05), 1e-6, {"rho": rho}
         )
-    if name == "figure8_sphere_param":
-        return ParametricFixture(
+    elif name == "figure8_sphere_param":
+        fx = ParametricFixture(
             name, SphereFigureEight(), (-1.0, 0.0, 0.0), 1e-2, {}
         )
-    raise KeyError(f"unknown parametric fixture {name!r}")
+    else:
+        raise KeyError(f"unknown parametric fixture {name!r}")
+    if params:
+        raise ValueError(
+            f"fixture {name!r} takes no parameter {', '.join(sorted(params))}"
+        )
+    return fx
 
 
 PARAMETRIC_NAMES = ("great_circle", "latitude", "circle_torus", "figure8_sphere_param")

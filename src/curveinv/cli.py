@@ -33,6 +33,7 @@ from .catalog import (
 )
 from .diagram import index_function, parse_diagram, serialize_diagram
 from .errors import (
+    CrossCheckFailed,
     CurveInvError,
     HomologicallyNontrivial,
     ParseError,
@@ -311,10 +312,10 @@ def cmd_numeric(args):
         params[key] = value
     try:
         fx = parametric_fixture(args.fixture, **params)
+        qs = [float(q) for q in (args.q or "0.5,2,3").split(",")]
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    qs = [float(q) for q in (args.q or "0.5,2,3").split(",")]
     cfg = NumericConfig()
     if args.grid:
         cfg = NumericConfig(meridians=args.grid, curve_samples=max(2048, 8 * args.grid))
@@ -327,9 +328,9 @@ def cmd_numeric(args):
     rows = []
     ok = True
     for q in qs:
-        nv = numeric_iq(fx.curve, fx.base_point, [q], cfg, context=ctx)[0]
-        cv = numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0]
-        exact = laurent.eval_real(rep.iq, q)
+        nv = float(numeric_iq(fx.curve, fx.base_point, [q], cfg, context=ctx)[0])
+        cv = float(numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0])
+        exact = float(laurent.eval_real(rep.iq, q))
         est = abs(nv - cv) / 2
         status = abs(nv - exact) <= tol
         ok = ok and status
@@ -338,13 +339,13 @@ def cmd_numeric(args):
             "difference": abs(nv - exact), "error_estimate": est,
             "pass": status,
         })
-    i1_num = numeric_i1(fx.curve, fx.base_point, cfg, context=ctx)
+    i1_num = float(numeric_i1(fx.curve, fx.base_point, cfg, context=ctx))
     i1_ok = abs(i1_num - rep.i1) <= tol
     ok = ok and i1_ok
     jp_num = jp_exact = None
     if fx.curve.surface == "unit_sphere":
-        jp_num = numeric_jplus(fx.curve, fx.base_point, cfg, context=ctx)
-        sj_num = numeric_sjplus(fx.curve, fx.base_point, cfg, context=ctx)
+        jp_num = float(numeric_jplus(fx.curve, fx.base_point, cfg, context=ctx))
+        sj_num = float(numeric_sjplus(fx.curve, fx.base_point, cfg, context=ctx))
         jp_exact = float(rep.jplus)
         jp_ok = abs(jp_num - jp_exact) <= max(tol, 5e-3)
         ok = ok and jp_ok
@@ -355,9 +356,9 @@ def cmd_numeric(args):
     )
     for twice_j in levels:
         j = Fraction(twice_j, 2)
-        lhs, rhs = gauss_bonnet_region_check(
+        lhs, rhs = (float(x) for x in gauss_bonnet_region_check(
             fx.curve, fx.base_point, j, cfg, context=ctx, extracted=extracted
-        )
+        ))
         if lhs == 0 and abs(rhs) < 1e-6:
             continue
         rel = abs(lhs - rhs) / max(1.0, abs(lhs))
@@ -474,6 +475,9 @@ def main(argv=None):
     except HomologicallyNontrivial as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CrossCheckFailed as exc:
+        print(f"error: {exc}\nreproducer:\n{exc.reproducer}", end="", file=sys.stderr)
+        return 3
     except CurveInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

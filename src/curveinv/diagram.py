@@ -27,18 +27,21 @@ Regions group boundary cycles and carry a genus, allowing non-cellular
 embeddings (for example a contractible circle on the torus).  A region with
 genus g and b boundary cycles has chi = 2 - 2g - b, and Euler-characteristic
 conservation reads  sum_r chi_r - n = chi(S)  (for n = 0, sum_r chi_r).
+
+The incidence tables dart -> cycle and dart -> region are built once, in
+build_diagram, and stored on the CurveDiagram; every later step reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     HomologicallyNontrivial,
     LabelError,
     ParseError,
-    RationalIndex,
     TopologyError,
 )
 
@@ -168,6 +171,9 @@ class CurveDiagram:
     regions: tuple           # tuple of Region
     surface_chi: int
     base_region: int
+    # derived from cycles and regions, indexed by dart id
+    dart_cycle: tuple = field(compare=False, repr=False)
+    dart_region: tuple = field(compare=False, repr=False)
 
     @property
     def n(self):
@@ -176,32 +182,6 @@ class CurveDiagram:
     @property
     def num_arcs(self):
         return max(2 * self.n, 1)
-
-    def region_of_cycle(self, cycle_index: int) -> int:
-        for r, region in enumerate(self.regions):
-            if cycle_index in region.cycles:
-                return r
-        raise TopologyError(f"cycle {cycle_index} belongs to no region")
-
-    def cycle_of_dart(self, dart: int) -> int:
-        for c, cycle in enumerate(self.cycles):
-            if dart in cycle:
-                return c
-        raise TopologyError(f"dart {dart} on no cycle")
-
-    def region_of_dart(self, dart: int) -> int:
-        return self.region_of_cycle(self.cycle_of_dart(dart))
-
-    def corner_count(self, cycle_index: int) -> int:
-        return len(self.cycles[cycle_index]) if self.n > 0 else 0
-
-
-def _dart_cycle_map(cycles):
-    out = {}
-    for c, cycle in enumerate(cycles):
-        for d in cycle:
-            out[d] = c
-    return out
 
 
 def build_diagram(code, regions=None, surface_chi=None, base_region=0):
@@ -240,12 +220,22 @@ def build_diagram(code, regions=None, surface_chi=None, base_region=0):
         raise TopologyError(f"chi(S) = {surface_chi} is not 2 - 2g for genus g >= 0")
     if not 0 <= base_region < len(regs):
         raise TopologyError(f"base region {base_region} does not exist")
+    dart_cycle = [0] * sum(len(cycle) for cycle in cycles)
+    for c, cycle in enumerate(cycles):
+        for d in cycle:
+            dart_cycle[d] = c
+    cycle_region = [0] * len(cycles)
+    for r, region in enumerate(regs):
+        for c in region.cycles:
+            cycle_region[c] = r
     return CurveDiagram(
         code=code,
         cycles=cycles,
         regions=regs,
         surface_chi=surface_chi,
         base_region=base_region,
+        dart_cycle=tuple(dart_cycle),
+        dart_region=tuple(cycle_region[c] for c in dart_cycle),
     )
 
 
@@ -381,42 +371,14 @@ def serialize_diagram(diagram: CurveDiagram) -> str:
 
 @dataclass(frozen=True)
 class IndexFunction:
-    """Region-indexed values of an index function.
+    """Integer values of the base-point normalized index function per region.
 
-    values[base_region] = offset; crossing any arc from its right side to its
-    left side raises the value by exactly 1.  offset = 0 gives the base-point
-    normalized integer index function.
+    values[base_region] = 0; crossing any arc from its right side to its left
+    side raises the value by exactly 1.
     """
 
     base_region: int
     values: dict
-    offset: Fraction
-
-    def shifted(self, delta) -> "IndexFunction":
-        delta = Fraction(delta)
-        return IndexFunction(
-            base_region=self.base_region,
-            values={r: v + delta for r, v in self.values.items()},
-            offset=self.offset + delta,
-        )
-
-    def is_integer(self):
-        return all(v.denominator == 1 for v in self.values.values())
-
-
-def _arc_side_regions(diagram: CurveDiagram):
-    """Per arc: (region left of the arc, region right of the arc)."""
-    dart_cycle = _dart_cycle_map(diagram.cycles)
-    cycle_region = {}
-    for r, region in enumerate(diagram.regions):
-        for c in region.cycles:
-            cycle_region[c] = r
-    out = []
-    for arc in range(diagram.num_arcs):
-        left = cycle_region[dart_cycle[dart_id(arc, LEFT)]]
-        right = cycle_region[dart_cycle[dart_id(arc, RIGHT)]]
-        out.append((left, right))
-    return out
 
 
 def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
@@ -430,12 +392,13 @@ def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
         base_region = diagram.base_region
     if not 0 <= base_region < len(diagram.regions):
         raise TopologyError(f"base region {base_region} does not exist")
-    sides = _arc_side_regions(diagram)
+    side = diagram.dart_region
     adjacency = {r: [] for r in range(len(diagram.regions))}
-    for left, right in sides:
+    for arc in range(diagram.num_arcs):
+        left, right = side[dart_id(arc, LEFT)], side[dart_id(arc, RIGHT)]
         adjacency[right].append((left, 1))
         adjacency[left].append((right, -1))
-    values = {base_region: Fraction(0)}
+    values = {base_region: 0}
     queue = [base_region]
     while queue:
         r = queue.pop()
@@ -451,49 +414,41 @@ def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
                 queue.append(other)
     if len(values) != len(diagram.regions):
         raise TopologyError("region adjacency graph is not connected")
-    return IndexFunction(base_region=base_region, values=values, offset=Fraction(0))
+    return IndexFunction(base_region=base_region, values=values)
 
 
 def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
     """Indices of the curve's own points, by averaging adjacent regions.
 
-    Arc index = mean of the two side values (= smaller side + 1/2); crossing
-    index = mean of its four corner values, which form {i-1, i, i, i+1}.
+    Arc index = mean of the two side values (= smaller side + 1/2), a
+    half-integer Fraction; crossing index = the integer mean of its four
+    corner values, which form {i-1, i, i, i+1}.
     """
-    sides = _arc_side_regions(diagram)
+    value_at = [ind.values[r] for r in diagram.dart_region]
     arc_idx = {}
-    for arc, (left, right) in enumerate(sides):
-        arc_idx[arc] = (ind.values[left] + ind.values[right]) / 2
+    for arc in range(diagram.num_arcs):
+        arc_idx[arc] = Fraction(
+            value_at[dart_id(arc, LEFT)] + value_at[dart_id(arc, RIGHT)], 2
+        )
     crossing_idx = {}
-    if diagram.n > 0:
-        dart_cycle = _dart_cycle_map(diagram.cycles)
-        cycle_region = {}
-        for r, region in enumerate(diagram.regions):
-            for c in region.cycles:
-                cycle_region[c] = r
-        m = 2 * diagram.n
-        for label, (p1, p2, _sign) in diagram.code.crossing_positions().items():
-            corners = [
-                dart_id((p1 - 1) % m, LEFT),
-                dart_id((p2 - 1) % m, LEFT),
-                dart_id(p1, RIGHT),
-                dart_id(p2, RIGHT),
-            ]
-            vals = sorted(ind.values[cycle_region[dart_cycle[d]]] for d in corners)
-            mean = sum(vals, Fraction(0)) / 4
-            if [v - mean for v in vals] != [-1, 0, 0, 1]:
-                raise TopologyError(f"crossing {label} corners {vals} are not i-1,i,i,i+1")
-            crossing_idx[label] = mean
+    m = 2 * diagram.n
+    for label, (p1, p2, _sign) in diagram.code.crossing_positions().items():
+        corners = [
+            dart_id((p1 - 1) % m, LEFT),
+            dart_id((p2 - 1) % m, LEFT),
+            dart_id(p1, RIGHT),
+            dart_id(p2, RIGHT),
+        ]
+        vals = sorted(value_at[d] for d in corners)
+        i = vals[1]
+        if vals != [i - 1, i, i, i + 1]:
+            raise TopologyError(f"crossing {label} corners {vals} are not i-1,i,i,i+1")
+        crossing_idx[label] = i
     return arc_idx, crossing_idx
 
 
 # ---------------------------------------------------------------------------
 # subsurfaces over half-integer levels
-
-
-def _require_integer(ind: IndexFunction):
-    if not ind.is_integer():
-        raise RationalIndex("subsurface machinery requires an integer index function")
 
 
 def _check_half_integer(j) -> Fraction:
@@ -512,7 +467,6 @@ def subsurface_chi(diagram: CurveDiagram, ind: IndexFunction, j) -> int:
     strictly inside contributes 0.
     """
     j = _check_half_integer(j)
-    _require_integer(ind)
     total = sum(r.chi for rid, r in enumerate(diagram.regions) if ind.values[rid] > j)
     arc_idx, crossing_idx = arc_and_crossing_indices(diagram, ind)
     if diagram.n > 0:
@@ -523,14 +477,13 @@ def subsurface_chi(diagram: CurveDiagram, ind: IndexFunction, j) -> int:
 
 @dataclass(frozen=True)
 class SubsurfaceProfile:
-    """chi(S_j) and a_j over half-integer levels, plus crossing indices.
+    """a_j over half-integer levels, plus crossing indices.
 
-    Keys of chi_sj and a_j are twice the level (odd integers).  a_j is
-    chi(S_j) minus chi(S) for negative j, which vanishes outside the stored
-    window.  crossing_indices is the sorted multiset of double-point indices.
+    Keys of a_j are twice the level (odd integers).  a_j is chi(S_j) minus
+    chi(S) for negative j, which vanishes outside the stored window.
+    crossing_indices is the sorted multiset of double-point indices.
     """
 
-    chi_sj: dict
     a_j: dict
     crossing_indices: tuple
     surface_chi: int
@@ -540,21 +493,33 @@ class SubsurfaceProfile:
 
 
 def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceProfile:
-    _require_integer(ind)
-    values = [int(v) for v in ind.values.values()]
-    lo = min(min(values), 0)
-    hi = max(max(values), 0)
-    chi_sj = {}
+    """a_j at every level from lo - 1/2 to hi + 1/2 in one pass.
+
+    Each term of subsurface_chi counts at level j iff an integer threshold t
+    satisfies t > j: a region at its value, an arc at its smaller side, a
+    crossing at i - 1.  Summing a histogram of thresholds from the top gives
+    chi(S_j) for every level at once.
+    """
+    arc_idx, crossing_idx = arc_and_crossing_indices(diagram, ind)
+    lo = min(min(ind.values.values()), 0)
+    hi = max(max(ind.values.values()), 0)
+    hist = [0] * (hi - lo + 2)
+    for rid, region in enumerate(diagram.regions):
+        hist[ind.values[rid] - lo] += region.chi
+    if diagram.n > 0:
+        for v in arc_idx.values():
+            hist[math.floor(v) - lo] -= 1
+        for i in crossing_idx.values():
+            hist[i - 1 - lo] += 1
+    chi_sj = [0] * len(hist)    # chi_sj[k] = chi(S_j) at j = lo + k - 1/2
+    for k in range(len(hist) - 2, -1, -1):
+        chi_sj[k] = chi_sj[k + 1] + hist[k]
     a_j = {}
-    for twice_j in range(2 * lo - 1, 2 * hi + 2, 2):
-        j = Fraction(twice_j, 2)
-        chi = subsurface_chi(diagram, ind, j)
-        chi_sj[twice_j] = chi
-        a_j[twice_j] = chi - (diagram.surface_chi if j < 0 else 0)
-    _, crossing_idx = arc_and_crossing_indices(diagram, ind)
-    crossings = tuple(sorted(int(v) for v in crossing_idx.values()))
+    for k, chi in enumerate(chi_sj):
+        twice_j = 2 * (lo + k) - 1
+        a_j[twice_j] = chi - (diagram.surface_chi if twice_j < 0 else 0)
     return SubsurfaceProfile(
-        chi_sj=chi_sj, a_j=a_j, crossing_indices=crossings,
+        a_j=a_j, crossing_indices=tuple(sorted(crossing_idx.values())),
         surface_chi=diagram.surface_chi,
     )
 

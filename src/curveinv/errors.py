@@ -23,12 +23,22 @@ class TopologyError(CurveInvError):
     """Region data inconsistent with the traced combinatorial map."""
 
 
+class CrossCheckFailed(TopologyError):
+    """Two independent routes to the same exact value disagree.
+
+    Carries both values and the serialized diagram as a reproducer.
+    """
+
+    def __init__(self, what, first, second, reproducer):
+        self.what = what
+        self.first = first
+        self.second = second
+        self.reproducer = reproducer
+        super().__init__(f"internal cross-check failed: {what}: {first} != {second}")
+
+
 class HomologicallyNontrivial(CurveInvError):
     """No index function exists: the curve does not bound."""
-
-
-class RationalIndex(CurveInvError):
-    """An operation requiring an integer index function got a rational one."""
 
 
 class ChiZero(CurveInvError):

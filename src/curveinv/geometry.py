@@ -791,7 +791,7 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     else:
         diagram0 = build_diagram(code_visits, base_region=0)
         outer_dart = _torus_unbounded_dart(curve, ctx)
-        outer_cycle = diagram0.cycle_of_dart(outer_dart)
+        outer_cycle = diagram0.dart_cycle[outer_dart]
         regions = [
             (1 if c == outer_cycle else 0, (c,))
             for c in range(len(diagram0.cycles))
@@ -802,7 +802,7 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
 
     # identify the base region from a probe just left of the first arc
     ind0 = index_function(diagram, 0)
-    left_region = diagram.region_of_dart(dart_id(0, LEFT))
+    left_region = diagram.dart_region[dart_id(0, LEFT)]
     mid_t = 0.5 * (ctx.arc_spans[0][0] + ctx.arc_spans[0][1]) % 1.0
     probe_left, _ = ctx._side_probes(mid_t)
     r = point_index(curve, ctx.base_point, probe_left, cfg)

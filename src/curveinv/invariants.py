@@ -29,10 +29,11 @@ from .diagram import (
     arc_and_crossing_indices,
     euler_moments,
     index_function,
+    serialize_diagram,
     smoothed_level_chi,
     subsurface_profile,
 )
-from .errors import ChiZero, NonPositiveQ, NotSphere, TopologyError
+from .errors import ChiZero, CrossCheckFailed, NonPositiveQ, NotSphere
 from .laurent import HalfLaurent
 
 
@@ -156,23 +157,23 @@ def full_report(diagram: CurveDiagram, base_region=None) -> InvariantReport:
     I_q routes and the two J- routes along the way."""
     if base_region is None:
         base_region = diagram.base_region
-    ind = index_function(diagram, base_region)
-    profile = subsurface_profile(diagram, ind)
-    smoothed = smoothed_level_chi(profile)
+    _ind, profile, smoothed = report_ingredients(diagram, base_region)
     iq = iq_topological(profile)
     iq2 = iq_euler(smoothed, profile.crossing_indices)
     if iq != iq2:
-        raise TopologyError(
-            f"internal cross-check failed: topological {iq} != euler {iq2}"
-        )
+        raise CrossCheckFailed("I_q topological vs euler", iq, iq2,
+                               serialize_diagram(diagram))
     m1, m2 = euler_moments(smoothed)
     i1 = laurent.value_at_1(iq)
     i1p = laurent.derivative_at_1(iq)
     n = diagram.n
     if i1 != m1:
-        raise TopologyError(f"I_1 = {i1} disagrees with Euler moment {m1}")
-    if i1p != Fraction(-n, 1) / 2 + Fraction(m2, 2):
-        raise TopologyError("I_1' disagrees with -n/2 + m2/2")
+        raise CrossCheckFailed("I_1 vs Euler moment m1", i1, m1,
+                               serialize_diagram(diagram))
+    i1p_moments = Fraction(-n, 1) / 2 + Fraction(m2, 2)
+    if i1p != i1p_moments:
+        raise CrossCheckFailed("I_1' vs -n/2 + m2/2", i1p, i1p_moments,
+                               serialize_diagram(diagram))
     chi_s = diagram.surface_chi
     rotation = rotation_number(i1, chi_s)
     jp = jm = sj = None
@@ -185,7 +186,8 @@ def full_report(diagram: CurveDiagram, base_region=None) -> InvariantReport:
         jm = jminus(jp, n)
         jm_viro = viro_jminus(smoothed, m1, chi_s)
         if jm_viro != jm:
-            raise TopologyError(f"J- cross-check failed: {jm_viro} != {jm}")
+            raise CrossCheckFailed("J- Viro vs J+ - n", jm_viro, jm,
+                                   serialize_diagram(diagram))
         if chi_s == 2:
             sj = sjplus(jp, chi_s)
         else:

@@ -39,7 +39,6 @@ from .diagram import (
     CurveDiagram,
     Region,
     SignedGaussCode,
-    _dart_cycle_map,
     _rotations,
     build_diagram,
     dart_arc,
@@ -170,9 +169,9 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         raise SiteError(f"region {rid} does not exist")
     region = diagram.regions[rid]
     (d1, t1), (d2, t2) = site.positions
-    dart_cycle = _dart_cycle_map(diagram.cycles)
+    dart_cycle, dart_region = diagram.dart_cycle, diagram.dart_region
     for d in (d1, d2):
-        if d not in dart_cycle or dart_cycle[d] not in region.cycles:
+        if not 0 <= d < len(dart_region) or dart_region[d] != rid:
             raise SiteError(f"dart {d} is not on the boundary of region {rid}")
     plan = site.plan
     is_disk = region.genus == 0 and len(region.cycles) == 1
@@ -242,11 +241,6 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     static_first = min(event_pos[("static", p_label)], event_pos[("static", q_label)])
     mid_slots = {pusher_first, static_first}
 
-    cycle_region = {}
-    for r, reg in enumerate(diagram.regions):
-        for c in reg.cycles:
-            cycle_region[c] = r
-
     lens_cycles = []
     face_info = []   # per new cycle: (old regions touched, old R-cycles touched)
     for cyc in cycles:
@@ -259,11 +253,10 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
                 continue
             all_mid = False
             old_dart = dart_id(parent[slot], side)
-            old_cycle = dart_cycle[old_dart]
-            reg = cycle_region[old_cycle]
+            reg = dart_region[old_dart]
             regions_touched.add(reg)
             if reg == rid:
-                r_cycles.add(old_cycle)
+                r_cycles.add(dart_cycle[old_dart])
         if all_mid:
             lens_cycles.append(cyc)
         face_info.append((regions_touched, r_cycles))
@@ -408,12 +401,7 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     for lab in corner_labels:
         p1, p2, _ = positions[lab]
         removed.update((p1, p2))
-
-    dart_cycle = _dart_cycle_map(diagram.cycles)
-    cycle_region = {}
-    for r, reg in enumerate(diagram.regions):
-        for c in reg.cycles:
-            cycle_region[c] = r
+    dart_region = diagram.dart_region
 
     # regions at the corner-opposite sectors: at each corner the bigon's
     # outgoing dart e occupies the sector (e, sigma(e)); the region two
@@ -423,7 +411,7 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     for e in cycle:
         lab, i = at[e]
         opp = rot[lab][(i + 2) % 4]
-        opposite_regions.append(cycle_region[dart_cycle[opp]])
+        opposite_regions.append(dart_region[opp])
     merged_old = {rid, *opposite_regions}
     if rid in opposite_regions:
         raise TopologyError("bigon region touches its own opposite sector")
@@ -464,7 +452,7 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
             for a in parents[slot]:
                 if a in mid_set:
                     continue
-                regions_touched.add(cycle_region[dart_cycle[dart_id(a, side)]])
+                regions_touched.add(dart_region[dart_id(a, side)])
         if not regions_touched:
             raise TopologyError("a face lost all boundary material in a death")
         if regions_touched & merged_old:
@@ -546,11 +534,6 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
     code = SignedGaussCode(visits)
     cycles = trace_boundary_cycles(code)
 
-    dart_cycle = _dart_cycle_map(diagram.cycles)
-    cycle_region = {}
-    for r, reg in enumerate(diagram.regions):
-        for c in reg.cycles:
-            cycle_region[c] = r
     side_set = set(side_arcs)
     face_region = []
     triangle_face = None
@@ -559,7 +542,7 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
         for d in cyc:
             if dart_arc(d) in side_set:
                 continue
-            regions_touched.add(cycle_region[dart_cycle[d]])
+            regions_touched.add(diagram.dart_region[d])
         if not regions_touched:
             if triangle_face is not None:
                 raise TopologyError("two faces claim the triangle after the move")

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from curveinv import invariants
 from curveinv.catalog import DIAGRAM_FIXTURES, validate_catalog
 from curveinv.cli import main
+from curveinv.laurent import HalfLaurent
 
 
 def run(capsys, *argv):
@@ -78,6 +80,15 @@ def test_invariant_base_override(capsys):
 def test_invariant_nontrivial_exit(capsys):
     code, _, err = run(capsys, "invariant", "essential_torus_circle")
     assert code == 2
+
+
+def test_cross_check_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "iq_euler", lambda *args: HalfLaurent.zero())
+    code, out, err = run(capsys, "invariant", "figure8_sphere")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal cross-check failed: I_q")
+    assert "curve 1+ 1+" in err   # the serialized reproducer
 
 
 def test_compare(capsys, tmp_path):
@@ -174,9 +185,33 @@ def test_numeric_command(capsys):
     assert data["i1"]["exact"] == 1
 
 
+def test_numeric_figure8_json(capsys):
+    code, out, _ = run(capsys, "numeric", "--fixture", "figure8_sphere_param",
+                       "--grid", "128", "--format", "json")
+    data = json.loads(out)
+    assert code == (0 if data["pass"] else 3)
+    assert data["i1"]["exact"] == 0
+    assert isinstance(data["iq"][0]["pass"], bool)
+
+
 def test_numeric_unknown_fixture(capsys):
     code, _, err = run(capsys, "numeric", "--fixture", "nonsense")
     assert code == 1
+
+
+def test_numeric_unknown_param(capsys):
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude",
+                         "--param", "bogus=1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "bogus" in err
+
+
+def test_numeric_bad_q(capsys):
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", "abc")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "abc" in err
 
 
 def test_usage_error_exit_code(capsys):
