@@ -313,11 +313,13 @@ def cmd_numeric(args):
     try:
         fx = parametric_fixture(args.fixture, **params)
         qs = [float(q) for q in (args.q or "0.5,2,3").split(",")]
+        if args.grid is not None and args.grid <= 0:
+            raise ValueError(f"--grid must be positive, got {args.grid}")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     cfg = NumericConfig()
-    if args.grid:
+    if args.grid is not None:
         cfg = NumericConfig(meridians=args.grid, curve_samples=max(2048, 8 * args.grid))
     tol = args.tol if args.tol is not None else fx.tolerance
     ctx = NumericContext(fx.curve, fx.base_point, cfg)
@@ -398,7 +400,11 @@ def cmd_numeric(args):
 
 
 def cmd_random(args):
-    diagram = random_diagram(args.crossings, args.genus, args.seed)
+    try:
+        diagram = random_diagram(args.crossings, args.genus, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = serialize_diagram(diagram)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

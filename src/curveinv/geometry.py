@@ -248,36 +248,27 @@ def _frame_sign(curve, x, v1, v2):
 def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     """Locate all transverse double points.
 
-    A coarse grid over ordered parameter pairs seeds Newton refinement of
-    the stationarity system of the squared (lift) distance; converged roots
-    with near-zero residual are kept, duplicates merged, and crossings with
-    angle below the genericity floor rejected.
+    A coarse grid over ordered parameter pairs, scanned a block of rows at a
+    time, seeds Newton refinement of the stationarity system of the squared
+    (lift) distance.  Every seed is refined, all of them together as arrays;
+    converged roots with near-zero residual are kept, duplicates merged in
+    seed order, and crossings with angle below the genericity floor
+    rejected.
     """
     cfg = cfg or NumericConfig()
     n = cfg.double_grid
     ts = np.arange(n) / n
     pts = curve.point(ts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    gap = np.minimum(
-        np.abs(ts[:, None] - ts[None, :]), 1.0 - np.abs(ts[:, None] - ts[None, :])
-    )
-    d2[gap < cfg.diag_gap] = np.inf
-    d2[np.tril_indices(n)] = np.inf
-
     step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
     threshold = (4.0 * step) ** 2
-    cand = np.argwhere(d2 < threshold)
+    cand = _close_pairs(ts, pts, threshold, cfg.diag_gap)
+    roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]], cfg)
+
+    def _cyc(a, b):
+        return min(abs(a - b), 1.0 - abs(a - b))
+
     found = []
-    for i, j in cand:
-        root = _refine_double_point(curve, ts[i], ts[j], cfg)
-        if root is None:
-            continue
-        t1, t2 = root
-
-        def _cyc(a, b):
-            return min(abs(a - b), 1.0 - abs(a - b))
-
+    for t1, t2 in zip(*(r.tolist() for r in roots)):
         if any(
             (_cyc(t1, a) < cfg.merge_tol and _cyc(t2, b) < cfg.merge_tol)
             or (_cyc(t1, b) < cfg.merge_tol and _cyc(t2, a) < cfg.merge_tol)
@@ -308,54 +299,112 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     return found
 
 
-def _refine_double_point(curve, t1, t2, cfg):
-    """Newton iteration on the stationarity system of |p(t1) - p(t2)|^2."""
+_SCAN_ROWS = 32   # rows of the pair grid held at once by _close_pairs
+
+
+def _close_pairs(ts, pts, threshold, diag_gap):
+    """Index pairs (i, j), i < j, of samples with squared distance below
+    threshold and cyclic parameter gap at least diag_gap, in row-major
+    order.  Rows are taken _SCAN_ROWS at a time, against the columns right
+    of the block's first row, so no n x n array is ever held."""
+    n = len(ts)
+    out = [np.empty((0, 2), dtype=np.intp)]
+    for r0 in range(0, n, _SCAN_ROWS):
+        r1 = min(r0 + _SCAN_ROWS, n)
+        diff = pts[r0:r1, None, :] - pts[None, r0 + 1:, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        sep = np.abs(ts[r0:r1, None] - ts[None, r0 + 1:])
+        keep = (d2 < threshold) & ~(np.minimum(sep, 1.0 - sep) < diag_gap)
+        keep &= np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
+        hit = np.argwhere(keep)
+        out.append(hit + (r0, r0 + 1))
+    return np.concatenate(out)
+
+
+def _dot(u, w):
+    """Row-wise dot products, each rounded as np.dot rounds a single one."""
+    return np.matmul(u[:, None, :], w[:, :, None])[:, 0, 0]
+
+
+def _refine_double_points(curve, t1, t2, cfg):
+    """Newton iteration on the stationarity system of |p(t1) - p(t2)|^2,
+    run on all seed pairs at once.
+
+    A seed leaves the batch where a lone iteration would stop: rejected at
+    a near-singular Jacobian, converged once both steps fall below
+    param_tol, rejected after 60 steps.  Returns arrays (t1, t2) of the
+    converged roots, wrapped into [0, 1) with t1 <= t2, at least diag_gap
+    from the diagonal and with residual distance within position_tol, in
+    seed order."""
+    t1 = np.array(t1, dtype=float)
+    t2 = np.array(t2, dtype=float)
+    live = np.arange(len(t1))
+    converged = np.zeros(len(t1), dtype=bool)
     for _ in range(60):
-        p1, p2 = curve.point(t1), curve.point(t2)
-        v1, v2 = curve.velocity(t1), curve.velocity(t2)
-        a1, a2 = curve.acceleration(t1), curve.acceleration(t2)
-        d = p1 - p2
-        f1 = float(np.dot(d, v1))
-        f2 = float(np.dot(d, v2))
-        j11 = float(np.dot(v1, v1) + np.dot(d, a1))
-        j12 = float(-np.dot(v2, v1))
-        j21 = float(np.dot(v1, v2))
-        j22 = float(-np.dot(v2, v2) + np.dot(d, a2))
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
-            return None
-        dt1 = (f1 * j22 - f2 * j12) / det
-        dt2 = (j11 * f2 - j21 * f1) / det
-        t1 -= dt1
-        t2 -= dt2
-        if abs(dt1) < cfg.param_tol and abs(dt2) < cfg.param_tol:
+        if not live.size:
             break
-    else:
-        return None
-    t1 %= 1.0
-    t2 %= 1.0
-    if t1 > t2:
-        t1, t2 = t2, t1
-    sep = min(t2 - t1, 1.0 - (t2 - t1))
-    if sep < cfg.diag_gap:
-        return None
-    residual = float(np.linalg.norm(curve.point(t1) - curve.point(t2)))
-    if residual > cfg.position_tol:
-        return None
-    return t1, t2
+        s1, s2 = t1[live], t2[live]
+        v1, v2 = curve.velocity(s1), curve.velocity(s2)
+        d = curve.point(s1) - curve.point(s2)
+        f1 = _dot(d, v1)
+        f2 = _dot(d, v2)
+        j11 = _dot(v1, v1) + _dot(d, curve.acceleration(s1))
+        j21 = _dot(v1, v2)
+        j12 = -j21
+        j22 = -_dot(v2, v2) + _dot(d, curve.acceleration(s2))
+        det = j11 * j22 - j12 * j21
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt1 = (f1 * j22 - f2 * j12) / det
+            dt2 = (j11 * f2 - j21 * f1) / det
+        ok = ~(np.abs(det) < 1e-14)   # near-singular Jacobian: rejected
+        live, dt1, dt2 = live[ok], dt1[ok], dt2[ok]
+        t1[live] -= dt1
+        t2[live] -= dt2
+        done = (np.abs(dt1) < cfg.param_tol) & (np.abs(dt2) < cfg.param_tol)
+        converged[live[done]] = True
+        live = live[~done]
+    t1 = t1[converged] % 1.0
+    t2 = t2[converged] % 1.0
+    t1, t2 = np.minimum(t1, t2), np.maximum(t1, t2)
+    sep = t2 - t1
+    keep = ~(np.minimum(sep, 1.0 - sep) < cfg.diag_gap)
+    t1, t2 = t1[keep], t2[keep]
+    gap = curve.point(t1) - curve.point(t2)
+    keep = ~(np.sqrt(_dot(gap, gap)) > cfg.position_tol)
+    return t1[keep], t2[keep]
 
 
-def _min_distance_to_curve(curve, p, cfg):
-    ts = np.arange(cfg.curve_samples) / cfg.curve_samples
-    pts = curve.point(ts)
-    return float(np.min(np.linalg.norm(pts - np.asarray(p, dtype=float), axis=-1)))
+def _bisect(curve, lo, hi, flo, f):
+    """80 bisection steps on every bracket [lo, hi] at once of a sign change
+    of f(curve.point(t)), given flo = f at lo.  Returns the final (lo, hi);
+    lo stays put where flo is 0."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(curve.point(mid))
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return lo, hi
+
+
+def _curve_samples(curve, cfg):
+    """(ts, points): the curve at cfg.curve_samples + 1 evenly spaced
+    parameters t = 0, ..., 1, for distance tests, crossing counts and the
+    sweep."""
+    ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
+    return ts, curve.point(ts)
+
+
+def _min_distance_to_curve(pts, p):
+    return float(np.min(np.linalg.norm(pts[:-1] - np.asarray(p, dtype=float), axis=-1)))
 
 
 def _normalize(v):
     return v / np.linalg.norm(v)
 
 
-def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None):
+def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples=None):
     """Signed number of transversal crossings of a path from b to p with the
     curve: +1 whenever the path crosses from the curve's right to its left.
 
@@ -363,28 +412,31 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None):
     segment on the torus; if a crossing is too close to an endpoint or too
     tangential, the path is re-routed through a deterministic sequence of
     waypoints (path independence is guaranteed by homological triviality).
+    `samples` is the curve's dense sampling as a NumericContext holds it;
+    it is computed when not given.
     """
     cfg = cfg or NumericConfig()
+    ts, pts = samples if samples is not None else _curve_samples(curve, cfg)
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     for point, name in ((b, "base point"), (p, "probe point")):
-        if _min_distance_to_curve(curve, point, cfg) < cfg.point_tol:
+        if _min_distance_to_curve(pts, point) < cfg.point_tol:
             raise PointOnCurve(f"{name} {tuple(point)} lies on the curve")
     if np.linalg.norm(b - p) < 1e-14:
         return 0
-    total = _segment_index(curve, b, p, cfg)
+    total = _segment_index(curve, b, p, ts, pts)
     if total is not None:
         return total
-    waypoints = _waypoint_candidates(curve, b, p, cfg)
+    waypoints = _waypoint_candidates(curve, pts, cfg)
     for w in waypoints:
-        first = _segment_index(curve, b, w, cfg)
-        second = _segment_index(curve, w, p, cfg)
+        first = _segment_index(curve, b, w, ts, pts)
+        second = _segment_index(curve, w, p, ts, pts)
         if first is not None and second is not None:
             return first + second
     raise PointOnCurve("could not find a transversal path between the points")
 
 
-def _waypoint_candidates(curve, b, p, cfg):
+def _waypoint_candidates(curve, pts, cfg):
     rng = np.random.default_rng(20240615)
     out = []
     for _ in range(12):
@@ -392,71 +444,64 @@ def _waypoint_candidates(curve, b, p, cfg):
             w = _normalize(rng.normal(size=3))
         else:
             w = rng.uniform(0.02, 0.98, size=2)
-        if _min_distance_to_curve(curve, w, cfg) > 5 * cfg.point_tol:
+        if _min_distance_to_curve(pts, w) > 5 * cfg.point_tol:
             out.append(w)
     return out
 
 
-def _segment_index(curve, b, p, cfg):
-    """Signed crossing count along one geodesic leg; None if degenerate."""
-    ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    pts = curve.point(ts)
+def _segment_index(curve, b, p, ts, pts):
+    """Signed crossing count along one geodesic leg; None if degenerate.
+
+    Every sample interval where the curve changes side of the leg's great
+    circle (chord line) is bisected, all of them together.  A sample
+    exactly on that circle, or a hit on the leg too close to an endpoint or
+    too tangential, makes the leg degenerate."""
     if curve.surface == UNIT_SPHERE:
         m = np.cross(b, p)
         norm = np.linalg.norm(m)
         if norm < 1e-9:
             return None   # endpoints (anti)parallel: no unique great circle
         m = m / norm
-        f = pts @ m
+
+        def side(x):
+            return x @ m
+
         span = math.acos(max(-1.0, min(1.0, float(np.dot(_normalize(b), _normalize(p))))))
     else:
         chord = p - b
-        # signed side of the chord line: cross(chord, pts - b)
-        f = chord[0] * (pts[:, 1] - b[1]) - chord[1] * (pts[:, 0] - b[0])
-    total = 0
-    for i in range(cfg.curve_samples):
-        if f[i] == 0.0:
+
+        def side(x):
+            # signed side of the chord line: cross(chord, x - b)
+            return chord[0] * (x[:, 1] - b[1]) - chord[1] * (x[:, 0] - b[0])
+
+    f = side(pts)
+    if np.any(f[:-1] == 0.0):
+        return None
+    i = np.flatnonzero(~(f[:-1] * f[1:] >= 0))
+    if not i.size:
+        return 0
+    lo, hi = _bisect(curve, ts[i], ts[i + 1], f[i], side)
+    tstar = 0.5 * (lo + hi)
+    x = curve.point(tstar)
+    v = curve.velocity(tstar)
+    if curve.surface == UNIT_SPHERE:
+        x = x / np.linalg.norm(x, axis=-1)[:, None]
+        angb = np.arccos(np.clip(x @ _normalize(b), -1.0, 1.0))
+        angp = np.arccos(np.clip(x @ _normalize(p), -1.0, 1.0))
+        on_leg = ~(angb + angp > span + 1e-9)   # else the hit is off the arc
+        if np.any(np.minimum(angb, angp)[on_leg] < 1e-7):
             return None
-        if f[i] * f[i + 1] >= 0:
-            continue
-        lo, hi = ts[i], ts[i + 1]
-        flo = f[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            x = curve.point(mid)
-            if curve.surface == UNIT_SPHERE:
-                fm = float(x @ m)
-            else:
-                fm = float(chord[0] * (x[1] - b[1]) - chord[1] * (x[0] - b[0]))
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        tstar = 0.5 * (lo + hi)
-        x = curve.point(tstar)
-        v = curve.velocity(tstar)
-        if curve.surface == UNIT_SPHERE:
-            x = _normalize(x)
-            angb = math.acos(max(-1.0, min(1.0, float(np.dot(x, _normalize(b))))))
-            angp = math.acos(max(-1.0, min(1.0, float(np.dot(x, _normalize(p))))))
-            if angb + angp > span + 1e-9:
-                continue   # the great circle is hit outside the arc
-            if min(angb, angp) < 1e-7:
-                return None
-            direction = np.cross(m, x)
-            det = float(np.dot(x, np.cross(v, direction)))
-        else:
-            s = float(np.dot(x - b, chord) / np.dot(chord, chord))
-            if not 0.0 <= s <= 1.0:
-                continue
-            if min(s, 1.0 - s) < 1e-9:
-                return None
-            det = float(v[0] * chord[1] - v[1] * chord[0])
-        scale = float(np.linalg.norm(v))
-        if abs(det) < 1e-7 * scale:
-            return None   # tangential hit: re-route
-        total += 1 if det > 0 else -1
-    return total
+        det = _dot(x, np.cross(v, np.cross(m, x)))
+    else:
+        s = (x - b) @ chord / np.dot(chord, chord)
+        on_leg = (0.0 <= s) & (s <= 1.0)
+        if np.any(np.minimum(s, 1.0 - s)[on_leg] < 1e-9):
+            return None
+        det = v[:, 0] * chord[1] - v[:, 1] * chord[0]
+    det = det[on_leg]
+    if np.any(np.abs(det) < 1e-7 * np.linalg.norm(v[on_leg], axis=-1)):
+        return None   # tangential hit: re-route
+    return int(np.sum(np.where(det > 0, 1, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +509,7 @@ def _segment_index(curve, b, p, cfg):
 
 
 _LEGENDRE_CACHE = {}
+_MERIDIAN_SHIFT = 0.3819660112501051   # meridian k sits at (k + shift) * 2pi/m - pi
 
 
 def _leggauss(n):
@@ -475,22 +521,31 @@ def _leggauss(n):
 class NumericContext:
     """All quadrature data for one (curve, base point, config).
 
-    Caches the double points, the arc table (per smooth arc: its index and
-    its geodesic-curvature line integral) and, on the sphere, the area of
-    every index level from the meridian sweep; every invariant is then a
-    cheap weighted sum over these tables.
+    Samples the curve once (`samples`, shared by every crossing count,
+    distance test and the sweep) and caches the double points, the arc
+    table (per smooth arc: its index and its geodesic-curvature line
+    integral) and, on the sphere, the area of every index level from the
+    meridian sweep; every invariant is then a cheap weighted sum over these
+    tables.  The root finding runs as whole-array passes: one batched Newton
+    refinement of all double-point seeds, one joint bisection of all
+    meridian hits, and one of all crossings of each probe path.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
         self.curve = curve
         self.cfg = cfg or NumericConfig()
         self.base_point = np.asarray(base_point, dtype=float)
+        self.samples = _curve_samples(curve, self.cfg)
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
         if curve.surface == UNIT_SPHERE:
             self._sweep_levels()
         else:
             self.level_area = {}
+
+    def _probe_index(self, p):
+        """point_index of p from the base point, on the cached samples."""
+        return point_index(self.curve, self.base_point, p, self.cfg, samples=self.samples)
 
     # -- smooth arcs between crossing parameters
 
@@ -555,8 +610,8 @@ class NumericContext:
 
     def _arc_index_at(self, t):
         pl, pr = self._side_probes(t)
-        il = point_index(self.curve, self.base_point, pl, self.cfg)
-        ir = point_index(self.curve, self.base_point, pr, self.cfg)
+        il = self._probe_index(pl)
+        ir = self._probe_index(pr)
         if il != ir + 1:
             raise TopologyError(
                 f"side probes at t={t:.6f} give indices {il}/{ir}, expected a +1 jump"
@@ -567,88 +622,83 @@ class NumericContext:
 
     def _sweep_levels(self):
         curve, cfg = self.curve, self.cfg
-        ns = cfg.curve_samples
-        ts = np.arange(ns + 1) / ns
-        pts = curve.point(ts)
-        az = np.arctan2(pts[:, 1], pts[:, 0])
-        north = np.array([0.0, 0.0, 1.0])
-        south = np.array([0.0, 0.0, -1.0])
-        ind_n = point_index(curve, self.base_point, north, cfg)
-        ind_s = point_index(curve, self.base_point, south, cfg)
+        ind_n = self._probe_index(np.array([0.0, 0.0, 1.0]))
+        ind_s = self._probe_index(np.array([0.0, 0.0, -1.0]))
         m = cfg.meridians
         dphi = TWO_PI / m
-        phis = (np.arange(m) + 0.3819660112501051) * dphi - math.pi
-        # bucket the curve's meridian crossings: for each sample interval,
-        # every meridian inside the (short-way) azimuth step is crossed once
-        hits = [[] for _ in range(m)]
-        for i in range(ns):
-            a0, a1 = az[i], az[i + 1]
-            delta = (a1 - a0 + math.pi) % TWO_PI - math.pi
-            if delta == 0.0:
-                continue
-            lo, hi = (a0, a0 + delta) if delta > 0 else (a0 + delta, a0)
-            k0 = math.ceil((lo + math.pi) / dphi - 0.3819660112501051)
-            k1 = math.floor((hi + math.pi) / dphi - 0.3819660112501051)
-            for k in range(k0, k1 + 1):
-                phi = (k % m + 0.3819660112501051) * dphi - math.pi
-                tstar = self._refine_meridian_hit(ts[i], ts[i + 1], a0, phi)
-                if tstar is not None:
-                    hits[k % m].append(tstar)
-        area = {}
-        for k in range(m):
-            phi = phis[k]
-            cuts = []
-            for t in hits[k]:
-                x = curve.point(t)
-                v = curve.velocity(t)
-                colat = math.acos(max(-1.0, min(1.0, float(x[2] / np.linalg.norm(x)))))
-                xn = _normalize(x)
-                southward = -north + float(np.dot(north, xn)) * xn
-                nrm = np.linalg.norm(southward)
-                if nrm < 1e-12:
-                    raise TopologyError("curve crosses a meridian at a pole")
-                southward /= nrm
-                jump = 1 if float(np.dot(xn, np.cross(v, southward))) > 0 else -1
-                cuts.append((colat, jump))
-            cuts.sort()
-            ind = ind_n
-            prev = 0.0
-            for colat, jump in cuts:
-                area[ind] = area.get(ind, 0.0) + dphi * (math.cos(prev) - math.cos(colat))
-                ind += jump
-                prev = colat
-            area[ind] = area.get(ind, 0.0) + dphi * (math.cos(prev) + 1.0)
-            if ind != ind_s:
-                raise TopologyError(
-                    f"meridian {phi:.4f} ends at index {ind}, expected {ind_s}"
-                )
+        t, mer = self._meridian_hits(m)
+        x = curve.point(t)
+        r = np.linalg.norm(x, axis=-1)
+        xn = x / r[:, None]
+        southward = xn[:, 2:] * xn - (0.0, 0.0, 1.0)
+        nrm = np.linalg.norm(southward, axis=-1)
+        if np.any(nrm < 1e-12):
+            raise TopologyError("curve crosses a meridian at a pole")
+        southward /= nrm[:, None]
+        jump = np.where(_dot(xn, np.cross(curve.velocity(t), southward)) > 0, 1, -1)
+        # walk each meridian north to south, cut by cut, and end it with a
+        # jump-free cut at the south pole: one band above every cut, at the
+        # index reached there
+        colat = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
+        mer = np.concatenate((mer, np.arange(m)))
+        colat = np.concatenate((colat, np.full(m, math.pi)))
+        jump = np.concatenate((jump, np.zeros(m, dtype=jump.dtype)))
+        order = np.lexsort((jump, colat, mer))
+        mer, colat, jump = mer[order], colat[order], jump[order]
+        first = np.flatnonzero(np.diff(mer, prepend=-1))
+        # jumps passed before each cut, counted from its meridian's first cut
+        passed = np.cumsum(jump) - jump
+        level = ind_n + passed - np.repeat(passed[first], np.diff(first, append=len(mer)))
+        bad = (jump == 0) & (level != ind_s)
+        if bad.any():
+            k = mer[bad][0]
+            raise TopologyError(
+                f"meridian {(k + _MERIDIAN_SHIFT) * dphi - math.pi:.4f} ends at "
+                f"index {level[bad][0]}, expected {ind_s}"
+            )
+        cos_cut = np.cos(colat)
+        cos_above = np.concatenate(([1.0], cos_cut[:-1]))
+        cos_above[first] = 1.0   # a meridian's first band starts at the pole
+        # per-level sums in band order, levels in order of first appearance
+        low = int(level.min())
+        sums = np.bincount(level - low, weights=dphi * (cos_above - cos_cut))
+        area = {i: float(sums[i - low]) for i in dict.fromkeys(level.tolist())}
         total = sum(area.values())
         if abs(total - 4.0 * math.pi) > 1e-6:
             raise TopologyError(f"swept area {total} != 4 pi")
         self.level_area = {i: a for i, a in area.items() if a != 0.0}
 
-    def _refine_meridian_hit(self, t0, t1, a0, phi):
-        curve = self.curve
+    def _meridian_hits(self, m):
+        """Where the curve crosses the meridians (k + shift) 2pi/m - pi.
 
-        def g(t):
-            x = curve.point(t)
-            return (math.atan2(x[1], x[0]) - phi + math.pi) % TWO_PI - math.pi
+        Each sample interval crosses every meridian inside its (short-way)
+        azimuth step once; all these crossings are bisected together, and
+        an interval whose ends do not bracket its meridian is dropped.
+        Returns the crossing parameters and their meridian numbers k."""
+        ts, pts = self.samples
+        dphi = TWO_PI / m
+        az = np.arctan2(pts[:, 1], pts[:, 0])
+        a0 = az[:-1]
+        delta = (az[1:] - a0 + math.pi) % TWO_PI - math.pi
+        az_lo = np.where(delta > 0, a0, a0 + delta)
+        az_hi = np.where(delta > 0, a0 + delta, a0)
+        k0 = np.ceil((az_lo + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
+        k1 = np.floor((az_hi + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
+        count = np.where(delta == 0.0, 0, np.maximum(k1 - k0 + 1, 0))
+        # interval i meets meridians k0[i], ..., k1[i]
+        seg = np.repeat(np.arange(len(delta)), count)
+        mer = (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - k0, count)) % m
+        phi = (mer + _MERIDIAN_SHIFT) * dphi - math.pi
 
-        lo, hi = t0, t1
-        glo = g(lo)
-        ghi = g(hi)
-        if glo == 0.0:
-            return lo
-        if glo * ghi > 0:
-            return None
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if glo * gm <= 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        return 0.5 * (lo + hi)
+        def g(azimuth):
+            return (azimuth - phi + math.pi) % TWO_PI - math.pi
+
+        glo, ghi = g(az[seg]), g(az[seg + 1])
+        keep = (glo == 0.0) | ~(glo * ghi > 0)
+        seg, mer, phi, glo = seg[keep], mer[keep], phi[keep], glo[keep]
+        lo, hi = _bisect(self.curve, ts[seg], ts[seg + 1], glo,
+                         lambda x: g(np.arctan2(x[:, 1], x[:, 0])))
+        return np.where(glo == 0.0, lo, 0.5 * (lo + hi)), mer
 
     # -- weighted sums over the cached tables
 
@@ -713,17 +763,11 @@ def numeric_jplus(curve, base_point, cfg: NumericConfig = None, context=None):
 
 
 def numeric_sjplus(curve, base_point, cfg: NumericConfig = None, context=None):
-    """The spherical J+ expression (K = 1 and chi = 2 substituted)."""
+    """The spherical J+ expression: the J+ integral formula with K = 1 and
+    chi = 2, so it equals numeric_jplus on the sphere."""
     if curve.surface != UNIT_SPHERE:
         raise NotSphere("SJ+ is defined for spherical curves")
-    ctx = context or NumericContext(curve, base_point, cfg)
-    gb = ctx.line_integral(lambda i: 1.0) + ctx.area_integral(lambda i: i)
-    middle = (
-        ctx.line_integral(lambda i: i)
-        - ctx.crossing_sum(lambda theta, i: theta)
-        + 0.5 * ctx.area_integral(lambda i: i * i)
-    )
-    return gb * gb / (8.0 * math.pi ** 2) - middle / math.pi + 1.0
+    return numeric_jplus(curve, base_point, cfg, context=context)
 
 
 def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
@@ -767,13 +811,12 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     cellular default applies; on the torus the unique chart-unbounded face
     receives genus 1.  The base region is identified by matching the index
     of a probe just left of the curve start against the combinatorial index
-    function.  Returns (diagram, base region id).
+    function.  A given context supplies the samples and the config.
+    Returns (diagram, base region id).
     """
-    cfg = cfg or NumericConfig()
     ctx = context or NumericContext(curve, base_point, cfg)
     if curve.surface == FLAT_TORUS:
-        ts = np.arange(cfg.curve_samples) / cfg.curve_samples
-        pts = curve.point(ts)
+        pts = ctx.samples[1][:-1]
         if pts.min() < 1e-6 or pts.max() > 1 - 1e-6:
             raise ChartViolation("the curve leaves the open fundamental-domain chart")
 
@@ -805,7 +848,7 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     left_region = diagram.dart_region[dart_id(0, LEFT)]
     mid_t = 0.5 * (ctx.arc_spans[0][0] + ctx.arc_spans[0][1]) % 1.0
     probe_left, _ = ctx._side_probes(mid_t)
-    r = point_index(curve, ctx.base_point, probe_left, cfg)
+    r = ctx._probe_index(probe_left)
     want = ind0.values[left_region] - r
     base = next(
         (rid for rid in range(len(diagram.regions)) if ind0.values[rid] == want),
@@ -826,10 +869,8 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
 def _torus_unbounded_dart(curve, ctx):
     """A dart whose face is the chart-unbounded one: the outward side of the
     rightmost point of the lift (nothing lies to its right)."""
-    cfg = ctx.cfg
-    ts = np.arange(cfg.curve_samples) / cfg.curve_samples
-    pts = curve.point(ts)
-    i = int(np.argmax(pts[:, 0]))
+    ts, pts = ctx.samples
+    i = int(np.argmax(pts[:-1, 0]))
     t = ts[i]
     for _ in range(40):   # polish the x-extremum: vx(t) = 0
         v = curve.velocity(t)

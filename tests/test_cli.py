@@ -171,6 +171,15 @@ def test_random_deterministic(capsys, tmp_path):
     assert "curve -" in out
 
 
+@pytest.mark.parametrize("flag", ["--crossings", "--genus"])
+def test_random_rejects_negative_sizes(capsys, flag):
+    argv = {"--crossings": "2", "--genus": "0", flag: "-1"}
+    code, out, err = run(capsys, "random", *(x for kv in argv.items() for x in kv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_numeric_command(capsys):
     code, out, _ = run(capsys, "numeric", "--fixture", "circle_torus",
                        "--q", "0.5,2,3")
@@ -212,6 +221,14 @@ def test_numeric_bad_q(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "abc" in err
+
+
+@pytest.mark.parametrize("grid", ["-8", "0"])
+def test_numeric_rejects_nonpositive_grid(capsys, grid):
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--grid" in err
 
 
 def test_usage_error_exit_code(capsys):

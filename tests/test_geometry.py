@@ -76,7 +76,18 @@ def test_torus_circle_curvature():
 
 def test_embedded_curves_have_no_double_points():
     assert find_double_points(GreatCircle(), CFG) == []
+    assert find_double_points(LatitudeCircle(ALPHA), CFG) == []
     assert find_double_points(TorusCircle(0.2), CFG) == []
+
+
+def test_figure_eight_double_point_oracle():
+    # the untilted curve crosses itself at (1, 0, 0) at s = 0 and s = pi,
+    # with perpendicular tangents (0, 1, 1) and (0, 1, -1)
+    curve = SphereFigureEight()
+    (d,) = find_double_points(curve, CFG)
+    assert np.allclose(d.position, curve._rot @ (1.0, 0.0, 0.0), atol=1e-9)
+    assert d.theta == pytest.approx(math.pi / 2, abs=1e-9)
+    assert d.t2 - d.t1 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_figure_eight_has_one_double_point():
@@ -189,6 +200,9 @@ def test_numeric_jplus_sphere(contexts):
         assert abs(jp - float(rep.jplus)) <= 5e-3
         sj = numeric_sjplus(ctx.curve, ctx.base_point, CFG, context=ctx)
         assert abs(sj - jp) <= 1e-9
+    fig8 = contexts["fig8"]
+    assert numeric_sjplus(fig8.curve, fig8.base_point, CFG, context=fig8) == \
+        numeric_jplus(fig8.curve, fig8.base_point, CFG, context=fig8)
 
 
 def test_numeric_jplus_rejects_torus(contexts):
@@ -197,6 +211,22 @@ def test_numeric_jplus_rejects_torus(contexts):
         numeric_jplus(ctx.curve, ctx.base_point, CFG, context=ctx)
     with pytest.raises(NotSphere):
         numeric_sjplus(ctx.curve, ctx.base_point, CFG, context=ctx)
+
+
+def test_latitude_level_areas_are_the_two_caps(contexts):
+    # the base point is south: the northern cap has index 1, the rest 0
+    area = contexts["latitude"].level_area
+    assert set(area) == {0, 1}
+    assert area[1] == pytest.approx(2 * math.pi * (1 - math.cos(ALPHA)), abs=1e-9)
+    assert area[0] == pytest.approx(2 * math.pi * (1 + math.cos(ALPHA)), abs=1e-9)
+
+
+def test_point_index_on_context_samples(contexts):
+    ctx = contexts["fig8"]
+    for t in (0.1, 0.6):
+        for probe in ctx._side_probes(t):
+            assert point_index(ctx.curve, ctx.base_point, probe, CFG) == \
+                point_index(ctx.curve, ctx.base_point, probe, CFG, samples=ctx.samples)
 
 
 def test_quadrature_convergence(contexts):

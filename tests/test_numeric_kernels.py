@@ -1,0 +1,246 @@
+"""The numeric route's array kernels against what they replaced.
+
+The references below are the dense n x n pair grid and the one-seed /
+one-interval loops that the kernels in curveinv.geometry run for all seeds
+or intervals at once, with the same seeds, iteration counts and
+accept/reject tests.  Where a kernel keeps the loop's arithmetic the
+results must be equal; the sweep's band areas are summed in the same order
+but take cos/arccos from numpy, so they must agree to 1e-12.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from curveinv import geometry
+from curveinv.geometry import (
+    LatitudeCircle,
+    NumericConfig,
+    NumericContext,
+    SphereFigureEight,
+    TorusCircle,
+    UNIT_SPHERE,
+)
+
+CFG = NumericConfig(double_grid=100, meridians=128, curve_samples=1024)
+SHIFT = 0.3819660112501051
+
+
+def newton_reference(curve, t1, t2, cfg):
+    for _ in range(60):
+        p1, p2 = curve.point(t1), curve.point(t2)
+        v1, v2 = curve.velocity(t1), curve.velocity(t2)
+        a1, a2 = curve.acceleration(t1), curve.acceleration(t2)
+        d = p1 - p2
+        f1 = float(np.dot(d, v1))
+        f2 = float(np.dot(d, v2))
+        j11 = float(np.dot(v1, v1) + np.dot(d, a1))
+        j12 = float(-np.dot(v2, v1))
+        j21 = float(np.dot(v1, v2))
+        j22 = float(-np.dot(v2, v2) + np.dot(d, a2))
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-14:
+            return None
+        dt1 = (f1 * j22 - f2 * j12) / det
+        dt2 = (j11 * f2 - j21 * f1) / det
+        t1 -= dt1
+        t2 -= dt2
+        if abs(dt1) < cfg.param_tol and abs(dt2) < cfg.param_tol:
+            break
+    else:
+        return None
+    t1 %= 1.0
+    t2 %= 1.0
+    if t1 > t2:
+        t1, t2 = t2, t1
+    if min(t2 - t1, 1.0 - (t2 - t1)) < cfg.diag_gap:
+        return None
+    if float(np.linalg.norm(curve.point(t1) - curve.point(t2))) > cfg.position_tol:
+        return None
+    return float(t1), float(t2)
+
+
+def segment_reference(curve, b, p, ts, pts):
+    if curve.surface == UNIT_SPHERE:
+        m = np.cross(b, p)
+        if np.linalg.norm(m) < 1e-9:
+            return None
+        m = m / np.linalg.norm(m)
+        f = pts @ m
+        bn, pn = b / np.linalg.norm(b), p / np.linalg.norm(p)
+        span = math.acos(max(-1.0, min(1.0, float(np.dot(bn, pn)))))
+    else:
+        chord = p - b
+        f = chord[0] * (pts[:, 1] - b[1]) - chord[1] * (pts[:, 0] - b[0])
+    total = 0
+    for i in range(len(ts) - 1):
+        if f[i] == 0.0:
+            return None
+        if f[i] * f[i + 1] >= 0:
+            continue
+        lo, hi, flo = ts[i], ts[i + 1], f[i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            x = curve.point(mid)
+            if curve.surface == UNIT_SPHERE:
+                fm = float(x @ m)
+            else:
+                fm = float(chord[0] * (x[1] - b[1]) - chord[1] * (x[0] - b[0]))
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        x = curve.point(0.5 * (lo + hi))
+        v = curve.velocity(0.5 * (lo + hi))
+        if curve.surface == UNIT_SPHERE:
+            x = x / np.linalg.norm(x)
+            angb = math.acos(max(-1.0, min(1.0, float(np.dot(x, b / np.linalg.norm(b))))))
+            angp = math.acos(max(-1.0, min(1.0, float(np.dot(x, p / np.linalg.norm(p))))))
+            if angb + angp > span + 1e-9:
+                continue
+            if min(angb, angp) < 1e-7:
+                return None
+            det = float(np.dot(x, np.cross(v, np.cross(m, x))))
+        else:
+            s = float(np.dot(x - b, chord) / np.dot(chord, chord))
+            if not 0.0 <= s <= 1.0:
+                continue
+            if min(s, 1.0 - s) < 1e-9:
+                return None
+            det = float(v[0] * chord[1] - v[1] * chord[0])
+        if abs(det) < 1e-7 * float(np.linalg.norm(v)):
+            return None
+        total += 1 if det > 0 else -1
+    return total
+
+
+def sweep_reference(ctx):
+    curve, cfg = ctx.curve, ctx.cfg
+    ts, pts = ctx.samples
+    north = np.array([0.0, 0.0, 1.0])
+    ind_n = geometry.point_index(curve, ctx.base_point, north, cfg)
+    m = cfg.meridians
+    dphi = 2 * math.pi / m
+    az = np.arctan2(pts[:, 1], pts[:, 0])
+
+    def g(t, phi):
+        x = curve.point(t)
+        return (math.atan2(x[1], x[0]) - phi + math.pi) % (2 * math.pi) - math.pi
+
+    hits = [[] for _ in range(m)]
+    for i in range(len(ts) - 1):
+        a0 = az[i]
+        delta = (az[i + 1] - a0 + math.pi) % (2 * math.pi) - math.pi
+        if delta == 0.0:
+            continue
+        lo, hi = (a0, a0 + delta) if delta > 0 else (a0 + delta, a0)
+        for k in range(math.ceil((lo + math.pi) / dphi - SHIFT),
+                       math.floor((hi + math.pi) / dphi - SHIFT) + 1):
+            phi = (k % m + SHIFT) * dphi - math.pi
+            lo_t, hi_t = ts[i], ts[i + 1]
+            glo, ghi = g(lo_t, phi), g(hi_t, phi)
+            if glo == 0.0:
+                hits[k % m].append(lo_t)
+                continue
+            if glo * ghi > 0:
+                continue
+            for _ in range(80):
+                mid = 0.5 * (lo_t + hi_t)
+                gm = g(mid, phi)
+                if glo * gm <= 0:
+                    hi_t = mid
+                else:
+                    lo_t, glo = mid, gm
+            hits[k % m].append(0.5 * (lo_t + hi_t))
+    area = {}
+    for k in range(m):
+        cuts = []
+        for t in hits[k]:
+            x = curve.point(t)
+            xn = x / np.linalg.norm(x)
+            southward = -north + float(np.dot(north, xn)) * xn
+            southward /= np.linalg.norm(southward)
+            det = float(np.dot(xn, np.cross(curve.velocity(t), southward)))
+            jump = 1 if det > 0 else -1
+            cuts.append((math.acos(max(-1.0, min(1.0, float(xn[2])))), jump))
+        ind, prev = ind_n, 0.0
+        for colat, jump in sorted(cuts):
+            area[ind] = area.get(ind, 0.0) + dphi * (math.cos(prev) - math.cos(colat))
+            ind += jump
+            prev = colat
+        area[ind] = area.get(ind, 0.0) + dphi * (math.cos(prev) + 1.0)
+    return {i: a for i, a in area.items() if a != 0.0}
+
+
+@pytest.mark.parametrize("n", [50, 100, 101])
+def test_blocked_pair_scan_matches_dense_grid(n):
+    # the row-blocked scan finds the pairs of the dense n x n grid, in order
+    curve = SphereFigureEight()
+    ts = np.arange(n) / n
+    pts = curve.point(ts)
+    threshold = (4.0 * float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n) ** 2
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    sep = np.abs(ts[:, None] - ts[None, :])
+    d2[np.minimum(sep, 1.0 - sep) < CFG.diag_gap] = np.inf
+    d2[np.tril_indices(n)] = np.inf
+    dense = np.argwhere(d2 < threshold)
+    assert len(dense) > 0
+    blocked = geometry._close_pairs(ts, pts, threshold, CFG.diag_gap)
+    assert blocked.tolist() == dense.tolist()
+
+
+@pytest.mark.parametrize("curve", [SphereFigureEight(), SphereFigureEight(0.6, 0.3),
+                                   LatitudeCircle(1.0), TorusCircle(0.2)])
+def test_batched_newton_equals_scalar_loop(curve):
+    n = CFG.double_grid
+    ts = np.arange(n) / n
+    pts = curve.point(ts)
+    step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
+    cand = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, CFG.diag_gap)
+    # the near pairs that seed the search, far pairs that mostly fail, and
+    # a pair of the 400-grid that, on the figure eight, meets a Jacobian
+    # with det ~ -1e-6 and converges only after wandering to t ~ 1400
+    seeds = np.concatenate([cand, [(i, (i + 37) % n) for i in range(0, n, 7)]])
+    t1 = np.append(ts[seeds[:, 0]], 31 / 400)
+    t2 = np.append(ts[seeds[:, 1]], 34 / 400)
+    roots = geometry._refine_double_points(curve, t1, t2, CFG)
+    expected = [newton_reference(curve, a, b, CFG) for a, b in zip(t1, t2)]
+    assert list(zip(*(r.tolist() for r in roots))) == [r for r in expected if r is not None]
+
+
+def test_segment_index_equals_scalar_loop():
+    # side probes close to the curve, so that legs between them end just
+    # short of a crossing of their great circle (chord line)
+    cfg = replace(CFG, probe_eps=2e-4)
+    cases = [
+        NumericContext(SphereFigureEight(), (-1.0, 0.0, 0.0), cfg),
+        NumericContext(LatitudeCircle(1.0), (0.0, 0.0, -1.0), cfg),
+        NumericContext(TorusCircle(0.2), (0.05, 0.05), cfg),
+    ]
+    seen = set()
+    for ctx in cases:
+        probes = [ctx.base_point] + [p for t in np.linspace(0.05, 0.95, 4)
+                                     for p in ctx._side_probes(t)]
+        if ctx.curve.surface == UNIT_SPHERE:
+            probes += [np.array([0.0, 0.0, 1.0]), -ctx.base_point]
+        for b in probes:
+            for p in probes:
+                got = geometry._segment_index(ctx.curve, b, p, *ctx.samples)
+                assert got == segment_reference(ctx.curve, b, p, *ctx.samples)
+                seen.add(got)
+    assert None in seen and {-1, 0, 1} <= seen
+
+
+@pytest.mark.parametrize("curve,base", [
+    (SphereFigureEight(), (-1.0, 0.0, 0.0)),
+    (LatitudeCircle(2.0), (0.0, 0.0, -1.0)),
+])
+def test_sweep_equals_scalar_loop(curve, base):
+    ctx = NumericContext(curve, base, CFG)
+    expected = sweep_reference(ctx)
+    assert list(ctx.level_area) == list(expected)
+    for level, area in expected.items():
+        assert ctx.level_area[level] == pytest.approx(area, abs=1e-12)
