@@ -31,7 +31,7 @@ from .catalog import (
     diagram_fixture,
     parametric_fixture,
 )
-from .diagram import index_function, parse_diagram, serialize_diagram
+from .diagram import euler_moments, index_function, parse_diagram, serialize_diagram
 from .errors import (
     CrossCheckFailed,
     CurveInvError,
@@ -55,7 +55,6 @@ from .invariants import (
     full_report,
     iq_euler,
     iq_topological,
-    jminus,
     report_ingredients,
     viro_jminus,
 )
@@ -179,12 +178,9 @@ def cmd_compare(args):
         row = {"base": base, "iq_topological": str(a), "iq_euler": str(b),
                "iq_equal": a == b}
         if diagram.surface_chi != 0:
-            rep = full_report(diagram, base)
-            from .diagram import euler_moments
-
+            jm = full_report(diagram, base).jminus
             m1, _ = euler_moments(smoothed)
             jv = viro_jminus(smoothed, m1, diagram.surface_chi)
-            jm = jminus(rep.jplus, diagram.n)
             row["jminus_viro"] = _frac(jv)
             row["jminus_jplus"] = _frac(jm)
             row["jminus_equal"] = jv == jm
@@ -313,6 +309,10 @@ def cmd_numeric(args):
     try:
         fx = parametric_fixture(args.fixture, **params)
         qs = [float(q) for q in (args.q or "0.5,2,3").split(",")]
+        if not all(math.isfinite(q) for q in qs):
+            raise ValueError(f"--q values must be finite, got {args.q}")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         if args.grid is not None and args.grid <= 0:
             raise ValueError(f"--grid must be positive, got {args.grid}")
     except (KeyError, ValueError) as exc:

@@ -28,8 +28,9 @@ embeddings (for example a contractible circle on the torus).  A region with
 genus g and b boundary cycles has chi = 2 - 2g - b, and Euler-characteristic
 conservation reads  sum_r chi_r - n = chi(S)  (for n = 0, sum_r chi_r).
 
-The incidence tables dart -> cycle and dart -> region are built once, in
-build_diagram, and stored on the CurveDiagram; every later step reads them.
+The incidence tables dart -> cycle and dart -> region are built once, when
+a diagram is assembled, and stored on the CurveDiagram; every later step
+reads them.
 """
 
 from __future__ import annotations
@@ -194,7 +195,12 @@ def build_diagram(code, regions=None, surface_chi=None, base_region=0):
     """
     if not isinstance(code, SignedGaussCode):
         code = SignedGaussCode(tuple(code))
-    cycles = trace_boundary_cycles(code)
+    return _assemble_diagram(code, trace_boundary_cycles(code), regions,
+                             surface_chi, base_region)
+
+
+def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
+    """build_diagram on the boundary cycles already traced from code."""
     if regions is None:
         regs = tuple(Region(0, (c,)) for c in range(len(cycles)))
     else:

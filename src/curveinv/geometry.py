@@ -856,13 +856,7 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     )
     if base is None:
         raise TopologyError("no region matches the base point's index offset")
-    if base != diagram.base_region:
-        diagram = build_diagram(
-            diagram.code.visits,
-            regions=[(reg.genus, reg.cycles) for reg in diagram.regions],
-            surface_chi=diagram.surface_chi,
-            base_region=base,
-        )
+    diagram = replace(diagram, base_region=base)
     return diagram, base
 
 

@@ -40,11 +40,6 @@ class HalfLaurent:
         return cls()
 
     @classmethod
-    def monomial(cls, coeff, half_exponent):
-        """coeff * q^(half_exponent / 2)."""
-        return cls({half_exponent: Fraction(coeff)})
-
-    @classmethod
     def constant(cls, value):
         return cls({0: Fraction(value)})
 

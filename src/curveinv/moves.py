@@ -25,22 +25,29 @@ Births in non-disk regions need a SplitPlan because the finger's isotopy
 class (how it winds around handles or separates boundary cycles) is not
 determined by the endpoints; the plan declares the outcome and is validated
 against chi conservation and the traced cycle structure.
+
+Every move traces its new code once and carries the regions over along one
+path.  It states `parents`: for each new arc, the old arcs it runs along
+(none for the sides of a new lens, a dead bigon or a moved triangle).
+`_inherited_darts` turns these into the old darts each new face continues;
+the move keys each face by the old region of those darts, or by a new
+region (split pieces, lens, merged region).  `_moved_diagram` groups the
+faces by key, checks that every carried-over region keeps its boundary
+count, places the base and assembles the diagram from the traced cycles.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .diagram import (
     LEFT,
-    RIGHT,
     CurveDiagram,
-    Region,
     SignedGaussCode,
+    _assemble_diagram,
     _rotations,
-    build_diagram,
     dart_arc,
     dart_id,
     dart_side,
@@ -119,21 +126,21 @@ def _disk_cycles(diagram, corners):
     return found
 
 
-def find_bigons(diagram: CurveDiagram):
-    """All bigon sites: 2-corner disk regions bounded by two distinct arcs
-    joining two distinct crossings.  Direct if both arcs run P -> Q
-    (parallel strands), opposite if one runs P -> Q and the other Q -> P."""
-    sites = []
-    for rid, _cycle, _arcs, ends in _disk_cycles(diagram, 2):
-        (s1, e1), (s2, e2) = ends
+def _bigons(diagram):
+    """(region, kind, cycle, arcs) of every bigon: a 2-corner disk region
+    bounded by two distinct arcs joining two distinct crossings.  Direct if
+    both arcs run P -> Q (parallel strands), opposite if one runs P -> Q and
+    the other Q -> P."""
+    for rid, cycle, arcs, ((s1, e1), (s2, e2)) in _disk_cycles(diagram, 2):
         if (s1, e1) == (s2, e2):
-            kind = "bigon_direct"
+            yield rid, "bigon_direct", cycle, arcs
         elif (s1, e1) == (e2, s2):
-            kind = "bigon_opposite"
-        else:
-            continue
-        sites.append(MoveSite(kind=kind, region=rid))
-    return sites
+            yield rid, "bigon_opposite", cycle, arcs
+
+
+def find_bigons(diagram: CurveDiagram):
+    """All bigon sites, see _bigons."""
+    return [MoveSite(kind=kind, region=rid) for rid, kind, _c, _a in _bigons(diagram)]
 
 
 def find_triangles(diagram: CurveDiagram):
@@ -143,6 +150,45 @@ def find_triangles(diagram: CurveDiagram):
         MoveSite(kind="triangle", region=rid)
         for rid, _cycle, _arcs, _ends in _disk_cycles(diagram, 3)
     ]
+
+
+# ---------------------------------------------------------------------------
+# carrying regions over a move
+
+
+def _inherited_darts(cycles, parents):
+    """For each new face, the old darts it continues.
+
+    parents[k] lists the old arcs that new arc k runs along; a dart keeps
+    its side, so new dart (k, side) continues the old darts (a, side)."""
+    return [
+        [dart_id(a, dart_side(d)) for d in cycle for a in parents[dart_arc(d)]]
+        for cycle in cycles
+    ]
+
+
+def _moved_diagram(diagram, code, cycles, face_key, layout, base_key):
+    """Assemble the diagram after a move from its traced cycles.
+
+    face_key[c] names the region of new face c.  layout lists the new
+    regions in order: an int r carries old region r over (its key is r, and
+    it must keep its boundary count), a pair (key, genus) is a new region.
+    The base goes to the region whose key is base_key."""
+    faces = {}
+    for c, key in enumerate(face_key):
+        faces.setdefault(key, []).append(c)
+    regions, base = [], None
+    for entry in layout:
+        if isinstance(entry, int):
+            key, genus = entry, diagram.regions[entry].genus
+            if len(faces.get(key, ())) != len(diagram.regions[entry].cycles):
+                raise TopologyError(f"region {entry} changed its boundary count")
+        else:
+            key, genus = entry
+        if key == base_key:
+            base = len(regions)
+        regions.append((genus, faces.get(key, ())))
+    return _assemble_diagram(code, cycles, regions, diagram.surface_chi, base)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +247,6 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     new_entries = []           # (label,) placeholders; signs fixed later
     parent = []                # parent[j] = old arc of the gap after entry j
     event_pos = {}             # (tag, label) -> new position
-    num_arcs = diagram.num_arcs
 
     def lay_events(arc):
         for ev_arc, _frac, _tie, tag, pair in events:
@@ -236,54 +281,36 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     cycles = trace_boundary_cycles(code)
 
     # each strand's two entries are adjacent, so its lens-bounding mid arc
-    # is the slot starting at its first laid label
+    # is the slot starting at its first laid label; the two lens sides
+    # continue no old arc, every other slot continues its parent
     pusher_first = min(event_pos[("pusher", p_label)], event_pos[("pusher", q_label)])
     static_first = min(event_pos[("static", p_label)], event_pos[("static", q_label)])
-    mid_slots = {pusher_first, static_first}
+    parents = [[] if k in (pusher_first, static_first) else [a]
+               for k, a in enumerate(parent)]
+    inherited = _inherited_darts(cycles, parents)
 
-    lens_cycles = []
-    face_info = []   # per new cycle: (old regions touched, old R-cycles touched)
-    for cyc in cycles:
-        regions_touched = set()
-        r_cycles = set()
-        all_mid = True
-        for d in cyc:
-            slot, side = dart_arc(d), dart_side(d)
-            if slot in mid_slots:
-                continue
-            all_mid = False
-            old_dart = dart_id(parent[slot], side)
-            reg = dart_region[old_dart]
-            regions_touched.add(reg)
-            if reg == rid:
-                r_cycles.add(dart_cycle[old_dart])
-        if all_mid:
-            lens_cycles.append(cyc)
-        face_info.append((regions_touched, r_cycles))
-
-    if len(lens_cycles) != 1 or len(lens_cycles[0]) != 2:
+    lens = [ci for ci, darts in enumerate(inherited) if not darts]
+    if len(lens) != 1 or len(cycles[lens[0]]) != 2:
         raise PlanInvalid("the inserted lens does not close up into a bigon face")
-    lens_index = cycles.index(lens_cycles[0])
 
-    cut_cycles = {dart_cycle[d1], dart_cycle[d2]}
-    untouched = set(region.cycles) - cut_cycles
-    r_faces, other_faces = {}, {}
-    for ci, (regs, r_cycles) in enumerate(face_info):
-        if ci == lens_index:
-            continue
-        if not regs:
-            raise PlanInvalid("a face carries no surviving boundary material")
-        if len(regs) != 1:
+    face_key = [None] * len(cycles)
+    face_key[lens[0]] = "lens"
+    r_faces = {}     # face of the split region -> its old cycles
+    for ci, darts in enumerate(inherited):
+        regs = {dart_region[x] for x in darts}
+        if len(regs) > 1:
             # the declared tangency would force distinct regions to merge,
             # i.e. it is not realizable on the fixed surface
             raise PlanInvalid(
                 "the tangency is not realizable in this region of the surface"
             )
-        if rid in regs:
-            r_faces[ci] = r_cycles
-        else:
-            other_faces[ci] = next(iter(regs))
+        if regs == {rid}:
+            r_faces[ci] = {dart_cycle[x] for x in darts}
+        elif regs:
+            face_key[ci] = regs.pop()
 
+    cut_cycles = {dart_cycle[d1], dart_cycle[d2]}
+    untouched = set(region.cycles) - cut_cycles
     cut_faces = [ci for ci, cyc_set in r_faces.items() if cyc_set & cut_cycles]
     plain_faces = {ci: cyc_set for ci, cyc_set in r_faces.items() if not cyc_set & cut_cycles}
 
@@ -308,7 +335,6 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         )
 
     # piece 0 sits on the walk-predecessor side of pos1
-    marker_slot = None
     if s1 == LEFT:
         marker_slot = event_pos[("pusher", p_label)] - 1
         if diagram.n == 0 and marker_slot < 0:
@@ -316,10 +342,9 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     else:
         marker_slot = event_pos[("pusher", q_label)]
     marker_dart = dart_id(marker_slot % len(new_entries), s1)
-    piece_of_face = {}
     if len(pieces) == 1:
         for ci in cut_faces:
-            piece_of_face[ci] = 0
+            face_key[ci] = ("piece", 0)
     else:
         marker_face = next(
             ci for ci, cyc in enumerate(cycles) if marker_dart in cyc
@@ -327,70 +352,47 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         if marker_face not in cut_faces:
             raise PlanInvalid("cannot locate the piece adjacent to pos1")
         for ci in cut_faces:
-            piece_of_face[ci] = 0 if ci == marker_face else 1
+            face_key[ci] = ("piece", 0 if ci == marker_face else 1)
     for ci, cyc_set in plain_faces.items():
         homes = {k for k, (_g, cs) in enumerate(pieces) if cyc_set & cs}
         if len(homes) != 1:
             raise PlanInvalid(
                 f"face with cycles {sorted(cyc_set)} does not fit the plan's partition"
             )
-        piece_of_face[ci] = homes.pop()
+        face_key[ci] = ("piece", homes.pop())
 
-    piece_faces = [
-        [ci for ci, k in piece_of_face.items() if k == p] for p in range(len(pieces))
-    ]
     chi_total = 0
     for p, (g, _cs) in enumerate(pieces):
-        if not piece_faces[p]:
+        faces = face_key.count(("piece", p))
+        if not faces:
             raise PlanInvalid(f"piece {p} has no boundary faces")
-        chi_total += 2 - 2 * g - len(piece_faces[p])
+        chi_total += 2 - 2 * g - faces
     if chi_total != region.chi + 1:
         raise PlanInvalid(
             f"plan chi {chi_total} != region chi {region.chi} + 1"
         )
 
-    new_regions = []
-    new_base = None
-    for r, reg in enumerate(diagram.regions):
-        if r == rid:
-            for p, (g, _cs) in enumerate(pieces):
-                if r == diagram.base_region and p == (plan.base_piece or 0):
-                    new_base = len(new_regions)
-                new_regions.append((g, tuple(sorted(piece_faces[p]))))
-        else:
-            faces = tuple(sorted(ci for ci, rr in other_faces.items() if rr == r))
-            if len(faces) != len(reg.cycles):
-                raise TopologyError(
-                    f"region {r} changed its boundary count in a birth"
-                )
-            if r == diagram.base_region:
-                new_base = len(new_regions)
-            new_regions.append((reg.genus, faces))
-    new_regions.append((0, (lens_index,)))
-
-    return build_diagram(
-        code, regions=new_regions, surface_chi=diagram.surface_chi,
-        base_region=new_base,
-    )
+    layout = [*range(rid),
+              *((("piece", p), g) for p, (g, _cs) in enumerate(pieces)),
+              *range(rid + 1, len(diagram.regions)),
+              ("lens", 0)]
+    base_key = diagram.base_region
+    if base_key == rid:
+        base_key = ("piece", plan.base_piece or 0)
+    return _moved_diagram(diagram, code, cycles, face_key, layout, base_key)
 
 
 # ---------------------------------------------------------------------------
 # bigon death
 
 
-def _bigon_data(diagram, rid):
-    for r, cycle, arcs, ends in _disk_cycles(diagram, 2):
-        if r == rid:
-            (s1, e1), (s2, e2) = ends
-            if (s1, e1) == (s2, e2) or (s1, e1) == (e2, s2):
-                return cycle, arcs
-    raise SiteError(f"region {rid} is not a bigon")
-
-
 def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     """Remove the two crossings of a bigon (the inverse of a birth)."""
     rid = site.region if isinstance(site, MoveSite) else int(site)
-    cycle, mid_arcs = _bigon_data(diagram, rid)
+    found = [(cycle, arcs) for r, _kind, cycle, arcs in _bigons(diagram) if r == rid]
+    if not found:
+        raise SiteError(f"region {rid} is not a bigon")
+    cycle, mid_arcs = found[0]
     m = 2 * diagram.n
     corner_labels = set()
     for a in mid_arcs:
@@ -424,79 +426,42 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     code = SignedGaussCode(visits)
     cycles = trace_boundary_cycles(code)
 
-    # each new arc spans the old arcs between consecutive kept visits
-    parents = []
-    if kept:
-        for i in range(len(kept)):
-            start = kept[i]
-            end = kept[(i + 1) % len(kept)]
-            span = []
-            a = start
-            while True:
-                span.append(a)
-                a = (a + 1) % m
-                if a == end:
-                    break
-                if len(span) > m:
-                    raise TopologyError("arc span failed to close")
-            parents.append(span)
-    else:
-        parents.append(list(range(m)))
-
+    # each new arc spans the old arcs from its kept visit up to the next
+    # one (all of them when no crossing is kept), less the bigon's sides
     mid_set = set(mid_arcs)
-    face_region = []
-    for cyc in cycles:
-        regions_touched = set()
-        for d in cyc:
-            slot, side = dart_arc(d), dart_side(d)
-            for a in parents[slot]:
-                if a in mid_set:
-                    continue
-                regions_touched.add(dart_region[dart_id(a, side)])
-        if not regions_touched:
-            raise TopologyError("a face lost all boundary material in a death")
-        if regions_touched & merged_old:
-            if not regions_touched <= merged_old:
-                raise TopologyError("a death merged an unexpected region")
-            face_region.append(None)   # merged
-        else:
-            if len(regions_touched) != 1:
-                raise TopologyError("a death merged an unexpected region")
-            face_region.append(regions_touched.pop())
+    starts, ends = (kept, kept[1:] + [kept[0] + m]) if kept else ([0], [m])
+    parents = [[a % m for a in range(s, e) if a % m not in mid_set]
+               for s, e in zip(starts, ends)]
 
-    merged_faces = tuple(sorted(ci for ci, r in enumerate(face_region) if r is None))
+    face_key = []
+    for darts in _inherited_darts(cycles, parents):
+        regs = {dart_region[x] for x in darts}
+        if not regs:
+            raise TopologyError("a face lost all boundary material in a death")
+        if regs & merged_old:
+            if not regs <= merged_old:
+                raise TopologyError("a death merged an unexpected region")
+            face_key.append("merged")
+        else:
+            if len(regs) != 1:
+                raise TopologyError("a death merged an unexpected region")
+            face_key.append(regs.pop())
+
+    merged_faces = face_key.count("merged")
     if not merged_faces:
         raise TopologyError("merged region has no boundary faces")
-    genus2 = 2 - chi_merged - len(merged_faces)
+    genus2 = 2 - chi_merged - merged_faces
     if genus2 < 0 or genus2 % 2 != 0:
         raise TopologyError(
-            f"merged region chi {chi_merged} with {len(merged_faces)} cycles "
+            f"merged region chi {chi_merged} with {merged_faces} cycles "
             "gives a non-integer or negative genus"
         )
 
-    new_regions = []
-    new_base = None
-    merged_placed = False
-    base_merged = diagram.base_region in merged_old
-    for r, reg in enumerate(diagram.regions):
-        if r in merged_old:
-            if not merged_placed:
-                if base_merged:
-                    new_base = len(new_regions)
-                new_regions.append((genus2 // 2, merged_faces))
-                merged_placed = True
-            continue
-        faces = tuple(sorted(ci for ci, rr in enumerate(face_region) if rr == r))
-        if len(faces) != len(reg.cycles):
-            raise TopologyError(f"region {r} changed its boundary count in a death")
-        if r == diagram.base_region:
-            new_base = len(new_regions)
-        new_regions.append((reg.genus, faces))
-
-    return build_diagram(
-        code, regions=new_regions, surface_chi=diagram.surface_chi,
-        base_region=new_base,
-    )
+    first = min(merged_old)
+    layout = [("merged", genus2 // 2) if r == first else r
+              for r in range(len(diagram.regions)) if r == first or r not in merged_old]
+    base_key = "merged" if diagram.base_region in merged_old else diagram.base_region
+    return _moved_diagram(diagram, code, cycles, face_key, layout, base_key)
 
 
 # ---------------------------------------------------------------------------
@@ -534,43 +499,25 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
     code = SignedGaussCode(visits)
     cycles = trace_boundary_cycles(code)
 
+    # the triangle's sides continue no old arc; every other arc stays put
     side_set = set(side_arcs)
-    face_region = []
-    triangle_face = None
-    for ci, cyc in enumerate(cycles):
-        regions_touched = set()
-        for d in cyc:
-            if dart_arc(d) in side_set:
-                continue
-            regions_touched.add(diagram.dart_region[d])
-        if not regions_touched:
-            if triangle_face is not None:
+    parents = [[] if k in side_set else [k] for k in range(m)]
+    face_key = []
+    for darts, cyc in zip(_inherited_darts(cycles, parents), cycles):
+        regs = {diagram.dart_region[x] for x in darts}
+        if not regs:
+            if rid in face_key:
                 raise TopologyError("two faces claim the triangle after the move")
             if len(cyc) != 3:
                 raise TopologyError("the moved triangle is not a 3-corner face")
-            triangle_face = ci
-            face_region.append(rid)
-            continue
-        if len(regions_touched) != 1:
+            regs = {rid}
+        if len(regs) != 1:
             raise TopologyError("a triple move may not merge regions")
-        face_region.append(regions_touched.pop())
-    if triangle_face is None:
+        face_key.append(regs.pop())
+    if rid not in face_key:
         raise TopologyError("the triangle vanished in a triple move")
-
-    new_regions = []
-    new_base = None
-    for r, reg in enumerate(diagram.regions):
-        faces = tuple(sorted(ci for ci, rr in enumerate(face_region) if rr == r))
-        if len(faces) != len(reg.cycles):
-            raise TopologyError(f"region {r} changed its boundary count")
-        if r == diagram.base_region:
-            new_base = len(new_regions)
-        new_regions.append((reg.genus, faces))
-
-    return build_diagram(
-        code, regions=new_regions, surface_chi=diagram.surface_chi,
-        base_region=new_base,
-    )
+    return _moved_diagram(diagram, code, cycles, face_key, range(len(diagram.regions)),
+                          diagram.base_region)
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +559,12 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
         regions = [
             (deficit if c == 0 else 0, (c,)) for c in range(len(cycles))
         ]
-        diagram = build_diagram(
-            code, regions=regions, surface_chi=2 - 2 * genus, base_region=0
-        )
+        diagram = _assemble_diagram(code, cycles, regions, 2 - 2 * genus, 0)
         try:
             index_function(diagram, 0)
         except HomologicallyNontrivial:
             continue
-        base = rng.randrange(len(diagram.regions))
-        if base != 0:
-            diagram = build_diagram(
-                code, regions=regions, surface_chi=2 - 2 * genus, base_region=base
-            )
-        return diagram
+        return replace(diagram, base_region=rng.randrange(len(diagram.regions)))
     raise ExhaustedRetries(
         f"no homologically trivial diagram with n={n}, genus={genus} "
         f"found in {max_tries} tries"

@@ -231,6 +231,18 @@ def test_numeric_rejects_nonpositive_grid(capsys, grid):
     assert err.startswith("error:") and "--grid" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--q", "nan"), ("--q", "inf"), ("--q", "0.5,-inf"),
+    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_numeric_rejects_nonfinite_q_and_bad_tol(capsys, flag, value):
+    # a usage error (exit 1), not a failed cross-check (exit 3)
+    code, out, err = run(capsys, "numeric", "--fixture", "circle_torus", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["move", "circle_sphere"])   # missing --site

@@ -7,6 +7,12 @@ n = 64.  Each entry records, for every base region, the full report (or the
 name of the error it raises), the canonical form, and the serialized result
 of every bigon death and triple move.  Refactors of the exact path must
 reproduce all of it byte for byte.
+
+tests/data/golden_moves.json holds seeded birth sites on the same diagrams
+and on grown genus-1 and genus-2 diagrams (which also carry a full record),
+with each birth's serialized result or error name and the death of its lens.
+tests/data/record_golden_moves.py wrote it; both files were recorded with the
+library as it was before the moves were rebuilt on one shared path.
 """
 
 import json
@@ -27,19 +33,43 @@ from curveinv.diagram import (
 from curveinv.errors import CurveInvError, HomologicallyNontrivial
 from curveinv.invariants import full_report
 from curveinv.moves import (
+    SplitPlan,
     bigon_death,
+    birth_site,
     find_bigons,
     find_triangles,
     random_diagram,
+    tangency_birth,
     triple_move,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_exact.json"
 ENTRIES = json.loads(GOLDEN.read_text(encoding="utf-8"))["diagrams"]
+MOVES = json.loads(
+    (GOLDEN.parent / "golden_moves.json").read_text(encoding="utf-8")
+)["diagrams"]
 
 
 def _str(value):
     return None if value is None else str(value)
+
+
+def outcome(move, *args):
+    """The serialized result of a move, or the name of its error."""
+    try:
+        return serialize_diagram(move(*args))
+    except CurveInvError as exc:
+        return type(exc).__name__
+
+
+def birth_outcome(d, site):
+    """A birth's outcome and, for a result, the outcome of its lens death."""
+    try:
+        born = tangency_birth(d, site)
+    except CurveInvError as exc:
+        return type(exc).__name__, None
+    lens = [s for s in find_bigons(born) if s.region == len(born.regions) - 1]
+    return serialize_diagram(born), outcome(bigon_death, born, lens[0]) if lens else None
 
 
 def record(d):
@@ -59,11 +89,7 @@ def record(d):
     moves = []
     for site in find_bigons(d) + find_triangles(d):
         move = triple_move if site.kind == "triangle" else bigon_death
-        try:
-            result = serialize_diagram(move(d, site))
-        except CurveInvError as exc:
-            result = type(exc).__name__
-        moves.append([site.kind, site.region, result])
+        moves.append([site.kind, site.region, outcome(move, d, site)])
     return {"reports": reports, "canonical": repr(canonicalize(d)), "moves": moves}
 
 
@@ -72,6 +98,21 @@ def test_golden_exact_outputs(entry):
     d = parse_diagram(entry["text"])
     assert serialize_diagram(d) == entry["text"]
     assert record(d) == entry["record"]
+
+
+@pytest.mark.parametrize("entry", MOVES, ids=[e["name"] for e in MOVES])
+def test_golden_births_and_moves(entry):
+    d = parse_diagram(entry["text"])
+    for birth in entry["births"]:
+        plan = birth["plan"]
+        if plan is not None:
+            plan = SplitPlan(tuple((g, frozenset(cs)) for g, cs in plan["pieces"]),
+                             plan["base_piece"])
+        site = birth_site(birth["region"], *birth["positions"],
+                          birth["kind"][len("birth_"):], plan)
+        assert birth_outcome(d, site) == (birth["result"], birth["death"]), birth
+    if "record" in entry:
+        assert record(d) == entry["record"]
 
 
 def test_golden_sources_regenerate():

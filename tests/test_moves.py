@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import curveinv.diagram as diagram_module
+from curveinv import moves
 from curveinv.diagram import canonicalize, index_function, parse_diagram
 from curveinv.errors import (
     ExhaustedRetries,
@@ -241,6 +243,30 @@ def test_triple_move_preserves_invariants(fixtures):
 def test_triple_move_requires_triangle(fixtures):
     with pytest.raises(SiteError):
         triple_move(fixtures["figure8_sphere"], 0)
+
+
+# -- tracing -----------------------------------------------------------------
+
+
+def test_each_move_traces_once(fixtures, monkeypatch):
+    """A move traces its new code once and assembles the diagram from it."""
+    calls = []
+    trace = diagram_module.trace_boundary_cycles
+    for module in (diagram_module, moves):
+        monkeypatch.setattr(module, "trace_boundary_cycles",
+                            lambda code: calls.append(code) or trace(code))
+    fig8, host = fixtures["figure8_sphere"], triple_host(fixtures)
+    counts = []
+    for move, d, site in (
+        (tangency_birth, fig8,
+         birth_site(0, (0, Fraction(1, 3)), (0, Fraction(2, 3)), "opposite")),
+        (bigon_death, host, find_bigons(host)[0]),
+        (triple_move, host, find_triangles(host)[0]),
+    ):
+        calls.clear()
+        move(d, site)
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
 
 
 # -- random generator --------------------------------------------------------
