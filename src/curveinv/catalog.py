@@ -11,12 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .diagram import parse_diagram
-from .geometry import (
-    GreatCircle,
-    LatitudeCircle,
-    SphereFigureEight,
-    TorusCircle,
-)
 
 DIAGRAM_FIXTURES = {
     # embedded counterclockwise circle on the sphere, base outside
@@ -57,7 +51,12 @@ def parametric_fixture(name: str, **params) -> ParametricFixture:
     latitude [alpha]        circle at colatitude alpha (default pi/3)
     circle_torus [rho]      chart circle of radius rho (default 0.2)
     figure8_sphere_param    tilted spherical figure eight
+
+    The curves come from geometry, imported here so that the exact path
+    never loads numpy.
     """
+    from .geometry import GreatCircle, LatitudeCircle, SphereFigureEight, TorusCircle
+
     if name == "great_circle":
         fx = ParametricFixture(name, GreatCircle(), (0.0, 0.0, -1.0), 5e-3, {})
     elif name == "latitude":

@@ -41,16 +41,6 @@ from .errors import (
     PlanRequired,
     SiteError,
 )
-from .geometry import (
-    NumericConfig,
-    NumericContext,
-    extract_diagram,
-    gauss_bonnet_region_check,
-    numeric_i1,
-    numeric_iq,
-    numeric_jplus,
-    numeric_sjplus,
-)
 from .invariants import (
     full_report,
     iq_euler,
@@ -302,6 +292,18 @@ def cmd_move(args):
 
 
 def cmd_numeric(args):
+    # the numeric route alone needs numpy; the exact commands start without it
+    from .geometry import (
+        NumericConfig,
+        NumericContext,
+        extract_diagram,
+        gauss_bonnet_region_check,
+        numeric_i1,
+        numeric_iq,
+        numeric_jplus,
+        numeric_sjplus,
+    )
+
     params = {}
     for item in args.param or []:
         key, _, value = item.partition("=")

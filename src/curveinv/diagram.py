@@ -579,43 +579,72 @@ def canonicalize(diagram: CurveDiagram):
     code start point (with the induced sign adjustments), and region
     relabeling.  Two based diagrams are isomorphic iff their canonical forms
     are equal.
+
+    The form is the least (code, region descriptor, base position) over the
+    2n rotations of the code start, each code relabelled in order of first
+    appearance.  Only the rotations whose relabelled code is least are built
+    in full.  They are found a visit at a time from a per-visit key, with no
+    relabelling: visit v lies back[v] visits after its partner (cyclically),
+    and own[v] is the crossing's sign if v is its first visit in the stored
+    code, else the negated sign.  At position k of rotation r, visit
+    v = r + k (mod 2n) repeats a label iff back[v] <= k; its key is then
+    (-back[v], -own[v]), and (0, own[v]) otherwise.  Among rotations whose
+    codes agree before k, the key orders them as their (label, sign) pairs
+    at k do: a first visit takes the next new label, larger than every label
+    so far; a repeat with a larger back reuses the label of an earlier, so
+    smaller, first visit; and the sign is own[v] at the rotated first visit
+    and -own[v] at the repeat.  Rotations are dropped while their key
+    exceeds the least one; the survivors share one code, and several
+    survive only when the code has a rotational symmetry.
     """
     if diagram.n == 0:
         regions = _region_descriptor(diagram, {0: 0, 1: 1})
         return ("n0", regions, _base_position(diagram, regions, {0: 0, 1: 1}))
     m = 2 * diagram.n
-    best = None
     positions = diagram.code.crossing_positions()
-    for r in range(m):
-        rotated = [diagram.code.visits[(k + r) % m] for k in range(m)]
-        # stored signs flip when the rotation swaps which visit comes first
-        new_sign = {}
-        for label, (p1, p2, sign) in positions.items():
-            q1, q2 = (p1 - r) % m, (p2 - r) % m
-            new_sign[label] = sign if q1 < q2 else -sign
-        relabel = {}
-        code = []
-        for label, _ in rotated:
-            if label not in relabel:
-                relabel[label] = len(relabel) + 1
-            code.append((relabel[label], new_sign[label]))
-        dart_translation = {
-            dart_id(a, s): dart_id((a - r) % m, s)
-            for a in range(m) for s in (LEFT, RIGHT)
-        }
-        # the traced cycles are the same dart sets; renumber them as the
-        # trace of the rotated code would (ascending min dart id)
-        translated = [
-            frozenset(dart_translation[d] for d in cycle) for cycle in diagram.cycles
-        ]
-        order = sorted(range(len(translated)), key=lambda c: min(translated[c]))
-        cycle_renumber = {old: new for new, old in enumerate(order)}
-        regions = _region_descriptor(diagram, cycle_renumber)
-        base = _base_position(diagram, regions, cycle_renumber)
-        candidate = (tuple(code), regions, base)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    back = [0] * m
+    own = [0] * m
+    for p1, p2, sign in positions.values():
+        back[p1], back[p2] = p1 - p2 + m, p2 - p1
+        own[p1], own[p2] = sign, -sign
+    first_key = [(0, s) for s in own]
+    repeat_key = [(-b, -s) for b, s in zip(back, own)]
+    live = range(m)
+    for k in range(m):
+        if len(live) == 1:
+            break
+        keys = []
+        for r in live:
+            v = (r + k) % m
+            keys.append(repeat_key[v] if back[v] <= k else first_key[v])
+        least = min(keys)
+        live = [r for r, key in zip(live, keys) if key == least]
+    return min(_rotation_candidate(diagram, positions, r) for r in live)
+
+
+def _rotation_candidate(diagram, positions, r):
+    """The (code, region descriptor, base position) of the code started at
+    visit r."""
+    m = 2 * diagram.n
+    # stored signs flip when the rotation swaps which visit comes first
+    new_sign = {}
+    for label, (p1, p2, sign) in positions.items():
+        new_sign[label] = sign if (p1 - r) % m < (p2 - r) % m else -sign
+    relabel = {}
+    code = []
+    for k in range(m):
+        label = diagram.code.visits[(k + r) % m][0]
+        if label not in relabel:
+            relabel[label] = len(relabel) + 1
+        code.append((relabel[label], new_sign[label]))
+    # the traced cycles are the same dart sets with every arc moved back by
+    # r; renumber them as the trace of the rotated code would (ascending
+    # least dart id)
+    least = [min((d - 2 * r) % (2 * m) for d in cycle) for cycle in diagram.cycles]
+    order = sorted(range(len(least)), key=least.__getitem__)
+    cycle_renumber = {old: new for new, old in enumerate(order)}
+    regions = _region_descriptor(diagram, cycle_renumber)
+    return (tuple(code), regions, _base_position(diagram, regions, cycle_renumber))
 
 
 def _region_descriptor(diagram, cycle_renumber):

@@ -28,7 +28,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagram import LEFT, RIGHT, build_diagram, dart_id, index_function, subsurface_chi
+from .diagram import (
+    LEFT,
+    RIGHT,
+    _assemble_diagram,
+    build_diagram,
+    dart_id,
+    index_function,
+    subsurface_chi,
+)
 from .errors import (
     ChartViolation,
     ChiZero,
@@ -839,9 +847,8 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
             (1 if c == outer_cycle else 0, (c,))
             for c in range(len(diagram0.cycles))
         ]
-        diagram = build_diagram(
-            code_visits, regions=regions, surface_chi=0, base_region=0
-        )
+        diagram = _assemble_diagram(diagram0.code, diagram0.cycles, regions,
+                                    surface_chi=0, base_region=0)
 
     # identify the base region from a probe just left of the first arc
     ind0 = index_function(diagram, 0)

@@ -328,6 +328,11 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         raise PlanInvalid(
             f"plan must partition the untouched cycles {sorted(untouched)}"
         )
+    if plan.base_piece not in range(len(pieces)):
+        raise PlanInvalid(
+            f"base piece {plan.base_piece!r} is not one of the plan's "
+            f"{len(pieces)} piece(s)"
+        )
     if len(cut_faces) != len(pieces):
         raise PlanInvalid(
             f"plan declares {len(pieces)} piece(s) but the cut produced "
@@ -378,7 +383,7 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
               ("lens", 0)]
     base_key = diagram.base_region
     if base_key == rid:
-        base_key = ("piece", plan.base_piece or 0)
+        base_key = ("piece", plan.base_piece)
     return _moved_diagram(diagram, code, cycles, face_key, layout, base_key)
 
 

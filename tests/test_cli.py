@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curveinv
 from curveinv import invariants
 from curveinv.catalog import DIAGRAM_FIXTURES, validate_catalog
 from curveinv.cli import main
@@ -24,6 +29,24 @@ def test_catalog_command(capsys):
     for name in DIAGRAM_FIXTURES:
         assert name in out
     assert "figure8_sphere_param" in out
+
+
+def test_exact_command_does_not_import_numpy():
+    """`curveinv invariant` runs without loading numpy (-X importtime lists
+    every module the process imports)."""
+    src = str(Path(curveinv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "curveinv.cli",
+         "invariant", "figure8_sphere"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "curveinv.invariants" in imported
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
+    assert "curveinv.geometry" not in imported
 
 
 def test_validate_exit_codes(capsys, tmp_path):

@@ -1,15 +1,25 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveinv.diagram import (
+    LEFT,
+    RIGHT,
     SignedGaussCode,
+    _base_position,
+    _region_descriptor,
     arc_and_crossing_indices,
     build_diagram,
     canonicalize,
+    dart_id,
     euler_moments,
     index_function,
     parse_diagram,
+    serialize_diagram,
     smoothed_level_chi,
     subsurface_chi,
     subsurface_profile,
@@ -255,8 +265,6 @@ def rotate_code_start(diagram, r):
     """The same based diagram with the code start moved by r visits: signs
     flip for crossings whose visit order wraps, regions and base carried
     along through the dart translation."""
-    from curveinv.diagram import dart_id
-
     m = 2 * diagram.n
     visits = [diagram.code.visits[(k + r) % m] for k in range(m)]
     flips = set()
@@ -296,6 +304,104 @@ def test_canonicalize_rotation_random(random_corpus):
             continue
         assert canonicalize(rotate_code_start(d, 1)) == canonicalize(d)
         assert canonicalize(rotate_code_start(d, 3 % (2 * d.n))) == canonicalize(d)
+
+
+def canonicalize_all_rotations(diagram):
+    """Reference: the full candidate of every one of the 2n rotations, as
+    canonicalize built them before it narrowed the rotations by prefix."""
+    if diagram.n == 0:
+        regions = _region_descriptor(diagram, {0: 0, 1: 1})
+        return ("n0", regions, _base_position(diagram, regions, {0: 0, 1: 1}))
+    m = 2 * diagram.n
+    best = None
+    positions = diagram.code.crossing_positions()
+    for r in range(m):
+        rotated = [diagram.code.visits[(k + r) % m] for k in range(m)]
+        new_sign = {}
+        for label, (p1, p2, sign) in positions.items():
+            q1, q2 = (p1 - r) % m, (p2 - r) % m
+            new_sign[label] = sign if q1 < q2 else -sign
+        relabel = {}
+        code = []
+        for label, _ in rotated:
+            if label not in relabel:
+                relabel[label] = len(relabel) + 1
+            code.append((relabel[label], new_sign[label]))
+        dart_translation = {
+            dart_id(a, s): dart_id((a - r) % m, s)
+            for a in range(m) for s in (LEFT, RIGHT)
+        }
+        translated = [
+            frozenset(dart_translation[d] for d in cycle) for cycle in diagram.cycles
+        ]
+        order = sorted(range(len(translated)), key=lambda c: min(translated[c]))
+        cycle_renumber = {old: new for new, old in enumerate(order)}
+        regions = _region_descriptor(diagram, cycle_renumber)
+        base = _base_position(diagram, regions, cycle_renumber)
+        candidate = (tuple(code), regions, base)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = {
+    entry["name"]: parse_diagram(entry["text"])
+    for name in ("golden_exact.json", "golden_moves.json")
+    for entry in json.loads((DATA / name).read_text(encoding="utf-8"))["diagrams"]
+}
+GROWN = [d for name, d in GOLDEN.items() if name.startswith(("grown:", "walk:"))]
+SYMMETRIC = build_diagram([(i, 1) for i in range(1, 10)] * 2)
+
+
+def assert_matches_reference(d):
+    got, want = canonicalize(d), canonicalize_all_rotations(d)
+    assert got == want and repr(got) == repr(want), serialize_diagram(d)
+
+
+def test_canonicalize_matches_reference_golden():
+    """Every golden diagram at every base, n = 0 and the symmetric code too."""
+    for d in [*GOLDEN.values(), SYMMETRIC]:
+        for base in range(len(d.regions)):
+            assert_matches_reference(replace(d, base_region=base))
+
+
+def test_canonicalize_matches_reference_random(random_corpus):
+    for d in random_corpus:
+        assert_matches_reference(d)
+
+
+def test_canonicalize_symmetric_code():
+    """All 18 rotations of the code share one relabelled code, so every
+    rotation survives the prefix narrowing and the regions decide."""
+    form = canonicalize(SYMMETRIC)
+    assert form[0] == tuple((i, -1) for i in range(1, 10)) * 2
+    for r in range(18):
+        assert canonicalize(rotate_code_start(SYMMETRIC, r)) == form
+
+
+def relabel_crossings(diagram, labels):
+    """The same based diagram with crossing k renamed labels[k]."""
+    names = {}
+    for label, _sign in diagram.code.visits:
+        if label not in names:
+            names[label] = labels[len(names)]
+    code = tuple((names[label], sign) for label, sign in diagram.code.visits)
+    regions = [(reg.genus, reg.cycles) for reg in diagram.regions]
+    return build_diagram(code, regions=regions, surface_chi=diagram.surface_chi,
+                         base_region=diagram.base_region)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonicalize_invariant_under_rotation_and_relabelling(data):
+    d = data.draw(st.sampled_from(GROWN))
+    d = replace(d, base_region=data.draw(st.integers(0, len(d.regions) - 1)))
+    r = data.draw(st.integers(0, 2 * d.n - 1))
+    labels = data.draw(st.lists(st.integers(1, 10**6), min_size=d.n,
+                                max_size=d.n, unique=True))
+    moved = relabel_crossings(rotate_code_start(d, r), labels)
+    assert canonicalize(moved) == canonicalize(d)
 
 
 def test_canonicalize_distinguishes_base():

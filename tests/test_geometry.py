@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import curveinv.diagram as diagram_module
 from curveinv import laurent
 from curveinv.diagram import index_function
 from curveinv.errors import (
@@ -162,6 +163,18 @@ def test_figure8_probe_matches_combinatorial_index(contexts):
     combinatorial = sorted(float(v) for v in arcs.values())
     assert numeric == pytest.approx(combinatorial)
     assert ctx.crossing_index == [int(v) for v in crossings.values()]
+
+
+def test_torus_extraction_traces_once(contexts, monkeypatch):
+    """The genus-1 diagram is assembled from the cycles already traced."""
+    calls = []
+    trace = diagram_module.trace_boundary_cycles
+    monkeypatch.setattr(diagram_module, "trace_boundary_cycles",
+                        lambda code: calls.append(code) or trace(code))
+    ctx = contexts["torus"]
+    diagram, _base = extract_diagram(ctx.curve, ctx.base_point, CFG, context=ctx)
+    assert len(calls) == 1
+    assert sorted(r.genus for r in diagram.regions) == [0, 1]
 
 
 # -- numeric invariants vs the exact path --------------------------------------

@@ -172,6 +172,17 @@ def test_birth_rejects_wrong_plan(fixtures):
         tangency_birth(torus, site)
 
 
+def test_birth_rejects_base_piece_out_of_range(fixtures):
+    torus = fixtures["circle_torus"]
+    pieces = ((0, frozenset()), (1, frozenset()))
+    for base_piece in (2, -1):
+        plan = SplitPlan(pieces, base_piece=base_piece)
+        site = birth_site(1, (1, Fraction(1, 4)), (1, Fraction(3, 4)),
+                          "opposite", plan)
+        with pytest.raises(PlanInvalid, match="base piece"):
+            tangency_birth(torus, site)
+
+
 def test_birth_site_errors(fixtures):
     circle = fixtures["circle_sphere"]
     with pytest.raises(SiteError):
