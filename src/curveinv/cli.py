@@ -79,6 +79,14 @@ def _load_diagram(spec):
     return parse_diagram(text)
 
 
+def _write_output(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CurveInvError(f"cannot write {path}: {exc}") from None
+
+
 def _frac(x) -> str:
     return str(Fraction(x))
 
@@ -277,8 +285,7 @@ def cmd_move(args):
         "rot_after": {"value": after.rotation[0], "modulus": after.rotation[1]},
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_diagram(moved))
+        _write_output(args.output, serialize_diagram(moved))
     if args.format == "json":
         print(json.dumps(deltas, indent=2))
     else:
@@ -318,7 +325,7 @@ def cmd_numeric(args):
         if args.grid is not None and args.grid <= 0:
             raise ValueError(f"--grid must be positive, got {args.grid}")
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)   # str(KeyError) quotes it
         return 1
     cfg = NumericConfig()
     if args.grid is not None:
@@ -409,8 +416,7 @@ def cmd_random(args):
         return 1
     text = serialize_diagram(diagram)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -35,7 +35,6 @@ reads them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -426,16 +425,15 @@ def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
 def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
     """Indices of the curve's own points, by averaging adjacent regions.
 
-    Arc index = mean of the two side values (= smaller side + 1/2), a
-    half-integer Fraction; crossing index = the integer mean of its four
-    corner values, which form {i-1, i, i, i+1}.
+    An arc's index is the mean of its two side values, which differ by 1; it
+    is stored as the integer smaller side v, so the index is v + 1/2.  A
+    crossing's index is the integer mean of its four corner values, which
+    form {i-1, i, i, i+1}.
     """
     value_at = [ind.values[r] for r in diagram.dart_region]
     arc_idx = {}
     for arc in range(diagram.num_arcs):
-        arc_idx[arc] = Fraction(
-            value_at[dart_id(arc, LEFT)] + value_at[dart_id(arc, RIGHT)], 2
-        )
+        arc_idx[arc] = min(value_at[dart_id(arc, LEFT)], value_at[dart_id(arc, RIGHT)])
     crossing_idx = {}
     m = 2 * diagram.n
     for label, (p1, p2, _sign) in diagram.code.crossing_positions().items():
@@ -476,7 +474,7 @@ def subsurface_chi(diagram: CurveDiagram, ind: IndexFunction, j) -> int:
     total = sum(r.chi for rid, r in enumerate(diagram.regions) if ind.values[rid] > j)
     arc_idx, crossing_idx = arc_and_crossing_indices(diagram, ind)
     if diagram.n > 0:
-        total -= sum(1 for v in arc_idx.values() if v > j)
+        total -= sum(1 for v in arc_idx.values() if v + Fraction(1, 2) > j)
         total += sum(1 for v in crossing_idx.values() if v - 1 > j)
     return total
 
@@ -514,7 +512,7 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
         hist[ind.values[rid] - lo] += region.chi
     if diagram.n > 0:
         for v in arc_idx.values():
-            hist[math.floor(v) - lo] -= 1
+            hist[v - lo] -= 1
         for i in crossing_idx.values():
             hist[i - 1 - lo] += 1
     chi_sj = [0] * len(hist)    # chi_sj[k] = chi(S_j) at j = lo + k - 1/2

@@ -12,12 +12,20 @@ exact routes that must agree term by term:
   -(1/2) sum_d (q^(1/2) - q^(-1/2)) q^(i_d)
   + sum_i level_chi[i] * (q^i - 1)/(q^(1/2) - q^(-1/2)).
 
+Both routes keep twice each coefficient as an integer per exponent (in
+half-units) and build the HalfLaurent once.  Each double point of index i
+adds -1 at 2i + 1 and +1 at 2i - 1; the topological route adds 2 a_j at 2j;
+the Euler route sums the geometric series by suffix and prefix sums over the
+levels, in O(L): q^(k + 1/2) gets sum_{i > k} level_chi[i] for k >= 0 and
+-sum_{i <= k} level_chi[i] for k < 0.
+
 Evaluations at q = 1 give the rotation number (mod |chi(S)| unless the
 surface is the torus) and, for chi(S) != 0, the J+ and J- invariants.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +34,6 @@ from .diagram import (
     CurveDiagram,
     SmoothedProfile,
     SubsurfaceProfile,
-    arc_and_crossing_indices,
     euler_moments,
     index_function,
     serialize_diagram,
@@ -37,29 +44,39 @@ from .errors import ChiZero, CrossCheckFailed, NonPositiveQ, NotSphere
 from .laurent import HalfLaurent
 
 
+def _spike_halves(crossing_indices) -> defaultdict:
+    """Twice the crossing spikes -(1/2) (q^(i + 1/2) - q^(i - 1/2)), as
+    integer counts per exponent in half-units."""
+    halves = defaultdict(int)
+    for i in crossing_indices:
+        halves[2 * i + 1] -= 1
+        halves[2 * i - 1] += 1
+    return halves
+
+
+def _from_halves(halves) -> HalfLaurent:
+    """The HalfLaurent with coefficient c/2 at each exponent e of {e: c}."""
+    return HalfLaurent({e: Fraction(c, 2) for e, c in halves.items() if c})
+
+
 def iq_topological(profile: SubsurfaceProfile) -> HalfLaurent:
     """I_q from the subsurface profile (the finite topological form)."""
-    terms = {}
+    halves = _spike_halves(profile.crossing_indices)
     for twice_j, a in profile.a_j.items():
-        if a != 0:
-            terms[twice_j] = terms.get(twice_j, Fraction(0)) + a
-    out = HalfLaurent(terms)
-    for i in profile.crossing_indices:
-        spike = HalfLaurent({2 * i + 1: Fraction(-1, 2), 2 * i - 1: Fraction(1, 2)})
-        out = laurent.add(out, spike)
-    return out
+        halves[twice_j] += 2 * a
+    return _from_halves(halves)
 
 
 def iq_euler(smoothed: SmoothedProfile, crossing_indices) -> HalfLaurent:
     """I_q as an Euler-characteristic integral over the smoothed curve."""
-    out = HalfLaurent.zero()
-    for i in crossing_indices:
-        spike = HalfLaurent({2 * i + 1: Fraction(-1, 2), 2 * i - 1: Fraction(1, 2)})
-        out = laurent.add(out, spike)
-    for i, chi in sorted(smoothed.level_chi.items()):
-        if chi != 0:
-            out = laurent.add(out, laurent.mul_monomial(laurent.geom_div(i), chi, 0))
-    return out
+    halves = _spike_halves(crossing_indices)
+    levels = smoothed.level_chi
+    total = sum(levels.values())
+    below = 0                                   # sum of level_chi[i], i <= k
+    for k in range(min([0, *levels]), max([0, *levels])):
+        below += levels.get(k, 0)
+        halves[2 * k + 1] += 2 * (total - below if k >= 0 else -below)
+    return _from_halves(halves)
 
 
 def change_base(iq: HalfLaurent, C: int, chi_s: int) -> HalfLaurent:
@@ -94,15 +111,14 @@ def viro_jminus(smoothed: SmoothedProfile, m1, chi_s: int) -> Fraction:
 
     The unique rational index function of the smoothed curve with vanishing
     Euler-characteristic integral is ind - m1/chi(S); J- is one minus the
-    integral of its square.
+    integral of its square, kept over the common denominator chi(S)^2:
+    (chi^2 - sum_i (chi i - m1)^2 level_chi[i]) / chi^2.
     """
     if chi_s == 0:
         raise ChiZero("the centered index function needs chi(S) != 0")
-    c0 = -Fraction(int(m1), chi_s)
-    total = Fraction(0)
-    for i, chi in smoothed.level_chi.items():
-        total += (i + c0) ** 2 * chi
-    return 1 - total
+    m1 = int(m1)
+    spread = sum((chi_s * i - m1) ** 2 * chi for i, chi in smoothed.level_chi.items())
+    return Fraction(chi_s * chi_s - spread, chi_s * chi_s)
 
 
 def sjplus(jplus_value, chi_s: int) -> Fraction:
@@ -211,7 +227,6 @@ def report_ingredients(diagram: CurveDiagram, base_region=None):
 
 __all__ = [
     "InvariantReport",
-    "arc_and_crossing_indices",
     "change_base",
     "full_report",
     "iq_euler",

@@ -39,10 +39,6 @@ class HalfLaurent:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def constant(cls, value):
-        return cls({0: Fraction(value)})
-
     def is_zero(self):
         return not self.terms
 
@@ -56,12 +52,6 @@ class HalfLaurent:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, negate(other))
-
-    def __neg__(self):
-        return negate(self)
 
     def __repr__(self):
         return f"HalfLaurent({self})"
@@ -82,10 +72,6 @@ def add(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
     return HalfLaurent(terms)
 
 
-def negate(a: HalfLaurent) -> HalfLaurent:
-    return HalfLaurent({e: -c for e, c in a.terms.items()})
-
-
 def mul_monomial(a: HalfLaurent, coeff, shift: int) -> HalfLaurent:
     """Multiply by coeff * q^(shift/2): scale every coefficient, shift every
     exponent by `shift` half-units."""
@@ -93,14 +79,6 @@ def mul_monomial(a: HalfLaurent, coeff, shift: int) -> HalfLaurent:
     if coeff == 0:
         return HalfLaurent.zero()
     return HalfLaurent({e + shift: c * coeff for e, c in a.terms.items()})
-
-
-def mul(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
-    """General product, as repeated monomial multiplication."""
-    out = HalfLaurent.zero()
-    for e, c in sorted(b.terms.items()):
-        out = add(out, mul_monomial(a, c, e))
-    return out
 
 
 def geom_div(v: int) -> HalfLaurent:

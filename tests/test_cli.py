@@ -172,6 +172,17 @@ def test_move_site_errors(capsys):
     assert "plan" in err.lower()
 
 
+def test_move_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "move", "circle_sphere",
+                         "--site", "birth:0:0.0.250:0.0.750:opposite",
+                         "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_move_birth_with_plan(capsys, tmp_path):
     code, out, _ = run(capsys, "move", "circle_torus",
                        "--site", "birth:1:1.0.250:1.0.750:opposite:plan=g0~g1*",
@@ -192,6 +203,15 @@ def test_random_deterministic(capsys, tmp_path):
                        "--seed", "1")
     assert code == 0
     assert "curve -" in out
+
+
+def test_random_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "random", "--crossings", "3", "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("flag", ["--crossings", "--genus"])
@@ -229,6 +249,8 @@ def test_numeric_figure8_json(capsys):
 def test_numeric_unknown_fixture(capsys):
     code, _, err = run(capsys, "numeric", "--fixture", "nonsense")
     assert code == 1
+    # the message alone, without the quotes str() puts round a KeyError's
+    assert err == "error: unknown parametric fixture 'nonsense'\n"
 
 
 def test_numeric_unknown_param(capsys):

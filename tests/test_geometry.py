@@ -160,7 +160,7 @@ def test_figure8_probe_matches_combinatorial_index(contexts):
 
     arcs, crossings = arc_and_crossing_indices(diagram, ind)
     numeric = sorted(ctx.arc_index)
-    combinatorial = sorted(float(v) for v in arcs.values())
+    combinatorial = sorted(float(v + Fraction(1, 2)) for v in arcs.values())
     assert numeric == pytest.approx(combinatorial)
     assert ctx.crossing_index == [int(v) for v in crossings.values()]
 

@@ -1,11 +1,30 @@
+import json
+import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curveinv import laurent
-from curveinv.diagram import euler_moments, index_function
-from curveinv.errors import ChiZero, NonPositiveQ, NotSphere
+from curveinv import invariants, laurent
+from curveinv.cli import main
+from curveinv.diagram import (
+    SmoothedProfile,
+    SubsurfaceProfile,
+    euler_moments,
+    index_function,
+    parse_diagram,
+)
+from curveinv.errors import (
+    ChiZero,
+    CrossCheckFailed,
+    HomologicallyNontrivial,
+    NonPositiveQ,
+    NotSphere,
+)
 from curveinv.invariants import (
     change_base,
     full_report,
@@ -20,6 +39,10 @@ from curveinv.invariants import (
     viro_jminus,
 )
 from curveinv.laurent import HalfLaurent
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+from perfbench.generators import grow_deep  # noqa: E402
 
 
 Q_HALF = HalfLaurent({1: 1})
@@ -220,3 +243,168 @@ def test_i1_integer_and_half_integer_coefficients(random_corpus):
         rep = full_report(d)
         assert laurent.value_at_1(rep.iq).denominator == 1
         assert all(c.denominator in (1, 2) for c in rep.iq.terms.values())
+
+
+# -- one-pass routes against the repeated-add references --------------------
+
+
+def iq_topological_reference(profile):
+    """I_q by one laurent.add per crossing, as iq_topological built it
+    before it kept integer numerators per exponent."""
+    terms = {}
+    for twice_j, a in profile.a_j.items():
+        if a != 0:
+            terms[twice_j] = terms.get(twice_j, Fraction(0)) + a
+    out = HalfLaurent(terms)
+    for i in profile.crossing_indices:
+        spike = HalfLaurent({2 * i + 1: Fraction(-1, 2), 2 * i - 1: Fraction(1, 2)})
+        out = laurent.add(out, spike)
+    return out
+
+
+def iq_euler_reference(smoothed, crossing_indices):
+    """I_q by one laurent.add per crossing and one geom_div per level, as
+    iq_euler built it before the suffix and prefix sums."""
+    out = HalfLaurent.zero()
+    for i in crossing_indices:
+        spike = HalfLaurent({2 * i + 1: Fraction(-1, 2), 2 * i - 1: Fraction(1, 2)})
+        out = laurent.add(out, spike)
+    for i, chi in sorted(smoothed.level_chi.items()):
+        if chi != 0:
+            out = laurent.add(out, laurent.mul_monomial(laurent.geom_div(i), chi, 0))
+    return out
+
+
+def viro_jminus_reference(smoothed, m1, chi_s):
+    """J- summed in Fractions, as viro_jminus computed it before."""
+    c0 = -Fraction(int(m1), chi_s)
+    total = Fraction(0)
+    for i, chi in smoothed.level_chi.items():
+        total += (i + c0) ** 2 * chi
+    return 1 - total
+
+
+def assert_same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+def assert_routes_match_reference(d, base):
+    try:
+        _ind, prof, sm = report_ingredients(d, base)
+    except HomologicallyNontrivial:
+        return
+    assert_same(iq_topological(prof), iq_topological_reference(prof))
+    assert_same(iq_euler(sm, prof.crossing_indices),
+                iq_euler_reference(sm, prof.crossing_indices))
+    if d.surface_chi != 0:
+        m1, _ = euler_moments(sm)
+        assert_same(viro_jminus(sm, m1, d.surface_chi),
+                    viro_jminus_reference(sm, m1, d.surface_chi))
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = {
+    entry["name"]: parse_diagram(entry["text"])
+    for name in ("golden_exact.json", "golden_moves.json")
+    for entry in json.loads((DATA / name).read_text(encoding="utf-8"))["diagrams"]
+}
+
+
+def test_routes_match_reference_golden():
+    for d in GOLDEN.values():
+        for base in range(len(d.regions)):
+            assert_routes_match_reference(d, base)
+
+
+def test_routes_match_reference_grown_deep():
+    """Sphere diagrams grown by opposite births, n = 16 ... 256 with about
+    n/2 levels.  Bases with the same index value give the same profile, so
+    one base per value covers every base; above n = 64, about ten values
+    spread from the lowest to the highest."""
+    snaps, _, _ = grow_deep(random.Random(74), (16, 32, 64, 128, 256))
+    assert sorted(snaps) == [16, 32, 64, 128, 256]
+    for n, (d, _expected) in snaps.items():
+        by_value = {v: r for r, v in index_function(d, 0).values.items()}
+        values = sorted(by_value)
+        if n > 64:
+            values = values[::len(values) // 8] + values[-1:]
+        for v in values:
+            assert_routes_match_reference(d, by_value[v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    crossings=st.lists(st.integers(-12, 12), max_size=24),
+    lo=st.integers(-10, 10),
+    chis=st.lists(st.integers(-6, 6), min_size=1, max_size=14),
+    chi_s=st.sampled_from([2, 0, -2, -4]),
+)
+def test_routes_match_reference_property(crossings, lo, chis, chi_s):
+    """Random crossing-index multisets against contiguous level windows
+    lo .. lo + len(chis) - 1, read both as level_chi and as a_j."""
+    crossings = tuple(sorted(crossings))
+    levels = {lo + k: chi for k, chi in enumerate(chis)}
+    smoothed = SmoothedProfile(level_chi=levels, surface_chi=chi_s)
+    assert_same(iq_euler(smoothed, crossings), iq_euler_reference(smoothed, crossings))
+    a_j = {2 * i - 1: chi for i, chi in levels.items()}
+    profile = SubsurfaceProfile(a_j=a_j, crossing_indices=crossings, surface_chi=chi_s)
+    assert_same(iq_topological(profile), iq_topological_reference(profile))
+    if chi_s != 0:
+        m1, _ = euler_moments(smoothed)
+        assert_same(viro_jminus(smoothed, m1, chi_s),
+                    viro_jminus_reference(smoothed, m1, chi_s))
+
+
+def test_base_change_law_grown_genus_1_and_2():
+    """change_base from base 0 reproduces the direct I_q at every base of the
+    grown genus-1 and genus-2 walks (n = 8 ... 32)."""
+    walks = [d for name, d in GOLDEN.items() if name.startswith("walk:")]
+    assert {d.surface_chi for d in walks} == {0, -2}
+    for d in walks:
+        ind0 = index_function(d, 0)
+        iq0 = iq_topological(report_ingredients(d, 0)[1])
+        for base in range(1, len(d.regions)):
+            _, profb, _ = report_ingredients(d, base)
+            c = -ind0.values[base]
+            assert iq_topological(profb) == change_base(iq0, c, d.surface_chi)
+
+
+# -- the two exact routes read separate inputs ------------------------------
+
+
+def shift_level_chi(monkeypatch, level):
+    """Make smoothed_level_chi move one unit of chi from `level` + 1 to
+    `level`; the levels still telescope to chi(S), and the subsurface
+    profile is left alone."""
+    real = invariants.smoothed_level_chi
+
+    def shifted(profile):
+        sm = real(profile)
+        levels = dict(sm.level_chi)
+        levels[level] = levels.get(level, 0) + 1
+        levels[level + 1] = levels.get(level + 1, 0) - 1
+        return replace(sm, level_chi=levels)
+
+    monkeypatch.setattr(invariants, "smoothed_level_chi", shifted)
+
+
+@pytest.mark.parametrize("name", ["figure8_sphere", "grown:16", "walk:2,8,7"])
+def test_shifted_level_chi_fails_cross_check(name, monkeypatch, fixtures):
+    d = fixtures[name] if name in fixtures else GOLDEN[name]
+    levels = sorted(report_ingredients(d, d.base_region)[2].level_chi)
+    for level in levels[:-1]:
+        with monkeypatch.context() as m:
+            shift_level_chi(m, level)
+            with pytest.raises(CrossCheckFailed) as info:
+                full_report(d)
+        assert info.value.what == "I_q topological vs euler"
+    full_report(d)   # unpatched, the routes agree
+
+
+def test_shifted_level_chi_exits_3(monkeypatch, capsys):
+    shift_level_chi(monkeypatch, 0)
+    code = main(["invariant", "figure8_sphere"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal cross-check failed: I_q")
