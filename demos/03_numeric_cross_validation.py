@@ -45,7 +45,7 @@ for name, kwargs in (
               f"  exact {reference: .8f}  |diff| = {abs(numeric - reference):.2e}")
     i1 = numeric_i1(fx.curve, fx.base_point, cfg, context=ctx)
     print(f"  rotation number: quadrature {i1: .8f}  exact {exact.i1}")
-    if fx.curve.surface == "unit_sphere":
+    if fx.curve.surface.chi != 0:
         jp = numeric_jplus(fx.curve, fx.base_point, cfg, context=ctx)
         print(f"  J+: quadrature {jp: .8f}  exact {float(exact.jplus)}")
 

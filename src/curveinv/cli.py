@@ -199,12 +199,22 @@ def cmd_compare(args):
     return 0 if ok else 3
 
 
+def _site_int(text, what):
+    """int(text), or a SiteError naming the bad field of --site."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SiteError(f"bad {what}: {text!r}") from None
+
+
 def _parse_position(diagram, text):
     parts = text.split(".")
     if len(parts) not in (2, 3):
         raise SiteError(f"bad position {text!r}: expected <cycle>.<index>[.<permille>]")
-    cycle, index = int(parts[0]), int(parts[1])
-    permille = int(parts[2]) if len(parts) == 3 else 500
+    where = f"in position {text!r}"
+    cycle = _site_int(parts[0], f"cycle {where}")
+    index = _site_int(parts[1], f"dart index {where}")
+    permille = _site_int(parts[2], f"permille {where}") if len(parts) == 3 else 500
     if not 0 <= cycle < len(diagram.cycles):
         raise SiteError(f"no cycle {cycle}")
     darts = diagram.cycles[cycle]
@@ -222,12 +232,13 @@ def _parse_plan(text):
             chunk = chunk[:-1]
         if "+" in chunk:
             ghead, cycles = chunk.split("+", 1)
-            cycle_ids = frozenset(int(c) for c in cycles.split(","))
+            cycle_ids = frozenset(_site_int(c, f"cycle in plan piece {chunk!r}")
+                                  for c in cycles.split(","))
         else:
             ghead, cycle_ids = chunk, frozenset()
         if not ghead.startswith("g"):
             raise SiteError(f"bad plan piece {chunk!r}: expected g<genus>[+cycles]")
-        pieces.append((int(ghead[1:]), cycle_ids))
+        pieces.append((_site_int(ghead[1:], f"genus in plan piece {chunk!r}"), cycle_ids))
     return SplitPlan(pieces=tuple(pieces), base_piece=base_piece)
 
 
@@ -237,7 +248,7 @@ def _parse_site(diagram, text):
     if kind in ("bigon", "triangle"):
         if len(fields) != 2:
             raise SiteError(f"--site {kind}:<region-id>")
-        rid = int(fields[1])
+        rid = _site_int(fields[1], "region id")
         finder = find_bigons if kind == "bigon" else find_triangles
         for site in finder(diagram):
             if site.region == rid:
@@ -248,7 +259,7 @@ def _parse_site(diagram, text):
             raise SiteError(
                 "--site birth:<region>:<pos1>:<pos2>:<direct|opposite>[:plan=...]"
             )
-        rid = int(fields[1])
+        rid = _site_int(fields[1], "region id")
         pos1 = _parse_position(diagram, fields[2])
         pos2 = _parse_position(diagram, fields[3])
         tangency = fields[4]
@@ -354,7 +365,7 @@ def cmd_numeric(args):
     i1_ok = abs(i1_num - rep.i1) <= tol
     ok = ok and i1_ok
     jp_num = jp_exact = None
-    if fx.curve.surface == "unit_sphere":
+    if fx.curve.surface.chi != 0:
         jp_num = float(numeric_jplus(fx.curve, fx.base_point, cfg, context=ctx))
         sj_num = float(numeric_sjplus(fx.curve, fx.base_point, cfg, context=ctx))
         jp_exact = float(rep.jplus)

@@ -322,18 +322,17 @@ def parse_diagram(text: str) -> CurveDiagram:
         regions = [(genus, cycles) for _, _, genus, cycles in region_lines]
         rid_to_index = {rid: i for i, (_, rid, _, _) in enumerate(region_lines)}
 
+    cycles = trace_boundary_cycles(code)
     base, base_line = base_rid
     if rid_to_index is not None:
         if base not in rid_to_index:
             raise ParseError(f"base region {base} not declared", base_line)
         base = rid_to_index[base]
+    elif not 0 <= base < len(cycles):   # one default region per cycle
+        raise ParseError(f"base region {base} does not exist", base_line)
 
     surface_chi = None if surface_genus is None else 2 - 2 * surface_genus
-    diagram = build_diagram(code, regions=regions, surface_chi=surface_chi,
-                            base_region=base if rid_to_index is not None else base)
-    if rid_to_index is None and not 0 <= base < len(diagram.regions):
-        raise ParseError(f"base region {base} does not exist", base_line)
-    return diagram
+    return _assemble_diagram(code, cycles, regions, surface_chi, base)
 
 
 def _parse_int(text, line_no, what):

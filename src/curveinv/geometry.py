@@ -8,7 +8,9 @@ cross-check of the exact formulas:
                     - sum_d theta_d q^(ind d) (q^(1/2) - q^(-1/2))
                     + integral_S K (q^(ind) - 1)/(q^(1/2) - q^(-1/2)) dA ]
 
-On the unit sphere K = 1 and the area term is computed by a meridian sweep:
+Each model surface, UNIT_SPHERE or FLAT_TORUS, is one object holding every
+formula that differs between surfaces.  On the unit sphere K = 1 and the
+area term is computed by a meridian sweep:
 along each meridian the index is advanced at curve crossings, and the exact
 band areas between consecutive crossing colatitudes are accumulated per
 index level.  On the flat torus K = 0 and the area term vanishes.
@@ -22,6 +24,7 @@ visiting tangents in visit order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,11 +34,12 @@ import numpy as np
 from .diagram import (
     LEFT,
     RIGHT,
+    SignedGaussCode,
     _assemble_diagram,
-    build_diagram,
     dart_id,
     index_function,
     subsurface_chi,
+    trace_boundary_cycles,
 )
 from .errors import (
     ChartViolation,
@@ -47,27 +51,25 @@ from .errors import (
     TopologyError,
 )
 
-UNIT_SPHERE = "unit_sphere"
-FLAT_TORUS = "flat_torus"
-
 TWO_PI = 2.0 * math.pi
+
+PARAM_TOL = 1e-12      # Newton convergence in parameter
+POSITION_TOL = 1e-9    # accepted residual distance at a crossing
+MERGE_TOL = 1e-8       # duplicate merge radius in parameter space
+ANGLE_FLOOR = 1e-4     # genericity floor on crossing angles (rad)
+DIAG_GAP = 5e-3        # excluded |t1 - t2| band near the diagonal
+PROBE_EPS = 1e-3       # offset of the side probes from the curve
+POINT_TOL = 1e-6       # minimum probe distance from the curve
 
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tunable grids and tolerances for the numerical path."""
+    """Grid sizes of the numerical path; `halved` gives the coarser grid."""
 
     double_grid: int = 400        # coarse grid per parameter for double points
-    param_tol: float = 1e-12      # Newton convergence in parameter
-    position_tol: float = 1e-9    # accepted residual distance at a crossing
-    merge_tol: float = 1e-8       # duplicate merge radius in parameter space
-    angle_floor: float = 1e-4     # genericity floor on crossing angles (rad)
-    diag_gap: float = 5e-3        # excluded |t1 - t2| band near the diagonal
     line_nodes: int = 96          # Gauss-Legendre nodes per smooth arc
     meridians: int = 1024         # azimuth resolution of the area sweep
     curve_samples: int = 8192     # dense samples for sweeps and ray tests
-    probe_eps: float = 1e-3       # offset of the side probes from the curve
-    point_tol: float = 1e-6       # minimum probe distance from the curve
 
     def halved(self):
         """The next-coarsest grid, used for error estimates."""
@@ -80,12 +82,216 @@ class NumericConfig:
         )
 
 
+# ---------------------------------------------------------------------------
+# model surfaces; each has chi and these methods:
+#   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
+#   project(x)            one ambient point onto the surface
+#   left_normal(x, u)     the left unit normal of a unit tangent u at x
+#   waypoint(rng)         a random point for re-routed probe paths
+#   leg(b, p)             the geodesic leg from b to p as (side, hits), or None
+#   level_area(ctx)       the area of each index level (the K dA term)
+#   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
+# side(x) is the signed side of the leg's geodesic; hits(x, v), at curve
+# points x where side changes sign, gives: on the leg, too near an end, and
+# the crossing's direction det.
+
+_MERIDIAN_SHIFT = 0.3819660112501051   # meridian k sits at (k + shift) * 2pi/m - pi
+
+
+class _UnitSphere:
+    """The unit sphere in R^3: K = 1, chi = 2; legs are great-circle arcs."""
+
+    chi = 2
+
+    def orientation(self, x, u, w):
+        return np.einsum("...i,...i->...", x, np.cross(u, w))
+
+    def project(self, x):
+        return x / np.linalg.norm(x)
+
+    def left_normal(self, x, u):
+        return np.cross(self.project(x), u)
+
+    def waypoint(self, rng):
+        return self.project(rng.normal(size=3))
+
+    def leg(self, b, p):
+        m = np.cross(b, p)
+        norm = np.linalg.norm(m)
+        if norm < 1e-9:
+            return None   # endpoints (anti)parallel: no unique great circle
+        m = m / norm
+        b, p = self.project(b), self.project(p)
+        span = math.acos(max(-1.0, min(1.0, float(np.dot(b, p)))))
+
+        def hits(x, v):
+            x = x / np.linalg.norm(x, axis=-1)[:, None]
+            angb = np.arccos(np.clip(x @ b, -1.0, 1.0))
+            angp = np.arccos(np.clip(x @ p, -1.0, 1.0))
+            return (~(angb + angp > span + 1e-9), np.minimum(angb, angp) < 1e-7,
+                    _dot(x, np.cross(v, np.cross(m, x))))
+
+        return (lambda x: x @ m), hits
+
+    def regions(self, ctx, cycles):
+        return None   # every face of a connected curve is a disk
+
+    # -- meridian sweep of the sphere area, exact in colatitude
+
+    def level_area(self, ctx):
+        curve, cfg = ctx.curve, ctx.cfg
+        ind_n = ctx._probe_index(np.array([0.0, 0.0, 1.0]))
+        ind_s = ctx._probe_index(np.array([0.0, 0.0, -1.0]))
+        m = cfg.meridians
+        dphi = TWO_PI / m
+        t, mer = self._meridian_hits(ctx, m)
+        x = curve.point(t)
+        r = np.linalg.norm(x, axis=-1)
+        xn = x / r[:, None]
+        southward = xn[:, 2:] * xn - (0.0, 0.0, 1.0)
+        nrm = np.linalg.norm(southward, axis=-1)
+        if np.any(nrm < 1e-12):
+            raise TopologyError("curve crosses a meridian at a pole")
+        southward /= nrm[:, None]
+        jump = np.where(_dot(xn, np.cross(curve.velocity(t), southward)) > 0, 1, -1)
+        # walk each meridian north to south, cut by cut, and end it with a
+        # jump-free cut at the south pole: one band above every cut, at the
+        # index reached there
+        colat = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
+        mer = np.concatenate((mer, np.arange(m)))
+        colat = np.concatenate((colat, np.full(m, math.pi)))
+        jump = np.concatenate((jump, np.zeros(m, dtype=jump.dtype)))
+        order = np.lexsort((jump, colat, mer))
+        mer, colat, jump = mer[order], colat[order], jump[order]
+        first = np.flatnonzero(np.diff(mer, prepend=-1))
+        # jumps passed before each cut, counted from its meridian's first cut
+        passed = np.cumsum(jump) - jump
+        level = ind_n + passed - np.repeat(passed[first], np.diff(first, append=len(mer)))
+        bad = (jump == 0) & (level != ind_s)
+        if bad.any():
+            k = mer[bad][0]
+            raise TopologyError(
+                f"meridian {(k + _MERIDIAN_SHIFT) * dphi - math.pi:.4f} ends at "
+                f"index {level[bad][0]}, expected {ind_s}"
+            )
+        cos_cut = np.cos(colat)
+        cos_above = np.concatenate(([1.0], cos_cut[:-1]))
+        cos_above[first] = 1.0   # a meridian's first band starts at the pole
+        # per-level sums in band order, levels in order of first appearance
+        low = int(level.min())
+        sums = np.bincount(level - low, weights=dphi * (cos_above - cos_cut))
+        area = {i: float(sums[i - low]) for i in dict.fromkeys(level.tolist())}
+        total = sum(area.values())
+        if abs(total - 4.0 * math.pi) > 1e-6:
+            raise TopologyError(f"swept area {total} != 4 pi")
+        return {i: a for i, a in area.items() if a != 0.0}
+
+    def _meridian_hits(self, ctx, m):
+        """Where the curve crosses the meridians (k + shift) 2pi/m - pi.
+
+        Each sample interval crosses every meridian inside its (short-way)
+        azimuth step once; all these crossings are bisected together, and
+        an interval whose ends do not bracket its meridian is dropped.
+        Returns the crossing parameters and their meridian numbers k."""
+        ts, pts = ctx.samples
+        dphi = TWO_PI / m
+        az = np.arctan2(pts[:, 1], pts[:, 0])
+        a0 = az[:-1]
+        delta = (az[1:] - a0 + math.pi) % TWO_PI - math.pi
+        az_lo = np.where(delta > 0, a0, a0 + delta)
+        az_hi = np.where(delta > 0, a0 + delta, a0)
+        k0 = np.ceil((az_lo + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
+        k1 = np.floor((az_hi + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
+        count = np.where(delta == 0.0, 0, np.maximum(k1 - k0 + 1, 0))
+        # interval i meets meridians k0[i], ..., k1[i]
+        seg = np.repeat(np.arange(len(delta)), count)
+        mer = (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - k0, count)) % m
+        phi = (mer + _MERIDIAN_SHIFT) * dphi - math.pi
+
+        def g(azimuth):
+            return (azimuth - phi + math.pi) % TWO_PI - math.pi
+
+        glo, ghi = g(az[seg]), g(az[seg + 1])
+        keep = (glo == 0.0) | ~(glo * ghi > 0)
+        seg, mer, phi, glo = seg[keep], mer[keep], phi[keep], glo[keep]
+        lo, hi = _bisect(ctx.curve, ts[seg], ts[seg + 1], glo,
+                         lambda x: g(np.arctan2(x[:, 1], x[:, 0])))
+        return np.where(glo == 0.0, lo, 0.5 * (lo + hi)), mer
+
+
+class _FlatTorus:
+    """The flat torus, fundamental domain [0,1)^2: K = 0, chi = 0; curves
+    are given by their plane lift, and legs are straight chart segments."""
+
+    chi = 0
+
+    def orientation(self, x, u, w):
+        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+    def project(self, x):
+        return x
+
+    def left_normal(self, x, u):
+        return np.array([-u[1], u[0]])
+
+    def waypoint(self, rng):
+        return rng.uniform(0.02, 0.98, size=2)
+
+    def leg(self, b, p):
+        chord = p - b
+
+        def side(x):
+            # signed side of the chord line: cross(chord, x - b)
+            return chord[0] * (x[:, 1] - b[1]) - chord[1] * (x[:, 0] - b[0])
+
+        def hits(x, v):
+            s = (x - b) @ chord / np.dot(chord, chord)
+            return ((0.0 <= s) & (s <= 1.0), np.minimum(s, 1.0 - s) < 1e-9,
+                    self.orientation(x, v, chord))
+
+        return side, hits
+
+    def level_area(self, ctx):
+        return {}
+
+    def regions(self, ctx, cycles):
+        """Genus 1 for the chart-unbounded face, 0 for the others.  That face
+        is on the outward side of the rightmost point of the lift (nothing
+        lies to its right)."""
+        curve = ctx.curve
+        ts, pts = ctx.samples
+        if pts[:-1].min() < 1e-6 or pts[:-1].max() > 1 - 1e-6:
+            raise ChartViolation("the curve leaves the open fundamental-domain chart")
+        t = ts[int(np.argmax(pts[:-1, 0]))]
+        for _ in range(40):   # polish the x-extremum: vx(t) = 0
+            v = curve.velocity(t)
+            a = curve.acceleration(t)
+            if abs(a[0]) < 1e-12:
+                break
+            step = v[0] / a[0]
+            t = (t - step) % 1.0
+            if abs(step) < 1e-13:
+                break
+        v = curve.velocity(t)
+        # +x points left of the curve iff det(v, +x) = -v_y is positive
+        side = LEFT if -v[1] > 0 else RIGHT
+        spans = ctx.arc_spans   # the arc holding parameter t
+        k = next((k for k, (a0, b0) in enumerate(spans)
+                  if a0 <= t < b0 or a0 <= t + 1.0 < b0), len(spans) - 1)
+        outer = dart_id(k, side)
+        return [(1 if outer in cycle else 0, (c,)) for c, cycle in enumerate(cycles)]
+
+
+UNIT_SPHERE = _UnitSphere()
+FLAT_TORUS = _FlatTorus()
+
+
 class ParametricCurve:
     """A smooth closed curve, parametrized by t in [0, 1).
 
     Subclasses provide point/velocity/acceleration as numpy-vectorized
-    functions of t; `surface` is "unit_sphere" (K = 1) or "flat_torus"
-    (K = 0, fundamental domain [0,1)^2, curve given by its plane lift).
+    functions of t; `surface` is UNIT_SPHERE (K = 1) or FLAT_TORUS (K = 0,
+    fundamental domain [0,1)^2, curve given by its plane lift).
     """
 
     surface = None
@@ -228,29 +434,13 @@ class DoublePointNumeric:
 
 
 def geodesic_curvature(curve: ParametricCurve, t):
-    """Signed geodesic curvature at parameter t (scalar or array).
-
-    Sphere: det(p, p', p'') / |p'|^3.  Torus lift: det(p', p'') / |p'|^3.
+    """Signed geodesic curvature at parameter t (scalar or array):
+    det(p, p', p'') in the tangent plane at p, over |p'|^3.
     Positive for a small counterclockwise contractible loop.
     """
     v = curve.velocity(t)
-    a = curve.acceleration(t)
-    if curve.surface == UNIT_SPHERE:
-        p = curve.point(t)
-        det = np.einsum("...i,...i->...", p, np.cross(v, a))
-    else:
-        det = v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]
-    speed = np.linalg.norm(v, axis=-1)
-    return det / speed ** 3
-
-
-def _frame_sign(curve, x, v1, v2):
-    """Sign of the frame (v1, v2) in the oriented tangent plane at x."""
-    if curve.surface == UNIT_SPHERE:
-        det = float(np.dot(x, np.cross(v1, v2)))
-    else:
-        det = float(v1[0] * v2[1] - v1[1] * v2[0])
-    return 1 if det > 0 else -1
+    det = curve.surface.orientation(curve.point(t), v, curve.acceleration(t))
+    return det / np.linalg.norm(v, axis=-1) ** 3
 
 
 def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
@@ -268,9 +458,8 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     ts = np.arange(n) / n
     pts = curve.point(ts)
     step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
-    threshold = (4.0 * step) ** 2
-    cand = _close_pairs(ts, pts, threshold, cfg.diag_gap)
-    roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]], cfg)
+    cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
+    roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
 
     def _cyc(a, b):
         return min(abs(a - b), 1.0 - abs(a - b))
@@ -278,29 +467,26 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     found = []
     for t1, t2 in zip(*(r.tolist() for r in roots)):
         if any(
-            (_cyc(t1, a) < cfg.merge_tol and _cyc(t2, b) < cfg.merge_tol)
-            or (_cyc(t1, b) < cfg.merge_tol and _cyc(t2, a) < cfg.merge_tol)
+            (_cyc(t1, a) < MERGE_TOL and _cyc(t2, b) < MERGE_TOL)
+            or (_cyc(t1, b) < MERGE_TOL and _cyc(t2, a) < MERGE_TOL)
             for a, b in ((f.t1, f.t2) for f in found)
         ):
             continue
-        x1 = curve.point(t1)
+        x = curve.surface.project(curve.point(t1))
         v1 = curve.velocity(t1)
         v2 = curve.velocity(t2)
-        x = x1
-        if curve.surface == UNIT_SPHERE:
-            x = x / np.linalg.norm(x)
         cosang = float(
             np.dot(v1, -v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
         )
         theta = math.acos(max(-1.0, min(1.0, cosang)))
-        if min(theta, math.pi - theta) < cfg.angle_floor:
+        if min(theta, math.pi - theta) < ANGLE_FLOOR:
             raise DegenerateTangency(
                 f"branches at t=({t1:.6f},{t2:.6f}) meet at angle {theta:.2e}"
             )
         found.append(
             DoublePointNumeric(
-                t1=t1, t2=t2, position=tuple(float(c) for c in x),
-                theta=theta, sign=_frame_sign(curve, x, v1, v2),
+                t1=t1, t2=t2, position=tuple(float(c) for c in x), theta=theta,
+                sign=1 if curve.surface.orientation(x, v1, v2) > 0 else -1,
             )
         )
     found.sort(key=lambda d: (d.t1, d.t2))
@@ -334,15 +520,15 @@ def _dot(u, w):
     return np.matmul(u[:, None, :], w[:, :, None])[:, 0, 0]
 
 
-def _refine_double_points(curve, t1, t2, cfg):
+def _refine_double_points(curve, t1, t2):
     """Newton iteration on the stationarity system of |p(t1) - p(t2)|^2,
     run on all seed pairs at once.
 
     A seed leaves the batch where a lone iteration would stop: rejected at
     a near-singular Jacobian, converged once both steps fall below
-    param_tol, rejected after 60 steps.  Returns arrays (t1, t2) of the
-    converged roots, wrapped into [0, 1) with t1 <= t2, at least diag_gap
-    from the diagonal and with residual distance within position_tol, in
+    PARAM_TOL, rejected after 60 steps.  Returns arrays (t1, t2) of the
+    converged roots, wrapped into [0, 1) with t1 <= t2, at least DIAG_GAP
+    from the diagonal and with residual distance within POSITION_TOL, in
     seed order."""
     t1 = np.array(t1, dtype=float)
     t2 = np.array(t2, dtype=float)
@@ -368,17 +554,17 @@ def _refine_double_points(curve, t1, t2, cfg):
         live, dt1, dt2 = live[ok], dt1[ok], dt2[ok]
         t1[live] -= dt1
         t2[live] -= dt2
-        done = (np.abs(dt1) < cfg.param_tol) & (np.abs(dt2) < cfg.param_tol)
+        done = (np.abs(dt1) < PARAM_TOL) & (np.abs(dt2) < PARAM_TOL)
         converged[live[done]] = True
         live = live[~done]
     t1 = t1[converged] % 1.0
     t2 = t2[converged] % 1.0
     t1, t2 = np.minimum(t1, t2), np.maximum(t1, t2)
     sep = t2 - t1
-    keep = ~(np.minimum(sep, 1.0 - sep) < cfg.diag_gap)
+    keep = ~(np.minimum(sep, 1.0 - sep) < DIAG_GAP)
     t1, t2 = t1[keep], t2[keep]
     gap = curve.point(t1) - curve.point(t2)
-    keep = ~(np.sqrt(_dot(gap, gap)) > cfg.position_tol)
+    keep = ~(np.sqrt(_dot(gap, gap)) > POSITION_TOL)
     return t1[keep], t2[keep]
 
 
@@ -408,53 +594,36 @@ def _min_distance_to_curve(pts, p):
     return float(np.min(np.linalg.norm(pts[:-1] - np.asarray(p, dtype=float), axis=-1)))
 
 
-def _normalize(v):
-    return v / np.linalg.norm(v)
-
-
 def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples=None):
     """Signed number of transversal crossings of a path from b to p with the
     curve: +1 whenever the path crosses from the curve's right to its left.
 
-    The path is a great-circle arc on the sphere and a straight chart
-    segment on the torus; if a crossing is too close to an endpoint or too
-    tangential, the path is re-routed through a deterministic sequence of
-    waypoints (path independence is guaranteed by homological triviality).
-    `samples` is the curve's dense sampling as a NumericContext holds it;
-    it is computed when not given.
+    The path is the surface's geodesic leg (a great-circle arc on the
+    sphere, a straight chart segment on the torus); if a crossing is too
+    close to an endpoint or too tangential, the path is re-routed through a
+    deterministic sequence of waypoints (path independence is guaranteed by
+    homological triviality).  `samples` is the curve's dense sampling as a
+    NumericContext holds it; it is computed when not given.
     """
-    cfg = cfg or NumericConfig()
-    ts, pts = samples if samples is not None else _curve_samples(curve, cfg)
+    ts, pts = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     for point, name in ((b, "base point"), (p, "probe point")):
-        if _min_distance_to_curve(pts, point) < cfg.point_tol:
+        if _min_distance_to_curve(pts, point) < POINT_TOL:
             raise PointOnCurve(f"{name} {tuple(point)} lies on the curve")
     if np.linalg.norm(b - p) < 1e-14:
         return 0
     total = _segment_index(curve, b, p, ts, pts)
     if total is not None:
         return total
-    waypoints = _waypoint_candidates(curve, pts, cfg)
-    for w in waypoints:
-        first = _segment_index(curve, b, w, ts, pts)
-        second = _segment_index(curve, w, p, ts, pts)
-        if first is not None and second is not None:
-            return first + second
-    raise PointOnCurve("could not find a transversal path between the points")
-
-
-def _waypoint_candidates(curve, pts, cfg):
     rng = np.random.default_rng(20240615)
-    out = []
-    for _ in range(12):
-        if curve.surface == UNIT_SPHERE:
-            w = _normalize(rng.normal(size=3))
-        else:
-            w = rng.uniform(0.02, 0.98, size=2)
-        if _min_distance_to_curve(pts, w) > 5 * cfg.point_tol:
-            out.append(w)
-    return out
+    for w in (curve.surface.waypoint(rng) for _ in range(12)):
+        if _min_distance_to_curve(pts, w) > 5 * POINT_TOL:
+            first = _segment_index(curve, b, w, ts, pts)
+            second = _segment_index(curve, w, p, ts, pts)
+            if first is not None and second is not None:
+                return first + second
+    raise PointOnCurve("could not find a transversal path between the points")
 
 
 def _segment_index(curve, b, p, ts, pts):
@@ -464,24 +633,10 @@ def _segment_index(curve, b, p, ts, pts):
     circle (chord line) is bisected, all of them together.  A sample
     exactly on that circle, or a hit on the leg too close to an endpoint or
     too tangential, makes the leg degenerate."""
-    if curve.surface == UNIT_SPHERE:
-        m = np.cross(b, p)
-        norm = np.linalg.norm(m)
-        if norm < 1e-9:
-            return None   # endpoints (anti)parallel: no unique great circle
-        m = m / norm
-
-        def side(x):
-            return x @ m
-
-        span = math.acos(max(-1.0, min(1.0, float(np.dot(_normalize(b), _normalize(p))))))
-    else:
-        chord = p - b
-
-        def side(x):
-            # signed side of the chord line: cross(chord, x - b)
-            return chord[0] * (x[:, 1] - b[1]) - chord[1] * (x[:, 0] - b[0])
-
+    leg = curve.surface.leg(b, p)
+    if leg is None:
+        return None
+    side, hits = leg
     f = side(pts)
     if np.any(f[:-1] == 0.0):
         return None
@@ -490,22 +645,10 @@ def _segment_index(curve, b, p, ts, pts):
         return 0
     lo, hi = _bisect(curve, ts[i], ts[i + 1], f[i], side)
     tstar = 0.5 * (lo + hi)
-    x = curve.point(tstar)
     v = curve.velocity(tstar)
-    if curve.surface == UNIT_SPHERE:
-        x = x / np.linalg.norm(x, axis=-1)[:, None]
-        angb = np.arccos(np.clip(x @ _normalize(b), -1.0, 1.0))
-        angp = np.arccos(np.clip(x @ _normalize(p), -1.0, 1.0))
-        on_leg = ~(angb + angp > span + 1e-9)   # else the hit is off the arc
-        if np.any(np.minimum(angb, angp)[on_leg] < 1e-7):
-            return None
-        det = _dot(x, np.cross(v, np.cross(m, x)))
-    else:
-        s = (x - b) @ chord / np.dot(chord, chord)
-        on_leg = (0.0 <= s) & (s <= 1.0)
-        if np.any(np.minimum(s, 1.0 - s)[on_leg] < 1e-9):
-            return None
-        det = v[:, 0] * chord[1] - v[:, 1] * chord[0]
+    on_leg, near_end, det = hits(curve.point(tstar), v)
+    if np.any(near_end[on_leg]):
+        return None
     det = det[on_leg]
     if np.any(np.abs(det) < 1e-7 * np.linalg.norm(v[on_leg], axis=-1)):
         return None   # tangential hit: re-route
@@ -516,14 +659,9 @@ def _segment_index(curve, b, p, ts, pts):
 # cached numeric context: arcs, line integrals, and the area sweep
 
 
-_LEGENDRE_CACHE = {}
-_MERIDIAN_SHIFT = 0.3819660112501051   # meridian k sits at (k + shift) * 2pi/m - pi
-
-
+@functools.cache
 def _leggauss(n):
-    if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 class NumericContext:
@@ -532,11 +670,12 @@ class NumericContext:
     Samples the curve once (`samples`, shared by every crossing count,
     distance test and the sweep) and caches the double points, the arc
     table (per smooth arc: its index and its geodesic-curvature line
-    integral) and, on the sphere, the area of every index level from the
-    meridian sweep; every invariant is then a cheap weighted sum over these
-    tables.  The root finding runs as whole-array passes: one batched Newton
-    refinement of all double-point seeds, one joint bisection of all
-    meridian hits, and one of all crossings of each probe path.
+    integral) and the surface's area of every index level (on the sphere,
+    from the meridian sweep); every invariant is then a cheap weighted sum
+    over these tables.  The root finding runs as whole-array passes: one
+    batched Newton refinement of all double-point seeds, one joint
+    bisection of all meridian hits, and one of all crossings of each probe
+    path.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -546,10 +685,7 @@ class NumericContext:
         self.samples = _curve_samples(curve, self.cfg)
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
-        if curve.surface == UNIT_SPHERE:
-            self._sweep_levels()
-        else:
-            self.level_area = {}
+        self.level_area = curve.surface.level_area(self)
 
     def _probe_index(self, p):
         """point_index of p from the base point, on the cached samples."""
@@ -564,14 +700,8 @@ class NumericContext:
         )
         self.events = events
         curve, cfg = self.curve, self.cfg
-        if events:
-            bounds = [t for t, _ in events]
-            spans = [
-                (bounds[i], bounds[i + 1] if i + 1 < len(bounds) else bounds[0] + 1.0)
-                for i in range(len(bounds))
-            ]
-        else:
-            spans = [(0.0, 1.0)]
+        bounds = [t for t, _ in events] or [0.0]
+        spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
         nodes, weights = _leggauss(cfg.line_nodes)
         arc_index = []
         arc_kg = []
@@ -602,19 +732,12 @@ class NumericContext:
             self.crossing_index.append(int(level))
 
     def _side_probes(self, t):
-        curve, cfg = self.curve, self.cfg
-        x = curve.point(t)
-        v = curve.velocity(t)
-        u = v / np.linalg.norm(v)
-        if curve.surface == UNIT_SPHERE:
-            left = np.cross(x / np.linalg.norm(x), u)
-            pl = _normalize(x + cfg.probe_eps * left)
-            pr = _normalize(x - cfg.probe_eps * left)
-        else:
-            left = np.array([-u[1], u[0]])
-            pl = x + cfg.probe_eps * left
-            pr = x - cfg.probe_eps * left
-        return pl, pr
+        surface = self.curve.surface
+        x = self.curve.point(t)
+        v = self.curve.velocity(t)
+        left = surface.left_normal(x, v / np.linalg.norm(v))
+        return (surface.project(x + PROBE_EPS * left),
+                surface.project(x - PROBE_EPS * left))
 
     def _arc_index_at(self, t):
         pl, pr = self._side_probes(t)
@@ -625,88 +748,6 @@ class NumericContext:
                 f"side probes at t={t:.6f} give indices {il}/{ir}, expected a +1 jump"
             )
         return ir + 0.5
-
-    # -- meridian sweep of the sphere area, exact in colatitude
-
-    def _sweep_levels(self):
-        curve, cfg = self.curve, self.cfg
-        ind_n = self._probe_index(np.array([0.0, 0.0, 1.0]))
-        ind_s = self._probe_index(np.array([0.0, 0.0, -1.0]))
-        m = cfg.meridians
-        dphi = TWO_PI / m
-        t, mer = self._meridian_hits(m)
-        x = curve.point(t)
-        r = np.linalg.norm(x, axis=-1)
-        xn = x / r[:, None]
-        southward = xn[:, 2:] * xn - (0.0, 0.0, 1.0)
-        nrm = np.linalg.norm(southward, axis=-1)
-        if np.any(nrm < 1e-12):
-            raise TopologyError("curve crosses a meridian at a pole")
-        southward /= nrm[:, None]
-        jump = np.where(_dot(xn, np.cross(curve.velocity(t), southward)) > 0, 1, -1)
-        # walk each meridian north to south, cut by cut, and end it with a
-        # jump-free cut at the south pole: one band above every cut, at the
-        # index reached there
-        colat = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
-        mer = np.concatenate((mer, np.arange(m)))
-        colat = np.concatenate((colat, np.full(m, math.pi)))
-        jump = np.concatenate((jump, np.zeros(m, dtype=jump.dtype)))
-        order = np.lexsort((jump, colat, mer))
-        mer, colat, jump = mer[order], colat[order], jump[order]
-        first = np.flatnonzero(np.diff(mer, prepend=-1))
-        # jumps passed before each cut, counted from its meridian's first cut
-        passed = np.cumsum(jump) - jump
-        level = ind_n + passed - np.repeat(passed[first], np.diff(first, append=len(mer)))
-        bad = (jump == 0) & (level != ind_s)
-        if bad.any():
-            k = mer[bad][0]
-            raise TopologyError(
-                f"meridian {(k + _MERIDIAN_SHIFT) * dphi - math.pi:.4f} ends at "
-                f"index {level[bad][0]}, expected {ind_s}"
-            )
-        cos_cut = np.cos(colat)
-        cos_above = np.concatenate(([1.0], cos_cut[:-1]))
-        cos_above[first] = 1.0   # a meridian's first band starts at the pole
-        # per-level sums in band order, levels in order of first appearance
-        low = int(level.min())
-        sums = np.bincount(level - low, weights=dphi * (cos_above - cos_cut))
-        area = {i: float(sums[i - low]) for i in dict.fromkeys(level.tolist())}
-        total = sum(area.values())
-        if abs(total - 4.0 * math.pi) > 1e-6:
-            raise TopologyError(f"swept area {total} != 4 pi")
-        self.level_area = {i: a for i, a in area.items() if a != 0.0}
-
-    def _meridian_hits(self, m):
-        """Where the curve crosses the meridians (k + shift) 2pi/m - pi.
-
-        Each sample interval crosses every meridian inside its (short-way)
-        azimuth step once; all these crossings are bisected together, and
-        an interval whose ends do not bracket its meridian is dropped.
-        Returns the crossing parameters and their meridian numbers k."""
-        ts, pts = self.samples
-        dphi = TWO_PI / m
-        az = np.arctan2(pts[:, 1], pts[:, 0])
-        a0 = az[:-1]
-        delta = (az[1:] - a0 + math.pi) % TWO_PI - math.pi
-        az_lo = np.where(delta > 0, a0, a0 + delta)
-        az_hi = np.where(delta > 0, a0 + delta, a0)
-        k0 = np.ceil((az_lo + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
-        k1 = np.floor((az_hi + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
-        count = np.where(delta == 0.0, 0, np.maximum(k1 - k0 + 1, 0))
-        # interval i meets meridians k0[i], ..., k1[i]
-        seg = np.repeat(np.arange(len(delta)), count)
-        mer = (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - k0, count)) % m
-        phi = (mer + _MERIDIAN_SHIFT) * dphi - math.pi
-
-        def g(azimuth):
-            return (azimuth - phi + math.pi) % TWO_PI - math.pi
-
-        glo, ghi = g(az[seg]), g(az[seg + 1])
-        keep = (glo == 0.0) | ~(glo * ghi > 0)
-        seg, mer, phi, glo = seg[keep], mer[keep], phi[keep], glo[keep]
-        lo, hi = _bisect(self.curve, ts[seg], ts[seg + 1], glo,
-                         lambda x: g(np.arctan2(x[:, 1], x[:, 0])))
-        return np.where(glo == 0.0, lo, 0.5 * (lo + hi)), mer
 
     # -- weighted sums over the cached tables
 
@@ -756,11 +797,11 @@ def numeric_i1(curve, base_point, cfg: NumericConfig = None, context=None):
 
 
 def numeric_jplus(curve, base_point, cfg: NumericConfig = None, context=None):
-    """J+ from its integral formula (chi(S) != 0 only; here: the sphere)."""
-    if curve.surface == FLAT_TORUS:
+    """J+ from its integral formula (chi(S) != 0 only)."""
+    chi = curve.surface.chi
+    if chi == 0:
         raise ChiZero("the J+ integral formula needs chi(S) != 0")
     ctx = context or NumericContext(curve, base_point, cfg)
-    chi = 2.0
     gb = ctx.line_integral(lambda i: 1.0) + ctx.area_integral(lambda i: i)
     middle = (
         ctx.line_integral(lambda i: i)
@@ -773,7 +814,7 @@ def numeric_jplus(curve, base_point, cfg: NumericConfig = None, context=None):
 def numeric_sjplus(curve, base_point, cfg: NumericConfig = None, context=None):
     """The spherical J+ expression: the J+ integral formula with K = 1 and
     chi = 2, so it equals numeric_jplus on the sphere."""
-    if curve.surface != UNIT_SPHERE:
+    if curve.surface.chi != 2:
         raise NotSphere("SJ+ is defined for spherical curves")
     return numeric_jplus(curve, base_point, cfg, context=context)
 
@@ -814,81 +855,26 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
 def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     """Build the signed Gauss code diagram of a parametric curve.
 
-    Crossing signs come from the tangent frames in visit order.  On the
-    sphere every complement region of a connected curve is a disk, so the
-    cellular default applies; on the torus the unique chart-unbounded face
-    receives genus 1.  The base region is identified by matching the index
-    of a probe just left of the curve start against the combinatorial index
-    function.  A given context supplies the samples and the config.
-    Returns (diagram, base region id).
+    Crossing signs come from the tangent frames in visit order.  The code
+    is traced once, and the surface assigns the genus of each face: on the
+    sphere every complement region of a connected curve is a disk, on the
+    torus the unique chart-unbounded face receives genus 1.  The base
+    region is identified by matching the index just left of the first arc
+    against the combinatorial index function.  A given context supplies
+    the samples and the config.  Returns (diagram, base region id).
     """
     ctx = context or NumericContext(curve, base_point, cfg)
-    if curve.surface == FLAT_TORUS:
-        pts = ctx.samples[1][:-1]
-        if pts.min() < 1e-6 or pts.max() > 1 - 1e-6:
-            raise ChartViolation("the curve leaves the open fundamental-domain chart")
-
-    code_visits = tuple(
+    code = SignedGaussCode(tuple(
         (k + 1, ctx.double_points[k].sign) for _t, k in ctx.events
-    )
-
-    if curve.surface == UNIT_SPHERE:
-        diagram = build_diagram(code_visits, base_region=0)
-        if diagram.surface_chi != 2:
-            raise TopologyError(
-                "extracted code does not trace a spherical map; the curve "
-                "may be non-generic at this resolution"
-            )
-    else:
-        diagram0 = build_diagram(code_visits, base_region=0)
-        outer_dart = _torus_unbounded_dart(curve, ctx)
-        outer_cycle = diagram0.dart_cycle[outer_dart]
-        regions = [
-            (1 if c == outer_cycle else 0, (c,))
-            for c in range(len(diagram0.cycles))
-        ]
-        diagram = _assemble_diagram(diagram0.code, diagram0.cycles, regions,
-                                    surface_chi=0, base_region=0)
-
-    # identify the base region from a probe just left of the first arc
+    ))
+    cycles = trace_boundary_cycles(code)
+    diagram = _assemble_diagram(code, cycles, curve.surface.regions(ctx, cycles),
+                                curve.surface.chi, 0)
+    # the left side probe of arc 0 has index arc_index[0] + 1/2
     ind0 = index_function(diagram, 0)
     left_region = diagram.dart_region[dart_id(0, LEFT)]
-    mid_t = 0.5 * (ctx.arc_spans[0][0] + ctx.arc_spans[0][1]) % 1.0
-    probe_left, _ = ctx._side_probes(mid_t)
-    r = ctx._probe_index(probe_left)
-    want = ind0.values[left_region] - r
-    base = next(
-        (rid for rid in range(len(diagram.regions)) if ind0.values[rid] == want),
-        None,
-    )
+    want = ind0.values[left_region] - int(ctx.arc_index[0] + 0.5)
+    base = next((r for r in range(len(diagram.regions)) if ind0.values[r] == want), None)
     if base is None:
         raise TopologyError("no region matches the base point's index offset")
-    diagram = replace(diagram, base_region=base)
-    return diagram, base
-
-
-def _torus_unbounded_dart(curve, ctx):
-    """A dart whose face is the chart-unbounded one: the outward side of the
-    rightmost point of the lift (nothing lies to its right)."""
-    ts, pts = ctx.samples
-    i = int(np.argmax(pts[:-1, 0]))
-    t = ts[i]
-    for _ in range(40):   # polish the x-extremum: vx(t) = 0
-        v = curve.velocity(t)
-        a = curve.acceleration(t)
-        if abs(a[0]) < 1e-12:
-            break
-        step = v[0] / a[0]
-        t = (t - step) % 1.0
-        if abs(step) < 1e-13:
-            break
-    v = curve.velocity(t)
-    # +x points left of the curve iff det(v, +x) = -v_y is positive
-    side = LEFT if -v[1] > 0 else RIGHT
-    # the arc containing parameter t
-    if not ctx.events:
-        return dart_id(0, side)
-    for k, (a0, b0) in enumerate(ctx.arc_spans):
-        if a0 <= t < b0 or a0 <= t + 1.0 < b0:
-            return dart_id(k, side)
-    return dart_id(len(ctx.arc_spans) - 1, side)
+    return replace(diagram, base_region=base), base

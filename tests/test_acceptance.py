@@ -226,7 +226,7 @@ def test_criterion_5_numeric_vs_exact(numeric_fixtures):
             assert abs(numeric - exact) <= tol, (name, q)
         i1 = numeric_i1(fx.curve, fx.base_point, NUMERIC_CFG, context=ctx)
         assert abs(i1 - rep.i1) <= tol
-        if fx.curve.surface == "unit_sphere":
+        if fx.curve.surface.chi != 0:
             jp = numeric_jplus(fx.curve, fx.base_point, NUMERIC_CFG, context=ctx)
             assert abs(jp - float(rep.jplus)) <= 5e-3
     print("\nACCEPTANCE 5 (numeric vs exact at stated tolerances): PASS")

@@ -246,6 +246,21 @@ def test_numeric_figure8_json(capsys):
     assert isinstance(data["iq"][0]["pass"], bool)
 
 
+@pytest.mark.parametrize("fixture, has_jplus", [
+    ("great_circle", True), ("latitude", True), ("figure8_sphere_param", True),
+    ("circle_torus", False),
+])
+def test_numeric_json_reports_jplus_where_chi_nonzero(capsys, fixture, has_jplus):
+    # the J+ integral formula needs chi(S) != 0: the sphere fixtures report
+    # it, the torus fixture reports null
+    code, out, _ = run(capsys, "numeric", "--fixture", fixture, "--format", "json")
+    assert code == 0
+    jplus = json.loads(out)["jplus"]
+    assert (jplus is not None) == has_jplus
+    if has_jplus:
+        assert set(jplus) == {"numeric", "exact", "sjplus"}
+
+
 def test_numeric_unknown_fixture(capsys):
     code, _, err = run(capsys, "numeric", "--fixture", "nonsense")
     assert code == 1
@@ -292,3 +307,16 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["move", "circle_sphere"])   # missing --site
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("site, message", [
+    ("bigon:abc", "error: bad region id: 'abc'\n"),
+    ("birth:0:x.1:0.0.750:opposite", "error: bad cycle in position 'x.1': 'x'\n"),
+    ("birth:0:0.0.250:0.0.750:opposite:plan=gX",
+     "error: bad genus in plan piece 'gX': 'X'\n"),
+])
+def test_move_site_errors_name_the_bad_field(capsys, site, message):
+    code, out, err = run(capsys, "move", "circle_sphere", "--site", site)
+    assert code == 1
+    assert out == ""
+    assert err == message

@@ -65,6 +65,11 @@ def test_parse_errors_carry_line_numbers():
         parse_diagram("curve 1+ 1+\nbogus directive\nbase 0\n")
     with pytest.raises(ParseError, match="missing base"):
         parse_diagram("curve 1+ 1+\n")
+    # without region lines there is one region per traced cycle
+    with pytest.raises(ParseError, match="line 2: base region 7 does not exist"):
+        parse_diagram("curve -\nbase 7\n")
+    with pytest.raises(ParseError, match="line 3: base region -1 does not exist"):
+        parse_diagram("curve 1+ 1+\n\nbase -1\n")
 
 
 def test_parse_inconsistent_surface_chi():

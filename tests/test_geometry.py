@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import curveinv.diagram as diagram_module
-from curveinv import laurent
+from curveinv import geometry, laurent
 from curveinv.diagram import index_function
 from curveinv.errors import (
     ChiZero,
@@ -113,8 +113,9 @@ def test_theta_symmetric_under_role_reversal():
     assert abs(angle(v1, -v2) - angle(v2, -v1)) < 1e-9
 
 
-def test_angle_floor_triggers_degenerate_tangency():
-    cfg = NumericConfig(meridians=128, curve_samples=2048, angle_floor=2.0)
+def test_angle_floor_triggers_degenerate_tangency(monkeypatch):
+    monkeypatch.setattr(geometry, "ANGLE_FLOOR", 2.0)
+    cfg = NumericConfig(meridians=128, curve_samples=2048)
     with pytest.raises(DegenerateTangency):
         find_double_points(SphereFigureEight(), cfg)
 
@@ -169,8 +170,13 @@ def test_torus_extraction_traces_once(contexts, monkeypatch):
     """The genus-1 diagram is assembled from the cycles already traced."""
     calls = []
     trace = diagram_module.trace_boundary_cycles
-    monkeypatch.setattr(diagram_module, "trace_boundary_cycles",
-                        lambda code: calls.append(code) or trace(code))
+
+    def counted(code):
+        calls.append(code)
+        return trace(code)
+
+    monkeypatch.setattr(diagram_module, "trace_boundary_cycles", counted)
+    monkeypatch.setattr(geometry, "trace_boundary_cycles", counted)
     ctx = contexts["torus"]
     diagram, _base = extract_diagram(ctx.curve, ctx.base_point, CFG, context=ctx)
     assert len(calls) == 1

@@ -9,7 +9,6 @@ but take cos/arccos from numpy, so they must agree to 1e-12.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ CFG = NumericConfig(double_grid=100, meridians=128, curve_samples=1024)
 SHIFT = 0.3819660112501051
 
 
-def newton_reference(curve, t1, t2, cfg):
+def newton_reference(curve, t1, t2):
     for _ in range(60):
         p1, p2 = curve.point(t1), curve.point(t2)
         v1, v2 = curve.velocity(t1), curve.velocity(t2)
@@ -47,7 +46,7 @@ def newton_reference(curve, t1, t2, cfg):
         dt2 = (j11 * f2 - j21 * f1) / det
         t1 -= dt1
         t2 -= dt2
-        if abs(dt1) < cfg.param_tol and abs(dt2) < cfg.param_tol:
+        if abs(dt1) < geometry.PARAM_TOL and abs(dt2) < geometry.PARAM_TOL:
             break
     else:
         return None
@@ -55,9 +54,9 @@ def newton_reference(curve, t1, t2, cfg):
     t2 %= 1.0
     if t1 > t2:
         t1, t2 = t2, t1
-    if min(t2 - t1, 1.0 - (t2 - t1)) < cfg.diag_gap:
+    if min(t2 - t1, 1.0 - (t2 - t1)) < geometry.DIAG_GAP:
         return None
-    if float(np.linalg.norm(curve.point(t1) - curve.point(t2))) > cfg.position_tol:
+    if float(np.linalg.norm(curve.point(t1) - curve.point(t2))) > geometry.POSITION_TOL:
         return None
     return float(t1), float(t2)
 
@@ -184,11 +183,11 @@ def test_blocked_pair_scan_matches_dense_grid(n):
     diff = pts[:, None, :] - pts[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     sep = np.abs(ts[:, None] - ts[None, :])
-    d2[np.minimum(sep, 1.0 - sep) < CFG.diag_gap] = np.inf
+    d2[np.minimum(sep, 1.0 - sep) < geometry.DIAG_GAP] = np.inf
     d2[np.tril_indices(n)] = np.inf
     dense = np.argwhere(d2 < threshold)
     assert len(dense) > 0
-    blocked = geometry._close_pairs(ts, pts, threshold, CFG.diag_gap)
+    blocked = geometry._close_pairs(ts, pts, threshold, geometry.DIAG_GAP)
     assert blocked.tolist() == dense.tolist()
 
 
@@ -199,26 +198,26 @@ def test_batched_newton_equals_scalar_loop(curve):
     ts = np.arange(n) / n
     pts = curve.point(ts)
     step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
-    cand = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, CFG.diag_gap)
+    cand = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
     # the near pairs that seed the search, far pairs that mostly fail, and
     # a pair of the 400-grid that, on the figure eight, meets a Jacobian
     # with det ~ -1e-6 and converges only after wandering to t ~ 1400
     seeds = np.concatenate([cand, [(i, (i + 37) % n) for i in range(0, n, 7)]])
     t1 = np.append(ts[seeds[:, 0]], 31 / 400)
     t2 = np.append(ts[seeds[:, 1]], 34 / 400)
-    roots = geometry._refine_double_points(curve, t1, t2, CFG)
-    expected = [newton_reference(curve, a, b, CFG) for a, b in zip(t1, t2)]
+    roots = geometry._refine_double_points(curve, t1, t2)
+    expected = [newton_reference(curve, a, b) for a, b in zip(t1, t2)]
     assert list(zip(*(r.tolist() for r in roots))) == [r for r in expected if r is not None]
 
 
-def test_segment_index_equals_scalar_loop():
+def test_segment_index_equals_scalar_loop(monkeypatch):
     # side probes close to the curve, so that legs between them end just
     # short of a crossing of their great circle (chord line)
-    cfg = replace(CFG, probe_eps=2e-4)
+    monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
     cases = [
-        NumericContext(SphereFigureEight(), (-1.0, 0.0, 0.0), cfg),
-        NumericContext(LatitudeCircle(1.0), (0.0, 0.0, -1.0), cfg),
-        NumericContext(TorusCircle(0.2), (0.05, 0.05), cfg),
+        NumericContext(SphereFigureEight(), (-1.0, 0.0, 0.0), CFG),
+        NumericContext(LatitudeCircle(1.0), (0.0, 0.0, -1.0), CFG),
+        NumericContext(TorusCircle(0.2), (0.05, 0.05), CFG),
     ]
     seen = set()
     for ctx in cases:
