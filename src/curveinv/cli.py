@@ -325,7 +325,11 @@ def cmd_numeric(args):
     params = {}
     for item in args.param or []:
         key, _, value = item.partition("=")
-        params[key] = value
+        try:
+            params[key] = float(value)
+        except ValueError:
+            print(f"error: bad value for --param {key}: {value!r}", file=sys.stderr)
+            return 1
     try:
         fx = parametric_fixture(args.fixture, **params)
         qs = [float(q) for q in (args.q or "0.5,2,3").split(",")]

@@ -83,9 +83,10 @@ class NumericConfig:
 
 
 # ---------------------------------------------------------------------------
-# model surfaces; each has chi and these methods:
+# model surfaces; each has chi, fixed_probes (the (k, d) points whose index
+# level_area reads from ctx.fixed_index) and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
-#   project(x)            one ambient point onto the surface
+#   project(x)            ambient points onto the surface
 #   left_normal(x, u)     the left unit normal of a unit tangent u at x
 #   waypoint(rng)         a random point for re-routed probe paths
 #   leg(b, p)             the geodesic leg from b to p as (side, hits), or None
@@ -96,18 +97,20 @@ class NumericConfig:
 # the crossing's direction det.
 
 _MERIDIAN_SHIFT = 0.3819660112501051   # meridian k sits at (k + shift) * 2pi/m - pi
+_PROBE_SHIFT = 0.3819660112501051      # side probes sit this many sample steps past mid-arc
 
 
 class _UnitSphere:
     """The unit sphere in R^3: K = 1, chi = 2; legs are great-circle arcs."""
 
     chi = 2
+    fixed_probes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])   # the poles
 
     def orientation(self, x, u, w):
         return np.einsum("...i,...i->...", x, np.cross(u, w))
 
     def project(self, x):
-        return x / np.linalg.norm(x)
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
     def left_normal(self, x, u):
         return np.cross(self.project(x), u)
@@ -140,8 +143,7 @@ class _UnitSphere:
 
     def level_area(self, ctx):
         curve, cfg = ctx.curve, ctx.cfg
-        ind_n = ctx._probe_index(np.array([0.0, 0.0, 1.0]))
-        ind_s = ctx._probe_index(np.array([0.0, 0.0, -1.0]))
+        ind_n, ind_s = ctx.fixed_index
         m = cfg.meridians
         dphi = TWO_PI / m
         t, mer = self._meridian_hits(ctx, m)
@@ -224,6 +226,7 @@ class _FlatTorus:
     are given by their plane lift, and legs are straight chart segments."""
 
     chi = 0
+    fixed_probes = np.empty((0, 2))
 
     def orientation(self, x, u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
@@ -232,7 +235,7 @@ class _FlatTorus:
         return x
 
     def left_normal(self, x, u):
-        return np.array([-u[1], u[0]])
+        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
 
     def waypoint(self, rng):
         return rng.uniform(0.02, 0.98, size=2)
@@ -448,10 +451,11 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
 
     A coarse grid over ordered parameter pairs, scanned a block of rows at a
     time, seeds Newton refinement of the stationarity system of the squared
-    (lift) distance.  Every seed is refined, all of them together as arrays;
-    converged roots with near-zero residual are kept, duplicates merged in
-    seed order, and crossings with angle below the genericity floor
-    rejected.
+    (lift) distance.  Close pairs whose short way between them cannot hold
+    a crossing are dropped; the other seeds are refined, all of them
+    together as arrays.  Converged roots with near-zero residual are kept,
+    duplicates merged in seed order, and crossings with angle below the
+    genericity floor rejected.
     """
     cfg = cfg or NumericConfig()
     n = cfg.double_grid
@@ -459,6 +463,7 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     pts = curve.point(ts)
     step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
     cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
+    cand = cand[_may_cross(pts, cand)]
     roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
 
     def _cyc(a, b):
@@ -513,6 +518,31 @@ def _close_pairs(ts, pts, threshold, diag_gap):
         hit = np.argwhere(keep)
         out.append(hit + (r0, r0 + 1))
     return np.concatenate(out)
+
+
+_MONOTONE_SPAN = 16   # longest short way, in grid steps, that _may_cross inspects
+
+
+def _may_cross(pts, cand):
+    """Mask of the seed pairs (i, j) of the cyclic grid pts that can lie
+    near a crossing.  A pair fails when the samples along its short way,
+    at most _MONOTONE_SPAN steps, run monotonically along their own chord:
+    every segment has a positive dot product with the chord.  Such an arc
+    is injective, so it holds no crossing."""
+    n = len(pts)
+    i, j = cand[:, 0], cand[:, 1]
+    forward = 2 * (j - i) <= n
+    span = np.where(forward, j - i, n - (j - i))
+    near = np.flatnonzero(span <= _MONOTONE_SPAN)
+    start, span = np.where(forward, i, j)[near], span[near]
+    chord = pts[np.where(forward, j, i)[near]] - pts[start]
+    seg = np.roll(pts, -1, axis=0) - pts   # the segment from each sample to the next
+    along = np.ones(len(near), dtype=bool)
+    for k in range(_MONOTONE_SPAN):
+        along &= (k >= span) | (np.einsum("md,md->m", seg[(start + k) % n], chord) > 0)
+    keep = np.ones(len(cand), dtype=bool)
+    keep[near[along]] = False
+    return keep
 
 
 def _dot(u, w):
@@ -571,14 +601,17 @@ def _refine_double_points(curve, t1, t2):
 def _bisect(curve, lo, hi, flo, f):
     """80 bisection steps on every bracket [lo, hi] at once of a sign change
     of f(curve.point(t)), given flo = f at lo.  Returns the final (lo, hi);
-    lo stays put where flo is 0."""
+    lo stays put where flo is 0.  The loop ends early at its fixed point:
+    a step that leaves lo, hi and flo unchanged would be repeated by every
+    later step, so the result is that of all 80."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         fm = f(curve.point(mid))
         left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        if all(map(np.array_equal, step, (lo, hi, flo))):
+            break
+        lo, hi, flo = step
     return lo, hi
 
 
@@ -590,69 +623,125 @@ def _curve_samples(curve, cfg):
     return ts, curve.point(ts)
 
 
-def _min_distance_to_curve(pts, p):
-    return float(np.min(np.linalg.norm(pts[:-1] - np.asarray(p, dtype=float), axis=-1)))
+def _min_distance_to_curve(pts, points):
+    """Distance of each of the points (k, d) to the nearest curve sample.
+    One point at a time, coordinate by coordinate: no temporary is larger
+    than one row of samples."""
+    cols = pts[:-1].T
+    return np.sqrt([np.min(sum((c - x) ** 2 for c, x in zip(cols, q))) for q in points])
 
 
 def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples=None):
     """Signed number of transversal crossings of a path from b to p with the
     curve: +1 whenever the path crosses from the curve's right to its left.
+    Given a (K, d) stack of probe points p, returns the list of K indices.
 
     The path is the surface's geodesic leg (a great-circle arc on the
-    sphere, a straight chart segment on the torus); if a crossing is too
-    close to an endpoint or too tangential, the path is re-routed through a
-    deterministic sequence of waypoints (path independence is guaranteed by
-    homological triviality).  `samples` is the curve's dense sampling as a
-    NumericContext holds it; it is computed when not given.
+    sphere, a straight chart segment on the torus).  Where that leg has no
+    unique geodesic, or a crossing is too close to an endpoint or too
+    tangential, the path is re-routed through a deterministic sequence of
+    waypoints (path independence is guaranteed by homological triviality).
+    The legs of all probes are counted together, one joint bisection per
+    round: the first round holds each probe's direct leg, or its two legs
+    through the first waypoint where no direct leg exists, and only probes
+    with a degenerate leg go on to their next route.  `samples` is the
+    curve's dense sampling as a NumericContext holds it; it is computed
+    when not given.
     """
     ts, pts = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
-    for point, name in ((b, "base point"), (p, "probe point")):
-        if _min_distance_to_curve(pts, point) < POINT_TOL:
-            raise PointOnCurve(f"{name} {tuple(point)} lies on the curve")
-    if np.linalg.norm(b - p) < 1e-14:
-        return 0
-    total = _segment_index(curve, b, p, ts, pts)
-    if total is not None:
-        return total
-    rng = np.random.default_rng(20240615)
-    for w in (curve.surface.waypoint(rng) for _ in range(12)):
-        if _min_distance_to_curve(pts, w) > 5 * POINT_TOL:
-            first = _segment_index(curve, b, w, ts, pts)
-            second = _segment_index(curve, w, p, ts, pts)
-            if first is not None and second is not None:
-                return first + second
-    raise PointOnCurve("could not find a transversal path between the points")
+    nodes = np.vstack((b, p.reshape(-1, len(b))))   # node 0 is b, node k probe k
+    near = _min_distance_to_curve(pts, nodes) < POINT_TOL
+    if near.any():
+        k = int(np.argmax(near))
+        raise PointOnCurve(
+            f"{'probe' if k else 'base'} point {tuple(nodes[k])} lies on the curve")
+    nodes = list(nodes)
+    surface = curve.surface
+    waypoints = []    # node numbers of the usable waypoints, made when first needed
+
+    def route(k, r):
+        """The legs of probe k's route r: direct, or through waypoint r.  A
+        probe without a direct leg (no unique geodesic) starts at r = 1."""
+        if not r:
+            return ((0, k),)
+        if not waypoints:
+            rng = np.random.default_rng(20240615)
+            draws = np.array([surface.waypoint(rng) for _ in range(12)])
+            draws = draws[_min_distance_to_curve(pts, draws) > 5 * POINT_TOL]
+            waypoints.extend(range(len(nodes), len(nodes) + len(draws)))
+            nodes.extend(draws)
+        if r > len(waypoints):
+            raise PointOnCurve("could not find a transversal path between the points")
+        return ((0, waypoints[r - 1]), (waypoints[r - 1], k))
+
+    index = [0 if np.linalg.norm(b - q) < 1e-14 else None for q in nodes[1:]]
+    attempt = {k: 0 if surface.leg(b, nodes[k]) else 1
+               for k, i in enumerate(index, 1) if i is None}
+    count = {}        # leg (start node, end node) -> signed crossings, None if degenerate
+    while attempt:
+        routes = {k: route(k, r) for k, r in attempt.items()}
+        new = list(dict.fromkeys(leg for legs in routes.values() for leg in legs
+                                 if leg not in count))
+        count.update(zip(new, _leg_counts(
+            curve, [surface.leg(nodes[i], nodes[j]) for i, j in new], ts, pts)))
+        for k, legs in routes.items():
+            counts = [count[leg] for leg in legs]
+            if None in counts:
+                attempt[k] += 1
+            else:
+                index[k - 1] = sum(counts)
+                del attempt[k]
+    return index if p.ndim > 1 else index[0]
 
 
 def _segment_index(curve, b, p, ts, pts):
-    """Signed crossing count along one geodesic leg; None if degenerate.
+    """Signed crossing count along one geodesic leg; None if degenerate."""
+    return _leg_counts(curve, [curve.surface.leg(b, p)], ts, pts)[0]
 
-    Every sample interval where the curve changes side of the leg's great
-    circle (chord line) is bisected, all of them together.  A sample
-    exactly on that circle, or a hit on the leg too close to an endpoint or
-    too tangential, makes the leg degenerate."""
-    leg = curve.surface.leg(b, p)
-    if leg is None:
-        return None
-    side, hits = leg
-    f = side(pts)
-    if np.any(f[:-1] == 0.0):
-        return None
-    i = np.flatnonzero(~(f[:-1] * f[1:] >= 0))
-    if not i.size:
-        return 0
-    lo, hi = _bisect(curve, ts[i], ts[i + 1], f[i], side)
+
+def _leg_counts(curve, legs, ts, pts):
+    """Signed crossing count along each geodesic leg (side, hits); None
+    where degenerate or where the leg is None (no unique geodesic).
+
+    Every sample interval where the curve changes side of a leg's great
+    circle (chord line) is bisected, those of all legs together, each leg's
+    side function on its own slice.  A sample exactly on that circle, or a
+    hit on the leg too close to an endpoint or too tangential, makes the
+    leg degenerate."""
+    out = [None] * len(legs)
+    live, brackets = [], []
+    for n, leg in enumerate(legs):
+        if leg is None:
+            continue
+        f = leg[0](pts)
+        if np.any(f[:-1] == 0.0):
+            continue
+        i = np.flatnonzero(~(f[:-1] * f[1:] >= 0))
+        if i.size:
+            live.append(n)
+            brackets.append((i, f[i]))
+        else:
+            out[n] = 0
+    if not live:
+        return out
+    cut = np.cumsum([0] + [len(i) for i, _ in brackets]).tolist()
+    slices = [(legs[n], slice(a, z)) for n, a, z in zip(live, cut, cut[1:])]
+    i = np.concatenate([i for i, _ in brackets])
+    lo, hi = _bisect(curve, ts[i], ts[i + 1], np.concatenate([f for _, f in brackets]),
+                     lambda x: np.concatenate([side(x[s]) for (side, _), s in slices]))
     tstar = 0.5 * (lo + hi)
-    v = curve.velocity(tstar)
-    on_leg, near_end, det = hits(curve.point(tstar), v)
-    if np.any(near_end[on_leg]):
-        return None
-    det = det[on_leg]
-    if np.any(np.abs(det) < 1e-7 * np.linalg.norm(v[on_leg], axis=-1)):
-        return None   # tangential hit: re-route
-    return int(np.sum(np.where(det > 0, 1, -1)))
+    x, v = curve.point(tstar), curve.velocity(tstar)
+    for n, ((_, hits), s) in zip(live, slices):
+        on_leg, near_end, det = hits(x[s], v[s])
+        if np.any(near_end[on_leg]):
+            continue
+        det = det[on_leg]
+        if np.any(np.abs(det) < 1e-7 * np.linalg.norm(v[s][on_leg], axis=-1)):
+            continue   # tangential hit: re-route
+        out[n] = int(np.sum(np.where(det > 0, 1, -1)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +763,9 @@ class NumericContext:
     from the meridian sweep); every invariant is then a cheap weighted sum
     over these tables.  The root finding runs as whole-array passes: one
     batched Newton refinement of all double-point seeds, one joint
-    bisection of all meridian hits, and one of all crossings of each probe
-    path.
+    bisection of all meridian hits, and one of all crossings of every probe
+    path (the side probes of all arcs and the surface's fixed probes), with
+    a further joint round only for paths that must be re-routed.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -686,10 +776,6 @@ class NumericContext:
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
         self.level_area = curve.surface.level_area(self)
-
-    def _probe_index(self, p):
-        """point_index of p from the base point, on the cached samples."""
-        return point_index(self.curve, self.base_point, p, self.cfg, samples=self.samples)
 
     # -- smooth arcs between crossing parameters
 
@@ -702,19 +788,17 @@ class NumericContext:
         curve, cfg = self.curve, self.cfg
         bounds = [t for t, _ in events] or [0.0]
         spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
+        self._index_probes(spans)
         nodes, weights = _leggauss(cfg.line_nodes)
-        arc_index = []
         arc_kg = []
         for a, b in spans:
-            mid_t = 0.5 * (a + b) % 1.0
-            arc_index.append(self._arc_index_at(mid_t))
             ts = (0.5 * (b - a) * nodes + 0.5 * (a + b)) % 1.0
             kg = geodesic_curvature(curve, ts)
             speed = np.linalg.norm(curve.velocity(ts), axis=-1)
             arc_kg.append(0.5 * (b - a) * float(np.sum(weights * kg * speed)))
         self.arc_spans = spans
-        self.arc_index = arc_index
         self.arc_kg = arc_kg
+        arc_index = self.arc_index
         # crossing index = mean of the four incident arc indices
         self.crossing_index = []
         for k, d in enumerate(self.double_points):
@@ -731,23 +815,34 @@ class NumericContext:
                 )
             self.crossing_index.append(int(level))
 
+    def _index_probes(self, spans):
+        """One point_index call for the side probes of every arc and the
+        surface's fixed probes: sets arc_index and fixed_index.  A side
+        probe pair sits a fraction of a sample step past its arc's middle,
+        off the sample lattice, so that no curve sample lies on a probe
+        path's great circle by symmetry."""
+        shift = _PROBE_SHIFT / self.cfg.curve_samples
+        t = np.array([(0.5 * (a + b) + min(shift, 0.25 * (b - a))) % 1.0 for a, b in spans])
+        n = len(t)
+        probes = np.concatenate((*self._side_probes(t), self.curve.surface.fixed_probes))
+        ind = point_index(self.curve, self.base_point, probes, self.cfg, samples=self.samples)
+        for tk, il, ir in zip(t, ind[:n], ind[n:2 * n]):
+            if il != ir + 1:
+                raise TopologyError(
+                    f"side probes at t={tk:.6f} give indices {il}/{ir}, expected a +1 jump"
+                )
+        self.arc_index = [ir + 0.5 for ir in ind[n:2 * n]]
+        self.fixed_index = ind[2 * n:]
+
     def _side_probes(self, t):
+        """The points PROBE_EPS left and right of the curve at t (one
+        parameter, or an array of them)."""
         surface = self.curve.surface
         x = self.curve.point(t)
         v = self.curve.velocity(t)
-        left = surface.left_normal(x, v / np.linalg.norm(v))
+        left = surface.left_normal(x, v / np.linalg.norm(v, axis=-1, keepdims=True))
         return (surface.project(x + PROBE_EPS * left),
                 surface.project(x - PROBE_EPS * left))
-
-    def _arc_index_at(self, t):
-        pl, pr = self._side_probes(t)
-        il = self._probe_index(pl)
-        ir = self._probe_index(pr)
-        if il != ir + 1:
-            raise TopologyError(
-                f"side probes at t={t:.6f} give indices {il}/{ir}, expected a +1 jump"
-            )
-        return ir + 0.5
 
     # -- weighted sums over the cached tables
 

@@ -276,6 +276,14 @@ def test_numeric_unknown_param(capsys):
     assert err.startswith("error:") and "bogus" in err
 
 
+@pytest.mark.parametrize("item, shown", [("alpha=abc", "'abc'"), ("alpha=", "''"),
+                                         ("alpha", "''")])
+def test_numeric_bad_param_value_names_the_parameter(capsys, item, shown):
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--param", item)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad value for --param alpha: {shown}\n"
+
+
 def test_numeric_bad_q(capsys):
     code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", "abc")
     assert code == 1

@@ -86,9 +86,9 @@ def test_figure_eight_double_point_oracle():
     # with perpendicular tangents (0, 1, 1) and (0, 1, -1)
     curve = SphereFigureEight()
     (d,) = find_double_points(curve, CFG)
-    assert np.allclose(d.position, curve._rot @ (1.0, 0.0, 0.0), atol=1e-9)
+    assert np.allclose(d.position, curve._rot @ (1.0, 0.0, 0.0), rtol=0, atol=1e-12)
     assert d.theta == pytest.approx(math.pi / 2, abs=1e-9)
-    assert d.t2 - d.t1 == pytest.approx(0.5, abs=1e-9)
+    assert d.t2 - d.t1 == pytest.approx(0.5, abs=1e-14)
 
 
 def test_figure_eight_has_one_double_point():

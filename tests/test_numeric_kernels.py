@@ -5,7 +5,10 @@ one-interval loops that the kernels in curveinv.geometry run for all seeds
 or intervals at once, with the same seeds, iteration counts and
 accept/reject tests.  Where a kernel keeps the loop's arithmetic the
 results must be equal; the sweep's band areas are summed in the same order
-but take cos/arccos from numpy, so they must agree to 1e-12.
+but take cos/arccos from numpy, so they must agree to 1e-12.  Bisection
+stops at its fixed point, and the 80-step loop it replaced is kept as a
+reference; double-point seeding skips pairs that cannot cross, and seeding
+from every close pair is kept as a reference.
 """
 
 import math
@@ -14,13 +17,17 @@ import numpy as np
 import pytest
 
 from curveinv import geometry
+from curveinv.catalog import parametric_fixture
 from curveinv.geometry import (
+    FLAT_TORUS,
     LatitudeCircle,
     NumericConfig,
     NumericContext,
+    ParametricCurve,
     SphereFigureEight,
     TorusCircle,
     UNIT_SPHERE,
+    find_double_points,
 )
 
 CFG = NumericConfig(double_grid=100, meridians=128, curve_samples=1024)
@@ -113,6 +120,51 @@ def segment_reference(curve, b, p, ts, pts):
             return None
         total += 1 if det > 0 else -1
     return total
+
+
+def bisect_reference(curve, lo, hi, flo, f):
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(curve.point(mid))
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return lo, hi
+
+
+def double_points_all_seeds(curve, cfg):
+    """find_double_points seeded from every close pair of the grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_may_cross", lambda pts, cand: np.ones(len(cand), dtype=bool))
+        return find_double_points(curve, cfg)
+
+
+class Epicycle(ParametricCurve):
+    """z(t) = c + r (e^(2 pi i t) + a e^(2 pi i k t)) in the torus chart,
+    c = (1 + i)/2, r = 1/4: a circle with k - 1 small loops, or none."""
+
+    surface = FLAT_TORUS
+
+    def __init__(self, k, a):
+        self.k, self.a = k, a
+
+    def _z(self, t, order):
+        w1, wk = 2j * math.pi, 2j * math.pi * self.k
+        t = np.asarray(t, dtype=float)
+        z = 0.25 * (w1 ** order * np.exp(w1 * t) + self.a * wk ** order * np.exp(wk * t))
+        if order == 0:
+            z = z + (0.5 + 0.5j)
+        return np.stack([z.real, z.imag], axis=-1)
+
+    def point(self, t):
+        return self._z(t, 0)
+
+    def velocity(self, t):
+        return self._z(t, 1)
+
+    def acceleration(self, t):
+        return self._z(t, 2)
 
 
 def sweep_reference(ctx):
@@ -210,21 +262,28 @@ def test_batched_newton_equals_scalar_loop(curve):
     assert list(zip(*(r.tolist() for r in roots))) == [r for r in expected if r is not None]
 
 
-def test_segment_index_equals_scalar_loop(monkeypatch):
-    # side probes close to the curve, so that legs between them end just
-    # short of a crossing of their great circle (chord line)
-    monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
-    cases = [
-        NumericContext(SphereFigureEight(), (-1.0, 0.0, 0.0), CFG),
-        NumericContext(LatitudeCircle(1.0), (0.0, 0.0, -1.0), CFG),
-        NumericContext(TorusCircle(0.2), (0.05, 0.05), CFG),
-    ]
-    seen = set()
-    for ctx in cases:
+def probe_sets():
+    """(context, probes) on three curves, with the probes of every pair
+    leg among: the base, side probes at four parameters and, on the
+    sphere, the north pole and the base's antipode.  Call with PROBE_EPS
+    set to 2e-4: side probes close to the curve, so that legs between them
+    end just short of a crossing of their great circle (chord line)."""
+    out = []
+    for ctx in (NumericContext(SphereFigureEight(), (-1.0, 0.0, 0.0), CFG),
+                NumericContext(LatitudeCircle(1.0), (0.0, 0.0, -1.0), CFG),
+                NumericContext(TorusCircle(0.2), (0.05, 0.05), CFG)):
         probes = [ctx.base_point] + [p for t in np.linspace(0.05, 0.95, 4)
                                      for p in ctx._side_probes(t)]
         if ctx.curve.surface == UNIT_SPHERE:
             probes += [np.array([0.0, 0.0, 1.0]), -ctx.base_point]
+        out.append((ctx, probes))
+    return out
+
+
+def test_segment_index_equals_scalar_loop(monkeypatch):
+    monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
+    seen = set()
+    for ctx, probes in probe_sets():
         for b in probes:
             for p in probes:
                 got = geometry._segment_index(ctx.curve, b, p, *ctx.samples)
@@ -243,3 +302,129 @@ def test_sweep_equals_scalar_loop(curve, base):
     assert list(ctx.level_area) == list(expected)
     for level, area in expected.items():
         assert ctx.level_area[level] == pytest.approx(area, abs=1e-12)
+
+
+@pytest.mark.parametrize("curve,base", [
+    (SphereFigureEight(), (-1.0, 0.0, 0.0)),
+    (LatitudeCircle(1.0), (0.0, 0.0, -1.0)),
+    (TorusCircle(0.2), (0.05, 0.05)),
+])
+def test_bisect_fixed_point_equals_80_steps(monkeypatch, curve, base):
+    # every bisection of a context (its probe brackets and, on the sphere,
+    # its meridian hits) returns the bits of the 80-step loop, in fewer steps
+    bisect = geometry._bisect
+    steps = []
+
+    def both(curve, lo, hi, flo, f):
+        def counted(x):
+            steps[-1] += 1
+            return f(x)
+        steps.append(0)
+        got = bisect(curve, lo, hi, flo, counted)
+        want = bisect_reference(curve, lo, hi, flo, f)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        return got
+
+    monkeypatch.setattr(geometry, "_bisect", both)
+    NumericContext(curve, base, CFG)
+    assert len(steps) == (2 if curve.surface == UNIT_SPHERE else 1)
+    assert max(steps) < 80
+
+
+def test_joint_leg_counts_equal_scalar_loop(monkeypatch):
+    # one joint call over every pair leg of each probe set, degenerate
+    # legs included
+    monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
+    seen = set()
+    for ctx, probes in probe_sets():
+        pairs = [(b, p) for b in probes for p in probes]
+        legs = [ctx.curve.surface.leg(b, p) for b, p in pairs]
+        joint = geometry._leg_counts(ctx.curve, legs, *ctx.samples)
+        for (b, p), got in zip(pairs, joint):
+            assert got == segment_reference(ctx.curve, b, p, *ctx.samples)
+            seen.add(got)
+        # the stacked point_index routes each probe as a call of its own;
+        # the base's antipode is left out, as the figure eight passes through it
+        stack = np.array(probes[1:-1] if ctx.curve.surface == UNIT_SPHERE else probes[1:])
+        assert geometry.point_index(ctx.curve, ctx.base_point, stack, samples=ctx.samples) == [
+            geometry.point_index(ctx.curve, ctx.base_point, p, samples=ctx.samples)
+            for p in stack]
+    assert None in seen and {-1, 0, 1} <= seen
+
+
+def _same_double_points(got, want):
+    assert len(got) == len(want)
+    assert [d.sign for d in got] == [d.sign for d in want]
+    for d, e in zip(got, want):
+        assert abs(d.t1 - e.t1) < 1e-9 and abs(d.t2 - e.t2) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["great_circle", "latitude", "circle_torus",
+                                  "figure8_sphere_param"])
+def test_seed_filter_keeps_fixture_double_points(name):
+    curve = parametric_fixture(name).curve
+    for cfg in (NumericConfig(), NumericConfig().halved()):
+        _same_double_points(find_double_points(curve, cfg), double_points_all_seeds(curve, cfg))
+
+
+def test_seed_filter_keeps_figure_eight_double_points():
+    for tilt in (0.0, 0.3, 0.7, 1.1, 1.5):
+        for phase in (0.0, 0.35, 1.3, 2.9):
+            curve = SphereFigureEight(tilt, phase)
+            _same_double_points(find_double_points(curve, CFG),
+                                double_points_all_seeds(curve, CFG))
+
+
+@pytest.mark.parametrize("k,a,crossings", [(5, 0.5, 4), (9, 0.5, 24), (17, 0.5, 80),
+                                           (13, 0.45, 36)])
+@pytest.mark.parametrize("grid", [200, 400, 800])
+def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
+    # many small loops; a bare local-minimum filter on the pair distances
+    # finds only 16 of the 24 crossings of k = 9 at grid 200
+    curve, cfg = Epicycle(k, a), NumericConfig(double_grid=grid)
+    got = find_double_points(curve, cfg)
+    assert len(got) == crossings
+    _same_double_points(got, double_points_all_seeds(curve, cfg))
+
+
+# -- call counts of one default context ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
+def test_context_bisects_probes_and_meridians_once(monkeypatch, name):
+    calls = []
+    bisect = geometry._bisect
+    monkeypatch.setattr(geometry, "_bisect", lambda *args: calls.append(1) or bisect(*args))
+    fx = parametric_fixture(name)
+    NumericContext(fx.curve, fx.base_point)
+    assert len(calls) == 2   # one joint probe bisection, one meridian sweep
+
+
+@pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
+def test_side_probe_legs_are_not_degenerate(monkeypatch, name):
+    # no probe leg of these contexts needs a re-route: the poles are probed
+    # through a waypoint, and the side probes sit off the sample lattice
+    counts = []
+    leg_counts = geometry._leg_counts
+
+    def recorded(*args):
+        out = leg_counts(*args)
+        counts.extend(out)
+        return out
+
+    monkeypatch.setattr(geometry, "_leg_counts", recorded)
+    fx = parametric_fixture(name)
+    for cfg in (NumericConfig(), NumericConfig().halved()):
+        counts.clear()
+        NumericContext(fx.curve, fx.base_point, cfg)
+        assert counts and None not in counts
+
+
+def test_figure_eight_refines_few_seeds(monkeypatch):
+    seeds = []
+    refine = geometry._refine_double_points
+    monkeypatch.setattr(geometry, "_refine_double_points",
+                        lambda curve, t1, t2: seeds.append(len(t1)) or refine(curve, t1, t2))
+    (_,) = find_double_points(parametric_fixture("figure8_sphere_param").curve)
+    assert seeds and seeds[0] <= 60   # every close pair: 1349
