@@ -319,7 +319,6 @@ def cmd_numeric(args):
         numeric_i1,
         numeric_iq,
         numeric_jplus,
-        numeric_sjplus,
     )
 
     params = {}
@@ -371,7 +370,6 @@ def cmd_numeric(args):
     jp_num = jp_exact = None
     if fx.curve.surface.chi != 0:
         jp_num = float(numeric_jplus(fx.curve, fx.base_point, cfg, context=ctx))
-        sj_num = float(numeric_sjplus(fx.curve, fx.base_point, cfg, context=ctx))
         jp_exact = float(rep.jplus)
         jp_ok = abs(jp_num - jp_exact) <= max(tol, 5e-3)
         ok = ok and jp_ok
@@ -398,7 +396,7 @@ def cmd_numeric(args):
             "iq": rows,
             "i1": {"numeric": i1_num, "exact": rep.i1, "pass": i1_ok},
             "jplus": None if jp_num is None else
-                {"numeric": jp_num, "exact": jp_exact, "sjplus": sj_num},
+                {"numeric": jp_num, "exact": jp_exact, "sjplus": jp_num},
             "gauss_bonnet": gb_rows,
             "pass": ok,
         }, indent=2))
@@ -414,7 +412,7 @@ def cmd_numeric(args):
           f"{'PASS' if i1_ok else 'FAIL'}")
     if jp_num is not None:
         print(f"  jplus: numeric={jp_num:.9g} exact={jp_exact:.9g} "
-              f"sjplus={sj_num:.9g} {'PASS' if jp_ok else 'FAIL'}")
+              f"sjplus={jp_num:.9g} {'PASS' if jp_ok else 'FAIL'}")
     for row in gb_rows:
         print(f"  gauss-bonnet j={row['j']}: lhs={row['lhs']:.9g} "
               f"rhs={row['rhs']:.9g} rel={row['relative']:.3g} "

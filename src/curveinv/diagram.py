@@ -17,7 +17,8 @@ the cyclic sequence of its 2n crossing visits.  Conventions used throughout:
   crossing is (out1, out2, in1, in2) for sign +, and (out1, in2, in1, out2)
   for sign -, where out_i/in_i are the outgoing/incoming ends of the i-th
   visit.  Faces are traced with next(d) = sigma^{-1}(alpha(d)), which keeps
-  the face on the left.
+  the face on the left; alpha(d) = d ^ 1 is the same arc traversed the
+  other way.
 
 * Index jump.  Crossing the curve from its right side to its left side
   (left = tangent rotated +90 degrees) increases the index by exactly 1, so
@@ -28,9 +29,13 @@ embeddings (for example a contractible circle on the torus).  A region with
 genus g and b boundary cycles has chi = 2 - 2g - b, and Euler-characteristic
 conservation reads  sum_r chi_r - n = chi(S)  (for n = 0, sum_r chi_r).
 
-The incidence tables dart -> cycle and dart -> region are built once, when
-a diagram is assembled, and stored on the CurveDiagram; every later step
-reads them.
+Incidence is derived once per object.  A code stores `partner`, where
+partner[k] is the other visit of the crossing at visit k; the crossing
+tables of the index functions, canonical forms and moves read it, and
+`rotation_prev` builds from it the one list sigma^{-1} over darts that face
+tracing and the moves follow.  The tables dart -> cycle and dart -> region
+are built once, when a diagram is assembled, and stored on the
+CurveDiagram; every later step reads them.
 """
 
 from __future__ import annotations
@@ -58,68 +63,65 @@ def dart_arc(dart: int) -> int:
 def dart_side(dart: int) -> int:
     return dart % 2
 
-def dart_mate(dart: int) -> int:
-    """The same arc traversed the other way (the edge involution)."""
-    return dart ^ 1
-
 
 @dataclass(frozen=True)
 class SignedGaussCode:
-    """Cyclic sequence of (label, sign) crossing visits; n = 0 is empty."""
+    """Cyclic sequence of (label, sign) crossing visits; n = 0 is empty.
+
+    partner[k] is the position of the other visit of the crossing visited
+    at position k, derived when the code is made."""
 
     visits: tuple
+    partner: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen = {}
-        for label, sign in self.visits:
+        where = {}
+        for k, (label, sign) in enumerate(self.visits):
             if sign not in (1, -1):
                 raise LabelError(f"sign of crossing {label} must be +1 or -1")
-            seen.setdefault(label, []).append(sign)
-        for label, signs in seen.items():
-            if len(signs) != 2:
+            where.setdefault(label, []).append(k)
+        partner = [0] * len(self.visits)
+        for label, ks in where.items():
+            if len(ks) != 2:
                 raise LabelError(
-                    f"crossing {label} appears {len(signs)} time(s), expected 2"
+                    f"crossing {label} appears {len(ks)} time(s), expected 2"
                 )
-            if signs[0] != signs[1]:
+            p1, p2 = ks
+            if self.visits[p1][1] != self.visits[p2][1]:
                 raise LabelError(f"crossing {label} has mismatched signs")
+            partner[p1], partner[p2] = p2, p1
+        object.__setattr__(self, "partner", tuple(partner))
 
     @property
     def n(self):
         return len(self.visits) // 2
 
     def crossing_positions(self):
-        """Map label -> (first position, second position, sign)."""
-        pos = {}
-        for k, (label, sign) in enumerate(self.visits):
-            if label in pos:
-                pos[label] = (pos[label][0], k, sign)
-            else:
-                pos[label] = (k, None, sign)
-        return pos
+        """Map label -> (first position, second position, sign), read from
+        partner."""
+        return {label: (k, j, sign)
+                for k, (j, (label, sign)) in enumerate(zip(self.partner, self.visits))
+                if k < j}
 
 
-def _rotations(code: SignedGaussCode):
-    """Counterclockwise outgoing-dart rotation at each crossing.
+def rotation_prev(code: SignedGaussCode):
+    """sigma^{-1} over darts: prev[d] is the dart before d in the
+    counterclockwise rotation at its crossing.
 
-    Returns (rot, at) where rot maps label -> 4-tuple of darts and
-    at maps dart -> (label, position in the rotation tuple).
-    """
-    m = 2 * code.n
-    rot = {}
-    at = {}
-    for label, (p1, p2, sign) in code.crossing_positions().items():
-        out1 = dart_id(p1, LEFT)
-        out2 = dart_id(p2, LEFT)
-        in1 = dart_id((p1 - 1) % m, RIGHT)
-        in2 = dart_id((p2 - 1) % m, RIGHT)
-        if sign == 1:
-            order = (out1, out2, in1, in2)
+    Visit k has the outgoing end 2k (left side of arc k) and the incoming
+    end 2k - 1 (right side of arc k - 1).  Read from visit k with partner j,
+    the rotations of the module docstring say: where own(k) = +1 (the sign
+    at a first visit, minus the sign at a second), out_k follows in_j and
+    in_k follows out_j; otherwise out_k follows out_j and in_k follows in_j."""
+    darts = 2 * len(code.visits)
+    prev = [0] * darts
+    for k, (j, (_label, sign)) in enumerate(zip(code.partner, code.visits)):
+        out_j, in_j = 2 * j, (2 * j - 1) % darts
+        if (sign if k < j else -sign) > 0:
+            prev[2 * k], prev[(2 * k - 1) % darts] = in_j, out_j
         else:
-            order = (out1, in2, in1, out2)
-        rot[label] = order
-        for i, d in enumerate(order):
-            at[d] = (label, i)
-    return rot, at
+            prev[2 * k], prev[(2 * k - 1) % darts] = out_j, in_j
+    return prev
 
 
 def trace_boundary_cycles(code: SignedGaussCode):
@@ -133,23 +135,18 @@ def trace_boundary_cycles(code: SignedGaussCode):
     """
     if code.n == 0:
         return ((dart_id(0, LEFT),), (dart_id(0, RIGHT),))
-    rot, at = _rotations(code)
-    total = 4 * code.n
-    seen = set()
+    prev = rotation_prev(code)
+    seen = [False] * len(prev)
     cycles = []
-    for start in range(total):
-        if start in seen:
+    for start in range(len(prev)):
+        if seen[start]:
             continue
         cycle = []
         d = start
-        while True:
+        while not seen[d]:
+            seen[d] = True
             cycle.append(d)
-            seen.add(d)
-            mate = dart_mate(d)
-            label, i = at[mate]
-            d = rot[label][(i - 1) % 4]
-            if d == start:
-                break
+            d = prev[d ^ 1]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -435,7 +432,10 @@ def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
         arc_idx[arc] = min(value_at[dart_id(arc, LEFT)], value_at[dart_id(arc, RIGHT)])
     crossing_idx = {}
     m = 2 * diagram.n
-    for label, (p1, p2, _sign) in diagram.code.crossing_positions().items():
+    code = diagram.code
+    for p1, (p2, (label, _sign)) in enumerate(zip(code.partner, code.visits)):
+        if p2 < p1:
+            continue
         corners = [
             dart_id((p1 - 1) % m, LEFT),
             dart_id((p2 - 1) % m, LEFT),
@@ -598,12 +598,10 @@ def canonicalize(diagram: CurveDiagram):
         regions = _region_descriptor(diagram, {0: 0, 1: 1})
         return ("n0", regions, _base_position(diagram, regions, {0: 0, 1: 1}))
     m = 2 * diagram.n
-    positions = diagram.code.crossing_positions()
-    back = [0] * m
-    own = [0] * m
-    for p1, p2, sign in positions.values():
-        back[p1], back[p2] = p1 - p2 + m, p2 - p1
-        own[p1], own[p2] = sign, -sign
+    partner = diagram.code.partner
+    back = [(v - partner[v]) % m for v in range(m)]
+    own = [sign if v < partner[v] else -sign
+           for v, (_label, sign) in enumerate(diagram.code.visits)]
     first_key = [(0, s) for s in own]
     repeat_key = [(-b, -s) for b, s in zip(back, own)]
     live = range(m)
@@ -616,24 +614,24 @@ def canonicalize(diagram: CurveDiagram):
             keys.append(repeat_key[v] if back[v] <= k else first_key[v])
         least = min(keys)
         live = [r for r, key in zip(live, keys) if key == least]
-    return min(_rotation_candidate(diagram, positions, r) for r in live)
+    return min(_rotation_candidate(diagram, back, own, r) for r in live)
 
 
-def _rotation_candidate(diagram, positions, r):
+def _rotation_candidate(diagram, back, own, r):
     """The (code, region descriptor, base position) of the code started at
-    visit r."""
+    visit r, from the per-visit back and own of canonicalize."""
     m = 2 * diagram.n
-    # stored signs flip when the rotation swaps which visit comes first
-    new_sign = {}
-    for label, (p1, p2, sign) in positions.items():
-        new_sign[label] = sign if (p1 - r) % m < (p2 - r) % m else -sign
-    relabel = {}
+    # a first visit takes the next label and its own sign; a repeat copies
+    # the entry of its partner, back[v] positions earlier
     code = []
+    labels = 0
     for k in range(m):
-        label = diagram.code.visits[(k + r) % m][0]
-        if label not in relabel:
-            relabel[label] = len(relabel) + 1
-        code.append((relabel[label], new_sign[label]))
+        v = (k + r) % m
+        if back[v] <= k:
+            code.append(code[k - back[v]])
+        else:
+            labels += 1
+            code.append((labels, own[v]))
     # the traced cycles are the same dart sets with every arc moved back by
     # r; renumber them as the trace of the rotated code would (ascending
     # least dart id)

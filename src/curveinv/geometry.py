@@ -46,7 +46,6 @@ from .errors import (
     ChiZero,
     DegenerateTangency,
     NonPositiveQ,
-    NotSphere,
     PointOnCurve,
     TopologyError,
 )
@@ -623,12 +622,42 @@ def _curve_samples(curve, cfg):
     return ts, curve.point(ts)
 
 
-def _min_distance_to_curve(pts, points):
-    """Distance of each of the points (k, d) to the nearest curve sample.
-    One point at a time, coordinate by coordinate: no temporary is larger
-    than one row of samples."""
+def _min_distance_to_curve(curve, samples, points):
+    """Distance of each of the points (k, d) to the curve.
+
+    The nearest sample gives an upper bound.  Where a branch of the curve
+    comes within one sample spacing of a point, the branch's nearest sample
+    seeds Newton's method on (p(t) - x).p'(t) = 0, for all such seeds
+    together, and the distance to the curve point reached replaces the
+    bound when smaller.  The samples are scanned one point at a time,
+    coordinate by coordinate: no temporary is larger than one row of
+    samples."""
+    ts, pts = samples
     cols = pts[:-1].T
-    return np.sqrt([np.min(sum((c - x) ** 2 for c, x in zip(cols, q))) for q in points])
+    gap = pts[1:] - pts[:-1]
+    spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
+    best = np.empty(len(points))
+    node, seed = [], []
+    for k, x in enumerate(points):
+        d2 = sum((c - xc) ** 2 for c, xc in zip(cols, x))
+        best[k] = np.min(d2)
+        if best[k] < spacing2:
+            # the nearest sample of each branch: a cyclic local minimum
+            i = np.flatnonzero(d2 < spacing2)
+            i = i[(d2[i] <= d2[i - 1]) & (d2[i] <= d2[(i + 1) % len(d2)])]
+            node.extend([k] * len(i))
+            seed.extend(ts[i])
+    if node:
+        x, t = np.asarray(points, dtype=float)[node], np.array(seed)
+        for _ in range(8):
+            p, v = curve.point(t) - x, curve.velocity(t)
+            step = _dot(p, v) / (_dot(v, v) + _dot(p, curve.acceleration(t)))
+            t = t - step
+            if not np.any(np.abs(step) > PARAM_TOL):
+                break
+        p = curve.point(t) - x
+        np.fmin.at(best, node, _dot(p, p))
+    return np.sqrt(best)
 
 
 def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples=None):
@@ -652,11 +681,11 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     nodes = np.vstack((b, p.reshape(-1, len(b))))   # node 0 is b, node k probe k
-    near = _min_distance_to_curve(pts, nodes) < POINT_TOL
+    near = _min_distance_to_curve(curve, (ts, pts), nodes) < POINT_TOL
     if near.any():
         k = int(np.argmax(near))
         raise PointOnCurve(
-            f"{'probe' if k else 'base'} point {tuple(nodes[k])} lies on the curve")
+            f"{'probe' if k else 'base'} point {tuple(nodes[k].tolist())} lies on the curve")
     nodes = list(nodes)
     surface = curve.surface
     waypoints = []    # node numbers of the usable waypoints, made when first needed
@@ -669,7 +698,7 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
         if not waypoints:
             rng = np.random.default_rng(20240615)
             draws = np.array([surface.waypoint(rng) for _ in range(12)])
-            draws = draws[_min_distance_to_curve(pts, draws) > 5 * POINT_TOL]
+            draws = draws[_min_distance_to_curve(curve, (ts, pts), draws) > 5 * POINT_TOL]
             waypoints.extend(range(len(nodes), len(nodes) + len(draws)))
             nodes.extend(draws)
         if r > len(waypoints):
@@ -694,11 +723,6 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
                 index[k - 1] = sum(counts)
                 del attempt[k]
     return index if p.ndim > 1 else index[0]
-
-
-def _segment_index(curve, b, p, ts, pts):
-    """Signed crossing count along one geodesic leg; None if degenerate."""
-    return _leg_counts(curve, [curve.surface.leg(b, p)], ts, pts)[0]
 
 
 def _leg_counts(curve, legs, ts, pts):
@@ -798,22 +822,18 @@ class NumericContext:
             arc_kg.append(0.5 * (b - a) * float(np.sum(weights * kg * speed)))
         self.arc_spans = spans
         self.arc_kg = arc_kg
-        arc_index = self.arc_index
-        # crossing index = mean of the four incident arc indices
+        # crossing index = mean of the four incident arc indices v + 1/2:
+        # the arcs after and before each of the crossing's two events
+        incident = [0] * len(self.double_points)
+        for pos, (_t, k) in enumerate(events):
+            incident[k] += self.arc_index[pos] + self.arc_index[pos - 1]
         self.crossing_index = []
-        for k, d in enumerate(self.double_points):
-            incident = []
-            for t in (d.t1, d.t2):
-                pos = next(i for i, (tt, kk) in enumerate(events) if tt == t)
-                incident.append(arc_index[pos])                      # arc after
-                incident.append(arc_index[(pos - 1) % len(events)])  # arc before
-            mean = sum(incident) / 4.0
-            level = round(mean)
-            if abs(mean - level) > 1e-9:
+        for k, total in enumerate(incident):
+            if (total + 2) % 4:
                 raise TopologyError(
-                    f"double point {k} has non-integer index {mean}"
+                    f"double point {k} has non-integer index {(total + 2) / 4}"
                 )
-            self.crossing_index.append(int(level))
+            self.crossing_index.append((total + 2) // 4)
 
     def _index_probes(self, spans):
         """One point_index call for the side probes of every arc and the
@@ -831,7 +851,7 @@ class NumericContext:
                 raise TopologyError(
                     f"side probes at t={tk:.6f} give indices {il}/{ir}, expected a +1 jump"
                 )
-        self.arc_index = [ir + 0.5 for ir in ind[n:2 * n]]
+        self.arc_index = ind[n:2 * n]   # the lower side v of index v + 1/2
         self.fixed_index = ind[2 * n:]
 
     def _side_probes(self, t):
@@ -848,7 +868,7 @@ class NumericContext:
 
     def line_integral(self, weight):
         """sum over arcs of weight(arc index) * integral of k_g ds."""
-        return sum(w * weight(i) for i, w in zip(self.arc_index, self.arc_kg))
+        return sum(w * weight(v + 0.5) for v, w in zip(self.arc_index, self.arc_kg))
 
     def area_integral(self, weight):
         """sum over index levels of weight(level) * area (zero on the torus)."""
@@ -906,14 +926,6 @@ def numeric_jplus(curve, base_point, cfg: NumericConfig = None, context=None):
     return gb * gb / (4.0 * math.pi ** 2 * chi) - middle / math.pi + 1.0
 
 
-def numeric_sjplus(curve, base_point, cfg: NumericConfig = None, context=None):
-    """The spherical J+ expression: the J+ integral formula with K = 1 and
-    chi = 2, so it equals numeric_jplus on the sphere."""
-    if curve.surface.chi != 2:
-        raise NotSphere("SJ+ is defined for spherical curves")
-    return numeric_jplus(curve, base_point, cfg, context=context)
-
-
 def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
                               context=None, extracted=None):
     """Both sides of the Gauss-Bonnet identity for the subsurface above j.
@@ -924,22 +936,17 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
     turning angles (pi - theta) at double points of index j -+ 1/2.
     """
     ctx = context or NumericContext(curve, base_point, cfg)
-    jf = float(j)
+    j = Fraction(j)
     if extracted is None:
         extracted = extract_diagram(curve, base_point, cfg, context=ctx)
     diagram, base = extracted
     ind = index_function(diagram, base)
-    lhs = TWO_PI * subsurface_chi(diagram, ind, Fraction(j))
-    rhs = ctx.area_integral(lambda i: 1.0 if i > jf else 0.0)
-    rhs += sum(
-        w for i, w in zip(ctx.arc_index, ctx.arc_kg) if abs(i - jf) < 1e-9
-    )
-    rhs += ctx.crossing_sum(
-        lambda theta, i: (math.pi - theta) if i == round(jf - 0.5) else 0.0
-    )
-    rhs -= ctx.crossing_sum(
-        lambda theta, i: (math.pi - theta) if i == round(jf + 0.5) else 0.0
-    )
+    lhs = TWO_PI * subsurface_chi(diagram, ind, j)
+    rhs = ctx.area_integral(lambda i: 1.0 if i > j else 0.0)
+    rhs += sum(w for v, w in zip(ctx.arc_index, ctx.arc_kg) if 2 * v + 1 == 2 * j)
+    half = Fraction(1, 2)
+    rhs += ctx.crossing_sum(lambda theta, i: (math.pi - theta) if i == j - half else 0.0)
+    rhs -= ctx.crossing_sum(lambda theta, i: (math.pi - theta) if i == j + half else 0.0)
     return lhs, rhs
 
 
@@ -965,10 +972,10 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     cycles = trace_boundary_cycles(code)
     diagram = _assemble_diagram(code, cycles, curve.surface.regions(ctx, cycles),
                                 curve.surface.chi, 0)
-    # the left side probe of arc 0 has index arc_index[0] + 1/2
+    # the left side probe of arc 0 has index arc_index[0] + 1
     ind0 = index_function(diagram, 0)
     left_region = diagram.dart_region[dart_id(0, LEFT)]
-    want = ind0.values[left_region] - int(ctx.arc_index[0] + 0.5)
+    want = ind0.values[left_region] - (ctx.arc_index[0] + 1)
     base = next((r for r in range(len(diagram.regions)) if ind0.values[r] == want), None)
     if base is None:
         raise TopologyError("no region matches the base point's index offset")

@@ -47,11 +47,11 @@ from .diagram import (
     CurveDiagram,
     SignedGaussCode,
     _assemble_diagram,
-    _rotations,
     dart_arc,
     dart_id,
     dart_side,
     index_function,
+    rotation_prev,
     trace_boundary_cycles,
 )
 from .errors import (
@@ -399,26 +399,19 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
         raise SiteError(f"region {rid} is not a bigon")
     cycle, mid_arcs = found[0]
     m = 2 * diagram.n
-    corner_labels = set()
-    for a in mid_arcs:
-        s, e = _arc_endpoints(diagram, a)
-        corner_labels.update((s, e))
-    positions = diagram.code.crossing_positions()
+    partner = diagram.code.partner
+    # both visits of the corner crossings at either end of each side
     removed = set()
-    for lab in corner_labels:
-        p1, p2, _ = positions[lab]
-        removed.update((p1, p2))
+    for a in mid_arcs:
+        for p in (a, (a + 1) % m):
+            removed.update((p, partner[p]))
     dart_region = diagram.dart_region
 
     # regions at the corner-opposite sectors: at each corner the bigon's
     # outgoing dart e occupies the sector (e, sigma(e)); the region two
     # rotation steps away faces it across the crossing
-    rot, at = _rotations(diagram.code)
-    opposite_regions = []
-    for e in cycle:
-        lab, i = at[e]
-        opp = rot[lab][(i + 2) % 4]
-        opposite_regions.append(dart_region[opp])
+    prev = rotation_prev(diagram.code)
+    opposite_regions = [dart_region[prev[prev[e]]] for e in cycle]
     merged_old = {rid, *opposite_regions}
     if rid in opposite_regions:
         raise TopologyError("bigon region touches its own opposite sector")
@@ -486,22 +479,16 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
     if len(set(touched)) != 6:
         raise SiteError("triangle strand passages overlap")
 
-    perm = {p: p for p in range(m)}
+    perm = list(range(m))
     for a, b in blocks:
         perm[a], perm[b] = b, a
-    entries = list(diagram.code.visits)
-    new_entries = [None] * m
-    for p, visit in enumerate(entries):
-        new_entries[perm[p]] = visit
-    positions = diagram.code.crossing_positions()
-    flip = set()
-    for lab, (p1, p2, _sign) in positions.items():
-        if perm[p1] > perm[p2]:
-            flip.add(lab)
-    visits = tuple(
-        (lab, -sign if lab in flip else sign) for lab, sign in new_entries
-    )
-    code = SignedGaussCode(visits)
+    # a crossing's stored sign flips where the swap reverses its visit order
+    partner = diagram.code.partner
+    visits = [None] * m
+    for p, (lab, sign) in enumerate(diagram.code.visits):
+        q = partner[p]
+        visits[perm[p]] = (lab, sign if (p < q) == (perm[p] < perm[q]) else -sign)
+    code = SignedGaussCode(tuple(visits))
     cycles = trace_boundary_cycles(code)
 
     # the triangle's sides continue no old arc; every other arc stays put

@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +21,7 @@ from curveinv.diagram import (
     euler_moments,
     index_function,
     parse_diagram,
+    rotation_prev,
     serialize_diagram,
     smoothed_level_chi,
     subsurface_chi,
@@ -31,6 +34,9 @@ from curveinv.errors import (
     ParseError,
     TopologyError,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.generators import grow_deep  # noqa: E402
 
 
 # -- parsing ---------------------------------------------------------------
@@ -58,6 +64,28 @@ def test_parse_label_appearing_once():
 def test_parse_sign_mismatch():
     with pytest.raises(LabelError):
         parse_diagram("curve 1+ 1-\nbase 0\n")
+
+
+@pytest.mark.parametrize("visits,message", [
+    (((1, 1), (2, 1), (1, 1)), "crossing 2 appears 1 time(s), expected 2"),
+    (((1, 1), (1, 1), (1, 1)), "crossing 1 appears 3 time(s), expected 2"),
+    (((1, 1), (1, -1)), "crossing 1 has mismatched signs"),
+    (((1, 2), (1, 2)), "sign of crossing 1 must be +1 or -1"),
+    # a bad sign anywhere comes first, then the labels in order of first visit
+    (((3, 1), (1, 1), (1, 0)), "sign of crossing 1 must be +1 or -1"),
+    (((2, 1), (2, -1), (1, 1)), "crossing 2 has mismatched signs"),
+    (((2, 1), (1, 1), (2, -1)), "crossing 2 has mismatched signs"),
+])
+def test_label_error_messages(visits, message):
+    with pytest.raises(LabelError) as exc:
+        SignedGaussCode(visits)
+    assert str(exc.value) == message
+
+
+def test_parse_label_error_names_the_curve_line():
+    with pytest.raises(LabelError) as exc:
+        parse_diagram("surface genus=0\ncurve 1+ 2+ 1+\nbase 0\n")
+    assert str(exc.value) == "line 2: crossing 2 appears 1 time(s), expected 2"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -420,3 +448,116 @@ def test_canonicalize_distinguishes_base():
 def test_build_diagram_rejects_bad_genus():
     with pytest.raises(TopologyError):
         build_diagram(SignedGaussCode(()), regions=[(-1, (0, 1))], base_region=0)
+
+
+# -- crossing incidence ---------------------------------------------------------
+
+
+def crossing_positions_reference(code):
+    """label -> (first position, second position, sign), rebuilt from the
+    labels as the code's crossing table was before it stored partner."""
+    pos = {}
+    for k, (label, sign) in enumerate(code.visits):
+        if label in pos:
+            pos[label] = (pos[label][0], k, sign)
+        else:
+            pos[label] = (k, None, sign)
+    return pos
+
+
+def rotations_reference(code):
+    """The label-keyed rotation tables face tracing was first written with:
+    rot maps label -> its four outgoing darts counterclockwise, and at maps
+    dart -> (label, place in rot)."""
+    m = 2 * code.n
+    rot, at = {}, {}
+    for label, (p1, p2, sign) in crossing_positions_reference(code).items():
+        out1, out2 = dart_id(p1, LEFT), dart_id(p2, LEFT)
+        in1, in2 = dart_id((p1 - 1) % m, RIGHT), dart_id((p2 - 1) % m, RIGHT)
+        rot[label] = (out1, out2, in1, in2) if sign == 1 else (out1, in2, in1, out2)
+        for i, d in enumerate(rot[label]):
+            at[d] = (label, i)
+    return rot, at
+
+
+def trace_reference(code):
+    """Face tracing over rotations_reference, next(d) = sigma^-1(d ^ 1)."""
+    if code.n == 0:
+        return ((dart_id(0, LEFT),), (dart_id(0, RIGHT),))
+    rot, at = rotations_reference(code)
+    seen, cycles = set(), []
+    for start in range(4 * code.n):
+        if start in seen:
+            continue
+        cycle, d = [], start
+        while True:
+            cycle.append(d)
+            seen.add(d)
+            label, i = at[d ^ 1]
+            d = rot[label][(i - 1) % 4]
+            if d == start:
+                break
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def assert_incidence_matches_reference(d):
+    code = d.code
+    positions = crossing_positions_reference(code)
+    got = code.crossing_positions()
+    assert got == positions and list(got) == list(positions)
+    partner = [None] * len(code.visits)
+    for p1, p2, _sign in positions.values():
+        partner[p1], partner[p2] = p2, p1
+    assert code.partner == tuple(partner)
+    prev = rotation_prev(code)
+    assert sorted(prev) == list(range(4 * code.n))
+    for order in rotations_reference(code)[0].values():
+        for i, dart in enumerate(order):
+            assert prev[dart] == order[i - 1]
+    assert trace_boundary_cycles(code) == trace_reference(code) == d.cycles
+
+
+@pytest.fixture(scope="module")
+def deep():
+    snaps, _, _ = grow_deep(random.Random(74), (16, 32, 64, 128, 256))
+    return [d for d, _expected in snaps.values()]
+
+
+def test_incidence_matches_reference_golden():
+    for d in GOLDEN.values():
+        assert_incidence_matches_reference(d)
+
+
+def test_incidence_matches_reference_random(random_corpus):
+    for d in random_corpus:
+        assert_incidence_matches_reference(d)
+
+
+def test_incidence_matches_reference_deep(deep):
+    assert [d.n for d in deep] == [16, 32, 64, 128, 256]
+    for d in deep:
+        assert_incidence_matches_reference(d)
+
+
+def test_partner_is_not_part_of_equality_or_repr():
+    a = SignedGaussCode(((1, 1), (2, -1), (1, 1), (2, -1)))
+    b = SignedGaussCode(((1, 1), (2, -1), (1, 1), (2, -1)))
+    assert a.partner == (2, 3, 0, 1)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "SignedGaussCode(visits=((1, 1), (2, -1), (1, 1), (2, -1)))"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_serialize_round_trip_grown(data):
+    d = data.draw(st.sampled_from(GROWN))
+    d = replace(d, base_region=data.draw(st.integers(0, len(d.regions) - 1)))
+    r = data.draw(st.integers(0, 2 * d.n - 1))
+    labels = data.draw(st.lists(st.integers(1, 10**6), min_size=d.n,
+                                max_size=d.n, unique=True))
+    d = relabel_crossings(rotate_code_start(d, r), labels)
+    back = parse_diagram(serialize_diagram(d))
+    assert back == d
+    assert back.code.partner == d.code.partner
+    assert (back.dart_cycle, back.dart_region) == (d.dart_cycle, d.dart_region)

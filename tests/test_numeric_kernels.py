@@ -286,7 +286,8 @@ def test_segment_index_equals_scalar_loop(monkeypatch):
     for ctx, probes in probe_sets():
         for b in probes:
             for p in probes:
-                got = geometry._segment_index(ctx.curve, b, p, *ctx.samples)
+                got = geometry._leg_counts(ctx.curve, [ctx.curve.surface.leg(b, p)],
+                                           *ctx.samples)[0]
                 assert got == segment_reference(ctx.curve, b, p, *ctx.samples)
                 seen.add(got)
     assert None in seen and {-1, 0, 1} <= seen
