@@ -60,6 +60,8 @@ from .moves import (
     triple_move,
 )
 
+MAX_GRID = 65536   # largest --grid: 8 * 65536 curve samples per context
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -338,6 +340,8 @@ def cmd_numeric(args):
             raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         if args.grid is not None and args.grid <= 0:
             raise ValueError(f"--grid must be positive, got {args.grid}")
+        if args.grid is not None and args.grid > MAX_GRID:
+            raise ValueError(f"--grid must be at most {MAX_GRID}")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)   # str(KeyError) quotes it
         return 1
@@ -478,7 +482,7 @@ def main(argv=None):
                    help="fixture parameter k=v (alpha, rho)")
     p.add_argument("--q", default=None, help="comma-separated q values")
     p.add_argument("--grid", type=int, default=None,
-                   help="meridian count of the area sweep")
+                   help=f"meridian count of the area sweep (at most {MAX_GRID})")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_numeric)

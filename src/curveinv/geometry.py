@@ -13,7 +13,9 @@ formula that differs between surfaces.  On the unit sphere K = 1 and the
 area term is computed by a meridian sweep:
 along each meridian the index is advanced at curve crossings, and the exact
 band areas between consecutive crossing colatitudes are accumulated per
-index level.  On the flat torus K = 0 and the area term vanishes.
+index level.  On the flat torus K = 0 and the area term vanishes.  Every
+crossing of the curve with a meridian or a probe path is located by one
+bracketed secant search (_secant_roots) over all brackets at once.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -191,9 +193,10 @@ class _UnitSphere:
         """Where the curve crosses the meridians (k + shift) 2pi/m - pi.
 
         Each sample interval crosses every meridian inside its (short-way)
-        azimuth step once; all these crossings are bisected together, and
-        an interval whose ends do not bracket its meridian is dropped.
-        Returns the crossing parameters and their meridian numbers k."""
+        azimuth step once; all these crossings are found by one joint
+        secant search, and an interval whose ends do not bracket its
+        meridian is dropped.  Returns the crossing parameters and their
+        meridian numbers k."""
         ts, pts = ctx.samples
         dphi = TWO_PI / m
         az = np.arctan2(pts[:, 1], pts[:, 0])
@@ -214,10 +217,10 @@ class _UnitSphere:
 
         glo, ghi = g(az[seg]), g(az[seg + 1])
         keep = (glo == 0.0) | ~(glo * ghi > 0)
-        seg, mer, phi, glo = seg[keep], mer[keep], phi[keep], glo[keep]
-        lo, hi = _bisect(ctx.curve, ts[seg], ts[seg + 1], glo,
-                         lambda x: g(np.arctan2(x[:, 1], x[:, 0])))
-        return np.where(glo == 0.0, lo, 0.5 * (lo + hi)), mer
+        seg, mer, phi = seg[keep], mer[keep], phi[keep]
+        t = _secant_roots(ctx.curve, ts[seg], ts[seg + 1], glo[keep], ghi[keep],
+                          lambda x: g(np.arctan2(x[:, 1], x[:, 0])))
+        return t, mer
 
 
 class _FlatTorus:
@@ -497,26 +500,40 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     return found
 
 
-_SCAN_ROWS = 32   # rows of the pair grid held at once by _close_pairs
+_SCAN_ROWS = 32   # _close_pairs compares at most this many grid rows' worth of pairs at once
 
 
 def _close_pairs(ts, pts, threshold, diag_gap):
     """Index pairs (i, j), i < j, of samples with squared distance below
     threshold and cyclic parameter gap at least diag_gap, in row-major
-    order.  Rows are taken _SCAN_ROWS at a time, against the columns right
-    of the block's first row, so no n x n array is ever held."""
+    order.  Only pairs within the distance along the coordinate of widest
+    spread are compared: the samples are sorted by that coordinate, and
+    each is paired with the later ones of its searchsorted window, in
+    chunks of at most _SCAN_ROWS rows of the pair grid."""
     n = len(ts)
-    out = [np.empty((0, 2), dtype=np.intp)]
-    for r0 in range(0, n, _SCAN_ROWS):
-        r1 = min(r0 + _SCAN_ROWS, n)
-        diff = pts[r0:r1, None, :] - pts[None, r0 + 1:, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        sep = np.abs(ts[r0:r1, None] - ts[None, r0 + 1:])
+    key = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # a little wider than the distance, so rounding drops no pair
+    count = np.searchsorted(key, key + 1.000001 * math.sqrt(threshold), side="right")
+    count -= np.arange(1, n + 1)   # the later samples of each window
+    start = np.cumsum(count) - count
+    # a chunk starts every (_SCAN_ROWS - 1)(n - 1) pairs, and its last row
+    # adds at most n - 1 more
+    chunk = start // max(1, (_SCAN_ROWS - 1) * (n - 1))
+    out = [np.empty(0, dtype=np.intp)]
+    for rows in np.split(np.arange(n), np.flatnonzero(np.diff(chunk)) + 1):
+        c = count[rows]
+        row = np.repeat(rows, c)
+        col = row + 1 + np.arange(len(row)) - np.repeat(start[rows] - start[rows[0]], c)
+        i, j = np.minimum(order[row], order[col]), np.maximum(order[row], order[col])
+        diff = pts[i] - pts[j]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        sep = np.abs(ts[i] - ts[j])
         keep = (d2 < threshold) & ~(np.minimum(sep, 1.0 - sep) < diag_gap)
-        keep &= np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
-        hit = np.argwhere(keep)
-        out.append(hit + (r0, r0 + 1))
-    return np.concatenate(out)
+        out.append(i[keep] * n + j[keep])
+    pair = np.sort(np.concatenate(out))
+    return np.stack((pair // n, pair % n), axis=1)
 
 
 _MONOTONE_SPAN = 16   # longest short way, in grid steps, that _may_cross inspects
@@ -597,29 +614,67 @@ def _refine_double_points(curve, t1, t2):
     return t1[keep], t2[keep]
 
 
-def _bisect(curve, lo, hi, flo, f):
-    """80 bisection steps on every bracket [lo, hi] at once of a sign change
-    of f(curve.point(t)), given flo = f at lo.  Returns the final (lo, hi);
-    lo stays put where flo is 0.  The loop ends early at its fixed point:
-    a step that leaves lo, hi and flo unchanged would be repeated by every
-    later step, so the result is that of all 80."""
-    for _ in range(80):
+ROOT_TOL = 1e-15   # a bracket's root is final once its next secant step is this short in t
+
+
+def _secant_roots(curve, lo, hi, flo, fhi, f):
+    """A sign change of f(curve.point(t)) in every bracket [lo, hi] at once,
+    given flo and fhi, the values of f at its ends: of opposite signs, or 0.
+
+    Each pass evaluates f at one point per bracket and keeps the part that
+    still changes sign.  The point is the secant of the bracket's last two
+    iterates where that falls strictly inside the bracket, else its
+    false-position point where that does, else its midpoint.  The first
+    pass is the false-position point of the ends; from then on, a bracket
+    that has not at least halved in two passes takes the midpoint, so no
+    bracket creeps.  A bracket is done, with its root, once its next secant
+    step is at most ROOT_TOL (the secant point: an iterate where f
+    vanishes), or once it has shrunk to adjacent floats (the midpoint);
+    after 80 passes, the midpoint.  The root is lo where flo is 0 and hi
+    where fhi is 0.  Returns the roots, each inside its bracket."""
+    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    t = np.where(flo == 0.0, lo, hi)
+    live = (flo != 0.0) & (fhi != 0.0)
+    x0, f0, x1, f1 = lo, flo, hi, fhi    # the last two iterates, x1 the newer
+    w1 = w2 = np.full(len(lo), np.inf)   # bracket widths one and two passes ago
+    for k in range(80):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = x1 - f1 * (x1 - x0) / (f1 - f0)
+            fp = hi - fhi * (hi - lo) / (fhi - flo)
         mid = 0.5 * (lo + hi)
-        fm = f(curve.point(mid))
-        left = flo * fm <= 0
-        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
-        if all(map(np.array_equal, step, (lo, hi, flo))):
-            break
-        lo, hi, flo = step
-    return lo, hi
+        done = live & (np.abs(sec - x1) <= ROOT_TOL)
+        flat = live & ~done & ~((lo < mid) & (mid < hi))
+        t = np.where(done, np.clip(sec, lo, hi), np.where(flat, mid, t))
+        live &= ~(done | flat)
+        if not live.any():
+            return t
+        x = np.where((lo < sec) & (sec < hi), sec, np.where((lo < fp) & (fp < hi), fp, mid))
+        x = np.where(hi - lo > 0.5 * w2, mid, x)
+        w1, w2 = (hi - lo if k else w1), w1   # counted from the second pass on
+        fx = f(curve.point(x))
+        up = np.sign(fx) == np.sign(flo)   # the sign change lies above x
+        lo, flo = np.where(up, x, lo), np.where(up, fx, flo)
+        hi, fhi = np.where(up, hi, x), np.where(up, fhi, fx)
+        x0, f0, x1, f1 = x1, f1, x, fx
+    return np.where(live, 0.5 * (lo + hi), t)
+
+
+class _Samples(tuple):
+    """(ts, points), a curve's dense sampling, unpacked as a pair; spacing2
+    is the largest squared distance between consecutive samples."""
+
+    def __new__(cls, ts, pts):
+        self = super().__new__(cls, (ts, pts))
+        gap = pts[1:] - pts[:-1]
+        self.spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
+        return self
 
 
 def _curve_samples(curve, cfg):
-    """(ts, points): the curve at cfg.curve_samples + 1 evenly spaced
-    parameters t = 0, ..., 1, for distance tests, crossing counts and the
-    sweep."""
+    """The curve at cfg.curve_samples + 1 evenly spaced parameters
+    t = 0, ..., 1, for distance tests, crossing counts and the sweep."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    return ts, curve.point(ts)
+    return _Samples(ts, curve.point(ts))
 
 
 def _min_distance_to_curve(curve, samples, points):
@@ -634,8 +689,7 @@ def _min_distance_to_curve(curve, samples, points):
     samples."""
     ts, pts = samples
     cols = pts[:-1].T
-    gap = pts[1:] - pts[:-1]
-    spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
+    spacing2 = samples.spacing2
     best = np.empty(len(points))
     node, seed = [], []
     for k, x in enumerate(points):
@@ -670,18 +724,19 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     unique geodesic, or a crossing is too close to an endpoint or too
     tangential, the path is re-routed through a deterministic sequence of
     waypoints (path independence is guaranteed by homological triviality).
-    The legs of all probes are counted together, one joint bisection per
+    The legs of all probes are counted together, one joint root search per
     round: the first round holds each probe's direct leg, or its two legs
     through the first waypoint where no direct leg exists, and only probes
     with a degenerate leg go on to their next route.  `samples` is the
     curve's dense sampling as a NumericContext holds it; it is computed
     when not given.
     """
-    ts, pts = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
+    samples = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
+    ts, pts = samples
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     nodes = np.vstack((b, p.reshape(-1, len(b))))   # node 0 is b, node k probe k
-    near = _min_distance_to_curve(curve, (ts, pts), nodes) < POINT_TOL
+    near = _min_distance_to_curve(curve, samples, nodes) < POINT_TOL
     if near.any():
         k = int(np.argmax(near))
         raise PointOnCurve(
@@ -698,7 +753,7 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
         if not waypoints:
             rng = np.random.default_rng(20240615)
             draws = np.array([surface.waypoint(rng) for _ in range(12)])
-            draws = draws[_min_distance_to_curve(curve, (ts, pts), draws) > 5 * POINT_TOL]
+            draws = draws[_min_distance_to_curve(curve, samples, draws) > 5 * POINT_TOL]
             waypoints.extend(range(len(nodes), len(nodes) + len(draws)))
             nodes.extend(draws)
         if r > len(waypoints):
@@ -729,11 +784,11 @@ def _leg_counts(curve, legs, ts, pts):
     """Signed crossing count along each geodesic leg (side, hits); None
     where degenerate or where the leg is None (no unique geodesic).
 
-    Every sample interval where the curve changes side of a leg's great
-    circle (chord line) is bisected, those of all legs together, each leg's
-    side function on its own slice.  A sample exactly on that circle, or a
-    hit on the leg too close to an endpoint or too tangential, makes the
-    leg degenerate."""
+    The crossing in every sample interval where the curve changes side of a
+    leg's great circle (chord line) is found by one secant search over the
+    intervals of all legs, each leg's side function on its own slice.  A
+    sample exactly on that circle, or a hit on the leg too close to an
+    endpoint or too tangential, makes the leg degenerate."""
     out = [None] * len(legs)
     live, brackets = [], []
     for n, leg in enumerate(legs):
@@ -745,17 +800,16 @@ def _leg_counts(curve, legs, ts, pts):
         i = np.flatnonzero(~(f[:-1] * f[1:] >= 0))
         if i.size:
             live.append(n)
-            brackets.append((i, f[i]))
+            brackets.append((i, f[i], f[i + 1]))
         else:
             out[n] = 0
     if not live:
         return out
-    cut = np.cumsum([0] + [len(i) for i, _ in brackets]).tolist()
+    cut = np.cumsum([0] + [len(b[0]) for b in brackets]).tolist()
     slices = [(legs[n], slice(a, z)) for n, a, z in zip(live, cut, cut[1:])]
-    i = np.concatenate([i for i, _ in brackets])
-    lo, hi = _bisect(curve, ts[i], ts[i + 1], np.concatenate([f for _, f in brackets]),
-                     lambda x: np.concatenate([side(x[s]) for (side, _), s in slices]))
-    tstar = 0.5 * (lo + hi)
+    i, flo, fhi = (np.concatenate(c) for c in zip(*brackets))
+    tstar = _secant_roots(curve, ts[i], ts[i + 1], flo, fhi,
+                          lambda x: np.concatenate([side(x[s]) for (side, _), s in slices]))
     x, v = curve.point(tstar), curve.velocity(tstar)
     for n, ((_, hits), s) in zip(live, slices):
         on_leg, near_end, det = hits(x[s], v[s])
@@ -786,10 +840,11 @@ class NumericContext:
     integral) and the surface's area of every index level (on the sphere,
     from the meridian sweep); every invariant is then a cheap weighted sum
     over these tables.  The root finding runs as whole-array passes: one
-    batched Newton refinement of all double-point seeds, one joint
-    bisection of all meridian hits, and one of all crossings of every probe
+    batched Newton refinement of all double-point seeds, one joint secant
+    search of all meridian hits, and one of all crossings of every probe
     path (the side probes of all arcs and the surface's fixed probes), with
-    a further joint round only for paths that must be re-routed.
+    a further joint round only for paths that must be re-routed.  Each
+    secant search takes a handful of passes (at most 8 on the fixtures).
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):

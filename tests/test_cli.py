@@ -299,6 +299,14 @@ def test_numeric_rejects_nonpositive_grid(capsys, grid):
     assert err.startswith("error:") and "--grid" in err
 
 
+@pytest.mark.parametrize("grid", ["65537", "100000"])
+def test_numeric_rejects_grid_above_bound(capsys, grid):
+    # each context holds 8 * grid curve samples; far larger grids run out of
+    # memory inside numpy
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--grid", grid)
+    assert (code, out, err) == (1, "", "error: --grid must be at most 65536\n")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--q", "nan"), ("--q", "inf"), ("--q", "0.5,-inf"),
     ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),

@@ -5,9 +5,11 @@ one-interval loops that the kernels in curveinv.geometry run for all seeds
 or intervals at once, with the same seeds, iteration counts and
 accept/reject tests.  Where a kernel keeps the loop's arithmetic the
 results must be equal; the sweep's band areas are summed in the same order
-but take cos/arccos from numpy, so they must agree to 1e-12.  Bisection
-stops at its fixed point, and the 80-step loop it replaced is kept as a
-reference; double-point seeding skips pairs that cannot cross, and seeding
+but take cos/arccos from numpy, so they must agree to 1e-12.  The secant
+root search must land within 1e-14 of the 80-step bisection it replaced,
+which is kept as a reference, and is also run on hand-made brackets; the
+windowed pair scan must return the pairs of the dense grid in the same
+order; double-point seeding skips pairs that cannot cross, and seeding
 from every close pair is kept as a reference.
 """
 
@@ -140,6 +142,10 @@ def double_points_all_seeds(curve, cfg):
         return find_double_points(curve, cfg)
 
 
+# (k, a, crossings) of the epicycles below
+EPICYCLES = [(5, 0.5, 4), (9, 0.5, 24), (17, 0.5, 80), (13, 0.45, 36)]
+
+
 class Epicycle(ParametricCurve):
     """z(t) = c + r (e^(2 pi i t) + a e^(2 pi i k t)) in the torus chart,
     c = (1 + i)/2, r = 1/4: a circle with k - 1 small loops, or none."""
@@ -225,10 +231,9 @@ def sweep_reference(ctx):
     return {i: a for i, a in area.items() if a != 0.0}
 
 
-@pytest.mark.parametrize("n", [50, 100, 101])
-def test_blocked_pair_scan_matches_dense_grid(n):
-    # the row-blocked scan finds the pairs of the dense n x n grid, in order
-    curve = SphereFigureEight()
+def dense_close_pairs(curve, n):
+    """The grid of n samples, the threshold of find_double_points, and the
+    close pairs (i, j), i < j, of the dense n x n grid in row-major order."""
     ts = np.arange(n) / n
     pts = curve.point(ts)
     threshold = (4.0 * float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n) ** 2
@@ -237,10 +242,24 @@ def test_blocked_pair_scan_matches_dense_grid(n):
     sep = np.abs(ts[:, None] - ts[None, :])
     d2[np.minimum(sep, 1.0 - sep) < geometry.DIAG_GAP] = np.inf
     d2[np.tril_indices(n)] = np.inf
-    dense = np.argwhere(d2 < threshold)
+    return ts, pts, threshold, np.argwhere(d2 < threshold)
+
+
+@pytest.mark.parametrize("n", [50, 100, 101])
+def test_blocked_pair_scan_matches_dense_grid(n):
+    # the windowed scan finds the pairs of the dense n x n grid, in order
+    ts, pts, threshold, dense = dense_close_pairs(SphereFigureEight(), n)
     assert len(dense) > 0
     blocked = geometry._close_pairs(ts, pts, threshold, geometry.DIAG_GAP)
     assert blocked.tolist() == dense.tolist()
+
+
+@pytest.mark.parametrize("curve", [TorusCircle(0.2), Epicycle(17, 0.5)])
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_pair_scan_matches_dense_grid_on_loops(curve, n):
+    ts, pts, threshold, dense = dense_close_pairs(curve, n)
+    assert len(dense) > 0
+    assert geometry._close_pairs(ts, pts, threshold, geometry.DIAG_GAP).tolist() == dense.tolist()
 
 
 @pytest.mark.parametrize("curve", [SphereFigureEight(), SphereFigureEight(0.6, 0.3),
@@ -305,32 +324,99 @@ def test_sweep_equals_scalar_loop(curve, base):
         assert ctx.level_area[level] == pytest.approx(area, abs=1e-12)
 
 
-@pytest.mark.parametrize("curve,base", [
-    (SphereFigureEight(), (-1.0, 0.0, 0.0)),
-    (LatitudeCircle(1.0), (0.0, 0.0, -1.0)),
-    (TorusCircle(0.2), (0.05, 0.05)),
+@pytest.mark.parametrize("curve,base,cfg", [
+    (SphereFigureEight(), (-1.0, 0.0, 0.0), CFG),
+    (LatitudeCircle(1.0), (0.0, 0.0, -1.0), CFG),
+    (TorusCircle(0.2), (0.05, 0.05), CFG),
+    *((Epicycle(k, a), (0.05, 0.05), NumericConfig()) for k, a, _ in EPICYCLES),
 ])
-def test_bisect_fixed_point_equals_80_steps(monkeypatch, curve, base):
-    # every bisection of a context (its probe brackets and, on the sphere,
-    # its meridian hits) returns the bits of the 80-step loop, in fewer steps
-    bisect = geometry._bisect
-    steps = []
+def test_secant_roots_match_80_step_bisection(monkeypatch, curve, base, cfg):
+    # every root search of a context (its probe brackets and, on the sphere,
+    # its meridian hits) lands inside its brackets, within 1e-14 of the
+    # 80-step bisection, in at most 8 passes
+    roots = geometry._secant_roots
+    passes = []
 
-    def both(curve, lo, hi, flo, f):
+    def both(curve, lo, hi, flo, fhi, f):
         def counted(x):
-            steps[-1] += 1
+            passes[-1] += 1
             return f(x)
-        steps.append(0)
-        got = bisect(curve, lo, hi, flo, counted)
-        want = bisect_reference(curve, lo, hi, flo, f)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+        passes.append(0)
+        got = roots(curve, lo, hi, flo, fhi, counted)
+        ref_lo, ref_hi = bisect_reference(curve, lo, hi, flo, f)
+        want = np.where(flo == 0.0, ref_lo, 0.5 * (ref_lo + ref_hi))
+        assert np.all((lo <= got) & (got <= hi))
+        assert np.max(np.abs(got - want)) <= 1e-14
         return got
 
-    monkeypatch.setattr(geometry, "_bisect", both)
-    NumericContext(curve, base, CFG)
-    assert len(steps) == (2 if curve.surface == UNIT_SPHERE else 1)
-    assert max(steps) < 80
+    monkeypatch.setattr(geometry, "_secant_roots", both)
+    NumericContext(curve, base, cfg)
+    assert len(passes) == (2 if curve.surface == UNIT_SPHERE else 1)
+    assert max(passes) <= 8
+
+
+class Line(ParametricCurve):
+    """The parameter itself as a one-coordinate point: a root search on
+    Line() finds a sign change of f(t)."""
+
+    def point(self, t):
+        return np.asarray(t, dtype=float)[:, None]
+
+
+def line_roots(f, lo, hi):
+    """_secant_roots of f on the brackets [lo, hi], and for each pass the
+    number of brackets that evaluated the midpoint of their bracket."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a, b, fa = lo.copy(), hi.copy(), f(lo)
+    midpoints = []
+
+    def g(x):
+        x = x[:, 0]
+        fx = f(x)
+        midpoints.append(int(np.sum(x == 0.5 * (a + b))))
+        up = np.sign(fx) == np.sign(fa)
+        a[up], fa[up], b[~up] = x[up], fx[up], x[~up]
+        return fx
+
+    return geometry._secant_roots(Line(), lo, hi, f(lo), f(hi), g), midpoints
+
+
+def test_secant_roots_stop_where_f_vanishes():
+    # f = 0 at an end: that end, without a pass; at the first
+    # false-position point: that point, after one pass
+    f = lambda t: t - 0.25
+    t, passes = line_roots(f, [0.25, 0.0], [1.0, 0.25])
+    assert t.tolist() == [0.25, 0.25] and passes == []
+    t, passes = line_roots(f, [0.0], [1.0])
+    assert t.tolist() == [0.25] and len(passes) == 1
+
+
+def test_secant_roots_keep_a_sign_change():
+    # three sign changes in one bracket: the root found is one of them
+    zeros = np.array([0.2, 0.5, 0.7])
+    f = lambda t: (t - zeros[0]) * (t - zeros[1]) * (t - zeros[2])
+    lo, hi = [0.0, 0.1, 0.05, 0.15], [1.0, 0.9, 0.75, 0.85]
+    t, _ = line_roots(f, lo, hi)
+    assert np.all((lo <= t) & (t <= hi))
+    assert np.all(np.min(np.abs(t[:, None] - zeros), axis=1) <= 1e-14)
+
+
+def test_secant_roots_fall_back_to_midpoints():
+    # false position creeps along t^20 - r^20 from t = 0: a bracket that
+    # has not halved in two passes takes its midpoint, and still ends
+    # within 1e-14 of the root in fewer passes than bisection
+    r = np.array([0.3, 0.55, 0.6, 0.9])
+    t, midpoints = line_roots(lambda t: t ** 20 - r ** 20, np.zeros(4), np.ones(4))
+    assert np.max(np.abs(t - r)) <= 1e-14
+    assert sum(midpoints) > 0 and len(midpoints) < 53
+    # a jump of f with no zero: every step is a midpoint, and the search
+    # ends within ROOT_TOL of where the bisection does
+    step = lambda t: np.where(t < 0.3, -1.0, 1.0)
+    t, midpoints = line_roots(step, [0.0], [1.0])
+    lo, hi = bisect_reference(Line(), np.zeros(1), np.ones(1), -np.ones(1),
+                              lambda x: step(x[:, 0]))
+    assert abs(t[0] - 0.5 * (lo[0] + hi[0])) <= geometry.ROOT_TOL
+    assert midpoints == [1] * len(midpoints)
 
 
 def test_joint_leg_counts_equal_scalar_loop(monkeypatch):
@@ -377,8 +463,7 @@ def test_seed_filter_keeps_figure_eight_double_points():
                                 double_points_all_seeds(curve, CFG))
 
 
-@pytest.mark.parametrize("k,a,crossings", [(5, 0.5, 4), (9, 0.5, 24), (17, 0.5, 80),
-                                           (13, 0.45, 36)])
+@pytest.mark.parametrize("k,a,crossings", EPICYCLES)
 @pytest.mark.parametrize("grid", [200, 400, 800])
 def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
     # many small loops; a bare local-minimum filter on the pair distances
@@ -395,11 +480,12 @@ def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
 def test_context_bisects_probes_and_meridians_once(monkeypatch, name):
     calls = []
-    bisect = geometry._bisect
-    monkeypatch.setattr(geometry, "_bisect", lambda *args: calls.append(1) or bisect(*args))
+    roots = geometry._secant_roots
+    monkeypatch.setattr(geometry, "_secant_roots",
+                        lambda *args: calls.append(1) or roots(*args))
     fx = parametric_fixture(name)
     NumericContext(fx.curve, fx.base_point)
-    assert len(calls) == 2   # one joint probe bisection, one meridian sweep
+    assert len(calls) == 2   # one joint probe root search, one meridian sweep
 
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
