@@ -22,7 +22,7 @@ from curveinv.geometry import (
     numeric_jplus,
 )
 
-cfg = NumericConfig(meridians=512, curve_samples=4096)
+cfg = NumericConfig()   # the default grid
 
 for name, kwargs in (
     ("latitude", {"alpha": math.pi / 3}),

@@ -9,13 +9,14 @@ cross-check of the exact formulas:
                     + integral_S K (q^(ind) - 1)/(q^(1/2) - q^(-1/2)) dA ]
 
 Each model surface, UNIT_SPHERE or FLAT_TORUS, is one object holding every
-formula that differs between surfaces.  On the unit sphere K = 1 and the
-area term is computed by a meridian sweep:
-along each meridian the index is advanced at curve crossings, and the exact
-band areas between consecutive crossing colatitudes are accumulated per
-index level.  On the flat torus K = 0 and the area term vanishes.  Every
-crossing of the curve with a meridian or a probe path is located by one
-bracketed secant search (_secant_roots) over all brackets at once.
+formula that differs between surfaces.  On the unit sphere K = 1 and each
+index level's area is, by Stokes, the integral of a 1-form alpha with
+d alpha = dA along the arcs that bound it, plus 4 pi for the level holding
+alpha's singular pole.  In I_q each arc's integral of alpha joins its
+integral of k_g ds, so agreement with the exact I_q tests their sum per
+arc, not the areas.  On the flat torus K = 0 and the area term vanishes.
+Every crossing of the curve with a probe path is located by one bracketed
+secant search (_secant_roots) over all brackets at once.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -65,12 +66,13 @@ POINT_TOL = 1e-6       # minimum probe distance from the curve
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Grid sizes of the numerical path; `halved` gives the coarser grid."""
+    """Grid sizes of the numerical path; `halved` gives the coarser grid.
+    Nothing reads `meridians`, kept for callers that still pass it."""
 
     double_grid: int = 400        # coarse grid per parameter for double points
     line_nodes: int = 96          # Gauss-Legendre nodes per smooth arc
-    meridians: int = 1024         # azimuth resolution of the area sweep
-    curve_samples: int = 8192     # dense samples for sweeps and ray tests
+    meridians: int = 1024         # read by nothing
+    curve_samples: int = 8192     # dense samples for crossing counts and distance tests
 
     def halved(self):
         """The next-coarsest grid, used for error estimates."""
@@ -78,26 +80,25 @@ class NumericConfig:
             self,
             double_grid=max(50, self.double_grid // 2),
             line_nodes=max(8, self.line_nodes // 2),
-            meridians=max(64, self.meridians // 2),
             curve_samples=max(512, self.curve_samples // 2),
         )
 
 
 # ---------------------------------------------------------------------------
 # model surfaces; each has chi, fixed_probes (the (k, d) points whose index
-# level_area reads from ctx.fixed_index) and these methods:
+# area_form reads from ctx.fixed_index) and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
 #   left_normal(x, u)     the left unit normal of a unit tangent u at x
 #   waypoint(rng)         a random point for re-routed probe paths
 #   leg(b, p)             the geodesic leg from b to p as (side, hits), or None
-#   level_area(ctx)       the area of each index level (the K dA term)
+#   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
+#                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
 # side(x) is the signed side of the leg's geodesic; hits(x, v), at curve
 # points x where side changes sign, gives: on the leg, too near an end, and
 # the crossing's direction det.
 
-_MERIDIAN_SHIFT = 0.3819660112501051   # meridian k sits at (k + shift) * 2pi/m - pi
 _PROBE_SHIFT = 0.3819660112501051      # side probes sit this many sample steps past mid-arc
 
 
@@ -140,87 +141,16 @@ class _UnitSphere:
     def regions(self, ctx, cycles):
         return None   # every face of a connected curve is a disk
 
-    # -- meridian sweep of the sphere area, exact in colatitude
+    def singular_pole(self, pts):
+        """The sign of z at the pole farther from the points pts."""
+        return 1.0 if pts[:, 2].max() + pts[:, 2].min() < 0.0 else -1.0
 
-    def level_area(self, ctx):
-        curve, cfg = ctx.curve, ctx.cfg
-        ind_n, ind_s = ctx.fixed_index
-        m = cfg.meridians
-        dphi = TWO_PI / m
-        t, mer = self._meridian_hits(ctx, m)
-        x = curve.point(t)
-        r = np.linalg.norm(x, axis=-1)
-        xn = x / r[:, None]
-        southward = xn[:, 2:] * xn - (0.0, 0.0, 1.0)
-        nrm = np.linalg.norm(southward, axis=-1)
-        if np.any(nrm < 1e-12):
-            raise TopologyError("curve crosses a meridian at a pole")
-        southward /= nrm[:, None]
-        jump = np.where(_dot(xn, np.cross(curve.velocity(t), southward)) > 0, 1, -1)
-        # walk each meridian north to south, cut by cut, and end it with a
-        # jump-free cut at the south pole: one band above every cut, at the
-        # index reached there
-        colat = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
-        mer = np.concatenate((mer, np.arange(m)))
-        colat = np.concatenate((colat, np.full(m, math.pi)))
-        jump = np.concatenate((jump, np.zeros(m, dtype=jump.dtype)))
-        order = np.lexsort((jump, colat, mer))
-        mer, colat, jump = mer[order], colat[order], jump[order]
-        first = np.flatnonzero(np.diff(mer, prepend=-1))
-        # jumps passed before each cut, counted from its meridian's first cut
-        passed = np.cumsum(jump) - jump
-        level = ind_n + passed - np.repeat(passed[first], np.diff(first, append=len(mer)))
-        bad = (jump == 0) & (level != ind_s)
-        if bad.any():
-            k = mer[bad][0]
-            raise TopologyError(
-                f"meridian {(k + _MERIDIAN_SHIFT) * dphi - math.pi:.4f} ends at "
-                f"index {level[bad][0]}, expected {ind_s}"
-            )
-        cos_cut = np.cos(colat)
-        cos_above = np.concatenate(([1.0], cos_cut[:-1]))
-        cos_above[first] = 1.0   # a meridian's first band starts at the pole
-        # per-level sums in band order, levels in order of first appearance
-        low = int(level.min())
-        sums = np.bincount(level - low, weights=dphi * (cos_above - cos_cut))
-        area = {i: float(sums[i - low]) for i in dict.fromkeys(level.tolist())}
-        total = sum(area.values())
-        if abs(total - 4.0 * math.pi) > 1e-6:
-            raise TopologyError(f"swept area {total} != 4 pi")
-        return {i: a for i, a in area.items() if a != 0.0}
-
-    def _meridian_hits(self, ctx, m):
-        """Where the curve crosses the meridians (k + shift) 2pi/m - pi.
-
-        Each sample interval crosses every meridian inside its (short-way)
-        azimuth step once; all these crossings are found by one joint
-        secant search, and an interval whose ends do not bracket its
-        meridian is dropped.  Returns the crossing parameters and their
-        meridian numbers k."""
-        ts, pts = ctx.samples
-        dphi = TWO_PI / m
-        az = np.arctan2(pts[:, 1], pts[:, 0])
-        a0 = az[:-1]
-        delta = (az[1:] - a0 + math.pi) % TWO_PI - math.pi
-        az_lo = np.where(delta > 0, a0, a0 + delta)
-        az_hi = np.where(delta > 0, a0 + delta, a0)
-        k0 = np.ceil((az_lo + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
-        k1 = np.floor((az_hi + math.pi) / dphi - _MERIDIAN_SHIFT).astype(np.int64)
-        count = np.where(delta == 0.0, 0, np.maximum(k1 - k0 + 1, 0))
-        # interval i meets meridians k0[i], ..., k1[i]
-        seg = np.repeat(np.arange(len(delta)), count)
-        mer = (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - k0, count)) % m
-        phi = (mer + _MERIDIAN_SHIFT) * dphi - math.pi
-
-        def g(azimuth):
-            return (azimuth - phi + math.pi) % TWO_PI - math.pi
-
-        glo, ghi = g(az[seg]), g(az[seg + 1])
-        keep = (glo == 0.0) | ~(glo * ghi > 0)
-        seg, mer, phi = seg[keep], mer[keep], phi[keep]
-        t = _secant_roots(ctx.curve, ts[seg], ts[seg + 1], glo[keep], ghi[keep],
-                          lambda x: g(np.arctan2(x[:, 1], x[:, 0])))
-        return t, mer
+    def area_form(self, ctx, x, v):
+        """alpha = -sigma (x dy - y dx) / (1 - sigma z), with d alpha = dA
+        away from the pole (0, 0, sigma) farther from the curve samples."""
+        sigma = self.singular_pole(ctx.samples[1])
+        alpha = -sigma * (x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0]) / (1.0 - sigma * x[:, 2])
+        return alpha, ctx.fixed_index[0 if sigma > 0 else 1]
 
 
 class _FlatTorus:
@@ -256,8 +186,8 @@ class _FlatTorus:
 
         return side, hits
 
-    def level_area(self, ctx):
-        return {}
+    def area_form(self, ctx, x, v):
+        return None   # K = 0: no area term
 
     def regions(self, ctx, cycles):
         """Genus 1 for the chart-unbounded face, 0 for the others.  That face
@@ -672,7 +602,8 @@ class _Samples(tuple):
 
 def _curve_samples(curve, cfg):
     """The curve at cfg.curve_samples + 1 evenly spaced parameters
-    t = 0, ..., 1, for distance tests, crossing counts and the sweep."""
+    t = 0, ..., 1, for distance tests, crossing counts and the choice of
+    the sphere's singular pole."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
     return _Samples(ts, curve.point(ts))
 
@@ -760,16 +691,15 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
             raise PointOnCurve("could not find a transversal path between the points")
         return ((0, waypoints[r - 1]), (waypoints[r - 1], k))
 
+    leg = functools.cache(lambda i, j: surface.leg(nodes[i], nodes[j]))   # once per pair
     index = [0 if np.linalg.norm(b - q) < 1e-14 else None for q in nodes[1:]]
-    attempt = {k: 0 if surface.leg(b, nodes[k]) else 1
-               for k, i in enumerate(index, 1) if i is None}
+    attempt = {k: 0 if leg(0, k) else 1 for k, i in enumerate(index, 1) if i is None}
     count = {}        # leg (start node, end node) -> signed crossings, None if degenerate
     while attempt:
         routes = {k: route(k, r) for k, r in attempt.items()}
         new = list(dict.fromkeys(leg for legs in routes.values() for leg in legs
                                  if leg not in count))
-        count.update(zip(new, _leg_counts(
-            curve, [surface.leg(nodes[i], nodes[j]) for i, j in new], ts, pts)))
+        count.update(zip(new, _leg_counts(curve, [leg(*n) for n in new], ts, pts)))
         for k, legs in routes.items():
             counts = [count[leg] for leg in legs]
             if None in counts:
@@ -823,7 +753,7 @@ def _leg_counts(curve, legs, ts, pts):
 
 
 # ---------------------------------------------------------------------------
-# cached numeric context: arcs, line integrals, and the area sweep
+# cached numeric context: arcs, their line integrals, and the level areas
 
 
 @functools.cache
@@ -834,17 +764,16 @@ def _leggauss(n):
 class NumericContext:
     """All quadrature data for one (curve, base point, config).
 
-    Samples the curve once (`samples`, shared by every crossing count,
-    distance test and the sweep) and caches the double points, the arc
-    table (per smooth arc: its index and its geodesic-curvature line
-    integral) and the surface's area of every index level (on the sphere,
-    from the meridian sweep); every invariant is then a cheap weighted sum
-    over these tables.  The root finding runs as whole-array passes: one
-    batched Newton refinement of all double-point seeds, one joint secant
-    search of all meridian hits, and one of all crossings of every probe
-    path (the side probes of all arcs and the surface's fixed probes), with
-    a further joint round only for paths that must be re-routed.  Each
-    secant search takes a handful of passes (at most 8 on the fixtures).
+    Samples the curve once (`samples`, shared by every crossing count and
+    distance test) and caches the double points, the arc table (per smooth
+    arc: its index and its integrals of k_g ds and of the area form, all on
+    one (arcs x line_nodes) array of Gauss-Legendre nodes) and the area of
+    every index level, folded from the latter; every invariant is then a
+    cheap weighted sum over these tables.  The root finding runs as
+    whole-array passes: one batched Newton refinement of all double-point
+    seeds and one joint secant search of all crossings of every probe path
+    (the side probes of all arcs and the surface's fixed probes), with a
+    further joint round only for paths that must be re-routed.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -854,7 +783,6 @@ class NumericContext:
         self.samples = _curve_samples(curve, self.cfg)
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
-        self.level_area = curve.surface.level_area(self)
 
     # -- smooth arcs between crossing parameters
 
@@ -869,14 +797,19 @@ class NumericContext:
         spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
         self._index_probes(spans)
         nodes, weights = _leggauss(cfg.line_nodes)
-        arc_kg = []
-        for a, b in spans:
-            ts = (0.5 * (b - a) * nodes + 0.5 * (a + b)) % 1.0
-            kg = geodesic_curvature(curve, ts)
-            speed = np.linalg.norm(curve.velocity(ts), axis=-1)
-            arc_kg.append(0.5 * (b - a) * float(np.sum(weights * kg * speed)))
+        a, b = np.array(spans).T
+        half = 0.5 * (b - a)
+        ts = ((half[:, None] * nodes + 0.5 * (a + b)[:, None]) % 1.0).ravel()
+        x, v = curve.point(ts), curve.velocity(ts)
+        kg = geodesic_curvature(curve, ts) * np.linalg.norm(v, axis=-1)
+
+        def integral(f):   # over each arc, of f at its nodes
+            return half * np.sum(weights * f.reshape(len(spans), -1), axis=1)
+
         self.arc_spans = spans
-        self.arc_kg = arc_kg
+        self.arc_kg = integral(kg).tolist()
+        form = curve.surface.area_form(self, x, v)
+        self.level_area = {} if form is None else self._fold_levels(integral(form[0]), form[1])
         # crossing index = mean of the four incident arc indices v + 1/2:
         # the arcs after and before each of the crossing's two events
         incident = [0] * len(self.double_points)
@@ -889,6 +822,23 @@ class NumericContext:
                     f"double point {k} has non-integer index {(total + 2) / 4}"
                 )
             self.crossing_index.append((total + 2) // 4)
+
+    def _fold_levels(self, alpha, pole_index):
+        """Each level's area by Stokes, from the area form's integral alpha
+        along each arc: +alpha for the level v + 1 on its left, -alpha for
+        v on its right, and 2 pi chi (K = 1) for the level of the form's
+        singular point.  A level is a non-empty open set, so an area that
+        is not positive means that the arc indices are wrong."""
+        area = dict.fromkeys(sorted({pole_index, *self.arc_index,
+                                     *(v + 1 for v in self.arc_index)}), 0.0)
+        for v, a in zip(self.arc_index, alpha.tolist()):
+            area[v + 1] += a
+            area[v] -= a
+        area[pole_index] += TWO_PI * self.curve.surface.chi
+        for i, a in area.items():
+            if not a > 0.0:
+                raise TopologyError(f"index level {i} has area {a}")
+        return area
 
     def _index_probes(self, spans):
         """One point_index call for the side probes of every arc and the
