@@ -15,8 +15,9 @@ d alpha = dA along the arcs that bound it, plus 4 pi for the level holding
 alpha's singular pole.  In I_q each arc's integral of alpha joins its
 integral of k_g ds, so agreement with the exact I_q tests their sum per
 arc, not the areas.  On the flat torus K = 0 and the area term vanishes.
-Every crossing of the curve with a probe path is located by one bracketed
-secant search (_secant_roots) over all brackets at once.
+The index of a point is the curve's winding number around it in a planar
+chart of the surface (stereographic on the sphere, the fundamental domain
+on the torus), less that around the base point.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -72,7 +73,7 @@ class NumericConfig:
     double_grid: int = 400        # coarse grid per parameter for double points
     line_nodes: int = 96          # Gauss-Legendre nodes per smooth arc
     meridians: int = 1024         # read by nothing
-    curve_samples: int = 8192     # dense samples for crossing counts and distance tests
+    curve_samples: int = 8192     # dense samples for winding numbers and distance tests
 
     def halved(self):
         """The next-coarsest grid, used for error estimates."""
@@ -90,20 +91,16 @@ class NumericConfig:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
 #   left_normal(x, u)     the left unit normal of a unit tangent u at x
-#   waypoint(rng)         a random point for re-routed probe paths
-#   leg(b, p)             the geodesic leg from b to p as (side, hits), or None
+#   plane(pts, x)         points x in an orientation-preserving planar chart
+#                         of the surface minus one point off the samples pts;
+#                         that point maps to nan
 #   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
-# side(x) is the signed side of the leg's geodesic; hits(x, v), at curve
-# points x where side changes sign, gives: on the leg, too near an end, and
-# the crossing's direction det.
-
-_PROBE_SHIFT = 0.3819660112501051      # side probes sit this many sample steps past mid-arc
 
 
 class _UnitSphere:
-    """The unit sphere in R^3: K = 1, chi = 2; legs are great-circle arcs."""
+    """The unit sphere in R^3: K = 1, chi = 2."""
 
     chi = 2
     fixed_probes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])   # the poles
@@ -117,26 +114,18 @@ class _UnitSphere:
     def left_normal(self, x, u):
         return np.cross(self.project(x), u)
 
-    def waypoint(self, rng):
-        return self.project(rng.normal(size=3))
-
-    def leg(self, b, p):
-        m = np.cross(b, p)
-        norm = np.linalg.norm(m)
-        if norm < 1e-9:
-            return None   # endpoints (anti)parallel: no unique great circle
-        m = m / norm
-        b, p = self.project(b), self.project(p)
-        span = math.acos(max(-1.0, min(1.0, float(np.dot(b, p)))))
-
-        def hits(x, v):
-            x = x / np.linalg.norm(x, axis=-1)[:, None]
-            angb = np.arccos(np.clip(x @ b, -1.0, 1.0))
-            angp = np.arccos(np.clip(x @ p, -1.0, 1.0))
-            return (~(angb + angp > span + 1e-9), np.minimum(angb, angp) < 1e-7,
-                    _dot(x, np.cross(v, np.cross(m, x))))
-
-        return (lambda x: x @ m), hits
+    def plane(self, pts, x):
+        """Stereographic projection of x from s, the one of +-e1, +-e2, +-e3
+        whose nearest sample of pts is farthest, onto axes (e1, e2) with
+        (e1, e2, -s) right-handed."""
+        k = int(np.argmin(np.concatenate((pts.max(axis=0), -pts.min(axis=0)))))
+        a, sign = k % 3, 1.0 if k < 3 else -1.0
+        e1, e2 = (a + 2) % 3, (a + 1) % 3
+        if sign < 0:
+            e1, e2 = e2, e1
+        d = 1.0 - sign * x[..., a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((d > 0.0)[..., None], x[..., [e1, e2]] / d[..., None], np.nan)
 
     def regions(self, ctx, cycles):
         return None   # every face of a connected curve is a disk
@@ -155,7 +144,7 @@ class _UnitSphere:
 
 class _FlatTorus:
     """The flat torus, fundamental domain [0,1)^2: K = 0, chi = 0; curves
-    are given by their plane lift, and legs are straight chart segments."""
+    are given by their plane lift."""
 
     chi = 0
     fixed_probes = np.empty((0, 2))
@@ -169,22 +158,8 @@ class _FlatTorus:
     def left_normal(self, x, u):
         return np.stack([-u[..., 1], u[..., 0]], axis=-1)
 
-    def waypoint(self, rng):
-        return rng.uniform(0.02, 0.98, size=2)
-
-    def leg(self, b, p):
-        chord = p - b
-
-        def side(x):
-            # signed side of the chord line: cross(chord, x - b)
-            return chord[0] * (x[:, 1] - b[1]) - chord[1] * (x[:, 0] - b[0])
-
-        def hits(x, v):
-            s = (x - b) @ chord / np.dot(chord, chord)
-            return ((0.0 <= s) & (s <= 1.0), np.minimum(s, 1.0 - s) < 1e-9,
-                    self.orientation(x, v, chord))
-
-        return side, hits
+    def plane(self, pts, x):
+        return x   # the chart holds the curve's plane lift
 
     def area_form(self, ctx, x, v):
         return None   # K = 0: no area term
@@ -544,51 +519,6 @@ def _refine_double_points(curve, t1, t2):
     return t1[keep], t2[keep]
 
 
-ROOT_TOL = 1e-15   # a bracket's root is final once its next secant step is this short in t
-
-
-def _secant_roots(curve, lo, hi, flo, fhi, f):
-    """A sign change of f(curve.point(t)) in every bracket [lo, hi] at once,
-    given flo and fhi, the values of f at its ends: of opposite signs, or 0.
-
-    Each pass evaluates f at one point per bracket and keeps the part that
-    still changes sign.  The point is the secant of the bracket's last two
-    iterates where that falls strictly inside the bracket, else its
-    false-position point where that does, else its midpoint.  The first
-    pass is the false-position point of the ends; from then on, a bracket
-    that has not at least halved in two passes takes the midpoint, so no
-    bracket creeps.  A bracket is done, with its root, once its next secant
-    step is at most ROOT_TOL (the secant point: an iterate where f
-    vanishes), or once it has shrunk to adjacent floats (the midpoint);
-    after 80 passes, the midpoint.  The root is lo where flo is 0 and hi
-    where fhi is 0.  Returns the roots, each inside its bracket."""
-    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
-    t = np.where(flo == 0.0, lo, hi)
-    live = (flo != 0.0) & (fhi != 0.0)
-    x0, f0, x1, f1 = lo, flo, hi, fhi    # the last two iterates, x1 the newer
-    w1 = w2 = np.full(len(lo), np.inf)   # bracket widths one and two passes ago
-    for k in range(80):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sec = x1 - f1 * (x1 - x0) / (f1 - f0)
-            fp = hi - fhi * (hi - lo) / (fhi - flo)
-        mid = 0.5 * (lo + hi)
-        done = live & (np.abs(sec - x1) <= ROOT_TOL)
-        flat = live & ~done & ~((lo < mid) & (mid < hi))
-        t = np.where(done, np.clip(sec, lo, hi), np.where(flat, mid, t))
-        live &= ~(done | flat)
-        if not live.any():
-            return t
-        x = np.where((lo < sec) & (sec < hi), sec, np.where((lo < fp) & (fp < hi), fp, mid))
-        x = np.where(hi - lo > 0.5 * w2, mid, x)
-        w1, w2 = (hi - lo if k else w1), w1   # counted from the second pass on
-        fx = f(curve.point(x))
-        up = np.sign(fx) == np.sign(flo)   # the sign change lies above x
-        lo, flo = np.where(up, x, lo), np.where(up, fx, flo)
-        hi, fhi = np.where(up, hi, x), np.where(up, fhi, fx)
-        x0, f0, x1, f1 = x1, f1, x, fx
-    return np.where(live, 0.5 * (lo + hi), t)
-
-
 class _Samples(tuple):
     """(ts, points), a curve's dense sampling, unpacked as a pair; spacing2
     is the largest squared distance between consecutive samples."""
@@ -602,7 +532,7 @@ class _Samples(tuple):
 
 def _curve_samples(curve, cfg):
     """The curve at cfg.curve_samples + 1 evenly spaced parameters
-    t = 0, ..., 1, for distance tests, crossing counts and the choice of
+    t = 0, ..., 1, for distance tests, winding numbers and the choice of
     the sphere's singular pole."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
     return _Samples(ts, curve.point(ts))
@@ -650,20 +580,18 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     curve: +1 whenever the path crosses from the curve's right to its left.
     Given a (K, d) stack of probe points p, returns the list of K indices.
 
-    The path is the surface's geodesic leg (a great-circle arc on the
-    sphere, a straight chart segment on the torus).  Where that leg has no
-    unique geodesic, or a crossing is too close to an endpoint or too
-    tangential, the path is re-routed through a deterministic sequence of
-    waypoints (path independence is guaranteed by homological triviality).
-    The legs of all probes are counted together, one joint root search per
-    round: the first round holds each probe's direct leg, or its two legs
-    through the first waypoint where no direct leg exists, and only probes
-    with a degenerate leg go on to their next route.  `samples` is the
-    curve's dense sampling as a NumericContext holds it; it is computed
-    when not given.
+    For a homologically trivial curve this is w(p) - w(b), w the curve's
+    winding number in the surface's planar chart (curve.surface.plane), as
+    in the plane: the path crosses from right to left exactly where w
+    steps up.  w is read from the closed polygon of the curve's dense
+    samples, so a point closer to the curve than a chord's sagitta (about
+    h^2 kappa / 8 for sample spacing h and curvature kappa) can be
+    misjudged; a point within POINT_TOL of the curve raises PointOnCurve.
+    `samples` is the curve's dense sampling as a NumericContext holds it;
+    it is computed when not given.
     """
     samples = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
-    ts, pts = samples
+    pts = samples[1]
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     nodes = np.vstack((b, p.reshape(-1, len(b))))   # node 0 is b, node k probe k
@@ -672,83 +600,27 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
         k = int(np.argmax(near))
         raise PointOnCurve(
             f"{'probe' if k else 'base'} point {tuple(nodes[k].tolist())} lies on the curve")
-    nodes = list(nodes)
-    surface = curve.surface
-    waypoints = []    # node numbers of the usable waypoints, made when first needed
-
-    def route(k, r):
-        """The legs of probe k's route r: direct, or through waypoint r.  A
-        probe without a direct leg (no unique geodesic) starts at r = 1."""
-        if not r:
-            return ((0, k),)
-        if not waypoints:
-            rng = np.random.default_rng(20240615)
-            draws = np.array([surface.waypoint(rng) for _ in range(12)])
-            draws = draws[_min_distance_to_curve(curve, samples, draws) > 5 * POINT_TOL]
-            waypoints.extend(range(len(nodes), len(nodes) + len(draws)))
-            nodes.extend(draws)
-        if r > len(waypoints):
-            raise PointOnCurve("could not find a transversal path between the points")
-        return ((0, waypoints[r - 1]), (waypoints[r - 1], k))
-
-    leg = functools.cache(lambda i, j: surface.leg(nodes[i], nodes[j]))   # once per pair
-    index = [0 if np.linalg.norm(b - q) < 1e-14 else None for q in nodes[1:]]
-    attempt = {k: 0 if leg(0, k) else 1 for k, i in enumerate(index, 1) if i is None}
-    count = {}        # leg (start node, end node) -> signed crossings, None if degenerate
-    while attempt:
-        routes = {k: route(k, r) for k, r in attempt.items()}
-        new = list(dict.fromkeys(leg for legs in routes.values() for leg in legs
-                                 if leg not in count))
-        count.update(zip(new, _leg_counts(curve, [leg(*n) for n in new], ts, pts)))
-        for k, legs in routes.items():
-            counts = [count[leg] for leg in legs]
-            if None in counts:
-                attempt[k] += 1
-            else:
-                index[k - 1] = sum(counts)
-                del attempt[k]
+    plane = curve.surface.plane
+    w = _winding(plane(pts, pts[:-1]), plane(pts, nodes))   # t = 1 repeats t = 0
+    index = (w[1:] - w[0]).tolist()
     return index if p.ndim > 1 else index[0]
 
 
-def _leg_counts(curve, legs, ts, pts):
-    """Signed crossing count along each geodesic leg (side, hits); None
-    where degenerate or where the leg is None (no unique geodesic).
-
-    The crossing in every sample interval where the curve changes side of a
-    leg's great circle (chord line) is found by one secant search over the
-    intervals of all legs, each leg's side function on its own slice.  A
-    sample exactly on that circle, or a hit on the leg too close to an
-    endpoint or too tangential, makes the leg degenerate."""
-    out = [None] * len(legs)
-    live, brackets = [], []
-    for n, leg in enumerate(legs):
-        if leg is None:
-            continue
-        f = leg[0](pts)
-        if np.any(f[:-1] == 0.0):
-            continue
-        i = np.flatnonzero(~(f[:-1] * f[1:] >= 0))
-        if i.size:
-            live.append(n)
-            brackets.append((i, f[i], f[i + 1]))
-        else:
-            out[n] = 0
-    if not live:
-        return out
-    cut = np.cumsum([0] + [len(b[0]) for b in brackets]).tolist()
-    slices = [(legs[n], slice(a, z)) for n, a, z in zip(live, cut, cut[1:])]
-    i, flo, fhi = (np.concatenate(c) for c in zip(*brackets))
-    tstar = _secant_roots(curve, ts[i], ts[i + 1], flo, fhi,
-                          lambda x: np.concatenate([side(x[s]) for (side, _), s in slices]))
-    x, v = curve.point(tstar), curve.velocity(tstar)
-    for n, ((_, hits), s) in zip(live, slices):
-        on_leg, near_end, det = hits(x[s], v[s])
-        if np.any(near_end[on_leg]):
-            continue
-        det = det[on_leg]
-        if np.any(np.abs(det) < 1e-7 * np.linalg.norm(v[s][on_leg], axis=-1)):
-            continue   # tangential hit: re-route
-        out[n] = int(np.sum(np.where(det > 0, 1, -1)))
+def _winding(polygon, points):
+    """The winding number of the closed polygon (its vertices in order, the
+    last joined to the first) around each of the (k, 2) points: the signed
+    count of its edges that cross the point's rightward ray, +1 upward.  An
+    edge holds its lower end but not its upper one, so a vertex on a ray is
+    counted once; a nan point is outside.  One point at a time: no
+    temporary is larger than the polygon."""
+    x0, y0 = polygon.T
+    x1, y1 = np.roll(polygon, -1, axis=0).T
+    dx, dy = x1 - x0, y1 - y0
+    out = np.zeros(len(points), dtype=int)
+    for k, (px, py) in enumerate(points):
+        left = dx * (py - y0) - dy * (px - x0)   # > 0: the point is left of the edge
+        out[k] = (np.count_nonzero((y0 <= py) & (py < y1) & (left > 0))
+                  - np.count_nonzero((y1 <= py) & (py < y0) & (left < 0)))
     return out
 
 
@@ -764,16 +636,15 @@ def _leggauss(n):
 class NumericContext:
     """All quadrature data for one (curve, base point, config).
 
-    Samples the curve once (`samples`, shared by every crossing count and
+    Samples the curve once (`samples`, shared by every winding number and
     distance test) and caches the double points, the arc table (per smooth
     arc: its index and its integrals of k_g ds and of the area form, all on
     one (arcs x line_nodes) array of Gauss-Legendre nodes) and the area of
     every index level, folded from the latter; every invariant is then a
-    cheap weighted sum over these tables.  The root finding runs as
-    whole-array passes: one batched Newton refinement of all double-point
-    seeds and one joint secant search of all crossings of every probe path
-    (the side probes of all arcs and the surface's fixed probes), with a
-    further joint round only for paths that must be re-routed.
+    cheap weighted sum over these tables.  The double points come from one
+    batched Newton refinement of all seeds, and every index from one
+    point_index call: the winding numbers, in the surface's planar chart,
+    of the side probes of all arcs and of the surface's fixed probes.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -841,13 +712,10 @@ class NumericContext:
         return area
 
     def _index_probes(self, spans):
-        """One point_index call for the side probes of every arc and the
-        surface's fixed probes: sets arc_index and fixed_index.  A side
-        probe pair sits a fraction of a sample step past its arc's middle,
-        off the sample lattice, so that no curve sample lies on a probe
-        path's great circle by symmetry."""
-        shift = _PROBE_SHIFT / self.cfg.curve_samples
-        t = np.array([(0.5 * (a + b) + min(shift, 0.25 * (b - a))) % 1.0 for a, b in spans])
+        """One point_index call for the side probes at the middle of every
+        arc and the surface's fixed probes: sets arc_index and
+        fixed_index."""
+        t = 0.5 * np.sum(spans, axis=1) % 1.0
         n = len(t)
         probes = np.concatenate((*self._side_probes(t), self.curve.surface.fixed_probes))
         ind = point_index(self.curve, self.base_point, probes, self.cfg, samples=self.samples)

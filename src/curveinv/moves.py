@@ -216,9 +216,11 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     region = diagram.regions[rid]
     (d1, t1), (d2, t2) = site.positions
     dart_cycle, dart_region = diagram.dart_cycle, diagram.dart_region
-    for d in (d1, d2):
+    for d, t in site.positions:
         if not 0 <= d < len(dart_region) or dart_region[d] != rid:
             raise SiteError(f"dart {d} is not on the boundary of region {rid}")
+        if not 0 < t < 1:
+            raise SiteError(f"walk fraction {t} of dart {d} is not in (0, 1)")
     plan = site.plan
     is_disk = region.genus == 0 and len(region.cycles) == 1
     if plan is None and not is_disk:

@@ -150,6 +150,16 @@ def test_move_birth_and_json(capsys, tmp_path):
     assert "delta jplus = 0" in out
 
 
+@pytest.mark.parametrize("permille, fraction", [
+    ("-5", "-1/200"), ("0", "0"), ("1000", "1"), ("2000", "2"),
+])
+def test_move_rejects_birth_position_outside_its_dart(capsys, permille, fraction):
+    code, out, err = run(capsys, "move", "circle_sphere",
+                         "--site", f"birth:0:0.0.{permille}:0.0.750:opposite")
+    assert (code, out) == (1, "")
+    assert err == f"error: walk fraction {fraction} of dart 0 is not in (0, 1)\n"
+
+
 def test_move_triangle(capsys, tmp_path):
     host = tmp_path / "host.diagram"
     code, _, _ = run(capsys, "move", "figure8_sphere",

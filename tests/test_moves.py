@@ -191,6 +191,10 @@ def test_birth_site_errors(fixtures):
         )  # dart 1 bounds region 1, not region 0
     with pytest.raises(SiteError):
         birth_site(0, (0, 0), (0, 0), "sideways")
+    with pytest.raises(SiteError, match=r"walk fraction 2 of dart 0 is not in \(0, 1\)"):
+        tangency_birth(
+            circle, birth_site(0, (0, 2), (0, Fraction(3, 4)), "opposite")
+        )  # a birth position lies inside its dart's walk
 
 
 # -- deaths ------------------------------------------------------------------

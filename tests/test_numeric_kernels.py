@@ -6,12 +6,13 @@ or intervals at once, with the same seeds, iteration counts and
 accept/reject tests.  Where a kernel keeps the loop's arithmetic the
 results must be equal.  The meridian sweep that the Stokes level areas
 replaced is kept as a first-order reference: with m meridians it must lie
-within 2 pi / m of them.  The secant
-root search must land within 1e-14 of the 80-step bisection it replaced,
-which is kept as a reference, and is also run on hand-made brackets; the
-windowed pair scan must return the pairs of the dense grid in the same
-order; double-point seeding skips pairs that cannot cross, and seeding
-from every close pair is kept as a reference.
+within 2 pi / m of them.  The probe index, a winding number in a planar
+chart, must equal the crossing count along the geodesic leg that it
+replaced, kept as a scalar loop with an 80-step bisection per crossing,
+wherever that leg is not degenerate; the windowed pair scan must return
+the pairs of the dense grid in the same order; double-point seeding skips
+pairs that cannot cross, and seeding from every close pair is kept as a
+reference.
 """
 
 import math
@@ -125,17 +126,6 @@ def segment_reference(curve, b, p, ts, pts):
     return total
 
 
-def bisect_reference(curve, lo, hi, flo, f):
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f(curve.point(mid))
-        left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    return lo, hi
-
-
 def double_points_all_seeds(curve, cfg):
     """find_double_points seeded from every close pair of the grid."""
     with pytest.MonkeyPatch.context() as mp:
@@ -145,6 +135,27 @@ def double_points_all_seeds(curve, cfg):
 
 # (k, a, crossings) of the epicycles below
 EPICYCLES = [(5, 0.5, 4), (9, 0.5, 24), (17, 0.5, 80), (13, 0.45, 36)]
+
+
+class Meridian(ParametricCurve):
+    """The great circle through both poles and (1, 0, 0)."""
+
+    surface = UNIT_SPHERE
+
+    def _x(self, t, order):
+        s = 2 * math.pi * np.asarray(t, dtype=float)
+        c, d = np.cos(s), np.sin(s)
+        x, z = [(d, c), (c, -d), (-d, -c)][order]
+        return (2 * math.pi) ** order * np.stack([x, np.zeros_like(s), z], axis=-1)
+
+    def point(self, t):
+        return self._x(t, 0)
+
+    def velocity(self, t):
+        return self._x(t, 1)
+
+    def acceleration(self, t):
+        return self._x(t, 2)
 
 
 class Epicycle(ParametricCurve):
@@ -303,16 +314,35 @@ def probe_sets():
 
 
 def test_segment_index_equals_scalar_loop(monkeypatch):
+    # every ordered pair of probes, degenerate legs of the reference skipped
     monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
     seen = set()
     for ctx, probes in probe_sets():
         for b in probes:
             for p in probes:
-                got = geometry._leg_counts(ctx.curve, [ctx.curve.surface.leg(b, p)],
-                                           *ctx.samples)[0]
-                assert got == segment_reference(ctx.curve, b, p, *ctx.samples)
-                seen.add(got)
+                want = segment_reference(ctx.curve, b, p, *ctx.samples)
+                seen.add(want)
+                if want is not None:
+                    got = geometry.point_index(ctx.curve, b, p, samples=ctx.samples)
+                    assert got == want
     assert None in seen and {-1, 0, 1} <= seen
+
+
+def test_meridian_index_equals_scalar_loop():
+    # a great circle through both poles, between random points
+    curve = Meridian()
+    samples = geometry._curve_samples(curve, CFG)
+    rng = np.random.default_rng(5)
+    bases, probes = (UNIT_SPHERE.project(rng.normal(size=(k, 3))) for k in (12, 26))
+    seen = []
+    for b in bases:
+        got = geometry.point_index(curve, b, probes, samples=samples)
+        for p, g in zip(probes, got):
+            want = segment_reference(curve, b, p, *samples)
+            if want is not None:
+                assert g == want
+                seen.append(want)
+    assert len(seen) >= 300 and {-1, 1} <= set(seen)
 
 
 @pytest.mark.parametrize("curve,base", [
@@ -330,119 +360,81 @@ def test_sweep_reference_within_2pi_over_m_of_stokes_areas(curve, base):
             assert abs(ctx.level_area[level] - area) <= 2 * math.pi / m
 
 
+def context_probes(ctx, stride=1):
+    """The side probes of every stride-th arc of a context, with the index
+    that the context gives each, then its fixed probes with theirs."""
+    t = (0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0)[::stride]
+    left, right = ctx._side_probes(t)
+    arcs = ctx.arc_index[::stride]
+    return (list(zip(left, (v + 1 for v in arcs))) + list(zip(right, arcs))
+            + list(zip(ctx.curve.surface.fixed_probes, ctx.fixed_index)))
+
+
 @pytest.mark.parametrize("curve,base,cfg", [
     (SphereFigureEight(), (-1.0, 0.0, 0.0), CFG),
     (LatitudeCircle(1.0), (0.0, 0.0, -1.0), CFG),
     (TorusCircle(0.2), (0.05, 0.05), CFG),
     *((Epicycle(k, a), (0.05, 0.05), NumericConfig()) for k, a, _ in EPICYCLES),
 ])
-def test_secant_roots_match_80_step_bisection(monkeypatch, curve, base, cfg):
-    # the root search of a context (its probe brackets) lands inside its
-    # brackets, within 1e-14 of the 80-step bisection, in at most 8 passes
-    roots = geometry._secant_roots
-    passes = []
-
-    def both(curve, lo, hi, flo, fhi, f):
-        def counted(x):
-            passes[-1] += 1
-            return f(x)
-        passes.append(0)
-        got = roots(curve, lo, hi, flo, fhi, counted)
-        ref_lo, ref_hi = bisect_reference(curve, lo, hi, flo, f)
-        want = np.where(flo == 0.0, ref_lo, 0.5 * (ref_lo + ref_hi))
-        assert np.all((lo <= got) & (got <= hi))
-        assert np.max(np.abs(got - want)) <= 1e-14
-        return got
-
-    monkeypatch.setattr(geometry, "_secant_roots", both)
-    NumericContext(curve, base, cfg)
-    assert len(passes) == 1
-    assert max(passes) <= 8
+def test_context_indices_match_scalar_loop(curve, base, cfg):
+    # the arc and fixed indices of a context, on at most 8 of its arcs
+    ctx = NumericContext(curve, base, cfg)
+    checked = 0
+    for p, index in context_probes(ctx, max(1, len(ctx.arc_spans) // 8)):
+        want = segment_reference(curve, ctx.base_point, p, *ctx.samples)
+        if want is not None:
+            assert index == want
+            checked += 1
+    assert checked >= 2
 
 
-class Line(ParametricCurve):
-    """The parameter itself as a one-coordinate point: a root search on
-    Line() finds a sign change of f(t)."""
-
-    def point(self, t):
-        return np.asarray(t, dtype=float)[:, None]
-
-
-def line_roots(f, lo, hi):
-    """_secant_roots of f on the brackets [lo, hi], and for each pass the
-    number of brackets that evaluated the midpoint of their bracket."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    a, b, fa = lo.copy(), hi.copy(), f(lo)
-    midpoints = []
-
-    def g(x):
-        x = x[:, 0]
-        fx = f(x)
-        midpoints.append(int(np.sum(x == 0.5 * (a + b))))
-        up = np.sign(fx) == np.sign(fa)
-        a[up], fa[up], b[~up] = x[up], fx[up], x[~up]
-        return fx
-
-    return geometry._secant_roots(Line(), lo, hi, f(lo), f(hi), g), midpoints
+def test_epicycle_index_equals_scalar_loop():
+    # the side probes of every other arc of the 80 crossings of k = 17, on
+    # a coarser sampling, in one stacked call
+    ctx = NumericContext(Epicycle(17, 0.5), (0.05, 0.05), NumericConfig(curve_samples=1024))
+    probes, indices = zip(*context_probes(ctx, 2))
+    got = geometry.point_index(ctx.curve, ctx.base_point, np.array(probes), samples=ctx.samples)
+    assert got == list(indices)
+    checked = 0
+    for p, g in zip(probes, got):
+        want = segment_reference(ctx.curve, ctx.base_point, p, *ctx.samples)
+        if want is not None:
+            assert g == want
+            checked += 1
+    assert checked >= 150 and max(got) == 4
 
 
-def test_secant_roots_stop_where_f_vanishes():
-    # f = 0 at an end: that end, without a pass; at the first
-    # false-position point: that point, after one pass
-    f = lambda t: t - 0.25
-    t, passes = line_roots(f, [0.25, 0.0], [1.0, 0.25])
-    assert t.tolist() == [0.25, 0.25] and passes == []
-    t, passes = line_roots(f, [0.0], [1.0])
-    assert t.tolist() == [0.25] and len(passes) == 1
-
-
-def test_secant_roots_keep_a_sign_change():
-    # three sign changes in one bracket: the root found is one of them
-    zeros = np.array([0.2, 0.5, 0.7])
-    f = lambda t: (t - zeros[0]) * (t - zeros[1]) * (t - zeros[2])
-    lo, hi = [0.0, 0.1, 0.05, 0.15], [1.0, 0.9, 0.75, 0.85]
-    t, _ = line_roots(f, lo, hi)
-    assert np.all((lo <= t) & (t <= hi))
-    assert np.all(np.min(np.abs(t[:, None] - zeros), axis=1) <= 1e-14)
-
-
-def test_secant_roots_fall_back_to_midpoints():
-    # false position creeps along t^20 - r^20 from t = 0: a bracket that
-    # has not halved in two passes takes its midpoint, and still ends
-    # within 1e-14 of the root in fewer passes than bisection
-    r = np.array([0.3, 0.55, 0.6, 0.9])
-    t, midpoints = line_roots(lambda t: t ** 20 - r ** 20, np.zeros(4), np.ones(4))
-    assert np.max(np.abs(t - r)) <= 1e-14
-    assert sum(midpoints) > 0 and len(midpoints) < 53
-    # a jump of f with no zero: every step is a midpoint, and the search
-    # ends within ROOT_TOL of where the bisection does
-    step = lambda t: np.where(t < 0.3, -1.0, 1.0)
-    t, midpoints = line_roots(step, [0.0], [1.0])
-    lo, hi = bisect_reference(Line(), np.zeros(1), np.ones(1), -np.ones(1),
-                              lambda x: step(x[:, 0]))
-    assert abs(t[0] - 0.5 * (lo[0] + hi[0])) <= geometry.ROOT_TOL
-    assert midpoints == [1] * len(midpoints)
-
-
-def test_joint_leg_counts_equal_scalar_loop(monkeypatch):
-    # one joint call over every pair leg of each probe set, degenerate
-    # legs included
-    monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
-    seen = set()
+def test_stacked_point_index_equals_single_calls():
+    # the base's antipode is left out, as the figure eight passes through it
     for ctx, probes in probe_sets():
-        pairs = [(b, p) for b in probes for p in probes]
-        legs = [ctx.curve.surface.leg(b, p) for b, p in pairs]
-        joint = geometry._leg_counts(ctx.curve, legs, *ctx.samples)
-        for (b, p), got in zip(pairs, joint):
-            assert got == segment_reference(ctx.curve, b, p, *ctx.samples)
-            seen.add(got)
-        # the stacked point_index routes each probe as a call of its own;
-        # the base's antipode is left out, as the figure eight passes through it
         stack = np.array(probes[1:-1] if ctx.curve.surface == UNIT_SPHERE else probes[1:])
         assert geometry.point_index(ctx.curve, ctx.base_point, stack, samples=ctx.samples) == [
             geometry.point_index(ctx.curve, ctx.base_point, p, samples=ctx.samples)
             for p in stack]
-    assert None in seen and {-1, 0, 1} <= seen
+
+
+def test_winding_on_hand_made_polygons():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    points = np.array([[0.5, 0.5],     # inside
+                       [-1.0, 0.0],    # level with the bottom edge
+                       [-1.0, 1.0],    # level with the top edge
+                       [0.5, 2.0],     # above
+                       [np.nan, np.nan]])
+    assert geometry._winding(square, points).tolist() == [1, 0, 0, 0, 0]
+    assert geometry._winding(square[::-1], points).tolist() == [-1, 0, 0, 0, 0]
+    assert geometry._winding(np.concatenate([square, square]), points).tolist() == [2, 0, 0, 0, 0]
+    # rays through the side vertices of a diamond
+    diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    points = np.array([[-2.0, 0.0], [0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
+    assert geometry._winding(diamond, points).tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("cfg", [NumericConfig(), NumericConfig().halved()])
+def test_latitude_seam_fixed_index(cfg):
+    # a regression case for the seam of the chart polygon: the latitude of
+    # numeric_verify seed 7, spec 13, from the south pole
+    ctx = NumericContext(LatitudeCircle(2.0150167225273448), (0.0, 0.0, -1.0), cfg)
+    assert ctx.fixed_index == [1, 0]
 
 
 def _same_double_points(got, want):
@@ -483,34 +475,31 @@ def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
 
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
-def test_context_runs_one_root_search(monkeypatch, name):
+def test_context_makes_one_point_index_call(monkeypatch, name):
     calls = []
-    roots = geometry._secant_roots
-    monkeypatch.setattr(geometry, "_secant_roots",
-                        lambda *args: calls.append(1) or roots(*args))
+    index = geometry.point_index
+    monkeypatch.setattr(geometry, "point_index",
+                        lambda *args, **kw: calls.append(1) or index(*args, **kw))
     fx = parametric_fixture(name)
     NumericContext(fx.curve, fx.base_point)
-    assert len(calls) == 1   # one joint probe root search
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
-def test_side_probe_legs_are_not_degenerate(monkeypatch, name):
-    # no probe leg of these contexts needs a re-route: the poles are probed
-    # through a waypoint, and the side probes sit off the sample lattice
-    counts = []
-    leg_counts = geometry._leg_counts
-
-    def recorded(*args):
-        out = leg_counts(*args)
-        counts.extend(out)
-        return out
-
-    monkeypatch.setattr(geometry, "_leg_counts", recorded)
+def test_fixture_indices_equal_scalar_loop(name):
+    # at both grids every probe index of these contexts equals the count
+    # along its leg from the base, or, where that leg is degenerate, along
+    # the two legs through a waypoint
     fx = parametric_fixture(name)
+    via = UNIT_SPHERE.project(np.array([0.3, -0.5, 0.8]))
     for cfg in (NumericConfig(), NumericConfig().halved()):
-        counts.clear()
-        NumericContext(fx.curve, fx.base_point, cfg)
-        assert counts and None not in counts
+        ctx = NumericContext(fx.curve, fx.base_point, cfg)
+        for p, index in context_probes(ctx):
+            want = segment_reference(fx.curve, ctx.base_point, p, *ctx.samples)
+            if want is None:
+                want = (segment_reference(fx.curve, ctx.base_point, via, *ctx.samples)
+                        + segment_reference(fx.curve, via, p, *ctx.samples))
+            assert index == want
 
 
 def test_figure_eight_refines_few_seeds(monkeypatch):
