@@ -30,18 +30,21 @@ genus g and b boundary cycles has chi = 2 - 2g - b, and Euler-characteristic
 conservation reads  sum_r chi_r - n = chi(S)  (for n = 0, sum_r chi_r).
 
 Incidence is derived once per object.  A code stores `partner`, where
-partner[k] is the other visit of the crossing at visit k; the crossing
-tables of the index functions, canonical forms and moves read it, and
-`rotation_prev` builds from it the one list sigma^{-1} over darts that face
-tracing and the moves follow.  The tables dart -> cycle and dart -> region
-are built once, when a diagram is assembled, and stored on the
-CurveDiagram; every later step reads them.
+partner[k] is the other visit of the crossing at visit k, and `own`, the
+per-visit sign: the crossing's sign at its first visit, the negated sign at
+its second.  The crossing tables of the index functions, canonical forms
+and moves read partner, and `rotation_prev` builds from partner and own the
+one list sigma^{-1} over darts that face tracing and the moves follow.  The
+tables dart -> cycle and dart -> region are built once, when a diagram is
+assembled, and stored on the CurveDiagram; every later step reads them.
+An index function is read off the code and dart -> region in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     HomologicallyNontrivial,
@@ -69,10 +72,13 @@ class SignedGaussCode:
     """Cyclic sequence of (label, sign) crossing visits; n = 0 is empty.
 
     partner[k] is the position of the other visit of the crossing visited
-    at position k, derived when the code is made."""
+    at position k, and own[k] is the crossing's sign if k is its first
+    visit, else the negated sign: +1 where the curve passes from the other
+    strand's left to its right.  Both are derived when the code is made."""
 
     visits: tuple
     partner: tuple = field(init=False, compare=False, repr=False)
+    own: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         where = {}
@@ -81,16 +87,20 @@ class SignedGaussCode:
                 raise LabelError(f"sign of crossing {label} must be +1 or -1")
             where.setdefault(label, []).append(k)
         partner = [0] * len(self.visits)
+        own = [0] * len(self.visits)
         for label, ks in where.items():
             if len(ks) != 2:
                 raise LabelError(
                     f"crossing {label} appears {len(ks)} time(s), expected 2"
                 )
             p1, p2 = ks
-            if self.visits[p1][1] != self.visits[p2][1]:
+            sign = self.visits[p1][1]
+            if self.visits[p2][1] != sign:
                 raise LabelError(f"crossing {label} has mismatched signs")
             partner[p1], partner[p2] = p2, p1
+            own[p1], own[p2] = sign, -sign
         object.__setattr__(self, "partner", tuple(partner))
+        object.__setattr__(self, "own", tuple(own))
 
     @property
     def n(self):
@@ -110,14 +120,14 @@ def rotation_prev(code: SignedGaussCode):
 
     Visit k has the outgoing end 2k (left side of arc k) and the incoming
     end 2k - 1 (right side of arc k - 1).  Read from visit k with partner j,
-    the rotations of the module docstring say: where own(k) = +1 (the sign
-    at a first visit, minus the sign at a second), out_k follows in_j and
-    in_k follows out_j; otherwise out_k follows out_j and in_k follows in_j."""
+    the rotations of the module docstring say: where own[k] = +1, out_k
+    follows in_j and in_k follows out_j; otherwise out_k follows out_j and
+    in_k follows in_j."""
     darts = 2 * len(code.visits)
     prev = [0] * darts
-    for k, (j, (_label, sign)) in enumerate(zip(code.partner, code.visits)):
+    for k, (j, own) in enumerate(zip(code.partner, code.own)):
         out_j, in_j = 2 * j, (2 * j - 1) % darts
-        if (sign if k < j else -sign) > 0:
+        if own > 0:
             prev[2 * k], prev[(2 * k - 1) % darts] = in_j, out_j
         else:
             prev[2 * k], prev[(2 * k - 1) % darts] = out_j, in_j
@@ -209,6 +219,8 @@ def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
         for r in regs:
             if r.genus < 0:
                 raise TopologyError("region genus must be a nonnegative integer")
+            if not r.cycles:
+                raise TopologyError("every region needs at least one boundary cycle")
     region_chi = sum(r.chi for r in regs)
     derived_chi = region_chi - (code.n if code.n > 0 else 0)
     if surface_chi is None:
@@ -385,69 +397,52 @@ class IndexFunction:
 def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
     """The unique index function vanishing at the base region.
 
-    Propagates the +1 jump rule over the region adjacency graph by breadth
-    first search; a conflict means no consistent assignment exists, i.e. the
-    curve is homologically nontrivial.
+    Read off the code in one pass.  At visit k the curve crosses the other
+    strand, from its left to its right where own[k] = +1, so the value just
+    right of the curve drops by own[k] there: the right-side values of the
+    arcs are prefix sums of -own.  A region takes the value v + 1 on the
+    left of an arc and v on its right; two darts of one region that disagree
+    mean no index function exists, i.e. the curve is homologically
+    nontrivial.
     """
     if base_region is None:
         base_region = diagram.base_region
     if not 0 <= base_region < len(diagram.regions):
         raise TopologyError(f"base region {base_region} does not exist")
     side = diagram.dart_region
-    adjacency = {r: [] for r in range(len(diagram.regions))}
-    for arc in range(diagram.num_arcs):
-        left, right = side[dart_id(arc, LEFT)], side[dart_id(arc, RIGHT)]
-        adjacency[right].append((left, 1))
-        adjacency[left].append((right, -1))
-    values = {base_region: 0}
-    queue = [base_region]
-    while queue:
-        r = queue.pop()
-        for other, delta in adjacency[r]:
-            v = values[r] + delta
-            if other in values:
-                if values[other] != v:
-                    raise HomologicallyNontrivial(
-                        "index propagation is inconsistent: the curve does not bound"
-                    )
-            else:
-                values[other] = v
-                queue.append(other)
-    if len(values) != len(diagram.regions):
-        raise TopologyError("region adjacency graph is not connected")
-    return IndexFunction(base_region=base_region, values=values)
+    values = {}
+    rights = accumulate((-own for own in diagram.code.own[1:]), initial=0)
+    for left, right, v in zip(side[0::2], side[1::2], rights):
+        if values.setdefault(left, v + 1) != v + 1 or values.setdefault(right, v) != v:
+            raise HomologicallyNontrivial(
+                "index propagation is inconsistent: the curve does not bound"
+            )
+    shift = values[base_region]
+    return IndexFunction(base_region=base_region,
+                         values={r: values[r] - shift for r in range(len(diagram.regions))})
 
 
 def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
     """Indices of the curve's own points, by averaging adjacent regions.
 
     An arc's index is the mean of its two side values, which differ by 1; it
-    is stored as the integer smaller side v, so the index is v + 1/2.  A
-    crossing's index is the integer mean of its four corner values, which
-    form {i-1, i, i, i+1}.
+    is stored as the integer smaller side v, read on its right, so the index
+    is v + 1/2.  A crossing's index is the integer mean of its four corner
+    values, which form {i-1, i, i, i+1}: left of the arcs into its visits,
+    right of the arcs out of them.
     """
-    value_at = [ind.values[r] for r in diagram.dart_region]
-    arc_idx = {}
-    for arc in range(diagram.num_arcs):
-        arc_idx[arc] = min(value_at[dart_id(arc, LEFT)], value_at[dart_id(arc, RIGHT)])
+    low = [ind.values[r] for r in diagram.dart_region[1::2]]
     crossing_idx = {}
-    m = 2 * diagram.n
     code = diagram.code
     for p1, (p2, (label, _sign)) in enumerate(zip(code.partner, code.visits)):
         if p2 < p1:
             continue
-        corners = [
-            dart_id((p1 - 1) % m, LEFT),
-            dart_id((p2 - 1) % m, LEFT),
-            dart_id(p1, RIGHT),
-            dart_id(p2, RIGHT),
-        ]
-        vals = sorted(value_at[d] for d in corners)
+        vals = sorted((low[p1 - 1] + 1, low[p2 - 1] + 1, low[p1], low[p2]))
         i = vals[1]
         if vals != [i - 1, i, i, i + 1]:
             raise TopologyError(f"crossing {label} corners {vals} are not i-1,i,i,i+1")
         crossing_idx[label] = i
-    return arc_idx, crossing_idx
+    return dict(enumerate(low)), crossing_idx
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +593,8 @@ def canonicalize(diagram: CurveDiagram):
         regions = _region_descriptor(diagram, {0: 0, 1: 1})
         return ("n0", regions, _base_position(diagram, regions, {0: 0, 1: 1}))
     m = 2 * diagram.n
-    partner = diagram.code.partner
+    partner, own = diagram.code.partner, diagram.code.own
     back = [(v - partner[v]) % m for v in range(m)]
-    own = [sign if v < partner[v] else -sign
-           for v, (_label, sign) in enumerate(diagram.code.visits)]
     first_key = [(0, s) for s in own]
     repeat_key = [(-b, -s) for b, s in zip(back, own)]
     live = range(m)

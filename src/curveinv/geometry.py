@@ -519,23 +519,12 @@ def _refine_double_points(curve, t1, t2):
     return t1[keep], t2[keep]
 
 
-class _Samples(tuple):
-    """(ts, points), a curve's dense sampling, unpacked as a pair; spacing2
-    is the largest squared distance between consecutive samples."""
-
-    def __new__(cls, ts, pts):
-        self = super().__new__(cls, (ts, pts))
-        gap = pts[1:] - pts[:-1]
-        self.spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
-        return self
-
-
 def _curve_samples(curve, cfg):
     """The curve at cfg.curve_samples + 1 evenly spaced parameters
     t = 0, ..., 1, for distance tests, winding numbers and the choice of
     the sphere's singular pole."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    return _Samples(ts, curve.point(ts))
+    return ts, curve.point(ts)
 
 
 def _min_distance_to_curve(curve, samples, points):
@@ -550,7 +539,8 @@ def _min_distance_to_curve(curve, samples, points):
     samples."""
     ts, pts = samples
     cols = pts[:-1].T
-    spacing2 = samples.spacing2
+    gap = pts[1:] - pts[:-1]
+    spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
     best = np.empty(len(points))
     node, seed = [], []
     for k, x in enumerate(points):

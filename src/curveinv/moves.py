@@ -103,44 +103,40 @@ def _arc_endpoints(diagram, arc):
     return start, end
 
 
+def _disk(diagram, rid, corners):
+    """(cycle, arcs, arc ends) of region rid if it is a genus-0 single-cycle
+    disk with `corners` corners whose corner crossings and boundary arcs are
+    pairwise distinct; None otherwise, and for an id that names no region."""
+    if diagram.n == 0 or not 0 <= rid < len(diagram.regions):
+        return None
+    region = diagram.regions[rid]
+    if region.genus != 0 or len(region.cycles) != 1:
+        return None
+    cycle = diagram.cycles[region.cycles[0]]
+    if len(cycle) != corners:
+        return None
+    arcs = [dart_arc(d) for d in cycle]
+    if len(set(arcs)) != corners:
+        return None
+    ends = [_arc_endpoints(diagram, a) for a in arcs]
+    if len({c for end in ends for c in end}) != corners:
+        return None
+    return cycle, arcs, ends
+
+
 def _disk_cycles(diagram, corners):
-    """Regions that are genus-0 single-cycle disks with `corners` corners,
-    whose corner crossings and boundary arcs are pairwise distinct."""
-    found = []
-    for rid, region in enumerate(diagram.regions):
-        if region.genus != 0 or len(region.cycles) != 1:
-            continue
-        cycle = diagram.cycles[region.cycles[0]]
-        if diagram.n == 0 or len(cycle) != corners:
-            continue
-        arcs = [dart_arc(d) for d in cycle]
-        if len(set(arcs)) != corners:
-            continue
-        ends = [_arc_endpoints(diagram, a) for a in arcs]
-        crossings = set()
-        for s, e in ends:
-            crossings.update((s, e))
-        if len(crossings) != corners:
-            continue
-        found.append((rid, cycle, arcs, ends))
-    return found
-
-
-def _bigons(diagram):
-    """(region, kind, cycle, arcs) of every bigon: a 2-corner disk region
-    bounded by two distinct arcs joining two distinct crossings.  Direct if
-    both arcs run P -> Q (parallel strands), opposite if one runs P -> Q and
-    the other Q -> P."""
-    for rid, cycle, arcs, ((s1, e1), (s2, e2)) in _disk_cycles(diagram, 2):
-        if (s1, e1) == (s2, e2):
-            yield rid, "bigon_direct", cycle, arcs
-        elif (s1, e1) == (e2, s2):
-            yield rid, "bigon_opposite", cycle, arcs
+    """(region, cycle, arcs, arc ends) of every region that is a _disk."""
+    return [(rid, *disk) for rid in range(len(diagram.regions))
+            if (disk := _disk(diagram, rid, corners)) is not None]
 
 
 def find_bigons(diagram: CurveDiagram):
-    """All bigon sites, see _bigons."""
-    return [MoveSite(kind=kind, region=rid) for rid, kind, _c, _a in _bigons(diagram)]
+    """All bigon sites: the 2-corner disks of _disk_cycles, whose two arcs
+    join the same two crossings.  Direct if both arcs run P -> Q (parallel
+    strands), opposite if one runs P -> Q and the other Q -> P."""
+    return [MoveSite(kind="bigon_direct" if ends[0] == ends[1] else "bigon_opposite",
+                     region=rid)
+            for rid, _cycle, _arcs, ends in _disk_cycles(diagram, 2)]
 
 
 def find_triangles(diagram: CurveDiagram):
@@ -396,10 +392,10 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
 def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     """Remove the two crossings of a bigon (the inverse of a birth)."""
     rid = site.region if isinstance(site, MoveSite) else int(site)
-    found = [(cycle, arcs) for r, _kind, cycle, arcs in _bigons(diagram) if r == rid]
-    if not found:
+    disk = _disk(diagram, rid, 2)
+    if disk is None:
         raise SiteError(f"region {rid} is not a bigon")
-    cycle, mid_arcs = found[0]
+    cycle, mid_arcs, _ends = disk
     m = 2 * diagram.n
     partner = diagram.code.partner
     # both visits of the corner crossings at either end of each side
@@ -471,10 +467,10 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
 def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
     """Slide the three strands of a triangle across each other."""
     rid = site.region if isinstance(site, MoveSite) else int(site)
-    found = [item for item in _disk_cycles(diagram, 3) if item[0] == rid]
-    if not found:
+    disk = _disk(diagram, rid, 3)
+    if disk is None:
         raise SiteError(f"region {rid} is not a triangle")
-    _, cycle, side_arcs, _ = found[0]
+    _cycle, side_arcs, _ends = disk
     m = 2 * diagram.n
     blocks = [(a, (a + 1) % m) for a in side_arcs]
     touched = [p for b in blocks for p in b]

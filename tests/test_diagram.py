@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from curveinv.diagram import (
     LEFT,
     RIGHT,
+    IndexFunction,
     SignedGaussCode,
     _base_position,
     _region_descriptor,
@@ -29,6 +30,7 @@ from curveinv.diagram import (
     trace_boundary_cycles,
 )
 from curveinv.errors import (
+    CurveInvError,
     HomologicallyNontrivial,
     LabelError,
     ParseError,
@@ -561,3 +563,115 @@ def test_parse_serialize_round_trip_grown(data):
     assert back == d
     assert back.code.partner == d.code.partner
     assert (back.dart_cycle, back.dart_region) == (d.dart_cycle, d.dart_region)
+
+
+def test_own_is_the_sign_at_first_visits_and_its_negation_at_second(random_corpus):
+    for d in [*GOLDEN.values(), *random_corpus]:
+        own = d.code.own
+        assert len(own) == len(d.code.visits)
+        for p1, p2, sign in d.code.crossing_positions().values():
+            assert (own[p1], own[p2]) == (sign, -sign)
+    a = SignedGaussCode(((1, 1), (2, -1), (1, 1), (2, -1)))
+    assert a.own == (1, -1, -1, 1)
+    assert a == SignedGaussCode(a.visits) and "own" not in repr(a)
+
+
+def test_region_without_boundary_cycle_is_rejected():
+    # a genus-1 region with no boundary keeps chi conservation on the sphere
+    with pytest.raises(TopologyError, match="at least one boundary cycle"):
+        build_diagram(SignedGaussCode(()), regions=[(0, (0,)), (0, (1,)), (1, ())])
+
+
+# -- index function against the breadth-first search ---------------------------
+
+
+def bfs_index_reference(diagram, base_region):
+    """The index function as a breadth-first search over the region
+    adjacency graph, as index_function computed it before it read the code;
+    it raises where the +1 jump rule conflicts."""
+    if not 0 <= base_region < len(diagram.regions):
+        raise TopologyError(f"base region {base_region} does not exist")
+    side = diagram.dart_region
+    adjacency = {r: [] for r in range(len(diagram.regions))}
+    for arc in range(diagram.num_arcs):
+        left, right = side[dart_id(arc, LEFT)], side[dart_id(arc, RIGHT)]
+        adjacency[right].append((left, 1))
+        adjacency[left].append((right, -1))
+    values = {base_region: 0}
+    queue = [base_region]
+    while queue:
+        r = queue.pop()
+        for other, delta in adjacency[r]:
+            v = values[r] + delta
+            if other in values:
+                if values[other] != v:
+                    raise HomologicallyNontrivial("index propagation is inconsistent")
+            else:
+                values[other] = v
+                queue.append(other)
+    if len(values) != len(diagram.regions):
+        raise TopologyError("region adjacency graph is not connected")
+    return IndexFunction(base_region=base_region, values=values)
+
+
+def index_outcome(diagram, base, fn):
+    """fn's values at base, or the class of the error it raises."""
+    try:
+        return fn(diagram, base).values
+    except CurveInvError as exc:
+        return type(exc)
+
+
+def assert_index_matches_reference(d):
+    """index_function equals the search at every base, and both reject the
+    bases just out of range; returns the number of bases that raise."""
+    raised = 0
+    for base in range(-1, len(d.regions) + 1):
+        got = index_outcome(d, base, index_function)
+        assert got == index_outcome(d, base, bfs_index_reference), serialize_diagram(d)
+        if 0 <= base < len(d.regions):
+            assert got is HomologicallyNontrivial or got[base] == 0
+            raised += got is HomologicallyNontrivial
+        else:
+            assert got is TopologyError
+    return raised
+
+
+def random_grouped_diagram(rng, n):
+    """A random signed Gauss code with n crossings whose traced cycles are
+    grouped into regions at random; one region takes the genus that keeps
+    chi(S) at most 2, and now and then a random region one more."""
+    slots = list(range(2 * n))
+    rng.shuffle(slots)
+    visits = [None] * (2 * n)
+    for label in range(1, n + 1):
+        sign = rng.choice((1, -1))
+        visits[slots[2 * label - 2]] = visits[slots[2 * label - 1]] = (label, sign)
+    code = SignedGaussCode(tuple(visits))
+    cycles = trace_boundary_cycles(code)
+    groups = [rng.randrange(rng.randint(1, len(cycles))) for _ in cycles]
+    members = [[c for c, g in enumerate(groups) if g == k] for k in sorted(set(groups))]
+    genus = [0] * len(members)
+    genus[0] = max(0, (2 * len(members) - len(cycles) - n - 2) // 2)
+    if rng.random() < 0.2:
+        genus[rng.randrange(len(members))] += 1
+    return build_diagram(code, regions=list(zip(genus, members)))
+
+
+def test_index_matches_reference_golden_and_random(random_corpus):
+    diagrams = [*GOLDEN.values(), *random_corpus]
+    raised = sum(assert_index_matches_reference(d) for d in diagrams)
+    # the essential circle on the torus bounds nothing
+    assert 0 < raised < 10 and sum(len(d.regions) for d in diagrams) >= 1500
+
+
+def test_index_matches_reference_on_random_groupings():
+    rng = random.Random(1303)
+    raised = clean = 0
+    for trial in range(5000):
+        d = random_grouped_diagram(rng, trial % 11)
+        if assert_index_matches_reference(d):
+            raised += 1
+        else:
+            clean += 1
+    assert raised >= 1000 and clean >= 200

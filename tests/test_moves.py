@@ -284,6 +284,36 @@ def test_each_move_traces_once(fixtures, monkeypatch):
     assert counts == [1, 1, 1]
 
 
+def test_each_move_checks_only_its_own_region(fixtures, monkeypatch):
+    calls = []
+    disk = moves._disk
+    monkeypatch.setattr(moves, "_disk", lambda d, rid, corners:
+                        calls.append((rid, corners)) or disk(d, rid, corners))
+    host = triple_host(fixtures)
+    bigon, triangle = find_bigons(host)[0], find_triangles(host)[0]
+    calls.clear()
+    bigon_death(host, bigon)
+    triple_move(host, triangle)
+    assert calls == [(bigon.region, 2), (triangle.region, 3)]
+
+
+def test_move_sites_agree_with_the_finders(fixtures, random_corpus):
+    """At every region id, and one past each end, a death or a triple move
+    raises SiteError exactly where the finder has no site."""
+    host = triple_host(fixtures)
+    diagrams = [host, triple_move(host, find_triangles(host)[0]),
+                *fixtures.values(), *random_corpus]
+    for d in diagrams:
+        for move, finder in ((bigon_death, find_bigons), (triple_move, find_triangles)):
+            sites = {s.region for s in finder(d)}
+            for rid in range(-1, len(d.regions) + 1):
+                if rid in sites:
+                    move(d, rid)
+                else:
+                    with pytest.raises(SiteError):
+                        move(d, rid)
+
+
 # -- random generator --------------------------------------------------------
 
 
