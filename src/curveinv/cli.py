@@ -331,9 +331,15 @@ def cmd_numeric(args):
         except ValueError:
             print(f"error: bad value for --param {key}: {value!r}", file=sys.stderr)
             return 1
+    qs = []
+    for value in (args.q or "0.5,2,3").split(","):
+        try:
+            qs.append(float(value))
+        except ValueError:
+            print(f"error: bad value for --q: {value!r}", file=sys.stderr)
+            return 1
     try:
         fx = parametric_fixture(args.fixture, **params)
-        qs = [float(q) for q in (args.q or "0.5,2,3").split(",")]
         if not all(math.isfinite(q) for q in qs):
             raise ValueError(f"--q values must be finite, got {args.q}")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):

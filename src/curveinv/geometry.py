@@ -118,14 +118,19 @@ class _UnitSphere:
         """Stereographic projection of x from s, the one of +-e1, +-e2, +-e3
         whose nearest sample of pts is farthest, onto axes (e1, e2) with
         (e1, e2, -s) right-handed."""
-        k = int(np.argmin(np.concatenate((pts.max(axis=0), -pts.min(axis=0)))))
+        cols = pts.T   # one reduction per column: an axis-0 one is far slower
+        k = int(np.argmin([c.max() for c in cols] + [-c.min() for c in cols]))
         a, sign = k % 3, 1.0 if k < 3 else -1.0
         e1, e2 = (a + 2) % 3, (a + 1) % 3
         if sign < 0:
             e1, e2 = e2, e1
         d = 1.0 - sign * x[..., a]
+        out = np.empty(d.shape + (2,))   # written in place: x may hold every sample
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((d > 0.0)[..., None], x[..., [e1, e2]] / d[..., None], np.nan)
+            np.divide(x[..., e1], d, out=out[..., 0])
+            np.divide(x[..., e2], d, out=out[..., 1])
+        out[~(d > 0.0)] = np.nan
+        return out
 
     def regions(self, ctx, cycles):
         return None   # every face of a connected curve is a disk
@@ -361,8 +366,8 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     (lift) distance.  Close pairs whose short way between them cannot hold
     a crossing are dropped; the other seeds are refined, all of them
     together as arrays.  Converged roots with near-zero residual are kept,
-    duplicates merged in seed order, and crossings with angle below the
-    genericity floor rejected.
+    duplicates merged in seed order (_distinct_roots), and crossings with
+    angle below the genericity floor rejected.
     """
     cfg = cfg or NumericConfig()
     n = cfg.double_grid
@@ -372,18 +377,9 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
     cand = cand[_may_cross(pts, cand)]
     roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
-
-    def _cyc(a, b):
-        return min(abs(a - b), 1.0 - abs(a - b))
-
+    keep = _distinct_roots(*roots)
     found = []
-    for t1, t2 in zip(*(r.tolist() for r in roots)):
-        if any(
-            (_cyc(t1, a) < MERGE_TOL and _cyc(t2, b) < MERGE_TOL)
-            or (_cyc(t1, b) < MERGE_TOL and _cyc(t2, a) < MERGE_TOL)
-            for a, b in ((f.t1, f.t2) for f in found)
-        ):
-            continue
+    for t1, t2 in zip(*(r[keep].tolist() for r in roots)):
         x = curve.surface.project(curve.point(t1))
         v1 = curve.velocity(t1)
         v2 = curve.velocity(t2)
@@ -405,6 +401,49 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     return found
 
 
+def _distinct_roots(t1, t2):
+    """Indices, in seed order, of the roots (t1[r], t2[r]) that remain when
+    each root in turn is dropped if it lies within MERGE_TOL, cyclically in
+    both parameters and in either orientation, of a root kept before it.
+
+    The pairs of roots within MERGE_TOL are found by a searchsorted window
+    on the first parameter, among both parameters of every root, each also
+    shifted by -1 and +1 across the seam; so the pairs scale with the
+    duplicates.  The greedy rule is then settled in rounds over all roots
+    at once: an undecided root whose earlier neighbours are all dropped is
+    kept, and then an undecided root with a kept earlier neighbour is
+    dropped.  Each round settles at least the first undecided root, and
+    one round settles roots whose duplicates are all near each other."""
+    m = len(t1)
+    if not m:   # a curve without crossings: skip the passes below
+        return np.empty(0, dtype=np.intp)
+    key = np.concatenate([u + s for s in (-1.0, 0.0, 1.0) for u in (t1, t2)])
+    order = np.argsort(key, kind="stable")
+    key, owner = key[order], order % m
+    # twice as wide as the merge radius, so rounding drops no pair
+    lo = np.searchsorted(key, t1 - 2 * MERGE_TOL, side="left")
+    count = np.searchsorted(key, t1 + 2 * MERGE_TOL, side="right") - lo
+    later = np.repeat(np.arange(m), count)
+    earlier = owner[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(later))]
+    pair = earlier < later
+    earlier, later = earlier[pair], later[pair]
+    a1, a2, b1, b2 = t1[later], t2[later], t1[earlier], t2[earlier]
+
+    def close(a, b):   # cyclically within MERGE_TOL
+        d = np.abs(a - b)
+        return np.minimum(d, 1.0 - d) < MERGE_TOL
+
+    near = (close(a1, b1) & close(a2, b2)) | (close(a1, b2) & close(a2, b1))
+    earlier, later = earlier[near], later[near]
+    state = np.zeros(m, dtype=np.int8)   # 0 undecided, 1 kept, -1 dropped
+    while not state.all():
+        pending = np.bincount(later[state[earlier] >= 0], minlength=m) > 0
+        state[(state == 0) & ~pending] = 1
+        blocked = np.bincount(later[state[earlier] == 1], minlength=m) > 0
+        state[(state == 0) & blocked] = -1
+    return np.flatnonzero(state == 1)
+
+
 _SCAN_ROWS = 32   # _close_pairs compares at most this many grid rows' worth of pairs at once
 
 
@@ -414,9 +453,10 @@ def _close_pairs(ts, pts, threshold, diag_gap):
     order.  Only pairs within the distance along the coordinate of widest
     spread are compared: the samples are sorted by that coordinate, and
     each is paired with the later ones of its searchsorted window, in
-    chunks of at most _SCAN_ROWS rows of the pair grid."""
+    chunks of at most _SCAN_ROWS rows of the pair grid.  The distances are
+    summed from one gather per coordinate column, not from gathered rows."""
     n = len(ts)
-    key = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+    key = pts[:, int(np.argmax([np.ptp(c) for c in pts.T]))]
     order = np.argsort(key, kind="stable")
     key = key[order]
     # a little wider than the distance, so rounding drops no pair
@@ -432,8 +472,7 @@ def _close_pairs(ts, pts, threshold, diag_gap):
         row = np.repeat(rows, c)
         col = row + 1 + np.arange(len(row)) - np.repeat(start[rows] - start[rows[0]], c)
         i, j = np.minimum(order[row], order[col]), np.maximum(order[row], order[col])
-        diff = pts[i] - pts[j]
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = _sum_terms([(np.take(c, i) - np.take(c, j)) ** 2 for c in pts.T])
         sep = np.abs(ts[i] - ts[j])
         keep = (d2 < threshold) & ~(np.minimum(sep, 1.0 - sep) < diag_gap)
         out.append(i[keep] * n + j[keep])
@@ -449,26 +488,39 @@ def _may_cross(pts, cand):
     near a crossing.  A pair fails when the samples along its short way,
     at most _MONOTONE_SPAN steps, run monotonically along their own chord:
     every segment has a positive dot product with the chord.  Such an arc
-    is injective, so it holds no crossing."""
+    is injective, so it holds no crossing.
+
+    The segments of all short ways come from one gather per coordinate of
+    (pairs x the longest short way) cells, on the grid's segments extended
+    past its seam so that no index wraps; no temporary is larger than that
+    gather."""
     n = len(pts)
     i, j = cand[:, 0], cand[:, 1]
     forward = 2 * (j - i) <= n
     span = np.where(forward, j - i, n - (j - i))
     near = np.flatnonzero(span <= _MONOTONE_SPAN)
     start, span = np.where(forward, i, j)[near], span[near]
-    chord = pts[np.where(forward, j, i)[near]] - pts[start]
-    seg = np.roll(pts, -1, axis=0) - pts   # the segment from each sample to the next
-    along = np.ones(len(near), dtype=bool)
-    for k in range(_MONOTONE_SPAN):
-        along &= (k >= span) | (np.einsum("md,md->m", seg[(start + k) % n], chord) > 0)
+    end = np.where(forward, j, i)[near]
+    width = int(span.max(initial=0))
+    steps = start[:, None] + np.arange(width)   # the segments of each short way
+    wrap = np.arange(n + width + 1) % n         # the grid, extended past its seam
+    terms = [np.take(np.diff(c[wrap]), steps) * (c[end] - c[start])[:, None] for c in pts.T]
+    along = (np.arange(width) >= span[:, None]) | (_sum_terms(terms) > 0)
     keep = np.ones(len(cand), dtype=bool)
-    keep[near[along]] = False
+    keep[near[along.all(axis=1)]] = False
     return keep
 
 
 def _dot(u, w):
     """Row-wise dot products, each rounded as np.dot rounds a single one."""
     return np.matmul(u[:, None, :], w[:, :, None])[:, 0, 0]
+
+
+def _sum_terms(terms):
+    """The sum of the per-coordinate products of a dot product, rounded as
+    np.einsum("md,md->m") rounds it: the even coordinates' sum plus the
+    odd ones'."""
+    return functools.reduce(np.add, terms[0::2]) + functools.reduce(np.add, terms[1::2])
 
 
 def _refine_double_points(curve, t1, t2):
@@ -534,13 +586,14 @@ def _min_distance_to_curve(curve, samples, points):
     comes within one sample spacing of a point, the branch's nearest sample
     seeds Newton's method on (p(t) - x).p'(t) = 0, for all such seeds
     together, and the distance to the curve point reached replaces the
-    bound when smaller.  The samples are scanned one point at a time,
-    coordinate by coordinate: no temporary is larger than one row of
-    samples."""
+    bound when smaller.  The samples are scanned one point at a time, on
+    contiguous copies of their coordinate columns: no temporary is larger
+    than one column of samples, besides the seeds."""
     ts, pts = samples
-    cols = pts[:-1].T
     gap = pts[1:] - pts[:-1]
     spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
+    del gap   # before the column copies: at --grid 65536 each is 12 MB
+    cols = [np.ascontiguousarray(c) for c in pts[:-1].T]   # t = 1 repeats t = 0
     best = np.empty(len(points))
     node, seed = [], []
     for k, x in enumerate(points):
@@ -590,10 +643,14 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
         k = int(np.argmax(near))
         raise PointOnCurve(
             f"{'probe' if k else 'base'} point {tuple(nodes[k].tolist())} lies on the curve")
-    plane = curve.surface.plane
-    w = _winding(plane(pts, pts[:-1]), plane(pts, nodes))   # t = 1 repeats t = 0
+    n = len(pts) - 1   # t = 1 repeats t = 0
+    chart = curve.surface.plane(pts, np.concatenate((pts[:-1], nodes)))
+    w = _winding(chart[:n], chart[n:])
     index = (w[1:] - w[0]).tolist()
     return index if p.ndim > 1 else index[0]
+
+
+_CHUNK_CELLS = 1 << 18   # most (points x vertices) cells _winding marks at once
 
 
 def _winding(polygon, points):
@@ -601,16 +658,28 @@ def _winding(polygon, points):
     last joined to the first) around each of the (k, 2) points: the signed
     count of its edges that cross the point's rightward ray, +1 upward.  An
     edge holds its lower end but not its upper one, so a vertex on a ray is
-    counted once; a nan point is outside.  One point at a time: no
-    temporary is larger than the polygon."""
-    x0, y0 = polygon.T
-    x1, y1 = np.roll(polygon, -1, axis=0).T
-    dx, dy = x1 - x0, y1 - y0
+    counted once; a nan point is outside.
+
+    Only an edge with one end on or below the point's line and the other
+    above it can count, so the orientation test runs on those edges alone;
+    an edge with a nan end fails it both ways.  The edges are marked for a
+    block of points at a time: no temporary holds more than _CHUNK_CELLS
+    (points x vertices) cells, and the rest scale with the polygon or with
+    the edges marked."""
+    x, y = (np.append(c, c[0]) for c in polygon.T)   # closed: vertex n is vertex 0
+    rows = max(1, _CHUNK_CELLS // len(y))
     out = np.zeros(len(points), dtype=int)
-    for k, (px, py) in enumerate(points):
-        left = dx * (py - y0) - dy * (px - x0)   # > 0: the point is left of the edge
-        out[k] = (np.count_nonzero((y0 <= py) & (py < y1) & (left > 0))
-                  - np.count_nonzero((y1 <= py) & (py < y0) & (left < 0)))
+    for s in range(0, len(points), rows):
+        block = points[s:s + rows]
+        below = y <= block[:, 1, None]
+        k, e = np.nonzero(below[:, :-1] != below[:, 1:])   # point k straddled by edge e
+        up = below[k, e]
+        px, py = block[k].T
+        x0, y0 = x[e], y[e]
+        # > 0: the point is left of the edge
+        left = (x[e + 1] - x0) * (py - y0) - (y[e + 1] - y0) * (px - x0)
+        out[s:s + rows] = (np.bincount(k[up & (left > 0)], minlength=len(block))
+                           - np.bincount(k[~up & (left < 0)], minlength=len(block)))
     return out
 
 

@@ -301,6 +301,13 @@ def test_numeric_bad_q(capsys):
     assert err.startswith("error:") and "abc" in err
 
 
+@pytest.mark.parametrize("q,shown", [(",", "''"), ("1,,2", "''"), ("abc", "'abc'")])
+def test_numeric_bad_q_value_names_the_option(capsys, q, shown):
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", q)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad value for --q: {shown}\n"
+
+
 @pytest.mark.parametrize("grid", ["-8", "0"])
 def test_numeric_rejects_nonpositive_grid(capsys, grid):
     code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--grid", grid)

@@ -12,7 +12,9 @@ replaced, kept as a scalar loop with an 80-step bisection per crossing,
 wherever that leg is not degenerate; the windowed pair scan must return
 the pairs of the dense grid in the same order; double-point seeding skips
 pairs that cannot cross, and seeding from every close pair is kept as a
-reference.
+reference.  The loops that the straddling-edge winding count, the one-gather
+seed filter and the whole-array root merge replaced are kept too, and the
+kernels must equal them exactly.
 """
 
 import math
@@ -124,6 +126,62 @@ def segment_reference(curve, b, p, ts, pts):
             return None
         total += 1 if det > 0 else -1
     return total
+
+
+def winding_reference(polygon, points):
+    """_winding as one pass over every edge for each point."""
+    x0, y0 = polygon.T
+    x1, y1 = np.roll(polygon, -1, axis=0).T
+    dx, dy = x1 - x0, y1 - y0
+    out = np.zeros(len(points), dtype=int)
+    for k, (px, py) in enumerate(points):
+        left = dx * (py - y0) - dy * (px - x0)
+        out[k] = (np.count_nonzero((y0 <= py) & (py < y1) & (left > 0))
+                  - np.count_nonzero((y1 <= py) & (py < y0) & (left < 0)))
+    return out
+
+
+def may_cross_reference(pts, cand):
+    """_may_cross as one gather, modulo and einsum per step of the short way."""
+    n = len(pts)
+    i, j = cand[:, 0], cand[:, 1]
+    forward = 2 * (j - i) <= n
+    span = np.where(forward, j - i, n - (j - i))
+    near = np.flatnonzero(span <= geometry._MONOTONE_SPAN)
+    start, span = np.where(forward, i, j)[near], span[near]
+    chord = pts[np.where(forward, j, i)[near]] - pts[start]
+    seg = np.roll(pts, -1, axis=0) - pts
+    along = np.ones(len(near), dtype=bool)
+    for k in range(geometry._MONOTONE_SPAN):
+        along &= (k >= span) | (np.einsum("md,md->m", seg[(start + k) % n], chord) > 0)
+    keep = np.ones(len(cand), dtype=bool)
+    keep[near[along]] = False
+    return keep
+
+
+def merge_reference(t1s, t2s):
+    """The indices of the roots that find_double_points' greedy loop kept:
+    each root in seed order unless it is near a kept one."""
+    def cyc(a, b):
+        return min(abs(a - b), 1.0 - abs(a - b))
+
+    t1s, t2s = np.asarray(t1s).tolist(), np.asarray(t2s).tolist()
+    tol, kept = geometry.MERGE_TOL, []
+    for r, (t1, t2) in enumerate(zip(t1s, t2s)):
+        if not any((cyc(t1, t1s[k]) < tol and cyc(t2, t2s[k]) < tol)
+                   or (cyc(t1, t2s[k]) < tol and cyc(t2, t1s[k]) < tol) for k in kept):
+            kept.append(r)
+    return kept
+
+
+def plane_reference(pts, x):
+    """UNIT_SPHERE.plane with its pole chosen by axis-0 reductions."""
+    k = int(np.argmin(np.concatenate((pts.max(axis=0), -pts.min(axis=0)))))
+    a, sign = k % 3, 1.0 if k < 3 else -1.0
+    e1, e2 = ((a + 2) % 3, (a + 1) % 3)[::1 if sign > 0 else -1]
+    d = 1.0 - sign * x[..., a]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((d > 0.0)[..., None], x[..., [e1, e2]] / d[..., None], np.nan), k
 
 
 def double_points_all_seeds(curve, cfg):
@@ -429,6 +487,125 @@ def test_winding_on_hand_made_polygons():
     assert geometry._winding(diamond, points).tolist() == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("cells", [None, 1, 40])
+def test_winding_equals_reference_on_hand_made_polygons(monkeypatch, cells):
+    # cells: blocks of one point, of a few points, or all points at once
+    nan = math.nan
+    if cells is not None:
+        monkeypatch.setattr(geometry, "_CHUNK_CELLS", cells)
+    diamond = [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+    # horizontal edges at y = 0 and y = 1, and vertices on the rays y = 0, 1, 2
+    stairs = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0],
+              [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]]
+    # the chart of a curve through the pole: nan vertices, and one with x alone nan
+    holed = [[0.0, -1.0], [1.0, 0.0], [nan, nan], [0.0, 1.0], [-1.0, 0.5],
+             [nan, 0.0], [-1.0, -0.5]]
+    points = np.array([[x, y] for x in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+                       for y in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)]
+                      + [[nan, nan], [nan, 0.5], [0.5, nan]])
+    seen = set()
+    for polygon in (diamond, stairs, holed):
+        polygon = np.array(polygon)
+        for poly in (polygon, polygon[::-1], np.concatenate([polygon, polygon])):
+            got = geometry._winding(poly, points)
+            assert got.tolist() == winding_reference(poly, points).tolist()
+            assert got[-3:].tolist() == [0, 0, 0]
+            seen.update(got.tolist())
+    assert {-1, 0, 1, 2} <= seen
+
+
+FIXTURE_AND_EPICYCLE_CONTEXTS = [
+    *((name, cfg) for name in ("great_circle", "latitude", "circle_torus",
+                               "figure8_sphere_param")
+      for cfg in (NumericConfig(), NumericConfig().halved())),
+    *(((k, a), cfg) for k, a, _ in EPICYCLES
+      for cfg in (NumericConfig(), NumericConfig().halved())),
+]
+
+
+@pytest.mark.parametrize("which,cfg", FIXTURE_AND_EPICYCLE_CONTEXTS)
+def test_winding_equals_reference_on_probe_stacks(which, cfg):
+    # every probe stack that a context charts, as point_index charts it
+    if isinstance(which, str):
+        fx = parametric_fixture(which)
+        curve, base = fx.curve, fx.base_point
+    else:
+        curve, base = Epicycle(*which), (0.05, 0.05)
+    ctx = NumericContext(curve, base, cfg)
+    probes, indices = zip(*context_probes(ctx))
+    pts, nodes = ctx.samples[1], np.vstack((ctx.base_point, *probes))
+    polygon, points = curve.surface.plane(pts, pts[:-1]), curve.surface.plane(pts, nodes)
+    got = geometry._winding(polygon, points)
+    assert got.tolist() == winding_reference(polygon, points).tolist()
+    assert (got[1:] - got[0]).tolist() == list(indices)
+
+
+@pytest.mark.parametrize("curve", [SphereFigureEight(), LatitudeCircle(1.0), TorusCircle(0.2),
+                                   *(Epicycle(k, a) for k, a, _ in EPICYCLES)])
+@pytest.mark.parametrize("n", [50, 100, 200, 400, 800])
+def test_may_cross_equals_reference(curve, n):
+    # the close pairs of the grid, and pairs across the seam, some of whose
+    # short ways wrap it
+    ts = np.arange(n) / n
+    pts = curve.point(ts)
+    step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
+    close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
+    seam = np.array([(i, j) for i in range(20) for j in range(n - 20, n) if i < j])
+    cand = np.concatenate([close, seam])
+    got = geometry._may_cross(pts, cand)
+    assert got.tolist() == may_cross_reference(pts, cand).tolist()
+    wraps = (seam[:, 1] - seam[:, 0] > n // 2) & (n - (seam[:, 1] - seam[:, 0]) <= 16)
+    assert wraps.any() and not got[len(close):][wraps].all()
+    assert not got[:len(close)].all()
+
+
+def test_distinct_roots_equals_greedy_loop_on_hand_made_roots():
+    tol = geometry.MERGE_TOL
+    cases = [
+        # seam-wrapped duplicates, both orientations
+        ([1e-10, 0.3, 0.3, 1 - 1e-10, 0.5], [0.3, 1 - 1e-10, 1e-10, 0.3, 0.7]),
+        ([1e-10, 0.2, 1 - 1e-10], [0.6, 0.6 + 1e-10, 0.6 - 1e-10]),
+        # swapped orientation away from the seam
+        ([0.25, 0.75, 0.25 + 0.5 * tol], [0.75, 0.25, 0.75]),
+        # a chain: the second root is near both, the first and third are not
+        # near each other, so the third stays
+        ([0.4, 0.4 + 0.9 * tol, 0.4 + 1.8 * tol], [0.8, 0.8, 0.8]),
+        # just outside the radius, and exactly at it
+        ([0.1, 0.1 + 1.01 * tol, 0.1 + tol], [0.9, 0.9, 0.9]),
+        ([], []),
+    ]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m = int(rng.integers(1, 60))
+        centres = rng.uniform(0, 1, size=(int(rng.integers(1, 6)), 2))
+        pick = centres[rng.integers(0, len(centres), size=m)]
+        roots = (pick + rng.normal(scale=tol, size=(m, 2))) % 1.0
+        swap = rng.random(m) < 0.3
+        roots[swap] = roots[swap][:, ::-1]
+        cases.append((roots[:, 0], roots[:, 1]))
+    chains = 0
+    for t1, t2 in cases:
+        t1, t2 = np.array(t1, dtype=float), np.array(t2, dtype=float)
+        want = merge_reference(t1, t2)
+        assert geometry._distinct_roots(t1, t2).tolist() == want
+        chains += len(want) > 1 and len(t1) > len(want)
+    assert chains > 50
+
+
+@pytest.mark.parametrize("curve", [SphereFigureEight(), SphereFigureEight(0.6, 0.3),
+                                   *(Epicycle(k, a) for k, a, _ in EPICYCLES)])
+def test_distinct_roots_equals_greedy_loop_on_refined_roots(monkeypatch, curve):
+    roots = []
+    refine = geometry._refine_double_points
+    monkeypatch.setattr(geometry, "_refine_double_points",
+                        lambda *args: roots.append(refine(*args)) or roots[-1])
+    found = find_double_points(curve)
+    (t1, t2), = roots
+    keep = geometry._distinct_roots(t1, t2)
+    assert keep.tolist() == merge_reference(t1, t2)
+    assert sorted(zip(t1[keep].tolist(), t2[keep].tolist())) == [(d.t1, d.t2) for d in found]
+
+
 @pytest.mark.parametrize("cfg", [NumericConfig(), NumericConfig().halved()])
 def test_latitude_seam_fixed_index(cfg):
     # a regression case for the seam of the chart polygon: the latitude of
@@ -483,6 +660,29 @@ def test_context_makes_one_point_index_call(monkeypatch, name):
     fx = parametric_fixture(name)
     NumericContext(fx.curve, fx.base_point)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
+def test_point_index_makes_one_plane_call(monkeypatch, name):
+    # one chart for the polygon and the probes, from the pole that the
+    # axis-0 reductions chose
+    fx = parametric_fixture(name)
+    for cfg in (NumericConfig(), NumericConfig().halved()):
+        ctx = NumericContext(fx.curve, fx.base_point, cfg)
+        pts = ctx.samples[1]
+        nodes = np.vstack((ctx.base_point, *(p for p, _ in context_probes(ctx))))
+        charts = []
+        plane = UNIT_SPHERE.plane
+        monkeypatch.setattr(UNIT_SPHERE, "plane",
+                            lambda p, x: charts.append(plane(p, x)) or charts[-1])
+        geometry.point_index(fx.curve, ctx.base_point, nodes[1:], samples=ctx.samples)
+        monkeypatch.undo()
+        assert len(charts) == 1
+        want, k = plane_reference(pts, np.concatenate((pts[:-1], nodes)))
+        np.testing.assert_array_equal(charts[0], want)
+        pole = np.zeros(3)
+        pole[k % 3] = 1.0 if k < 3 else -1.0
+        assert np.isnan(plane(pts, pole)).all() and not np.isnan(charts[0][:len(pts) - 1]).any()
 
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
