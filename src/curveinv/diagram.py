@@ -277,16 +277,19 @@ def parse_diagram(text: str) -> CurveDiagram:
         fields = line.split()
         kind = fields[0]
         if kind == "surface":
-            surface_genus = _parse_kv(fields[1:], "genus", line_no)
+            if len(fields) != 2:
+                raise ParseError("surface needs exactly genus=<g>", line_no)
+            surface_genus = _parse_kv(fields[1], "genus", line_no)
         elif kind == "curve":
             if curve_tokens is not None:
                 raise ParseError("duplicate curve line", line_no)
             curve_tokens = (fields[1:], line_no)
         elif kind == "region":
-            if len(fields) < 4:
-                raise ParseError("region needs <rid> genus=<g> cycles=<c,...>", line_no)
+            if len(fields) != 4:
+                raise ParseError("region needs exactly <rid> genus=<g> cycles=<c,...>",
+                                 line_no)
             rid = _parse_int(fields[1], line_no, "region id")
-            genus = _parse_kv([fields[2]], "genus", line_no)
+            genus = _parse_kv(fields[2], "genus", line_no)
             if not fields[3].startswith("cycles="):
                 raise ParseError("expected cycles=<c1,c2,...>", line_no)
             try:
@@ -351,14 +354,13 @@ def _parse_int(text, line_no, what):
         raise ParseError(f"bad {what}: {text!r}", line_no) from None
 
 
-def _parse_kv(fields, key, line_no):
-    for f in fields:
-        if f.startswith(key + "="):
-            value = _parse_int(f[len(key) + 1:], line_no, key)
-            if value < 0:
-                raise ParseError(f"{key} must be nonnegative", line_no)
-            return value
-    raise ParseError(f"expected {key}=<value>", line_no)
+def _parse_kv(field, key, line_no):
+    if not field.startswith(key + "="):
+        raise ParseError(f"expected {key}=<value>", line_no)
+    value = _parse_int(field[len(key) + 1:], line_no, key)
+    if value < 0:
+        raise ParseError(f"{key} must be nonnegative", line_no)
+    return value
 
 
 def serialize_diagram(diagram: CurveDiagram) -> str:

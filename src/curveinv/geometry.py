@@ -12,12 +12,14 @@ Each model surface, UNIT_SPHERE or FLAT_TORUS, is one object holding every
 formula that differs between surfaces.  On the unit sphere K = 1 and each
 index level's area is, by Stokes, the integral of a 1-form alpha with
 d alpha = dA along the arcs that bound it, plus 4 pi for the level holding
-alpha's singular pole.  In I_q each arc's integral of alpha joins its
+alpha's singular point.  In I_q each arc's integral of alpha joins its
 integral of k_g ds, so agreement with the exact I_q tests their sum per
 arc, not the areas.  On the flat torus K = 0 and the area term vanishes.
 The index of a point is the curve's winding number around it in a planar
 chart of the surface (stereographic on the sphere, the fundamental domain
-on the torus), less that around the base point.
+on the torus), less that around the base point.  On the sphere one pole,
+the axis pole farthest from the curve, is the chart's point at infinity,
+alpha's singular point and the one fixed probe whose index alpha needs.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -86,24 +88,26 @@ class NumericConfig:
 
 
 # ---------------------------------------------------------------------------
-# model surfaces; each has chi, fixed_probes (the (k, d) points whose index
-# area_form reads from ctx.fixed_index) and these methods:
+# model surfaces; each has chi and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
 #   left_normal(x, u)     the left unit normal of a unit tangent u at x
+#   fixed_probes(pts)     (k, d) points off the samples pts whose index
+#                         area_form reads from ctx.fixed_index
 #   plane(pts, x)         points x in an orientation-preserving planar chart
 #                         of the surface minus one point off the samples pts;
 #                         that point maps to nan
 #   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
+# On the sphere the chart's missing point, the one fixed probe and alpha's
+# singular point are the same pole, which pole(pts) chooses from the samples.
 
 
 class _UnitSphere:
     """The unit sphere in R^3: K = 1, chi = 2."""
 
     chi = 2
-    fixed_probes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])   # the poles
 
     def orientation(self, x, u, w):
         return np.einsum("...i,...i->...", x, np.cross(u, w))
@@ -114,13 +118,26 @@ class _UnitSphere:
     def left_normal(self, x, u):
         return np.cross(self.project(x), u)
 
+    def pole(self, pts):
+        """(a, sign) of the pole s = sign e_a: the one of +-e1, +-e2, +-e3
+        whose nearest sample of pts is farthest."""
+        # reduced along rows of a contiguous copy: an axis-0 reduction of pts
+        # is far slower
+        cols = np.ascontiguousarray(pts.T)
+        k = int(np.argmin(np.concatenate((cols.max(axis=1), -cols.min(axis=1)))))
+        return k % 3, 1.0 if k < 3 else -1.0
+
+    def fixed_probes(self, pts):
+        """The pole, as a stack of one point."""
+        a, sign = self.pole(pts)
+        s = np.zeros((1, 3))
+        s[0, a] = sign
+        return s
+
     def plane(self, pts, x):
-        """Stereographic projection of x from s, the one of +-e1, +-e2, +-e3
-        whose nearest sample of pts is farthest, onto axes (e1, e2) with
-        (e1, e2, -s) right-handed."""
-        cols = pts.T   # one reduction per column: an axis-0 one is far slower
-        k = int(np.argmin([c.max() for c in cols] + [-c.min() for c in cols]))
-        a, sign = k % 3, 1.0 if k < 3 else -1.0
+        """Stereographic projection of x from the pole s onto axes (e1, e2)
+        with (e1, e2, -s) right-handed."""
+        a, sign = self.pole(pts)
         e1, e2 = (a + 2) % 3, (a + 1) % 3
         if sign < 0:
             e1, e2 = e2, e1
@@ -135,16 +152,13 @@ class _UnitSphere:
     def regions(self, ctx, cycles):
         return None   # every face of a connected curve is a disk
 
-    def singular_pole(self, pts):
-        """The sign of z at the pole farther from the points pts."""
-        return 1.0 if pts[:, 2].max() + pts[:, 2].min() < 0.0 else -1.0
-
     def area_form(self, ctx, x, v):
-        """alpha = -sigma (x dy - y dx) / (1 - sigma z), with d alpha = dA
-        away from the pole (0, 0, sigma) farther from the curve samples."""
-        sigma = self.singular_pole(ctx.samples[1])
-        alpha = -sigma * (x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0]) / (1.0 - sigma * x[:, 2])
-        return alpha, ctx.fixed_index[0 if sigma > 0 else 1]
+        """alpha = -s.(x cross v) / (1 - s.x), with d alpha = dA away from
+        the pole s, the context's one fixed probe."""
+        a, sign = self.pole(ctx.samples[1])
+        b, c = (a + 1) % 3, (a + 2) % 3   # (x cross v)_a = x_b v_c - x_c v_b
+        alpha = -sign * (x[:, b] * v[:, c] - x[:, c] * v[:, b]) / (1.0 - sign * x[:, a])
+        return alpha, ctx.fixed_index[0]
 
 
 class _FlatTorus:
@@ -152,7 +166,6 @@ class _FlatTorus:
     are given by their plane lift."""
 
     chi = 0
-    fixed_probes = np.empty((0, 2))
 
     def orientation(self, x, u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
@@ -162,6 +175,9 @@ class _FlatTorus:
 
     def left_normal(self, x, u):
         return np.stack([-u[..., 1], u[..., 0]], axis=-1)
+
+    def fixed_probes(self, pts):
+        return np.empty((0, 2))
 
     def plane(self, pts, x):
         return x   # the chart holds the curve's plane lift
@@ -574,7 +590,7 @@ def _refine_double_points(curve, t1, t2):
 def _curve_samples(curve, cfg):
     """The curve at cfg.curve_samples + 1 evenly spaced parameters
     t = 0, ..., 1, for distance tests, winding numbers and the choice of
-    the sphere's singular pole."""
+    the sphere's pole."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
     return ts, curve.point(ts)
 
@@ -776,7 +792,8 @@ class NumericContext:
         fixed_index."""
         t = 0.5 * np.sum(spans, axis=1) % 1.0
         n = len(t)
-        probes = np.concatenate((*self._side_probes(t), self.curve.surface.fixed_probes))
+        fixed = self.curve.surface.fixed_probes(self.samples[1])
+        probes = np.concatenate((*self._side_probes(t), fixed))
         ind = point_index(self.curve, self.base_point, probes, self.cfg, samples=self.samples)
         for tk, il, ir in zip(t, ind[:n], ind[n:2 * n]):
             if il != ir + 1:
@@ -849,7 +866,7 @@ def numeric_jplus(curve, base_point, cfg: NumericConfig = None, context=None):
     if chi == 0:
         raise ChiZero("the J+ integral formula needs chi(S) != 0")
     ctx = context or NumericContext(curve, base_point, cfg)
-    gb = ctx.line_integral(lambda i: 1.0) + ctx.area_integral(lambda i: i)
+    gb = TWO_PI * numeric_i1(curve, base_point, context=ctx)
     middle = (
         ctx.line_integral(lambda i: i)
         - ctx.crossing_sum(lambda theta, i: theta)

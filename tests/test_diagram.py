@@ -102,6 +102,24 @@ def test_parse_errors_carry_line_numbers():
         parse_diagram("curve 1+ 1+\n\nbase -1\n")
 
 
+TORUS_REGIONS = "region 0 genus=0 cycles=0\nregion 1 genus=1 cycles=1\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("surface genus=1 genus=7\ncurve -\n" + TORUS_REGIONS + "base 1\n", 1),
+    ("surface\ncurve -\nbase 0\n", 1),
+    ("curve -\nregion 0 genus=0 cycles=0 genus=3\nregion 1 genus=0 cycles=1\nbase 0\n", 2),
+    ("surface genus=1\ncurve -\nregion 0 genus=0 cycles=0\n"
+     "region 1 genus=1 cycles=1 junk\nbase 1\n", 4),
+], ids=["surface-genus-twice", "surface-bare", "region-genus-twice", "region-junk"])
+def test_parse_rejects_extra_surface_and_region_fields(text, line):
+    # a surface line is exactly genus=<g>; a region line exactly
+    # <rid> genus=<g> cycles=<c,...>
+    with pytest.raises(ParseError, match=f"line {line}: (surface|region) needs exactly"):
+        parse_diagram(text)
+    parse_diagram("surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n")
+
+
 def test_parse_inconsistent_surface_chi():
     with pytest.raises(TopologyError):
         parse_diagram("surface genus=1\ncurve 1+ 1+\nbase 0\n")

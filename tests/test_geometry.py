@@ -262,19 +262,46 @@ def test_figure8_level_areas_are_vivianis_window(contexts):
     assert area[0] == pytest.approx(2 * math.pi + 4, abs=1e-12)
 
 
+# figure eights through or near both of +-e3: tilt 0 passes through them, and
+# the last is numeric_verify seed 61, spec 8
+NEAR_POLE_FIGURE_EIGHTS = [(0.0, 0.35), (0.1, 0.35), (0.2, 0.35),
+                           (0.5540890692507796, 0.30999560767158624)]
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+@pytest.mark.parametrize("tilt,phase", NEAR_POLE_FIGURE_EIGHTS)
+def test_figure_eights_near_the_poles_match_exact(tilt, phase, cfg):
+    ctx = NumericContext(SphereFigureEight(tilt, phase), (-1.0, 0.0, 0.0), cfg)
+    curve, base = ctx.curve, ctx.base_point
+    diagram, b = extract_diagram(curve, base, cfg, context=ctx)
+    rep = full_report(diagram, b)
+    for q, v in zip((0.5, 2.0, 3.0), numeric_iq(curve, base, (0.5, 2.0, 3.0), context=ctx)):
+        assert abs(v - laurent.eval_real(rep.iq, q)) <= 1e-12
+    assert abs(numeric_i1(curve, base, context=ctx) - rep.i1) <= 1e-12
+    assert abs(numeric_jplus(curve, base, context=ctx) - float(rep.jplus)) <= 1e-12
+    # a tilt is a rotation: the lobes stay Viviani's, pi - 2 each
+    assert abs(ctx.level_area[-1] - (math.pi - 2)) <= 1e-12
+    assert abs(ctx.level_area[1] - (math.pi - 2)) <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
-def test_level_areas_agree_for_either_singular_pole(monkeypatch, name):
-    # the area form singular at the north pole and the one singular at the
-    # south pole give the same table: the 4 pi goes to the level of the pole
+def test_level_areas_agree_for_every_axis_pole(monkeypatch, name):
+    # the area form singular at any of +-e1, +-e2, +-e3 at least 0.3 from
+    # the curve gives the same table: the 4 pi goes to the level of the pole
     fx = parametric_fixture(name)
+    pts = NumericContext(fx.curve, fx.base_point, CFG).samples[1]
     tables = []
-    for sigma in (1.0, -1.0):
-        monkeypatch.setattr(UNIT_SPHERE, "singular_pole", lambda pts: sigma)
-        tables.append(NumericContext(fx.curve, fx.base_point, CFG).level_area)
-    north, south = tables
-    assert list(north) == list(south)
-    for level, area in south.items():
-        assert abs(north[level] - area) <= 1e-12
+    for a in range(3):
+        for sign in (1.0, -1.0):
+            if np.min(np.linalg.norm(pts - sign * np.eye(3)[a], axis=1)) < 0.3:
+                continue
+            monkeypatch.setattr(UNIT_SPHERE, "pole", lambda pts, s=(a, sign): s)
+            tables.append(NumericContext(fx.curve, fx.base_point, CFG).level_area)
+    assert len(tables) >= 2
+    for table in tables:
+        assert list(table) == list(tables[0])
+        for level, area in tables[0].items():
+            assert abs(table[level] - area) <= 1e-12
 
 
 def test_point_index_on_context_samples(contexts):

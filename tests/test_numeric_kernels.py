@@ -420,12 +420,12 @@ def test_sweep_reference_within_2pi_over_m_of_stokes_areas(curve, base):
 
 def context_probes(ctx, stride=1):
     """The side probes of every stride-th arc of a context, with the index
-    that the context gives each, then its fixed probes with theirs."""
+    that the context gives each, then its fixed probe, if any, with its."""
     t = (0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0)[::stride]
     left, right = ctx._side_probes(t)
     arcs = ctx.arc_index[::stride]
     return (list(zip(left, (v + 1 for v in arcs))) + list(zip(right, arcs))
-            + list(zip(ctx.curve.surface.fixed_probes, ctx.fixed_index)))
+            + list(zip(ctx.curve.surface.fixed_probes(ctx.samples[1]), ctx.fixed_index)))
 
 
 @pytest.mark.parametrize("curve,base,cfg", [
@@ -609,9 +609,13 @@ def test_distinct_roots_equals_greedy_loop_on_refined_roots(monkeypatch, curve):
 @pytest.mark.parametrize("cfg", [NumericConfig(), NumericConfig().halved()])
 def test_latitude_seam_fixed_index(cfg):
     # a regression case for the seam of the chart polygon: the latitude of
-    # numeric_verify seed 7, spec 13, from the south pole
+    # numeric_verify seed 7, spec 13, from the south pole; its one fixed
+    # probe is the north pole, farther from it than the south pole
     ctx = NumericContext(LatitudeCircle(2.0150167225273448), (0.0, 0.0, -1.0), cfg)
-    assert ctx.fixed_index == [1, 0]
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert geometry.point_index(ctx.curve, ctx.base_point, poles, samples=ctx.samples) == [1, 0]
+    assert UNIT_SPHERE.fixed_probes(ctx.samples[1]).tolist() == [[0.0, 0.0, 1.0]]
+    assert ctx.fixed_index == [1]
 
 
 def _same_double_points(got, want):
