@@ -99,8 +99,8 @@ def validate_catalog():
     for name in PARAMETRIC_NAMES:
         fx = parametric_fixture(name)
         ts = np.arange(512) / 512
-        pts = fx.curve.point(ts)
-        speed = np.linalg.norm(fx.curve.velocity(ts), axis=-1)
+        pts, vel = fx.curve.jet(ts, 1)
+        speed = np.linalg.norm(vel, axis=-1)
         if speed.min() <= 0:
             raise ValueError(f"{name}: not an immersion")
         err = max(np.linalg.norm(fx.curve.surface.project(p) - p) for p in pts)

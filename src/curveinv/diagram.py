@@ -265,6 +265,7 @@ def parse_diagram(text: str) -> CurveDiagram:
         curve <label><+|-> ... | curve -        required
         region <rid> genus=<g> cycles=<c,...>   optional, must partition cycles
         base <rid>                              required
+    A surface, curve or base line may appear at most once.
     """
     curve_tokens = None
     surface_genus = None
@@ -279,10 +280,14 @@ def parse_diagram(text: str) -> CurveDiagram:
         if kind == "surface":
             if len(fields) != 2:
                 raise ParseError("surface needs exactly genus=<g>", line_no)
+            if surface_genus is not None:
+                raise ParseError("duplicate surface line", line_no)
             surface_genus = _parse_kv(fields[1], "genus", line_no)
         elif kind == "curve":
             if curve_tokens is not None:
                 raise ParseError("duplicate curve line", line_no)
+            if len(fields) == 1:
+                raise ParseError("curve needs visit tokens, or - for no crossing", line_no)
             curve_tokens = (fields[1:], line_no)
         elif kind == "region":
             if len(fields) != 4:
@@ -300,6 +305,8 @@ def parse_diagram(text: str) -> CurveDiagram:
         elif kind == "base":
             if len(fields) != 2:
                 raise ParseError("base needs exactly one region id", line_no)
+            if base_rid is not None:
+                raise ParseError("duplicate base line", line_no)
             base_rid = (_parse_int(fields[1], line_no, "base region"), line_no)
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no)

@@ -8,8 +8,11 @@ cross-check of the exact formulas:
                     - sum_d theta_d q^(ind d) (q^(1/2) - q^(-1/2))
                     + integral_S K (q^(ind) - 1)/(q^(1/2) - q^(-1/2)) dA ]
 
-Each model surface, UNIT_SPHERE or FLAT_TORUS, is one object holding every
-formula that differs between surfaces.  On the unit sphere K = 1 and each
+A curve is a surface plus one evaluation, jet(t, order): its position and
+first two derivatives at a parameter array, each formula written once, and
+every kernel below reads one jet per array.  Each model surface,
+UNIT_SPHERE or FLAT_TORUS, is one object holding every formula that
+differs between surfaces.  On the unit sphere K = 1 and each
 index level's area is, by Stokes, the integral of a 1-form alpha with
 d alpha = dA along the arcs that bound it, plus 4 pi for the level holding
 alpha's singular point.  In I_q each arc's integral of alpha joins its
@@ -31,6 +34,7 @@ visiting tangents in visit order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -195,15 +199,14 @@ class _FlatTorus:
             raise ChartViolation("the curve leaves the open fundamental-domain chart")
         t = ts[int(np.argmax(pts[:-1, 0]))]
         for _ in range(40):   # polish the x-extremum: vx(t) = 0
-            v = curve.velocity(t)
-            a = curve.acceleration(t)
+            _, v, a = curve.jet(t)
             if abs(a[0]) < 1e-12:
                 break
             step = v[0] / a[0]
             t = (t - step) % 1.0
             if abs(step) < 1e-13:
                 break
-        v = curve.velocity(t)
+        v = curve.jet(t, 1)[1]
         # +x points left of the curve iff det(v, +x) = -v_y is positive
         side = LEFT if -v[1] > 0 else RIGHT
         spans = ctx.arc_spans   # the arc holding parameter t
@@ -220,20 +223,22 @@ FLAT_TORUS = _FlatTorus()
 class ParametricCurve:
     """A smooth closed curve, parametrized by t in [0, 1).
 
-    Subclasses provide point/velocity/acceleration as numpy-vectorized
-    functions of t; `surface` is UNIT_SPHERE (K = 1) or FLAT_TORUS (K = 0,
-    fundamental domain [0,1)^2, curve given by its plane lift).
+    `jet` is the curve's one evaluation; a subclass writes each formula
+    once, in the generator `_jet(t)` of p(t), p'(t), p''(t) at an array t.
+    `surface` is UNIT_SPHERE (K = 1) or FLAT_TORUS (K = 0, fundamental
+    domain [0,1)^2, curve given by its plane lift).
     """
 
     surface = None
 
-    def point(self, t):
-        raise NotImplementedError
+    def jet(self, t, order=2):
+        """(p, p', p'')[:order + 1] at t, a parameter or an array of them,
+        from one evaluation of the curve's trigonometric functions.  Only
+        the terms asked for are computed: a caller of points alone asks for
+        order=0."""
+        return tuple(itertools.islice(self._jet(np.asarray(t, dtype=float)), order + 1))
 
-    def velocity(self, t):
-        raise NotImplementedError
-
-    def acceleration(self, t):
+    def _jet(self, t):
         raise NotImplementedError
 
 
@@ -242,17 +247,12 @@ class GreatCircle(ParametricCurve):
 
     surface = UNIT_SPHERE
 
-    def point(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        return np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=-1)
-
-    def velocity(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        return TWO_PI * np.stack([-np.sin(s), np.cos(s), np.zeros_like(s)], axis=-1)
-
-    def acceleration(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        return -TWO_PI ** 2 * np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=-1)
+    def _jet(self, t):
+        s = TWO_PI * t
+        c, d, z = np.cos(s), np.sin(s), np.zeros_like(s)
+        yield np.stack([c, d, z], axis=-1)
+        yield TWO_PI * np.stack([-d, c, z], axis=-1)
+        yield -TWO_PI ** 2 * np.stack([c, d, z], axis=-1)
 
 
 class LatitudeCircle(ParametricCurve):
@@ -266,26 +266,13 @@ class LatitudeCircle(ParametricCurve):
             raise ValueError("colatitude must lie in (0, pi)")
         self.alpha = float(alpha)
 
-    def point(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
+    def _jet(self, t):
+        s = TWO_PI * t
         sa, ca = math.sin(self.alpha), math.cos(self.alpha)
-        return np.stack(
-            [sa * np.cos(s), sa * np.sin(s), ca * np.ones_like(s)], axis=-1
-        )
-
-    def velocity(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        sa = math.sin(self.alpha)
-        return TWO_PI * sa * np.stack(
-            [-np.sin(s), np.cos(s), np.zeros_like(s)], axis=-1
-        )
-
-    def acceleration(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        sa = math.sin(self.alpha)
-        return -TWO_PI ** 2 * sa * np.stack(
-            [np.cos(s), np.sin(s), np.zeros_like(s)], axis=-1
-        )
+        c, d, z = np.cos(s), np.sin(s), np.zeros_like(s)
+        yield np.stack([sa * c, sa * d, ca * np.ones_like(s)], axis=-1)
+        yield TWO_PI * sa * np.stack([-d, c, z], axis=-1)
+        yield -TWO_PI ** 2 * sa * np.stack([c, d, z], axis=-1)
 
 
 class SphereFigureEight(ParametricCurve):
@@ -305,26 +292,12 @@ class SphereFigureEight(ParametricCurve):
         c, s = math.cos(self.tilt), math.sin(self.tilt)
         self._rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
-    def _base(self, s, order):
-        if order == 0:
-            return np.stack(
-                [0.5 * (1.0 + np.cos(2 * s)), 0.5 * np.sin(2 * s), np.sin(s)], axis=-1
-            )
-        if order == 1:
-            return np.stack([-np.sin(2 * s), np.cos(2 * s), np.cos(s)], axis=-1)
-        return np.stack([-2 * np.cos(2 * s), -2 * np.sin(2 * s), -np.sin(s)], axis=-1)
-
-    def point(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float) + self.phase
-        return self._base(s, 0) @ self._rot.T
-
-    def velocity(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float) + self.phase
-        return TWO_PI * self._base(s, 1) @ self._rot.T
-
-    def acceleration(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float) + self.phase
-        return TWO_PI ** 2 * self._base(s, 2) @ self._rot.T
+    def _jet(self, t):
+        s = TWO_PI * t + self.phase
+        c2, s2, s1 = np.cos(2 * s), np.sin(2 * s), np.sin(s)
+        yield np.stack([0.5 * (1.0 + c2), 0.5 * s2, s1], axis=-1) @ self._rot.T
+        yield TWO_PI * np.stack([-s2, c2, np.cos(s)], axis=-1) @ self._rot.T
+        yield TWO_PI ** 2 * np.stack([-2 * c2, -2 * s2, -s1], axis=-1) @ self._rot.T
 
 
 class TorusCircle(ParametricCurve):
@@ -338,17 +311,12 @@ class TorusCircle(ParametricCurve):
         self.rho = float(rho)
         self.center = np.asarray(center, dtype=float)
 
-    def point(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        return self.center + self.rho * np.stack([np.cos(s), np.sin(s)], axis=-1)
-
-    def velocity(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        return TWO_PI * self.rho * np.stack([-np.sin(s), np.cos(s)], axis=-1)
-
-    def acceleration(self, t):
-        s = TWO_PI * np.asarray(t, dtype=float)
-        return -TWO_PI ** 2 * self.rho * np.stack([np.cos(s), np.sin(s)], axis=-1)
+    def _jet(self, t):
+        s = TWO_PI * t
+        c, d = np.cos(s), np.sin(s)
+        yield self.center + self.rho * np.stack([c, d], axis=-1)
+        yield TWO_PI * self.rho * np.stack([-d, c], axis=-1)
+        yield -TWO_PI ** 2 * self.rho * np.stack([c, d], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -369,9 +337,8 @@ def geodesic_curvature(curve: ParametricCurve, t):
     det(p, p', p'') in the tangent plane at p, over |p'|^3.
     Positive for a small counterclockwise contractible loop.
     """
-    v = curve.velocity(t)
-    det = curve.surface.orientation(curve.point(t), v, curve.acceleration(t))
-    return det / np.linalg.norm(v, axis=-1) ** 3
+    x, v, a = curve.jet(t)
+    return curve.surface.orientation(x, v, a) / np.linalg.norm(v, axis=-1) ** 3
 
 
 def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
@@ -388,31 +355,30 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     cfg = cfg or NumericConfig()
     n = cfg.double_grid
     ts = np.arange(n) / n
-    pts = curve.point(ts)
-    step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
+    pts, vel = curve.jet(ts, 1)
+    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
     cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
     cand = cand[_may_cross(pts, cand)]
     roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
     keep = _distinct_roots(*roots)
+    t1, t2 = (r[keep] for r in roots)
+    if not len(t1):   # an embedded curve: skip the passes below
+        return []
+    x, v1 = curve.jet(t1, 1)
+    v2 = curve.jet(t2, 1)[1]
+    x = curve.surface.project(x)
+    cosang = _dot(v1, -v2) / (np.sqrt(_dot(v1, v1)) * np.sqrt(_dot(v2, v2)))
+    positive = curve.surface.orientation(x, v1, v2) > 0
     found = []
-    for t1, t2 in zip(*(r[keep].tolist() for r in roots)):
-        x = curve.surface.project(curve.point(t1))
-        v1 = curve.velocity(t1)
-        v2 = curve.velocity(t2)
-        cosang = float(
-            np.dot(v1, -v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-        )
-        theta = math.acos(max(-1.0, min(1.0, cosang)))
+    for r1, r2, c, xr, pos in zip(t1.tolist(), t2.tolist(), cosang.tolist(),
+                                  x.tolist(), positive.tolist()):
+        theta = math.acos(max(-1.0, min(1.0, c)))
         if min(theta, math.pi - theta) < ANGLE_FLOOR:
             raise DegenerateTangency(
-                f"branches at t=({t1:.6f},{t2:.6f}) meet at angle {theta:.2e}"
+                f"branches at t=({r1:.6f},{r2:.6f}) meet at angle {theta:.2e}"
             )
-        found.append(
-            DoublePointNumeric(
-                t1=t1, t2=t2, position=tuple(float(c) for c in x), theta=theta,
-                sign=1 if curve.surface.orientation(x, v1, v2) > 0 else -1,
-            )
-        )
+        found.append(DoublePointNumeric(t1=r1, t2=r2, position=tuple(xr), theta=theta,
+                                        sign=1 if pos else -1))
     found.sort(key=lambda d: (d.t1, d.t2))
     return found
 
@@ -556,15 +522,15 @@ def _refine_double_points(curve, t1, t2):
     for _ in range(60):
         if not live.size:
             break
-        s1, s2 = t1[live], t2[live]
-        v1, v2 = curve.velocity(s1), curve.velocity(s2)
-        d = curve.point(s1) - curve.point(s2)
+        p1, v1, a1 = curve.jet(t1[live])
+        p2, v2, a2 = curve.jet(t2[live])
+        d = p1 - p2
         f1 = _dot(d, v1)
         f2 = _dot(d, v2)
-        j11 = _dot(v1, v1) + _dot(d, curve.acceleration(s1))
+        j11 = _dot(v1, v1) + _dot(d, a1)
         j21 = _dot(v1, v2)
         j12 = -j21
-        j22 = -_dot(v2, v2) + _dot(d, curve.acceleration(s2))
+        j22 = -_dot(v2, v2) + _dot(d, a2)
         det = j11 * j22 - j12 * j21
         with np.errstate(divide="ignore", invalid="ignore"):
             dt1 = (f1 * j22 - f2 * j12) / det
@@ -582,7 +548,7 @@ def _refine_double_points(curve, t1, t2):
     sep = t2 - t1
     keep = ~(np.minimum(sep, 1.0 - sep) < DIAG_GAP)
     t1, t2 = t1[keep], t2[keep]
-    gap = curve.point(t1) - curve.point(t2)
+    gap = curve.jet(t1, 0)[0] - curve.jet(t2, 0)[0]
     keep = ~(np.sqrt(_dot(gap, gap)) > POSITION_TOL)
     return t1[keep], t2[keep]
 
@@ -592,7 +558,7 @@ def _curve_samples(curve, cfg):
     t = 0, ..., 1, for distance tests, winding numbers and the choice of
     the sphere's pole."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    return ts, curve.point(ts)
+    return ts, curve.jet(ts, 0)[0]
 
 
 def _min_distance_to_curve(curve, samples, points):
@@ -624,12 +590,13 @@ def _min_distance_to_curve(curve, samples, points):
     if node:
         x, t = np.asarray(points, dtype=float)[node], np.array(seed)
         for _ in range(8):
-            p, v = curve.point(t) - x, curve.velocity(t)
-            step = _dot(p, v) / (_dot(v, v) + _dot(p, curve.acceleration(t)))
+            p, v, a = curve.jet(t)
+            p = p - x
+            step = _dot(p, v) / (_dot(v, v) + _dot(p, a))
             t = t - step
             if not np.any(np.abs(step) > PARAM_TOL):
                 break
-        p = curve.point(t) - x
+        p = curve.jet(t, 0)[0] - x
         np.fmin.at(best, node, _dot(p, p))
     return np.sqrt(best)
 
@@ -746,7 +713,7 @@ class NumericContext:
         a, b = np.array(spans).T
         half = 0.5 * (b - a)
         ts = ((half[:, None] * nodes + 0.5 * (a + b)[:, None]) % 1.0).ravel()
-        x, v = curve.point(ts), curve.velocity(ts)
+        x, v = curve.jet(ts, 1)
         kg = geodesic_curvature(curve, ts) * np.linalg.norm(v, axis=-1)
 
         def integral(f):   # over each arc, of f at its nodes
@@ -807,8 +774,7 @@ class NumericContext:
         """The points PROBE_EPS left and right of the curve at t (one
         parameter, or an array of them)."""
         surface = self.curve.surface
-        x = self.curve.point(t)
-        v = self.curve.velocity(t)
+        x, v = self.curve.jet(t, 1)
         left = surface.left_normal(x, v / np.linalg.norm(v, axis=-1, keepdims=True))
         return (surface.project(x + PROBE_EPS * left),
                 surface.project(x - PROBE_EPS * left))

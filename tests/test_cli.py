@@ -278,6 +278,15 @@ def test_numeric_unknown_fixture(capsys):
     assert err == "error: unknown parametric fixture 'nonsense'\n"
 
 
+def test_numeric_curve_leaving_the_torus_chart(capsys):
+    # rho just below 1/2 keeps the circle inside [0, 1]^2 but not 1e-6 from
+    # its edges
+    code, out, err = run(capsys, "numeric", "--fixture", "circle_torus",
+                         "--param", "rho=0.4999999")
+    assert (code, out) == (1, "")
+    assert err == "error: the curve leaves the open fundamental-domain chart\n"
+
+
 def test_numeric_unknown_param(capsys):
     code, out, err = run(capsys, "numeric", "--fixture", "latitude",
                          "--param", "bogus=1")

@@ -120,6 +120,20 @@ def test_parse_rejects_extra_surface_and_region_fields(text, line):
     parse_diagram("surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("surface genus=1\nsurface genus=0\ncurve -\nbase 0\n", "line 2: duplicate surface line"),
+    ("curve -\nbase 0\nbase 1\n", "line 3: duplicate base line"),
+    ("curve 1+ 1+\nbase 0\n# the same again\ncurve 1+ 1+\n", "line 4: duplicate curve line"),
+    ("surface genus=0\ncurve\nbase 0\n", "line 2: curve needs visit tokens, or - for no crossing"),
+], ids=["surface-twice", "base-twice", "curve-twice", "curve-bare"])
+def test_parse_rejects_repeated_lines_and_a_bare_curve_line(text, message):
+    # a repeated line is not overridden by the last one, and n = 0 is
+    # written `curve -`
+    with pytest.raises(ParseError) as exc:
+        parse_diagram(text)
+    assert str(exc.value) == message
+
+
 def test_parse_inconsistent_surface_chi():
     with pytest.raises(TopologyError):
         parse_diagram("surface genus=1\ncurve 1+ 1+\nbase 0\n")

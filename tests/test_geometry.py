@@ -9,6 +9,7 @@ from curveinv import geometry, laurent
 from curveinv.catalog import parametric_fixture
 from curveinv.diagram import index_function
 from curveinv.errors import (
+    ChartViolation,
     ChiZero,
     DegenerateTangency,
     PointOnCurve,
@@ -103,8 +104,8 @@ def test_figure_eight_has_one_double_point():
 def test_theta_symmetric_under_role_reversal():
     d = find_double_points(SphereFigureEight(), CFG)[0]
     curve = SphereFigureEight()
-    v1 = curve.velocity(d.t1)
-    v2 = curve.velocity(d.t2)
+    v1 = curve.jet(d.t1, 1)[1]
+    v2 = curve.jet(d.t2, 1)[1]
 
     def angle(u, w):
         c = float(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
@@ -147,7 +148,7 @@ def test_point_index_rejects_points_on_curve():
 def test_point_index_rejects_points_between_samples(samples, curve, base, point):
     """A probe on the curve but off its samples is found on the curve
     itself, not reported as a crossing count or a failed path."""
-    p = curve.point(point) if isinstance(point, float) else np.array(point)
+    p = curve.jet(point, 0)[0] if isinstance(point, float) else np.array(point)
     with pytest.raises(PointOnCurve, match=r"^probe point \(.*\) lies on the curve$"):
         point_index(curve, base, p, NumericConfig(curve_samples=samples))
 
@@ -387,3 +388,11 @@ def test_extract_torus_circle(contexts):
     rep = full_report(diagram, base)
     assert rep.rotation == (1, 0)
     assert rep.iq == laurent.HalfLaurent({1: 1})
+
+
+def test_torus_curve_leaving_the_chart_is_a_chart_violation():
+    # the circle reaches x = -0.1: its plane lift leaves the open
+    # fundamental domain that the torus regions are read in
+    curve = TorusCircle(0.2, center=(0.1, 0.5))
+    with pytest.raises(ChartViolation, match="leaves the open fundamental-domain chart"):
+        extract_diagram(curve, (0.6, 0.9), CFG)

@@ -14,7 +14,8 @@ the pairs of the dense grid in the same order; double-point seeding skips
 pairs that cannot cross, and seeding from every close pair is kept as a
 reference.  The loops that the straddling-edge winding count, the one-gather
 seed filter and the whole-array root merge replaced are kept too, and the
-kernels must equal them exactly.
+kernels must equal them exactly.  Every curve's jet must agree with central
+differences of its own lower terms.
 """
 
 import math
@@ -26,6 +27,7 @@ from curveinv import geometry
 from curveinv.catalog import parametric_fixture
 from curveinv.geometry import (
     FLAT_TORUS,
+    GreatCircle,
     LatitudeCircle,
     NumericConfig,
     NumericContext,
@@ -42,9 +44,8 @@ SHIFT = 0.3819660112501051
 
 def newton_reference(curve, t1, t2):
     for _ in range(60):
-        p1, p2 = curve.point(t1), curve.point(t2)
-        v1, v2 = curve.velocity(t1), curve.velocity(t2)
-        a1, a2 = curve.acceleration(t1), curve.acceleration(t2)
+        p1, v1, a1 = curve.jet(t1)
+        p2, v2, a2 = curve.jet(t2)
         d = p1 - p2
         f1 = float(np.dot(d, v1))
         f2 = float(np.dot(d, v2))
@@ -69,7 +70,7 @@ def newton_reference(curve, t1, t2):
         t1, t2 = t2, t1
     if min(t2 - t1, 1.0 - (t2 - t1)) < geometry.DIAG_GAP:
         return None
-    if float(np.linalg.norm(curve.point(t1) - curve.point(t2))) > geometry.POSITION_TOL:
+    if float(np.linalg.norm(curve.jet(t1, 0)[0] - curve.jet(t2, 0)[0])) > geometry.POSITION_TOL:
         return None
     return float(t1), float(t2)
 
@@ -95,7 +96,7 @@ def segment_reference(curve, b, p, ts, pts):
         lo, hi, flo = ts[i], ts[i + 1], f[i]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            x = curve.point(mid)
+            x = curve.jet(mid, 0)[0]
             if curve.surface == UNIT_SPHERE:
                 fm = float(x @ m)
             else:
@@ -104,8 +105,7 @@ def segment_reference(curve, b, p, ts, pts):
                 hi = mid
             else:
                 lo, flo = mid, fm
-        x = curve.point(0.5 * (lo + hi))
-        v = curve.velocity(0.5 * (lo + hi))
+        x, v = curve.jet(0.5 * (lo + hi), 1)
         if curve.surface == UNIT_SPHERE:
             x = x / np.linalg.norm(x)
             angb = math.acos(max(-1.0, min(1.0, float(np.dot(x, b / np.linalg.norm(b))))))
@@ -200,20 +200,11 @@ class Meridian(ParametricCurve):
 
     surface = UNIT_SPHERE
 
-    def _x(self, t, order):
-        s = 2 * math.pi * np.asarray(t, dtype=float)
+    def _jet(self, t):
+        s = 2 * math.pi * t
         c, d = np.cos(s), np.sin(s)
-        x, z = [(d, c), (c, -d), (-d, -c)][order]
-        return (2 * math.pi) ** order * np.stack([x, np.zeros_like(s), z], axis=-1)
-
-    def point(self, t):
-        return self._x(t, 0)
-
-    def velocity(self, t):
-        return self._x(t, 1)
-
-    def acceleration(self, t):
-        return self._x(t, 2)
+        for order, (x, z) in enumerate([(d, c), (c, -d), (-d, -c)]):
+            yield (2 * math.pi) ** order * np.stack([x, np.zeros_like(s), z], axis=-1)
 
 
 class Epicycle(ParametricCurve):
@@ -225,22 +216,14 @@ class Epicycle(ParametricCurve):
     def __init__(self, k, a):
         self.k, self.a = k, a
 
-    def _z(self, t, order):
+    def _jet(self, t):
         w1, wk = 2j * math.pi, 2j * math.pi * self.k
-        t = np.asarray(t, dtype=float)
-        z = 0.25 * (w1 ** order * np.exp(w1 * t) + self.a * wk ** order * np.exp(wk * t))
-        if order == 0:
-            z = z + (0.5 + 0.5j)
-        return np.stack([z.real, z.imag], axis=-1)
-
-    def point(self, t):
-        return self._z(t, 0)
-
-    def velocity(self, t):
-        return self._z(t, 1)
-
-    def acceleration(self, t):
-        return self._z(t, 2)
+        e1, ek = np.exp(w1 * t), np.exp(wk * t)
+        for order in range(3):
+            z = 0.25 * (w1 ** order * e1 + self.a * wk ** order * ek)
+            if order == 0:
+                z = z + (0.5 + 0.5j)
+            yield np.stack([z.real, z.imag], axis=-1)
 
 
 def sweep_reference(ctx, m):
@@ -255,7 +238,7 @@ def sweep_reference(ctx, m):
     az = np.arctan2(pts[:, 1], pts[:, 0])
 
     def g(t, phi):
-        x = curve.point(t)
+        x = curve.jet(t, 0)[0]
         return (math.atan2(x[1], x[0]) - phi + math.pi) % (2 * math.pi) - math.pi
 
     hits = [[] for _ in range(m)]
@@ -287,11 +270,11 @@ def sweep_reference(ctx, m):
     for k in range(m):
         cuts = []
         for t in hits[k]:
-            x = curve.point(t)
+            x, v = curve.jet(t, 1)
             xn = x / np.linalg.norm(x)
             southward = -north + float(np.dot(north, xn)) * xn
             southward /= np.linalg.norm(southward)
-            det = float(np.dot(xn, np.cross(curve.velocity(t), southward)))
+            det = float(np.dot(xn, np.cross(v, southward)))
             jump = 1 if det > 0 else -1
             cuts.append((math.acos(max(-1.0, min(1.0, float(xn[2])))), jump))
         ind, prev = ind_n, 0.0
@@ -307,8 +290,8 @@ def dense_close_pairs(curve, n):
     """The grid of n samples, the threshold of find_double_points, and the
     close pairs (i, j), i < j, of the dense n x n grid in row-major order."""
     ts = np.arange(n) / n
-    pts = curve.point(ts)
-    threshold = (4.0 * float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n) ** 2
+    pts, vel = curve.jet(ts, 1)
+    threshold = (4.0 * float(np.max(np.linalg.norm(vel, axis=-1))) / n) ** 2
     diff = pts[:, None, :] - pts[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     sep = np.abs(ts[:, None] - ts[None, :])
@@ -339,8 +322,8 @@ def test_pair_scan_matches_dense_grid_on_loops(curve, n):
 def test_batched_newton_equals_scalar_loop(curve):
     n = CFG.double_grid
     ts = np.arange(n) / n
-    pts = curve.point(ts)
-    step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
+    pts, vel = curve.jet(ts, 1)
+    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
     cand = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
     # the near pairs that seed the search, far pairs that mostly fail, and
     # a pair of the 400-grid that, on the figure eight, meets a Jacobian
@@ -547,8 +530,8 @@ def test_may_cross_equals_reference(curve, n):
     # the close pairs of the grid, and pairs across the seam, some of whose
     # short ways wrap it
     ts = np.arange(n) / n
-    pts = curve.point(ts)
-    step = float(np.max(np.linalg.norm(curve.velocity(ts), axis=-1))) / n
+    pts, vel = curve.jet(ts, 1)
+    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
     close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
     seam = np.array([(i, j) for i in range(20) for j in range(n - 20, n) if i < j])
     cand = np.concatenate([close, seam])
@@ -713,3 +696,32 @@ def test_figure_eight_refines_few_seeds(monkeypatch):
                         lambda curve, t1, t2: seeds.append(len(t1)) or refine(curve, t1, t2))
     (_,) = find_double_points(parametric_fixture("figure8_sphere_param").curve)
     assert seeds and seeds[0] <= 60   # every close pair: 1349
+
+
+JET_CURVES = [GreatCircle(), LatitudeCircle(math.pi / 3), LatitudeCircle(2.5),
+              SphereFigureEight(), SphereFigureEight(0.2, 0.1), TorusCircle(),
+              TorusCircle(0.35, center=(0.4, 0.6)), Meridian(), Epicycle(17, 0.5)]
+
+
+@pytest.mark.parametrize("curve", JET_CURVES, ids=lambda c: type(c).__name__)
+def test_jet_derivatives_match_central_differences(curve):
+    # p' and p'' against central differences of p and p': a sign or factor
+    # slip in one formula is off by the size of the derivative itself
+    t, h = (np.arange(64) + 0.37) / 64, 1e-6
+    here, ahead, behind = curve.jet(t), curve.jet(t + h, 1), curve.jet(t - h, 1)
+    for k in (1, 2):
+        diff = (ahead[k - 1] - behind[k - 1]) / (2 * h)
+        scale = np.max(np.linalg.norm(here[k], axis=-1))
+        assert np.max(np.linalg.norm(diff - here[k], axis=-1)) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("curve", JET_CURVES, ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize("t", [0.3, (np.arange(50) + 0.5) / 50], ids=["scalar", "array"])
+def test_lower_order_jets_are_bitwise_prefixes(curve, t):
+    full = curve.jet(t)
+    assert len(full) == 3
+    assert all(term.shape == np.shape(t) + full[0].shape[-1:] for term in full)
+    for order in (0, 1):
+        low = curve.jet(t, order)
+        assert len(low) == order + 1
+        assert [a.tobytes() for a in low] == [a.tobytes() for a in full[:order + 1]]
