@@ -13,7 +13,8 @@ Diagram arguments accept a file path or a built-in fixture name.  Move sites:
 where a birth position is <cycle>.<dart-index>[.<permille>] (the fractional
 offset along that dart's boundary walk, default 500 = halfway), and a plan
 is pieces separated by '~', each piece g<genus>[+<cycle>,<cycle>...] with a
-trailing '*' marking the piece that keeps the base point.
+trailing '*' on at most one piece marking the piece that keeps the base
+point (piece 0 when none does).  Nothing may follow the plan.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .moves import (
     SplitPlan,
     bigon_death,
     birth_site,
-    find_bigons,
-    find_triangles,
     random_diagram,
     tangency_birth,
     triple_move,
@@ -227,9 +226,11 @@ def _parse_position(diagram, text):
 
 def _parse_plan(text):
     pieces = []
-    base_piece = 0
+    base_piece = None
     for k, chunk in enumerate(text.split("~")):
         if chunk.endswith("*"):
+            if base_piece is not None:
+                raise SiteError(f"bad plan {text!r}: only one piece may carry '*'")
             base_piece = k
             chunk = chunk[:-1]
         if "+" in chunk:
@@ -241,7 +242,7 @@ def _parse_plan(text):
         if not ghead.startswith("g"):
             raise SiteError(f"bad plan piece {chunk!r}: expected g<genus>[+cycles]")
         pieces.append((_site_int(ghead[1:], f"genus in plan piece {chunk!r}"), cycle_ids))
-    return SplitPlan(pieces=tuple(pieces), base_piece=base_piece)
+    return SplitPlan(pieces=tuple(pieces), base_piece=base_piece or 0)
 
 
 def _parse_site(diagram, text):
@@ -250,12 +251,7 @@ def _parse_site(diagram, text):
     if kind in ("bigon", "triangle"):
         if len(fields) != 2:
             raise SiteError(f"--site {kind}:<region-id>")
-        rid = _site_int(fields[1], "region id")
-        finder = find_bigons if kind == "bigon" else find_triangles
-        for site in finder(diagram):
-            if site.region == rid:
-                return site
-        raise SiteError(f"region {rid} is not a {kind}")
+        return MoveSite(kind=kind, region=_site_int(fields[1], "region id"))
     if kind == "birth":
         if len(fields) < 5:
             raise SiteError(
@@ -265,11 +261,11 @@ def _parse_site(diagram, text):
         pos1 = _parse_position(diagram, fields[2])
         pos2 = _parse_position(diagram, fields[3])
         tangency = fields[4]
-        plan = None
-        if len(fields) > 5:
-            if not fields[5].startswith("plan="):
-                raise SiteError(f"unexpected site field {fields[5]!r}")
-            plan = _parse_plan(fields[5][5:])
+        plan, extra = None, fields[5:]
+        if extra and extra[0].startswith("plan="):
+            plan = _parse_plan(extra.pop(0)[5:])
+        if extra:
+            raise SiteError(f"unexpected site field {extra[0]!r}")
         return birth_site(rid, pos1, pos2, tangency, plan)
     raise SiteError(f"unknown site kind {kind!r}")
 

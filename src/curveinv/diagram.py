@@ -222,7 +222,7 @@ def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
             if not r.cycles:
                 raise TopologyError("every region needs at least one boundary cycle")
     region_chi = sum(r.chi for r in regs)
-    derived_chi = region_chi - (code.n if code.n > 0 else 0)
+    derived_chi = region_chi - code.n
     if surface_chi is None:
         surface_chi = derived_chi
     elif surface_chi != derived_chi:

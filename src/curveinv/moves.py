@@ -1,20 +1,21 @@
 """Self-tangency and triple-point moves on curve diagrams.
 
-Move semantics in terms of the signed Gauss code:
+Each move edits the visit list of the signed Gauss code directly:
 
 * A tangency birth pushes a finger from one boundary position of a region
   across it to a second boundary position, overshooting into a lens of two
-  new crossings.  Along each of the two strands the new visits are adjacent;
-  a direct tangency (strands parallel at contact) inserts the pair in the
-  same order on both strands, an opposite tangency (antiparallel) in
+  new crossings.  Along each of the two strands the new visits are adjacent:
+  each strand's pair lands right after the start visit of the arc it
+  touches.  A direct tangency (strands parallel at contact) inserts the pair
+  in the same order on both strands, an opposite tangency (antiparallel) in
   reversed order.  The new crossings get opposite frame signs, fixed by
   which side of the static strand faces the region.
 
-* A bigon death deletes the two crossings of a lens.  The lens and the two
-  regions at its corner-opposite sectors merge into one region whose chi is
-  the sum of the distinct merged chis plus 1 (the lens) minus 2 (the two
-  corridors opened at the corners); the merged genus is recovered from the
-  traced cycle count.
+* A bigon death deletes the four visits of the lens's two corner
+  crossings.  The lens and the two regions at its corner-opposite sectors
+  merge into one region whose chi is the sum of the distinct merged chis
+  plus 1 (the lens) minus 2 (the two corridors opened at the corners); the
+  merged genus is recovered from the traced cycle count.
 
 * A triple-point move slides a strand across the opposite crossing of a
   triangle: on each of the three strands the two consecutive visits at the
@@ -81,9 +82,10 @@ class SplitPlan:
 @dataclass(frozen=True)
 class MoveSite:
     """A move location: kind is one of bigon_direct, bigon_opposite,
-    triangle, birth_direct, birth_opposite.  Births carry two boundary
-    positions (dart id, fractional offset along the dart's walk) and an
-    optional SplitPlan."""
+    triangle, birth_direct, birth_opposite (a bare "bigon" names a bigon of
+    either tangency).  Deaths and triple moves read only the region id.
+    Births carry two boundary positions (dart id, fractional offset along
+    the dart's walk) and an optional SplitPlan."""
 
     kind: str
     region: int
@@ -95,19 +97,12 @@ class MoveSite:
 # site detection
 
 
-def _arc_endpoints(diagram, arc):
-    """(start crossing label, end crossing label) of an arc, n >= 1."""
-    m = 2 * diagram.n
-    start = diagram.code.visits[arc][0]
-    end = diagram.code.visits[(arc + 1) % m][0]
-    return start, end
-
-
 def _disk(diagram, rid, corners):
     """(cycle, arcs, arc ends) of region rid if it is a genus-0 single-cycle
     disk with `corners` corners whose corner crossings and boundary arcs are
-    pairwise distinct; None otherwise, and for an id that names no region."""
-    if diagram.n == 0 or not 0 <= rid < len(diagram.regions):
+    pairwise distinct; None otherwise, and for an id that names no region.
+    An arc's ends are the labels of its start and end crossings."""
+    if not 0 <= rid < len(diagram.regions):
         return None
     region = diagram.regions[rid]
     if region.genus != 0 or len(region.cycles) != 1:
@@ -118,34 +113,31 @@ def _disk(diagram, rid, corners):
     arcs = [dart_arc(d) for d in cycle]
     if len(set(arcs)) != corners:
         return None
-    ends = [_arc_endpoints(diagram, a) for a in arcs]
+    visits = diagram.code.visits
+    ends = [(visits[a][0], visits[(a + 1) % len(visits)][0]) for a in arcs]
     if len({c for end in ends for c in end}) != corners:
         return None
     return cycle, arcs, ends
 
 
-def _disk_cycles(diagram, corners):
-    """(region, cycle, arcs, arc ends) of every region that is a _disk."""
-    return [(rid, *disk) for rid in range(len(diagram.regions))
-            if (disk := _disk(diagram, rid, corners)) is not None]
-
-
 def find_bigons(diagram: CurveDiagram):
-    """All bigon sites: the 2-corner disks of _disk_cycles, whose two arcs
-    join the same two crossings.  Direct if both arcs run P -> Q (parallel
-    strands), opposite if one runs P -> Q and the other Q -> P."""
-    return [MoveSite(kind="bigon_direct" if ends[0] == ends[1] else "bigon_opposite",
-                     region=rid)
-            for rid, _cycle, _arcs, ends in _disk_cycles(diagram, 2)]
+    """All bigon sites: the 2-corner _disk regions, whose two arcs join the
+    same two crossings.  Direct if both arcs run P -> Q (parallel strands),
+    opposite if one runs P -> Q and the other Q -> P."""
+    sites = []
+    for rid in range(len(diagram.regions)):
+        if (disk := _disk(diagram, rid, 2)) is not None:
+            _cycle, _arcs, (ends0, ends1) = disk
+            kind = "bigon_direct" if ends0 == ends1 else "bigon_opposite"
+            sites.append(MoveSite(kind=kind, region=rid))
+    return sites
 
 
 def find_triangles(diagram: CurveDiagram):
     """All triangle sites: 3-corner disk regions with three distinct
     boundary arcs meeting three distinct crossings pairwise."""
-    return [
-        MoveSite(kind="triangle", region=rid)
-        for rid, _cycle, _arcs, _ends in _disk_cycles(diagram, 3)
-    ]
+    return [MoveSite(kind="triangle", region=rid) for rid in range(len(diagram.regions))
+            if _disk(diagram, rid, 3) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -230,61 +222,37 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     f1 = Fraction(t1) if s1 == LEFT else 1 - Fraction(t1)
     f2 = Fraction(t2) if s2 == LEFT else 1 - Fraction(t2)
 
-    old_visits = diagram.code.visits
-    labels = [lab for lab, _ in old_visits]
-    p_label = (max(labels) if labels else 0) + 1
+    visits = list(diagram.code.visits)
+    p_label = max((lab for lab, _sign in visits), default=0) + 1
     q_label = p_label + 1
-    # pusher inserts (P, Q) along its arc; the static strand inserts (P, Q)
-    # for a direct tangency and (Q, P) for an opposite one
-    events = [
-        (a1, f1, 0, "pusher", (p_label, q_label)),
-        (a2, f2, 1, "static", (p_label, q_label) if direct else (q_label, p_label)),
-    ]
-    events.sort(key=lambda ev: (ev[0], ev[1], ev[2]))
-
-    new_entries = []           # (label,) placeholders; signs fixed later
-    parent = []                # parent[j] = old arc of the gap after entry j
-    event_pos = {}             # (tag, label) -> new position
-
-    def lay_events(arc):
-        for ev_arc, _frac, _tie, tag, pair in events:
-            if ev_arc != arc:
-                continue
-            for lab in pair:
-                event_pos[(tag, lab)] = len(new_entries)
-                new_entries.append(lab)
-                parent.append(arc)
-
-    if diagram.n == 0:
-        lay_events(0)
-    else:
-        for k in range(2 * diagram.n):
-            new_entries.append(old_visits[k][0])
-            parent.append(k)
-            lay_events(k)
-
+    # strand 0 pushes, strand 1 is static.  Sorted by (arc, fraction, pusher
+    # first), each strand's pair of visits lands right after its arc's start
+    # visit (at 0 when n = 0), and the later pair sits 2 further on
+    order = sorted([(a1, f1, 0), (a2, f2, 1)])
+    at = [a + 1 if diagram.n else 0 for a, _f, _strand in order]
+    first = [None, None]
+    for i, (_a, _f, strand) in enumerate(order):
+        first[strand] = at[i] + 2 * i
     # frame sign of (pusher tangent, static tangent) at the pusher's first
     # crossing: +1 iff the region lies on the static arc's left
-    det_p = 1 if s2 == LEFT else -1
-    det = {p_label: det_p, q_label: -det_p}
-    new_sign = {}
-    for lab in (p_label, q_label):
-        pp, ps = event_pos[("pusher", lab)], event_pos[("static", lab)]
-        new_sign[lab] = det[lab] if pp < ps else -det[lab]
-    old_sign = {lab: sign for lab, sign in old_visits}
-    visits = tuple(
-        (lab, new_sign.get(lab, old_sign.get(lab))) for lab in new_entries
-    )
-    code = SignedGaussCode(visits)
+    sign = 1 if s2 == LEFT else -1
+    if first[1] < first[0]:
+        sign = -sign
+    p, q = (p_label, sign), (q_label, -sign)
+    # the pusher visits (P, Q); the static strand (P, Q) for a direct
+    # tangency and (Q, P) for an opposite one
+    pairs = ([p, q], [p, q] if direct else [q, p])
+    parent = list(range(len(visits)))
+    for i in (1, 0):
+        a, _f, strand = order[i]
+        visits[at[i]:at[i]] = pairs[strand]
+        parent[at[i]:at[i]] = [a, a]
+    code = SignedGaussCode(tuple(visits))
     cycles = trace_boundary_cycles(code)
 
-    # each strand's two entries are adjacent, so its lens-bounding mid arc
-    # is the slot starting at its first laid label; the two lens sides
-    # continue no old arc, every other slot continues its parent
-    pusher_first = min(event_pos[("pusher", p_label)], event_pos[("pusher", q_label)])
-    static_first = min(event_pos[("static", p_label)], event_pos[("static", q_label)])
-    parents = [[] if k in (pusher_first, static_first) else [a]
-               for k, a in enumerate(parent)]
+    # each strand's lens-bounding mid arc is the slot at its first visit;
+    # the two lens sides continue no old arc, every other slot its parent
+    parents = [[] if k in first else [a] for k, a in enumerate(parent)]
     inherited = _inherited_darts(cycles, parents)
 
     lens = [ci for ci, darts in enumerate(inherited) if not darts]
@@ -338,13 +306,8 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         )
 
     # piece 0 sits on the walk-predecessor side of pos1
-    if s1 == LEFT:
-        marker_slot = event_pos[("pusher", p_label)] - 1
-        if diagram.n == 0 and marker_slot < 0:
-            marker_slot = len(new_entries) - 1
-    else:
-        marker_slot = event_pos[("pusher", q_label)]
-    marker_dart = dart_id(marker_slot % len(new_entries), s1)
+    marker_slot = first[0] - 1 if s1 == LEFT else first[0] + 1
+    marker_dart = dart_id(marker_slot % len(visits), s1)
     if len(pieces) == 1:
         for ci in cut_faces:
             face_key[ci] = ("piece", 0)
@@ -395,14 +358,8 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     disk = _disk(diagram, rid, 2)
     if disk is None:
         raise SiteError(f"region {rid} is not a bigon")
-    cycle, mid_arcs, _ends = disk
+    cycle, mid_arcs, ends = disk
     m = 2 * diagram.n
-    partner = diagram.code.partner
-    # both visits of the corner crossings at either end of each side
-    removed = set()
-    for a in mid_arcs:
-        for p in (a, (a + 1) % m):
-            removed.update((p, partner[p]))
     dart_region = diagram.dart_region
 
     # regions at the corner-opposite sectors: at each corner the bigon's
@@ -417,7 +374,9 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     for r in set(opposite_regions):
         chi_merged += diagram.regions[r].chi
 
-    kept = [k for k in range(m) if k not in removed]
+    # every visit but the two of each corner crossing stays
+    corners = set(ends[0])
+    kept = [k for k, (lab, _sign) in enumerate(diagram.code.visits) if lab not in corners]
     visits = tuple(diagram.code.visits[k] for k in kept)
     code = SignedGaussCode(visits)
     cycles = trace_boundary_cycles(code)
@@ -526,20 +485,16 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
         raise ValueError("n and genus must be nonnegative")
     rng = random.Random(f"curveinv:{n}:{genus}:{seed}")
     for _ in range(max_tries):
-        if n == 0:
-            visits = ()
-        else:
-            slots = list(range(2 * n))
-            rng.shuffle(slots)
-            entries = [None] * (2 * n)
-            for lab in range(1, n + 1):
-                sign = rng.choice((1, -1))
-                entries[slots[2 * lab - 2]] = (lab, sign)
-                entries[slots[2 * lab - 1]] = (lab, sign)
-            visits = tuple(entries)
-        code = SignedGaussCode(visits)
+        slots = list(range(2 * n))
+        rng.shuffle(slots)
+        entries = [None] * (2 * n)
+        for lab in range(1, n + 1):
+            sign = rng.choice((1, -1))
+            entries[slots[2 * lab - 2]] = (lab, sign)
+            entries[slots[2 * lab - 1]] = (lab, sign)
+        code = SignedGaussCode(tuple(entries))
         cycles = trace_boundary_cycles(code)
-        carrier_chi = (len(cycles) - n) if n > 0 else 2
+        carrier_chi = len(cycles) - n
         if (2 - carrier_chi) % 2 != 0:
             raise TopologyError("carrier chi of a 4-valent map must be even")
         carrier_genus = (2 - carrier_chi) // 2

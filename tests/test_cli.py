@@ -362,3 +362,28 @@ def test_move_site_errors_name_the_bad_field(capsys, site, message):
     assert code == 1
     assert out == ""
     assert err == message
+
+
+@pytest.mark.parametrize("tail, message", [
+    (":plan=g1~g0:x", "error: unexpected site field 'x'\n"),
+    (":plan=g1~g0:plan=g0~g1", "error: unexpected site field 'plan=g0~g1'\n"),
+    (":plan=g0*~g1*", "error: bad plan 'g0*~g1*': only one piece may carry '*'\n"),
+    (":x", "error: unexpected site field 'x'\n"),
+])
+def test_move_rejects_fields_after_the_plan_and_a_second_base_piece(capsys, tail, message):
+    code, out, err = run(capsys, "move", "circle_torus",
+                         "--site", "birth:1:1.0.250:1.0.750:opposite" + tail)
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("site, message", [
+    ("birth:99:1.0.250:1.0.750:opposite", "region 99 does not exist"),
+    ("birth:1:1.0.250:1.0.750:opposite:plan=g0~g0~g0",
+     "a split plan must declare one or two pieces"),
+    ("birth:1:1.0.250:1.0.750:opposite:plan=g-1~g1", "piece genus must be nonnegative"),
+    ("birth:1:1.0.250:1.0.750:opposite:plan=g0+5~g1",
+     "plan must partition the untouched cycles []"),
+])
+def test_move_birth_rejections(capsys, site, message):
+    code, out, err = run(capsys, "move", "circle_torus", "--site", site)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curveinv.diagram as diagram_module
 from curveinv import moves
-from curveinv.diagram import canonicalize, index_function, parse_diagram
+from curveinv.diagram import canonicalize, dart_side, index_function, parse_diagram
 from curveinv.errors import (
     ExhaustedRetries,
     PlanInvalid,
     PlanRequired,
     SiteError,
 )
-from curveinv.invariants import full_report
+from curveinv.invariants import change_base, full_report
 from curveinv.moves import (
     MoveSite,
     SplitPlan,
@@ -197,6 +198,24 @@ def test_birth_site_errors(fixtures):
         )  # a birth position lies inside its dart's walk
 
 
+def test_birth_rejections(fixtures):
+    torus = fixtures["circle_torus"]
+    with pytest.raises(SiteError, match="^not a birth site: bigon_direct$"):
+        tangency_birth(torus, MoveSite(kind="bigon_direct", region=1))
+    with pytest.raises(SiteError, match="^region 99 does not exist$"):
+        tangency_birth(torus, birth_site(99, (1, Fraction(1, 4)), (1, Fraction(3, 4)),
+                                         "opposite"))
+    for pieces, message in (
+        (((0, ()), (0, ()), (0, ())), "a split plan must declare one or two pieces"),
+        (((-1, ()), (1, ())), "piece genus must be nonnegative"),
+        (((0, (5,)), (1, ())), r"plan must partition the untouched cycles \[\]"),
+    ):
+        site = birth_site(1, (1, Fraction(1, 4)), (1, Fraction(3, 4)), "opposite",
+                          SplitPlan(pieces))
+        with pytest.raises(PlanInvalid, match=f"^{message}$"):
+            tangency_birth(torus, site)
+
+
 # -- deaths ------------------------------------------------------------------
 
 
@@ -350,6 +369,16 @@ def test_random_exhausted_retries():
         random_diagram(5, 0, seed=0, max_tries=1)
 
 
+def same_rotation(before, after):
+    """The rotation number of two reports agrees (mod |chi(S)| when chi != 0)."""
+    m = before.rotation[1]
+    if after.rotation[1] != m:
+        return False
+    if m:
+        return (after.rotation[0] - before.rotation[0]) % m == 0
+    return after.rotation[0] == before.rotation[0]
+
+
 # -- randomized move campaign -------------------------------------------------
 
 
@@ -373,12 +402,7 @@ def test_move_campaign_jump_laws(random_corpus):
                 continue
             after = full_report(born)
             assert after.jplus - before.jplus == jump
-            assert after.rotation[1] == before.rotation[1]
-            m = before.rotation[1]
-            if m:
-                assert (after.rotation[0] - before.rotation[0]) % m == 0
-            else:
-                assert after.rotation[0] == before.rotation[0]
+            assert same_rotation(before, after)
             # birth then death of the created lens is the identity
             lens = [s for s in find_bigons(born)
                     if s.region == len(born.regions) - 1]
@@ -389,11 +413,7 @@ def test_move_campaign_jump_laws(random_corpus):
         for site in find_triangles(d)[:2]:
             after = full_report(triple_move(d, site))
             assert after.jplus == before.jplus
-            m = before.rotation[1]
-            if m:
-                assert (after.rotation[0] - before.rotation[0]) % m == 0
-            else:
-                assert after.rotation[0] == before.rotation[0]
+            assert same_rotation(before, after)
             if site.region != d.base_region:
                 # away from the base the move is a regular homotopy of the
                 # based curve, so the representative itself is unchanged
@@ -404,3 +424,52 @@ def test_move_campaign_jump_laws(random_corpus):
                 assert (after.i1 - before.i1) % d.surface_chi == 0
             applied += 1
     assert applied >= 40
+
+
+@settings(max_examples=400, deadline=None)
+@given(genus=st.integers(0, 2), data=st.data())
+def test_grown_diagrams_obey_the_move_laws(genus, data):
+    """From the embedded circle on a surface of genus 0, 1 or 2, up to 8
+    births in disk regions and triple moves.  A disk's boundary walk keeps
+    the disk on its left, so a birth between two darts on the same side is
+    opposite and one between darts on different sides is direct; the other
+    tangency is not realizable.  Each birth is undone by the death of its
+    lens, moves J+ by 2 (direct) or 0 (opposite) when chi(S) != 0 and keeps
+    the rotation number; I_q of the grown diagram obeys the base-change law
+    for every pair of base regions."""
+    d = parse_diagram(f"surface genus={genus}\ncurve -\nregion 0 genus=0 cycles=0\n"
+                      f"region 1 genus={genus} cycles=1\nbase 0\n")
+    fraction = st.integers(1, 9).map(lambda k: Fraction(k, 10))
+    for move in data.draw(st.lists(st.sampled_from(["direct", "opposite", "triple"]),
+                                   max_size=8)):
+        before = full_report(d)
+        if move == "triple":
+            triangles = find_triangles(d)
+            if triangles:
+                d = triple_move(d, data.draw(st.sampled_from(triangles)))
+                assert full_report(d).jplus == before.jplus
+            continue
+        rid = data.draw(st.sampled_from(disk_regions(d)))
+        cycle = d.cycles[d.regions[rid].cycles[0]]
+        d1 = data.draw(st.sampled_from(cycle))
+        side = dart_side(d1) if move == "opposite" else 1 - dart_side(d1)
+        partners = [x for x in cycle if dart_side(x) == side]
+        if not partners:
+            continue
+        positions = (d1, data.draw(fraction)), (data.draw(st.sampled_from(partners)),
+                                                data.draw(fraction))
+        other = "direct" if move == "opposite" else "opposite"
+        with pytest.raises(PlanInvalid):
+            tangency_birth(d, birth_site(rid, *positions, other))
+        born = tangency_birth(d, birth_site(rid, *positions, move))
+        assert canonicalize(bigon_death(born, len(born.regions) - 1)) == canonicalize(d)
+        after = full_report(born)
+        if d.surface_chi:
+            assert after.jplus - before.jplus == (2 if move == "direct" else 0)
+        assert same_rotation(before, after)
+        d = born
+    iqs = [full_report(d, b).iq for b in range(len(d.regions))]
+    for b1, iq in enumerate(iqs):
+        ind = index_function(d, b1)
+        for b2, iq2 in enumerate(iqs):
+            assert iq2 == change_base(iq, -ind.values[b2], d.surface_chi)
