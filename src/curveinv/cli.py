@@ -37,6 +37,7 @@ from .errors import (
     CrossCheckFailed,
     CurveInvError,
     HomologicallyNontrivial,
+    NonPositiveQ,
     ParseError,
     PlanInvalid,
     PlanRequired,
@@ -46,6 +47,8 @@ from .invariants import (
     full_report,
     iq_euler,
     iq_topological,
+    jminus,
+    jplus,
     report_ingredients,
     viro_jminus,
 )
@@ -164,6 +167,7 @@ def cmd_invariant(args):
 
 def cmd_compare(args):
     diagram = _load_diagram(args.diagram)
+    chi = diagram.surface_chi
     rows = []
     ok = True
     for base in range(len(diagram.regions)):
@@ -176,10 +180,10 @@ def cmd_compare(args):
         b = iq_euler(smoothed, profile.crossing_indices)
         row = {"base": base, "iq_topological": str(a), "iq_euler": str(b),
                "iq_equal": a == b}
-        if diagram.surface_chi != 0:
-            jm = full_report(diagram, base).jminus
-            m1, _ = euler_moments(smoothed)
-            jv = viro_jminus(smoothed, m1, diagram.surface_chi)
+        if chi != 0:
+            # J+ - n from this base's topological I_q, Viro's J- from its smoothing
+            jm = jminus(jplus(laurent.value_at_1(a), laurent.derivative_at_1(a), chi), diagram.n)
+            jv = viro_jminus(smoothed, euler_moments(smoothed)[0], chi)
             row["jminus_viro"] = _frac(jv)
             row["jminus_jplus"] = _frac(jm)
             row["jminus_equal"] = jv == jm
@@ -344,6 +348,9 @@ def cmd_numeric(args):
             raise ValueError(f"--grid must be positive, got {args.grid}")
         if args.grid is not None and args.grid > MAX_GRID:
             raise ValueError(f"--grid must be at most {MAX_GRID}")
+        for q in qs:
+            if q <= 0:   # before the contexts are built
+                raise NonPositiveQ(f"q must be positive, got {q}")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)   # str(KeyError) quotes it
         return 1
@@ -359,9 +366,13 @@ def cmd_numeric(args):
     rows = []
     ok = True
     for q in qs:
-        nv = float(numeric_iq(fx.curve, fx.base_point, [q], cfg, context=ctx)[0])
-        cv = float(numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0])
-        exact = float(laurent.eval_real(rep.iq, q))
+        try:
+            nv = float(numeric_iq(fx.curve, fx.base_point, [q], cfg, context=ctx)[0])
+            cv = float(numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0])
+            exact = float(laurent.eval_real(rep.iq, q))
+        except OverflowError:
+            raise CurveInvError(f"--q {q}: a power q^i at this curve's index levels "
+                                "overflows a float") from None
         est = abs(nv - cv) / 2
         status = abs(nv - exact) <= tol
         ok = ok and status

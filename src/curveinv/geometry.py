@@ -22,7 +22,7 @@ The index of a point is the curve's winding number around it in a planar
 chart of the surface (stereographic on the sphere, the fundamental domain
 on the torus), less that around the base point.  On the sphere one pole,
 the axis pole farthest from the curve, is the chart's point at infinity,
-alpha's singular point and the one fixed probe whose index alpha needs.
+alpha's singular point and the fixed probe that alpha reads with its index.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -96,8 +96,8 @@ class NumericConfig:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
 #   left_normal(x, u)     the left unit normal of a unit tangent u at x
-#   fixed_probes(pts)     (k, d) points off the samples pts whose index
-#                         area_form reads from ctx.fixed_index
+#   fixed_probes(pts)     (k, d) points off the samples pts; area_form
+#                         reads them and their indices from the context
 #   plane(pts, x)         points x in an orientation-preserving planar chart
 #                         of the surface minus one point off the samples pts;
 #                         that point maps to nan
@@ -105,7 +105,8 @@ class NumericConfig:
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
 # On the sphere the chart's missing point, the one fixed probe and alpha's
-# singular point are the same pole, which pole(pts) chooses from the samples.
+# singular point are the same pole, which pole(pts) chooses from the samples
+# for fixed_probes and plane; area_form reads the probe.
 
 
 class _UnitSphere:
@@ -159,10 +160,8 @@ class _UnitSphere:
     def area_form(self, ctx, x, v):
         """alpha = -s.(x cross v) / (1 - s.x), with d alpha = dA away from
         the pole s, the context's one fixed probe."""
-        a, sign = self.pole(ctx.samples[1])
-        b, c = (a + 1) % 3, (a + 2) % 3   # (x cross v)_a = x_b v_c - x_c v_b
-        alpha = -sign * (x[:, b] * v[:, c] - x[:, c] * v[:, b]) / (1.0 - sign * x[:, a])
-        return alpha, ctx.fixed_index[0]
+        s = ctx._fixed_probes[0]
+        return -(np.cross(x, v) @ s) / (1.0 - x @ s), ctx.fixed_index[0]
 
 
 class _FlatTorus:
@@ -337,8 +336,12 @@ def geodesic_curvature(curve: ParametricCurve, t):
     det(p, p', p'') in the tangent plane at p, over |p'|^3.
     Positive for a small counterclockwise contractible loop.
     """
-    x, v, a = curve.jet(t)
-    return curve.surface.orientation(x, v, a) / np.linalg.norm(v, axis=-1) ** 3
+    return _geodesic_curvature(curve.surface, *curve.jet(t))
+
+
+def _geodesic_curvature(surface, x, v, a):
+    """The geodesic curvature of the jet (x, v, a) on surface."""
+    return surface.orientation(x, v, a) / np.linalg.norm(v, axis=-1) ** 3
 
 
 def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
@@ -359,14 +362,15 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
     cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
     cand = cand[_may_cross(pts, cand)]
-    roots = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
-    keep = _distinct_roots(*roots)
-    t1, t2 = (r[keep] for r in roots)
-    if not len(t1):   # an embedded curve: skip the passes below
+    t1, t2 = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
+    if not len(t1):   # an embedded curve: nothing to evaluate
         return []
-    x, v1 = curve.jet(t1, 1)
-    v2 = curve.jet(t2, 1)[1]
-    x = curve.surface.project(x)
+    (x, v1), (x2, v2) = curve.jet(t1, 1), curve.jet(t2, 1)
+    gap = x - x2
+    met = np.flatnonzero(~(np.sqrt(_dot(gap, gap)) > POSITION_TOL))
+    keep = met[_distinct_roots(t1[met], t2[met])]
+    t1, t2, v1, v2 = t1[keep], t2[keep], v1[keep], v2[keep]
+    x = curve.surface.project(x[keep])
     cosang = _dot(v1, -v2) / (np.sqrt(_dot(v1, v1)) * np.sqrt(_dot(v2, v2)))
     positive = curve.surface.orientation(x, v1, v2) > 0
     found = []
@@ -512,9 +516,8 @@ def _refine_double_points(curve, t1, t2):
     A seed leaves the batch where a lone iteration would stop: rejected at
     a near-singular Jacobian, converged once both steps fall below
     PARAM_TOL, rejected after 60 steps.  Returns arrays (t1, t2) of the
-    converged roots, wrapped into [0, 1) with t1 <= t2, at least DIAG_GAP
-    from the diagonal and with residual distance within POSITION_TOL, in
-    seed order."""
+    converged roots, wrapped into [0, 1) with t1 <= t2 and at least
+    DIAG_GAP from the diagonal, in seed order."""
     t1 = np.array(t1, dtype=float)
     t2 = np.array(t2, dtype=float)
     live = np.arange(len(t1))
@@ -547,9 +550,6 @@ def _refine_double_points(curve, t1, t2):
     t1, t2 = np.minimum(t1, t2), np.maximum(t1, t2)
     sep = t2 - t1
     keep = ~(np.minimum(sep, 1.0 - sep) < DIAG_GAP)
-    t1, t2 = t1[keep], t2[keep]
-    gap = curve.jet(t1, 0)[0] - curve.jet(t2, 0)[0]
-    keep = ~(np.sqrt(_dot(gap, gap)) > POSITION_TOL)
     return t1[keep], t2[keep]
 
 
@@ -713,8 +713,8 @@ class NumericContext:
         a, b = np.array(spans).T
         half = 0.5 * (b - a)
         ts = ((half[:, None] * nodes + 0.5 * (a + b)[:, None]) % 1.0).ravel()
-        x, v = curve.jet(ts, 1)
-        kg = geodesic_curvature(curve, ts) * np.linalg.norm(v, axis=-1)
+        x, v, acc = curve.jet(ts)
+        kg = _geodesic_curvature(curve.surface, x, v, acc) * np.linalg.norm(v, axis=-1)
 
         def integral(f):   # over each arc, of f at its nodes
             return half * np.sum(weights * f.reshape(len(spans), -1), axis=1)
@@ -755,12 +755,12 @@ class NumericContext:
 
     def _index_probes(self, spans):
         """One point_index call for the side probes at the middle of every
-        arc and the surface's fixed probes: sets arc_index and
-        fixed_index."""
+        arc and the surface's fixed probes: sets arc_index, and the fixed
+        probes with their fixed_index."""
         t = 0.5 * np.sum(spans, axis=1) % 1.0
         n = len(t)
-        fixed = self.curve.surface.fixed_probes(self.samples[1])
-        probes = np.concatenate((*self._side_probes(t), fixed))
+        self._fixed_probes = self.curve.surface.fixed_probes(self.samples[1])
+        probes = np.concatenate((*self._side_probes(t), self._fixed_probes))
         ind = point_index(self.curve, self.base_point, probes, self.cfg, samples=self.samples)
         for tk, il, ir in zip(t, ind[:n], ind[n:2 * n]):
             if il != ir + 1:

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import curveinv
-from curveinv import invariants
-from curveinv.catalog import DIAGRAM_FIXTURES, validate_catalog
+from curveinv import cli, geometry, invariants
+from curveinv.catalog import DIAGRAM_FIXTURES, diagram_fixture, validate_catalog
 from curveinv.cli import main
 from curveinv.laurent import HalfLaurent
 
@@ -130,6 +130,19 @@ def test_compare(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "compare", str(tmp_path / "g2.diagram"))
     assert code == 0
+
+
+@pytest.mark.parametrize("name", ["figure8_sphere", "circle_torus"])
+def test_compare_shows_an_iq_disagreement_as_a_fail_table(capsys, monkeypatch, name):
+    # a faulty Euler route, wherever it is bound: on every surface each base
+    # prints its row and FAIL, and the command exits 3 without a traceback
+    # or a reproducer
+    for module in (cli, invariants):
+        monkeypatch.setattr(module, "iq_euler", lambda *args: HalfLaurent.zero())
+    code, out, err = run(capsys, "compare", name)
+    assert (code, err) == (3, "")
+    assert out.count("          FAIL\n") == len(diagram_fixture(name).regions)
+    assert out.endswith("\nFAIL\n")
 
 
 def test_move_birth_and_json(capsys, tmp_path):
@@ -315,6 +328,23 @@ def test_numeric_bad_q_value_names_the_option(capsys, q, shown):
     code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", q)
     assert (code, out) == (1, "")
     assert err == f"error: bad value for --q: {shown}\n"
+
+
+@pytest.mark.parametrize("q", ["1e-320", "5e-324"])
+def test_numeric_q_whose_powers_overflow(capsys, q):
+    # q^i at the figure eight's level -1 is beyond a float: an error, not a
+    # traceback
+    code, out, err = run(capsys, "numeric", "--fixture", "figure8_sphere_param", "--q", q)
+    assert (code, out) == (1, "")
+    assert err == f"error: --q {q}: a power q^i at this curve's index levels overflows a float\n"
+
+
+@pytest.mark.parametrize("q", ["0", "-1", "0.5,-2"])
+def test_numeric_rejects_nonpositive_q_before_the_contexts(capsys, monkeypatch, q):
+    monkeypatch.setattr(geometry, "NumericContext", None)   # building one would raise
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", q)
+    assert (code, out) == (1, "")
+    assert err == f"error: q must be positive, got {float(q.split(',')[-1])}\n"
 
 
 @pytest.mark.parametrize("grid", ["-8", "0"])

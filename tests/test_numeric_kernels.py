@@ -70,9 +70,14 @@ def newton_reference(curve, t1, t2):
         t1, t2 = t2, t1
     if min(t2 - t1, 1.0 - (t2 - t1)) < geometry.DIAG_GAP:
         return None
-    if float(np.linalg.norm(curve.jet(t1, 0)[0] - curve.jet(t2, 0)[0])) > geometry.POSITION_TOL:
-        return None
     return float(t1), float(t2)
+
+
+def residual_reference(curve, t1, t2):
+    """Whether the refined root (t1, t2) passes find_double_points'
+    residual test."""
+    gap = float(np.linalg.norm(curve.jet(t1, 0)[0] - curve.jet(t2, 0)[0]))
+    return not gap > geometry.POSITION_TOL
 
 
 def segment_reference(curve, b, p, ts, pts):
@@ -584,6 +589,8 @@ def test_distinct_roots_equals_greedy_loop_on_refined_roots(monkeypatch, curve):
                         lambda *args: roots.append(refine(*args)) or roots[-1])
     found = find_double_points(curve)
     (t1, t2), = roots
+    met = np.array([residual_reference(curve, a, b) for a, b in zip(t1, t2)], dtype=bool)
+    t1, t2 = t1[met], t2[met]
     keep = geometry._distinct_roots(t1, t2)
     assert keep.tolist() == merge_reference(t1, t2)
     assert sorted(zip(t1[keep].tolist(), t2[keep].tolist())) == [(d.t1, d.t2) for d in found]
@@ -670,6 +677,41 @@ def test_point_index_makes_one_plane_call(monkeypatch, name):
         pole = np.zeros(3)
         pole[k % 3] = 1.0 if k < 3 else -1.0
         assert np.isnan(plane(pts, pole)).all() and not np.isnan(charts[0][:len(pts) - 1]).any()
+
+
+@pytest.mark.parametrize("name,crossings", [("figure8_sphere_param", 1), ("great_circle", 0)])
+@pytest.mark.parametrize("cfg", [NumericConfig(), NumericConfig().halved()])
+def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
+    # the arc nodes take one jet, the Newton roots two of order 1 (none on
+    # an embedded curve), nothing evaluates an empty array, and the sphere's
+    # pole is chosen twice: for the fixed probe and for the chart
+    calls, poles, finding = [], [], []
+    jet, find, pole = ParametricCurve.jet, geometry.find_double_points, UNIT_SPHERE.pole
+
+    def counted_jet(curve, t, order=2):
+        calls.append((np.size(t), order, bool(finding)))
+        return jet(curve, t, order)
+
+    def counted_find(*args):
+        finding.append(1)
+        try:
+            return find(*args)
+        finally:
+            finding.clear()
+
+    monkeypatch.setattr(ParametricCurve, "jet", counted_jet)
+    monkeypatch.setattr(geometry, "find_double_points", counted_find)
+    monkeypatch.setattr(UNIT_SPHERE, "pole", lambda pts: poles.append(1) or pole(pts))
+    fx = parametric_fixture(name)
+    ctx = NumericContext(fx.curve, fx.base_point, cfg)
+    assert len(ctx.double_points) == crossings
+    nodes = len(ctx.arc_spans) * cfg.line_nodes
+    assert [c for c in calls if c[0] == nodes] == [(nodes, 2, False)]
+    lower = [(size, order) for size, order, inside in calls if inside and order < 2]
+    assert lower[0] == (cfg.double_grid, 1)   # the seed grid
+    assert [order for _, order in lower[1:]] == [1, 1] * crossings
+    assert all(size for size, _, _ in calls)
+    assert len(poles) == 2
 
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
