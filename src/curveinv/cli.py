@@ -41,6 +41,7 @@ from .errors import (
     ParseError,
     PlanInvalid,
     PlanRequired,
+    QOverflow,
     SiteError,
 )
 from .invariants import (
@@ -370,7 +371,7 @@ def cmd_numeric(args):
             nv = float(numeric_iq(fx.curve, fx.base_point, [q], cfg, context=ctx)[0])
             cv = float(numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0])
             exact = float(laurent.eval_real(rep.iq, q))
-        except OverflowError:
+        except (OverflowError, QOverflow):   # from eval_real, from numeric_iq
             raise CurveInvError(f"--q {q}: a power q^i at this curve's index levels "
                                 "overflows a float") from None
         est = abs(nv - cv) / 2

@@ -206,22 +206,31 @@ def build_diagram(code, regions=None, surface_chi=None, base_region=0):
 
 
 def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
-    """build_diagram on the boundary cycles already traced from code."""
+    """build_diagram on the boundary cycles already traced from code.
+
+    The faults are checked in a fixed order: the partition of the cycles,
+    then each region's genus and boundary count in region order, then chi
+    conservation, the surface's chi and the base region."""
     if regions is None:
         regs = tuple(Region(0, (c,)) for c in range(len(cycles)))
+        cycle_region, region_chi = range(len(cycles)), len(cycles)
     else:
         regs = tuple(Region(int(g), tuple(sorted(cs))) for g, cs in regions)
-        claimed = [c for r in regs for c in r.cycles]
-        if sorted(claimed) != list(range(len(cycles))):
+        cycle_region = _cycle_regions(regs, len(cycles))
+        if cycle_region is None:
+            claimed = sorted(c for r in regs for c in r.cycles)
             raise TopologyError(
-                f"region lines must partition cycles 0..{len(cycles) - 1}, got {sorted(claimed)}"
+                f"region lines must partition cycles 0..{len(cycles) - 1}, got {claimed}"
             )
+        genera = 0
         for r in regs:
             if r.genus < 0:
                 raise TopologyError("region genus must be a nonnegative integer")
             if not r.cycles:
                 raise TopologyError("every region needs at least one boundary cycle")
-    region_chi = sum(r.chi for r in regs)
+            genera += r.genus
+        # the regions' boundary counts add up to the partitioned cycles
+        region_chi = 2 * len(regs) - 2 * genera - len(cycles)
     derived_chi = region_chi - code.n
     if surface_chi is None:
         surface_chi = derived_chi
@@ -234,14 +243,12 @@ def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
         raise TopologyError(f"chi(S) = {surface_chi} is not 2 - 2g for genus g >= 0")
     if not 0 <= base_region < len(regs):
         raise TopologyError(f"base region {base_region} does not exist")
-    dart_cycle = [0] * sum(len(cycle) for cycle in cycles)
-    for c, cycle in enumerate(cycles):
+    darts = sum(map(len, cycles))
+    dart_cycle, dart_region = [0] * darts, [0] * darts
+    for c, (cycle, r) in enumerate(zip(cycles, cycle_region)):
         for d in cycle:
             dart_cycle[d] = c
-    cycle_region = [0] * len(cycles)
-    for r, region in enumerate(regs):
-        for c in region.cycles:
-            cycle_region[c] = r
+            dart_region[d] = r
     return CurveDiagram(
         code=code,
         cycles=cycles,
@@ -249,8 +256,20 @@ def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
         surface_chi=surface_chi,
         base_region=base_region,
         dart_cycle=tuple(dart_cycle),
-        dart_region=tuple(cycle_region[c] for c in dart_cycle),
+        dart_region=tuple(dart_region),
     )
+
+
+def _cycle_regions(regs, count):
+    """cycle -> index of the region that owns it, or None unless the regions
+    partition the cycles 0 .. count - 1."""
+    owner, ids = [None] * count, range(count)
+    for r, region in enumerate(regs):
+        for c in region.cycles:
+            if c not in ids or owner[c] is not None:
+                return None
+            owner[c] = r
+    return None if None in owner else owner
 
 
 # ---------------------------------------------------------------------------

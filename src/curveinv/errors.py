@@ -53,6 +53,10 @@ class NonPositiveQ(CurveInvError):
     """Numeric evaluation requires q > 0."""
 
 
+class QOverflow(CurveInvError):
+    """A power q^i at the curve's index levels leaves the float range."""
+
+
 class SiteError(CurveInvError):
     """A move site does not exist in, or does not match, the diagram."""
 

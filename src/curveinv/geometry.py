@@ -57,6 +57,7 @@ from .errors import (
     DegenerateTangency,
     NonPositiveQ,
     PointOnCurve,
+    QOverflow,
     TopologyError,
 )
 
@@ -813,9 +814,13 @@ def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=N
             continue
         rq = math.sqrt(q)
         denom = rq - 1.0 / rq
-        total = ctx.line_integral(lambda i: q ** i)
-        total -= ctx.crossing_sum(lambda theta, i: theta * q ** i * denom)
-        total += ctx.area_integral(lambda i: (q ** i - 1.0) / denom)
+        try:
+            total = ctx.line_integral(lambda i: q ** i)
+            total -= ctx.crossing_sum(lambda theta, i: theta * q ** i * denom)
+            total += ctx.area_integral(lambda i: (q ** i - 1.0) / denom)
+        except OverflowError:
+            raise QOverflow(f"q = {q}: a power q^i at this curve's index levels "
+                            "overflows a float") from None
         out.append(total / TWO_PI)
     return out
 

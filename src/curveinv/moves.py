@@ -22,18 +22,25 @@ Each move edits the visit list of the signed Gauss code directly:
   triangle's corners swap.  Crossing count, region chis and the triangle
   itself persist.
 
+In a disk region (genus 0, one boundary cycle) the two birth positions fix
+the tangency.  The finger's tip stays parallel to its own arc at pos1, and
+it meets the far arc where the disk's boundary walk runs against the walk
+at pos1.  A walk runs along its arc on a left-side dart and against it on a
+right-side one, so the birth is direct exactly when the two positions lie
+on darts of different sides.  A birth of the other tangency is not
+realizable; it is rejected with PlanInvalid before any new code is built.
 Births in non-disk regions need a SplitPlan because the finger's isotopy
 class (how it winds around handles or separates boundary cycles) is not
 determined by the endpoints; the plan declares the outcome and is validated
 against chi conservation and the traced cycle structure.
 
-Every move traces its new code once and carries the regions over along one
-path.  It states `parents`: for each new arc, the old arcs it runs along
-(none for the sides of a new lens, a dead bigon or a moved triangle).
-`_inherited_darts` turns these into the old darts each new face continues;
-the move keys each face by the old region of those darts, or by a new
-region (split pieces, lens, merged region).  `_moved_diagram` groups the
-faces by key, checks that every carried-over region keeps its boundary
+Every move that goes ahead traces its new code once and carries the regions
+over along one path.  It states `parents`: for each new arc, the old arcs it
+runs along (none for the sides of a new lens, a dead bigon or a moved
+triangle).  `_inherited_darts` turns these into the old darts each new face
+continues; the move keys each face by the old region of those darts, or by
+a new region (split pieces, lens, merged region).  `_moved_diagram` groups
+the faces by key, checks that every carried-over region keeps its boundary
 count, places the base and assembles the diagram from the traced cycles.
 """
 
@@ -120,12 +127,20 @@ def _disk(diagram, rid, corners):
     return cycle, arcs, ends
 
 
+def _short_cycle_regions(diagram, corners):
+    """Ascending ids of the regions that own a boundary cycle of `corners`
+    darts: the only regions where _disk can find `corners` corners."""
+    dart_region = diagram.dart_region
+    return sorted({dart_region[cycle[0]] for cycle in diagram.cycles
+                   if len(cycle) == corners})
+
+
 def find_bigons(diagram: CurveDiagram):
     """All bigon sites: the 2-corner _disk regions, whose two arcs join the
     same two crossings.  Direct if both arcs run P -> Q (parallel strands),
     opposite if one runs P -> Q and the other Q -> P."""
     sites = []
-    for rid in range(len(diagram.regions)):
+    for rid in _short_cycle_regions(diagram, 2):
         if (disk := _disk(diagram, rid, 2)) is not None:
             _cycle, _arcs, (ends0, ends1) = disk
             kind = "bigon_direct" if ends0 == ends1 else "bigon_opposite"
@@ -136,7 +151,8 @@ def find_bigons(diagram: CurveDiagram):
 def find_triangles(diagram: CurveDiagram):
     """All triangle sites: 3-corner disk regions with three distinct
     boundary arcs meeting three distinct crossings pairwise."""
-    return [MoveSite(kind="triangle", region=rid) for rid in range(len(diagram.regions))
+    return [MoveSite(kind="triangle", region=rid)
+            for rid in _short_cycle_regions(diagram, 3)
             if _disk(diagram, rid, 3) is not None]
 
 
@@ -148,11 +164,9 @@ def _inherited_darts(cycles, parents):
     """For each new face, the old darts it continues.
 
     parents[k] lists the old arcs that new arc k runs along; a dart keeps
-    its side, so new dart (k, side) continues the old darts (a, side)."""
-    return [
-        [dart_id(a, dart_side(d)) for d in cycle for a in parents[dart_arc(d)]]
-        for cycle in cycles
-    ]
+    its side, so new dart 2k + side continues the old darts 2a + side."""
+    return [[2 * a + (d & 1) for d in cycle for a in parents[d >> 1]]
+            for cycle in cycles]
 
 
 def _moved_diagram(diagram, code, cycles, face_key, layout, base_key):
@@ -181,6 +195,9 @@ def _moved_diagram(diagram, code, cycles, face_key, layout, base_key):
 
 # ---------------------------------------------------------------------------
 # tangency birth
+
+
+_UNREALIZABLE = "the tangency is not realizable in this region of the surface"
 
 
 def birth_site(region, pos1, pos2, kind, plan=None):
@@ -218,6 +235,10 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
 
     a1, s1 = dart_arc(d1), dart_side(d1)
     a2, s2 = dart_arc(d2), dart_side(d2)
+    # in a disk the birth is direct exactly when the two darts' sides differ
+    # (module docstring); the other tangency is rejected before any tracing
+    if is_disk and direct == (s1 == s2):
+        raise PlanInvalid(_UNREALIZABLE)
     # walk fraction -> fraction along the arc's own direction
     f1 = Fraction(t1) if s1 == LEFT else 1 - Fraction(t1)
     f2 = Fraction(t2) if s2 == LEFT else 1 - Fraction(t2)
@@ -267,9 +288,7 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         if len(regs) > 1:
             # the declared tangency would force distinct regions to merge,
             # i.e. it is not realizable on the fixed surface
-            raise PlanInvalid(
-                "the tangency is not realizable in this region of the surface"
-            )
+            raise PlanInvalid(_UNREALIZABLE)
         if regs == {rid}:
             r_faces[ci] = {dart_cycle[x] for x in darts}
         elif regs:

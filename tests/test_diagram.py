@@ -608,6 +608,57 @@ def test_own_is_the_sign_at_first_visits_and_its_negation_at_second(random_corpu
     assert a == SignedGaussCode(a.visits) and "own" not in repr(a)
 
 
+# region lists with two faults at once, on the figure eight's cycles
+# (0, 3), (1,), (2,): the fault checked first names the error
+FIG8_CODE = ((1, 1), (1, 1))
+PARTITION = "region lines must partition cycles 0..2, got "
+
+
+@pytest.mark.parametrize("regions,chi,base,message", [
+    ([(-1, (0,)), (0, (1,))], None, 0, PARTITION + "[0, 1]"),
+    ([(0, (0, 1)), (0, ())], None, 0, PARTITION + "[0, 1]"),
+    ([], None, 0, PARTITION + "[]"),
+    ([(-1, (0, 1, 2, 3))], None, 0, PARTITION + "[0, 1, 2, 3]"),
+    ([(0, (0, 0, 1, 2)), (0, ())], None, 0, PARTITION + "[0, 0, 1, 2]"),
+    ([(0, (-1, 0, 1, 2))], 2, 0, PARTITION + "[-1, 0, 1, 2]"),
+    ([(0, (0,)), (1, (0, 1, 2))], None, 0, PARTITION + "[0, 0, 1, 2]"),
+    ([(-1, (0,)), (0, ()), (0, (1, 2))], None, 0,
+     "region genus must be a nonnegative integer"),
+    ([(0, ()), (-1, (0,)), (0, (1, 2))], None, 0,
+     "every region needs at least one boundary cycle"),
+    ([(-1, (0,)), (0, (1,)), (0, (2,))], 0, 0, "region genus must be a nonnegative integer"),
+    ([(1, (0,)), (0, (1,)), (0, (2,))], 2, 7,
+     "declared chi(S) = 2 inconsistent with chi conservation (regions give 0)"),
+    (None, 0, 5, "declared chi(S) = 0 inconsistent with chi conservation (regions give 2)"),
+])
+def test_build_reports_the_first_of_two_region_faults(regions, chi, base, message):
+    with pytest.raises(TopologyError) as exc:
+        build_diagram(FIG8_CODE, regions, chi, base)
+    assert (type(exc.value), str(exc.value)) == (TopologyError, message)
+
+
+@pytest.mark.parametrize("body,error,message", [
+    ("surface genus=1\ncurve 1+ 1+\nregion 0 genus=0 cycles=0,1,2,3\nbase 0\n",
+     TopologyError, PARTITION + "[0, 1, 2, 3]"),
+    ("curve 1+ 1+\nregion 0 genus=0 cycles=0,0,1\nregion 1 genus=0 cycles=2\nbase 1\n",
+     TopologyError, PARTITION + "[0, 0, 1, 2]"),
+    ("surface genus=2\ncurve 1+ 1+\nregion 0 genus=1 cycles=0,1,2,5\nbase 0\n",
+     TopologyError, PARTITION + "[0, 1, 2, 5]"),
+    ("curve 1+ 1+\nregion 0 genus=0 cycles=-1,0,1,2\nbase 0\n",
+     TopologyError, PARTITION + "[-1, 0, 1, 2]"),
+    ("curve 1+ 1+\nregion 0 genus=-1 cycles=0,1\nbase 0\n",
+     ParseError, "line 2: genus must be nonnegative"),
+    ("curve 1+ 1+\nregion 0 genus=0 cycles=\nregion 1 genus=0 cycles=0,1\nbase 0\n",
+     ParseError, "line 2: bad cycle list"),
+    ("curve 1+ 1+\nregion 0 genus=0 cycles=0,1\nregion 1 genus=0 cycles=1,2\nbase 3\n",
+     ParseError, "line 4: base region 3 not declared"),
+])
+def test_parse_reports_the_first_of_two_region_faults(body, error, message):
+    with pytest.raises(CurveInvError) as exc:
+        parse_diagram(body)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
 def test_region_without_boundary_cycle_is_rejected():
     # a genus-1 region with no boundary keeps chi conservation on the sphere
     with pytest.raises(TopologyError, match="at least one boundary cycle"):

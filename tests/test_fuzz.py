@@ -4,7 +4,8 @@ Each text is built from a random signed Gauss code, sometimes corrupted,
 with random `surface genus=`, region and `base` lines and stray tokens.  It
 goes through parse_diagram, full_report at every base, canonicalize, and a
 bigon death and a triple move at every region id (and one past each end).
-Every step must end in a result or a CurveInvError.
+Every step must end in a result or a CurveInvError, and the bigon and
+triangle finders must give the sites of the _disk scan over every region.
 """
 
 import random
@@ -17,7 +18,7 @@ from curveinv.diagram import (
 )
 from curveinv.errors import CurveInvError
 from curveinv.invariants import full_report
-from curveinv.moves import bigon_death, triple_move
+from curveinv.moves import _disk, bigon_death, find_bigons, find_triangles, triple_move
 
 STRAY = ["", "   ", "# comment", "bogus", "curve", "region", "base", "surface",
          "surface genus=", "surface genus=x", "region 0", "region 0 genus=0",
@@ -101,6 +102,9 @@ def run_all(text):
         except CurveInvError:
             pass
     canonicalize(d)
+    for finder, corners in ((find_bigons, 2), (find_triangles, 3)):
+        scan = [rid for rid in range(len(d.regions)) if _disk(d, rid, corners) is not None]
+        assert [s.region for s in finder(d)] == scan
     for rid in range(-1, len(d.regions) + 1):
         for move in (bigon_death, triple_move):
             try:

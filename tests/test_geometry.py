@@ -13,6 +13,7 @@ from curveinv.errors import (
     ChiZero,
     DegenerateTangency,
     PointOnCurve,
+    QOverflow,
 )
 from curveinv.geometry import (
     GreatCircle,
@@ -222,6 +223,16 @@ def test_numeric_iq_matches_exact(contexts, name, tol):
     for q in (0.5, 2.0, 3.0):
         numeric = numeric_iq(ctx.curve, ctx.base_point, [q], CFG, context=ctx)[0]
         assert abs(numeric - laurent.eval_real(rep.iq, q)) <= tol
+
+
+@pytest.mark.parametrize("q", [1e-320, 5e-324])
+def test_numeric_iq_names_a_q_whose_powers_overflow(contexts, q):
+    # q^i at the figure eight's level -1 is beyond a float
+    ctx = contexts["fig8"]
+    with pytest.raises(QOverflow) as exc:
+        numeric_iq(ctx.curve, ctx.base_point, [q], CFG, context=ctx)
+    assert str(exc.value) == (f"q = {q}: a power q^i at this curve's index levels "
+                              "overflows a float")
 
 
 @pytest.mark.parametrize("name,tol", ROUTE_TOLERANCES)

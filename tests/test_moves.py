@@ -1,5 +1,8 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,11 @@ from curveinv.moves import (
     triple_move,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.generators import grow_walkers  # noqa: E402
+
+UNREALIZABLE = "the tangency is not realizable in this region of the surface"
+
 
 def disk_regions(diagram):
     out = []
@@ -33,6 +41,21 @@ def disk_regions(diagram):
         if region.genus == 0 and len(region.cycles) == 1:
             out.append(rid)
     return out
+
+
+@pytest.fixture(scope="module")
+def grown():
+    """Diagrams on genus 0, 1 and 2 grown from the circle by seeded births
+    and triple moves, two walks each."""
+    return [w.diagram for seed in (1, 2)
+            for w in grow_walkers(random.Random(seed), {0: 10, 1: 12, 2: 14})]
+
+
+def scanned_sites(diagram, corners):
+    """The region ids of the `corners`-corner sites, by the _disk test of
+    every region: the reference for find_bigons and find_triangles."""
+    return [rid for rid in range(len(diagram.regions))
+            if moves._disk(diagram, rid, corners) is not None]
 
 
 def make_birth(diagram, rid, kind, rng):
@@ -92,6 +115,29 @@ def test_direct_birth_impossible_on_embedded_circle(fixtures):
         site = birth_site(0, *positions, "direct")
         with pytest.raises(PlanInvalid):
             tangency_birth(circle, site)
+
+
+def test_disk_birth_tangency_is_fixed_by_the_dart_sides(fixtures, grown):
+    """In a disk region a birth is direct exactly when its two darts lie on
+    different sides.  Every ordered dart pair of every disk, at two fraction
+    orders: the other tangency raises PlanInvalid, the rule's one succeeds."""
+    rejected = accepted = 0
+    for d in [*grown, *fixtures.values()]:
+        for rid in disk_regions(d):
+            cycle = d.cycles[d.regions[rid].cycles[0]]
+            for (d1, d2), (t1, t2), kind in itertools.product(
+                    itertools.product(cycle, repeat=2),
+                    ((Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 4), Fraction(1, 4))),
+                    ("direct", "opposite")):
+                site = birth_site(rid, (d1, t1), (d2, t2), kind)
+                if (kind == "direct") == (dart_side(d1) == dart_side(d2)):
+                    with pytest.raises(PlanInvalid, match=f"^{UNREALIZABLE}$"):
+                        tangency_birth(d, site)
+                    rejected += 1
+                else:
+                    assert tangency_birth(d, site).n == d.n + 2
+                    accepted += 1
+    assert rejected == accepted > 1000
 
 
 def test_birth_jump_laws_on_fixtures(fixtures):
@@ -301,6 +347,12 @@ def test_each_move_traces_once(fixtures, monkeypatch):
         move(d, site)
         counts.append(len(calls))
     assert counts == [1, 1, 1]
+    # the wrong tangency in a disk is rejected from the darts' sides alone
+    calls.clear()
+    with pytest.raises(PlanInvalid, match=f"^{UNREALIZABLE}$"):
+        tangency_birth(fig8, birth_site(0, (0, Fraction(1, 3)), (0, Fraction(2, 3)),
+                                        "direct"))
+    assert calls == []
 
 
 def test_each_move_checks_only_its_own_region(fixtures, monkeypatch):
@@ -316,15 +368,18 @@ def test_each_move_checks_only_its_own_region(fixtures, monkeypatch):
     assert calls == [(bigon.region, 2), (triangle.region, 3)]
 
 
-def test_move_sites_agree_with_the_finders(fixtures, random_corpus):
-    """At every region id, and one past each end, a death or a triple move
+def test_move_sites_agree_with_the_finders(fixtures, random_corpus, grown):
+    """The finders give the sites of the _disk scan over every region, and
+    at every region id, and one past each end, a death or a triple move
     raises SiteError exactly where the finder has no site."""
     host = triple_host(fixtures)
     diagrams = [host, triple_move(host, find_triangles(host)[0]),
-                *fixtures.values(), *random_corpus]
+                *fixtures.values(), *random_corpus, *grown]
     for d in diagrams:
-        for move, finder in ((bigon_death, find_bigons), (triple_move, find_triangles)):
-            sites = {s.region for s in finder(d)}
+        for move, finder, corners in ((bigon_death, find_bigons, 2),
+                                      (triple_move, find_triangles, 3)):
+            sites = [s.region for s in finder(d)]
+            assert sites == scanned_sites(d, corners)
             for rid in range(-1, len(d.regions) + 1):
                 if rid in sites:
                     move(d, rid)
