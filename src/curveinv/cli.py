@@ -366,16 +366,20 @@ def cmd_numeric(args):
     rep = full_report(diagram, base)
     rows = []
     ok = True
+    # |c_e| q^(e/2) summed over I_q's terms: the size of the terms, to which
+    # the rounding of both routes at a large or small q is proportional
+    magnitude = laurent.HalfLaurent({e: abs(c) for e, c in rep.iq.terms.items()})
     for q in qs:
         try:
             nv = float(numeric_iq(fx.curve, fx.base_point, [q], cfg, context=ctx)[0])
             cv = float(numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0])
             exact = float(laurent.eval_real(rep.iq, q))
+            rounding = 1e-12 * laurent.eval_real(magnitude, q)
         except (OverflowError, QOverflow):   # from eval_real, from numeric_iq
             raise CurveInvError(f"--q {q}: a power q^i at this curve's index levels "
                                 "overflows a float") from None
         est = abs(nv - cv) / 2
-        status = abs(nv - exact) <= tol
+        status = abs(nv - exact) <= tol + rounding
         ok = ok and status
         rows.append({
             "q": q, "numeric": nv, "exact": exact,

@@ -35,9 +35,11 @@ per-visit sign: the crossing's sign at its first visit, the negated sign at
 its second.  The crossing tables of the index functions, canonical forms
 and moves read partner, and `rotation_prev` builds from partner and own the
 one list sigma^{-1} over darts that face tracing and the moves follow.  The
-tables dart -> cycle and dart -> region are built once, when a diagram is
-assembled, and stored on the CurveDiagram; every later step reads them.
-An index function is read off the code and dart -> region in one pass.
+trace that finds the boundary cycles records dart -> cycle as it walks
+them; assembling a diagram maps it through cycle -> region to dart ->
+region (the same table when every cycle is its own region), and both are
+stored on the CurveDiagram for every later step to read.  An index
+function is read off the code and dart -> region in one pass.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter, neg
+from typing import NamedTuple
 
 from .errors import (
     HomologicallyNontrivial,
@@ -134,7 +138,7 @@ def rotation_prev(code: SignedGaussCode):
     return prev
 
 
-def trace_boundary_cycles(code: SignedGaussCode):
+def trace_boundary_cycles(code: SignedGaussCode, *, dart_cycle=None):
     """Trace the face boundaries of the combinatorial map.
 
     Each of the 2n arcs contributes two darts; every dart lies on exactly one
@@ -142,27 +146,40 @@ def trace_boundary_cycles(code: SignedGaussCode):
     in order of their smallest dart id, each starting at its smallest dart,
     so the numbering is deterministic.  For n = 0 the two sides of the closed
     curve form two one-dart cycles.
+
+    dart_cycle, if given, is a list that is filled from the same walk with
+    the index of the cycle that holds each dart.
     """
     if code.n == 0:
-        return ((dart_id(0, LEFT),), (dart_id(0, RIGHT),))
-    prev = rotation_prev(code)
-    seen = [False] * len(prev)
-    cycles = []
-    for start in range(len(prev)):
-        if seen[start]:
-            continue
-        cycle = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cycle.append(d)
-            d = prev[d ^ 1]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+        owner, cycles = [0, 1], ((dart_id(0, LEFT),), (dart_id(0, RIGHT),))
+    else:
+        prev = rotation_prev(code)
+        owner = [-1] * len(prev)
+        cycles = []
+        for start in range(len(prev)):
+            if owner[start] >= 0:
+                continue
+            c = len(cycles)
+            cycle = []
+            d = start
+            while owner[d] < 0:
+                owner[d] = c
+                cycle.append(d)
+                d = prev[d ^ 1]
+            cycles.append(tuple(cycle))
+        cycles = tuple(cycles)
+    if dart_cycle is not None:
+        dart_cycle[:] = owner
+    return cycles
 
 
-@dataclass(frozen=True)
-class Region:
+def _trace(code):
+    """(cycles, dart_cycle) from one call of trace_boundary_cycles."""
+    dart_cycle = []
+    return trace_boundary_cycles(code, dart_cycle=dart_cycle), tuple(dart_cycle)
+
+
+class Region(NamedTuple):
     genus: int
     cycles: tuple
 
@@ -178,7 +195,8 @@ class CurveDiagram:
     regions: tuple           # tuple of Region
     surface_chi: int
     base_region: int
-    # derived from cycles and regions, indexed by dart id
+    # indexed by dart id: dart_cycle from the trace, dart_region through
+    # each cycle's region
     dart_cycle: tuple = field(compare=False, repr=False)
     dart_region: tuple = field(compare=False, repr=False)
 
@@ -201,21 +219,21 @@ def build_diagram(code, regions=None, surface_chi=None, base_region=0):
     """
     if not isinstance(code, SignedGaussCode):
         code = SignedGaussCode(tuple(code))
-    return _assemble_diagram(code, trace_boundary_cycles(code), regions,
-                             surface_chi, base_region)
+    return _assemble_diagram(code, *_trace(code), regions, surface_chi, base_region)
 
 
-def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
-    """build_diagram on the boundary cycles already traced from code.
+def _assemble_diagram(code, cycles, dart_cycle, regions, surface_chi, base_region):
+    """build_diagram on the boundary cycles and dart -> cycle table already
+    traced from code.
 
     The faults are checked in a fixed order: the partition of the cycles,
     then each region's genus and boundary count in region order, then chi
     conservation, the surface's chi and the base region."""
     if regions is None:
-        regs = tuple(Region(0, (c,)) for c in range(len(cycles)))
-        cycle_region, region_chi = range(len(cycles)), len(cycles)
+        regs = tuple([Region(0, (c,)) for c in range(len(cycles))])
+        dart_region, region_chi = dart_cycle, len(cycles)
     else:
-        regs = tuple(Region(int(g), tuple(sorted(cs))) for g, cs in regions)
+        regs = tuple([Region(int(g), tuple(sorted(cs))) for g, cs in regions])
         cycle_region = _cycle_regions(regs, len(cycles))
         if cycle_region is None:
             claimed = sorted(c for r in regs for c in r.cycles)
@@ -223,14 +241,15 @@ def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
                 f"region lines must partition cycles 0..{len(cycles) - 1}, got {claimed}"
             )
         genera = 0
-        for r in regs:
-            if r.genus < 0:
+        for genus, cs in regs:
+            if genus < 0:
                 raise TopologyError("region genus must be a nonnegative integer")
-            if not r.cycles:
+            if not cs:
                 raise TopologyError("every region needs at least one boundary cycle")
-            genera += r.genus
+            genera += genus
         # the regions' boundary counts add up to the partitioned cycles
         region_chi = 2 * len(regs) - 2 * genera - len(cycles)
+        dart_region = tuple(map(cycle_region.__getitem__, dart_cycle))
     derived_chi = region_chi - code.n
     if surface_chi is None:
         surface_chi = derived_chi
@@ -243,20 +262,14 @@ def _assemble_diagram(code, cycles, regions, surface_chi, base_region):
         raise TopologyError(f"chi(S) = {surface_chi} is not 2 - 2g for genus g >= 0")
     if not 0 <= base_region < len(regs):
         raise TopologyError(f"base region {base_region} does not exist")
-    darts = sum(map(len, cycles))
-    dart_cycle, dart_region = [0] * darts, [0] * darts
-    for c, (cycle, r) in enumerate(zip(cycles, cycle_region)):
-        for d in cycle:
-            dart_cycle[d] = c
-            dart_region[d] = r
     return CurveDiagram(
         code=code,
         cycles=cycles,
         regions=regs,
         surface_chi=surface_chi,
         base_region=base_region,
-        dart_cycle=tuple(dart_cycle),
-        dart_region=tuple(dart_region),
+        dart_cycle=dart_cycle,
+        dart_region=dart_region,
     )
 
 
@@ -291,12 +304,35 @@ def parse_diagram(text: str) -> CurveDiagram:
     region_lines = []   # (line_no, rid, genus, cycles)
     base_rid = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "surface":
+        if kind == "region":    # the most frequent line, read without helpers
+            if len(fields) != 4:
+                raise ParseError("region needs exactly <rid> genus=<g> cycles=<c,...>",
+                                 line_no)
+            _, rid, genus, cycle_list = fields
+            try:
+                rid = int(rid)
+            except ValueError:
+                raise ParseError(f"bad region id: {rid!r}", line_no) from None
+            if not genus.startswith("genus="):
+                raise ParseError("expected genus=<value>", line_no)
+            try:
+                genus = int(genus[6:])
+            except ValueError:
+                raise ParseError(f"bad genus: {genus[6:]!r}", line_no) from None
+            if genus < 0:
+                raise ParseError("genus must be nonnegative", line_no)
+            if not cycle_list.startswith("cycles="):
+                raise ParseError("expected cycles=<c1,c2,...>", line_no)
+            try:
+                cycle_list = tuple(map(int, cycle_list[7:].split(",")))
+            except ValueError:
+                raise ParseError("bad cycle list", line_no) from None
+            region_lines.append((line_no, rid, genus, cycle_list))
+        elif kind == "surface":
             if len(fields) != 2:
                 raise ParseError("surface needs exactly genus=<g>", line_no)
             if surface_genus is not None:
@@ -308,19 +344,6 @@ def parse_diagram(text: str) -> CurveDiagram:
             if len(fields) == 1:
                 raise ParseError("curve needs visit tokens, or - for no crossing", line_no)
             curve_tokens = (fields[1:], line_no)
-        elif kind == "region":
-            if len(fields) != 4:
-                raise ParseError("region needs exactly <rid> genus=<g> cycles=<c,...>",
-                                 line_no)
-            rid = _parse_int(fields[1], line_no, "region id")
-            genus = _parse_kv(fields[2], "genus", line_no)
-            if not fields[3].startswith("cycles="):
-                raise ParseError("expected cycles=<c1,c2,...>", line_no)
-            try:
-                cycles = tuple(int(c) for c in fields[3][len("cycles="):].split(","))
-            except ValueError:
-                raise ParseError("bad cycle list", line_no) from None
-            region_lines.append((line_no, rid, genus, cycles))
         elif kind == "base":
             if len(fields) != 2:
                 raise ParseError("base needs exactly one region id", line_no)
@@ -336,31 +359,30 @@ def parse_diagram(text: str) -> CurveDiagram:
         raise ParseError("missing base line")
 
     tokens, curve_line = curve_tokens
-    visits = []
+    visits = ()
     if tokens != ["-"]:
-        for tok in tokens:
-            if len(tok) < 2 or tok[-1] not in "+-":
-                raise ParseError(f"bad visit token {tok!r}", curve_line)
-            label = _parse_int(tok[:-1], curve_line, "crossing label")
-            if label <= 0:
-                raise ParseError(f"crossing label must be positive: {tok!r}", curve_line)
-            visits.append((label, 1 if tok[-1] == "+" else -1))
+        try:
+            visits = tuple([(int(tok[:-1]), _SIGNS[tok[-1]]) for tok in tokens])
+        except (ValueError, KeyError):
+            visits = None
+        if visits is None or min(visits)[0] <= 0:
+            _visit_fault(tokens, curve_line)
     try:
-        code = SignedGaussCode(tuple(visits))
+        code = SignedGaussCode(visits)
     except LabelError as exc:
         raise LabelError(f"line {curve_line}: {exc}") from None
 
     regions = None
     rid_to_index = None
     if region_lines:
-        region_lines.sort(key=lambda item: item[1])
+        region_lines.sort(key=itemgetter(1))
         rids = [rid for _, rid, _, _ in region_lines]
         if len(set(rids)) != len(rids):
             raise ParseError("duplicate region id", region_lines[0][0])
         regions = [(genus, cycles) for _, _, genus, cycles in region_lines]
         rid_to_index = {rid: i for i, (_, rid, _, _) in enumerate(region_lines)}
 
-    cycles = trace_boundary_cycles(code)
+    cycles, dart_cycle = _trace(code)
     base, base_line = base_rid
     if rid_to_index is not None:
         if base not in rid_to_index:
@@ -370,7 +392,19 @@ def parse_diagram(text: str) -> CurveDiagram:
         raise ParseError(f"base region {base} does not exist", base_line)
 
     surface_chi = None if surface_genus is None else 2 - 2 * surface_genus
-    return _assemble_diagram(code, cycles, regions, surface_chi, base)
+    return _assemble_diagram(code, cycles, dart_cycle, regions, surface_chi, base)
+
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _visit_fault(tokens, line_no):
+    """Raise the error for the first faulty visit token."""
+    for tok in tokens:
+        if len(tok) < 2 or tok[-1] not in "+-":
+            raise ParseError(f"bad visit token {tok!r}", line_no)
+        if _parse_int(tok[:-1], line_no, "crossing label") <= 0:
+            raise ParseError(f"crossing label must be positive: {tok!r}", line_no)
 
 
 def _parse_int(text, line_no, what):
@@ -439,7 +473,7 @@ def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
         raise TopologyError(f"base region {base_region} does not exist")
     side = diagram.dart_region
     values = {}
-    rights = accumulate((-own for own in diagram.code.own[1:]), initial=0)
+    rights = accumulate(map(neg, diagram.code.own[1:]), initial=0)
     for left, right, v in zip(side[0::2], side[1::2], rights):
         if values.setdefault(left, v + 1) != v + 1 or values.setdefault(right, v) != v:
             raise HomologicallyNontrivial(
@@ -465,10 +499,13 @@ def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
     for p1, (p2, (label, _sign)) in enumerate(zip(code.partner, code.visits)):
         if p2 < p1:
             continue
-        vals = sorted((low[p1 - 1] + 1, low[p2 - 1] + 1, low[p1], low[p2]))
-        i = vals[1]
-        if vals != [i - 1, i, i, i + 1]:
-            raise TopologyError(f"crossing {label} corners {vals} are not i-1,i,i,i+1")
+        # integers with sum 4i and squared deviations from i summing to 2
+        # are exactly {i-1, i, i, i+1}
+        a, b, c, d = low[p1 - 1] + 1, low[p2 - 1] + 1, low[p1], low[p2]
+        i, rem = divmod(a + b + c + d, 4)
+        if rem or (a - i) ** 2 + (b - i) ** 2 + (c - i) ** 2 + (d - i) ** 2 != 2:
+            raise TopologyError(
+                f"crossing {label} corners {sorted((a, b, c, d))} are not i-1,i,i,i+1")
         crossing_idx[label] = i
     return dict(enumerate(low)), crossing_idx
 
@@ -530,8 +567,8 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
     lo = min(min(ind.values.values()), 0)
     hi = max(max(ind.values.values()), 0)
     hist = [0] * (hi - lo + 2)
-    for rid, region in enumerate(diagram.regions):
-        hist[ind.values[rid] - lo] += region.chi
+    for rid, (genus, cycles) in enumerate(diagram.regions):
+        hist[ind.values[rid] - lo] += 2 - 2 * genus - len(cycles)
     if diagram.n > 0:
         for v in arc_idx.values():
             hist[v - lo] -= 1
@@ -641,37 +678,35 @@ def canonicalize(diagram: CurveDiagram):
 def _rotation_candidate(diagram, back, own, r):
     """The (code, region descriptor, base position) of the code started at
     visit r, from the per-visit back and own of canonicalize."""
-    m = 2 * diagram.n
     # a first visit takes the next label and its own sign; a repeat copies
     # the entry of its partner, back[v] positions earlier
     code = []
     labels = 0
-    for k in range(m):
-        v = (k + r) % m
-        if back[v] <= k:
-            code.append(code[k - back[v]])
+    for k, (b, s) in enumerate(zip(back[r:] + back[:r], own[r:] + own[:r])):
+        if b <= k:
+            code.append(code[k - b])
         else:
             labels += 1
-            code.append((labels, own[v]))
+            code.append((labels, s))
     # the traced cycles are the same dart sets with every arc moved back by
-    # r; renumber them as the trace of the rotated code would (ascending
-    # least dart id)
-    least = [min((d - 2 * r) % (2 * m) for d in cycle) for cycle in diagram.cycles]
-    order = sorted(range(len(least)), key=least.__getitem__)
-    cycle_renumber = {old: new for new, old in enumerate(order)}
+    # r; renumber them as the trace of the rotated code would, in order of
+    # each cycle's first dart from dart 2r on
+    dart_cycle = diagram.dart_cycle
+    order = dict.fromkeys(dart_cycle[2 * r:] + dart_cycle[:2 * r])
+    cycle_renumber = dict(zip(order, range(len(order))))
     regions = _region_descriptor(diagram, cycle_renumber)
     return (tuple(code), regions, _base_position(diagram, regions, cycle_renumber))
 
 
 def _region_descriptor(diagram, cycle_renumber):
-    descr = [
-        (region.genus, tuple(sorted(cycle_renumber[c] for c in region.cycles)))
-        for region in diagram.regions
-    ]
-    return tuple(sorted(descr, key=lambda item: item[1]))
+    renumber = cycle_renumber.__getitem__
+    descr = [(genus, tuple(sorted(map(renumber, cycles))))
+             for genus, cycles in diagram.regions]
+    descr.sort(key=itemgetter(1))
+    return tuple(descr)
 
 
 def _base_position(diagram, descriptor, cycle_renumber):
-    base = diagram.regions[diagram.base_region]
-    key = (base.genus, tuple(sorted(cycle_renumber[c] for c in base.cycles)))
+    genus, cycles = diagram.regions[diagram.base_region]
+    key = (genus, tuple(sorted(map(cycle_renumber.__getitem__, cycles))))
     return descriptor.index(key)

@@ -46,10 +46,10 @@ from .diagram import (
     RIGHT,
     SignedGaussCode,
     _assemble_diagram,
+    _trace,
     dart_id,
     index_function,
     subsurface_chi,
-    trace_boundary_cycles,
 )
 from .errors import (
     ChartViolation,
@@ -889,8 +889,8 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     code = SignedGaussCode(tuple(
         (k + 1, ctx.double_points[k].sign) for _t, k in ctx.events
     ))
-    cycles = trace_boundary_cycles(code)
-    diagram = _assemble_diagram(code, cycles, curve.surface.regions(ctx, cycles),
+    cycles, dart_cycle = _trace(code)
+    diagram = _assemble_diagram(code, cycles, dart_cycle, curve.surface.regions(ctx, cycles),
                                 curve.surface.chi, 0)
     # the left side probe of arc 0 has index arc_index[0] + 1
     ind0 = index_function(diagram, 0)

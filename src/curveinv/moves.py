@@ -55,12 +55,12 @@ from .diagram import (
     CurveDiagram,
     SignedGaussCode,
     _assemble_diagram,
+    _trace,
     dart_arc,
     dart_id,
     dart_side,
     index_function,
     rotation_prev,
-    trace_boundary_cycles,
 )
 from .errors import (
     ExhaustedRetries,
@@ -169,8 +169,9 @@ def _inherited_darts(cycles, parents):
             for cycle in cycles]
 
 
-def _moved_diagram(diagram, code, cycles, face_key, layout, base_key):
-    """Assemble the diagram after a move from its traced cycles.
+def _moved_diagram(diagram, code, traced, face_key, layout, base_key):
+    """Assemble the diagram after a move from the (cycles, dart -> cycle)
+    traced from its new code.
 
     face_key[c] names the region of new face c.  layout lists the new
     regions in order: an int r carries old region r over (its key is r, and
@@ -190,7 +191,7 @@ def _moved_diagram(diagram, code, cycles, face_key, layout, base_key):
         if key == base_key:
             base = len(regions)
         regions.append((genus, faces.get(key, ())))
-    return _assemble_diagram(code, cycles, regions, diagram.surface_chi, base)
+    return _assemble_diagram(code, *traced, regions, diagram.surface_chi, base)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,8 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         visits[at[i]:at[i]] = pairs[strand]
         parent[at[i]:at[i]] = [a, a]
     code = SignedGaussCode(tuple(visits))
-    cycles = trace_boundary_cycles(code)
+    traced = _trace(code)
+    cycles, face_of = traced
 
     # each strand's lens-bounding mid arc is the slot at its first visit;
     # the two lens sides continue no old arc, every other slot its parent
@@ -331,9 +333,7 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
         for ci in cut_faces:
             face_key[ci] = ("piece", 0)
     else:
-        marker_face = next(
-            ci for ci, cyc in enumerate(cycles) if marker_dart in cyc
-        )
+        marker_face = face_of[marker_dart]
         if marker_face not in cut_faces:
             raise PlanInvalid("cannot locate the piece adjacent to pos1")
         for ci in cut_faces:
@@ -364,7 +364,7 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     base_key = diagram.base_region
     if base_key == rid:
         base_key = ("piece", plan.base_piece)
-    return _moved_diagram(diagram, code, cycles, face_key, layout, base_key)
+    return _moved_diagram(diagram, code, traced, face_key, layout, base_key)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,8 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     kept = [k for k, (lab, _sign) in enumerate(diagram.code.visits) if lab not in corners]
     visits = tuple(diagram.code.visits[k] for k in kept)
     code = SignedGaussCode(visits)
-    cycles = trace_boundary_cycles(code)
+    traced = _trace(code)
+    cycles = traced[0]
 
     # each new arc spans the old arcs from its kept visit up to the next
     # one (all of them when no crossing is kept), less the bigon's sides
@@ -435,7 +436,7 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     layout = [("merged", genus2 // 2) if r == first else r
               for r in range(len(diagram.regions)) if r == first or r not in merged_old]
     base_key = "merged" if diagram.base_region in merged_old else diagram.base_region
-    return _moved_diagram(diagram, code, cycles, face_key, layout, base_key)
+    return _moved_diagram(diagram, code, traced, face_key, layout, base_key)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +466,8 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
         q = partner[p]
         visits[perm[p]] = (lab, sign if (p < q) == (perm[p] < perm[q]) else -sign)
     code = SignedGaussCode(tuple(visits))
-    cycles = trace_boundary_cycles(code)
+    traced = _trace(code)
+    cycles = traced[0]
 
     # the triangle's sides continue no old arc; every other arc stays put
     side_set = set(side_arcs)
@@ -484,7 +486,7 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
         face_key.append(regs.pop())
     if rid not in face_key:
         raise TopologyError("the triangle vanished in a triple move")
-    return _moved_diagram(diagram, code, cycles, face_key, range(len(diagram.regions)),
+    return _moved_diagram(diagram, code, traced, face_key, range(len(diagram.regions)),
                           diagram.base_region)
 
 
@@ -512,7 +514,7 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
             entries[slots[2 * lab - 2]] = (lab, sign)
             entries[slots[2 * lab - 1]] = (lab, sign)
         code = SignedGaussCode(tuple(entries))
-        cycles = trace_boundary_cycles(code)
+        cycles, dart_cycle = _trace(code)
         carrier_chi = len(cycles) - n
         if (2 - carrier_chi) % 2 != 0:
             raise TopologyError("carrier chi of a 4-valent map must be even")
@@ -523,7 +525,7 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
         regions = [
             (deficit if c == 0 else 0, (c,)) for c in range(len(cycles))
         ]
-        diagram = _assemble_diagram(code, cycles, regions, 2 - 2 * genus, 0)
+        diagram = _assemble_diagram(code, cycles, dart_cycle, regions, 2 - 2 * genus, 0)
         try:
             index_function(diagram, 0)
         except HomologicallyNontrivial:

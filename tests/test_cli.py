@@ -339,6 +339,30 @@ def test_numeric_q_whose_powers_overflow(capsys, q):
     assert err == f"error: --q {q}: a power q^i at this curve's index levels overflows a float\n"
 
 
+@pytest.mark.parametrize("q", ["1e200", "1e-200"])
+def test_numeric_q_far_from_one_passes_within_rounding(capsys, q):
+    # both routes give 5e99 to 15 digits; the gap is rounding of terms that
+    # large, not a route disagreement
+    code, out, _ = run(capsys, "numeric", "--fixture", "figure8_sphere_param",
+                       "--q", q, "--format", "json")
+    row = json.loads(out)["iq"][0]
+    assert abs(row["exact"]) == 5e99 and row["difference"] > 1e80
+    assert (code, row["pass"]) == (0, True)
+
+
+@pytest.mark.parametrize("q", ["1e200", "1e-200"])
+def test_numeric_q_far_from_one_still_fails_a_real_gap(capsys, monkeypatch, q):
+    numeric_iq = geometry.numeric_iq
+
+    def off(*args, **kwargs):   # 1e-6 off in relative terms
+        return [v * (1 + 1e-6) for v in numeric_iq(*args, **kwargs)]
+
+    monkeypatch.setattr(geometry, "numeric_iq", off)
+    code, out, _ = run(capsys, "numeric", "--fixture", "figure8_sphere_param", "--q", q)
+    assert code == 3
+    assert out.splitlines()[2].endswith(" FAIL") and out.endswith("\nFAIL\n")
+
+
 @pytest.mark.parametrize("q", ["0", "-1", "0.5,-2"])
 def test_numeric_rejects_nonpositive_q_before_the_contexts(capsys, monkeypatch, q):
     monkeypatch.setattr(geometry, "NumericContext", None)   # building one would raise

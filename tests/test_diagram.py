@@ -8,13 +8,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curveinv.diagram as diagram_module
 from curveinv.diagram import (
     LEFT,
     RIGHT,
     IndexFunction,
+    Region,
     SignedGaussCode,
     _base_position,
     _region_descriptor,
+    _rotation_candidate,
     arc_and_crossing_indices,
     build_diagram,
     canonicalize,
@@ -38,7 +41,7 @@ from curveinv.errors import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.generators import grow_deep  # noqa: E402
+from perfbench.generators import grow_deep, grow_walkers  # noqa: E402
 
 
 # -- parsing ---------------------------------------------------------------
@@ -100,6 +103,65 @@ def test_parse_errors_carry_line_numbers():
         parse_diagram("curve -\nbase 7\n")
     with pytest.raises(ParseError, match="line 3: base region -1 does not exist"):
         parse_diagram("curve 1+ 1+\n\nbase -1\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("curve 1+ x+ 0+ 2\nbase 0\n", "line 1: bad crossing label: 'x'"),
+    ("curve 1+ 1+ 0+ 2\nbase 0\n", "line 1: crossing label must be positive: '0+'"),
+    ("curve 1+ 1+ 2\nbase 0\n", "line 1: bad visit token '2'"),
+    ("curve 1+ 1+ -3-\nbase 0\n", "line 1: crossing label must be positive: '-3-'"),
+    # region lines are read in the line loop, visit tokens after it
+    ("curve 1+ x+\nregion 0 genus=a cycles=0\nbase 0\n", "line 2: bad genus: 'a'"),
+    ("curve -\nregion x genus=-1 cycles=y\nbase 0\n", "line 2: bad region id: 'x'"),
+    ("curve -\nregion 0 genux=-1 cycles=y\nbase 0\n", "line 2: expected genus=<value>"),
+    ("curve -\nregion 0 genus=-1 cycles=y\nbase 0\n", "line 2: genus must be nonnegative"),
+    ("curve -\nregion 0 genus=0 cycle=y\nbase 0\n", "line 2: expected cycles=<c1,c2,...>"),
+    ("curve -\nregion 0 genus=0 cycles=0,y\nbase 0\n", "line 2: bad cycle list"),
+])
+def test_parse_names_the_first_fault(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_diagram(text)
+    assert str(exc.value) == message
+
+
+def test_parse_and_build_trace_once_and_assemble_without_walking_cycles(monkeypatch):
+    """The trace yields dart -> cycle, so assembly never walks the cycles."""
+    calls, walks = [], []
+    trace = diagram_module._trace
+
+    class Watched(tuple):
+        def __iter__(self):
+            walks.append("iter")
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            walks.append(i)
+            return super().__getitem__(i)
+
+    def counted(code):
+        calls.append(code)
+        cycles, dart_cycle = trace(code)
+        return Watched(cycles), dart_cycle
+
+    # the walk itself runs inside the public trace_boundary_cycles, the name
+    # that span tracers wrap
+    public = diagram_module.trace_boundary_cycles
+    walked = []
+    monkeypatch.setattr(diagram_module, "_trace", counted)
+    monkeypatch.setattr(diagram_module, "trace_boundary_cycles",
+                        lambda code, **kw: walked.append(code) or public(code, **kw))
+    code = ((1, 1), (1, 1))
+    torus = "surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n"
+    for make in (lambda: parse_diagram("curve 1+ 1+\nbase 2\n"),
+                 lambda: parse_diagram(torus),
+                 lambda: build_diagram(code, base_region=1),
+                 lambda: build_diagram(code, regions=[(0, (2,)), (0, (1, 0))])):
+        calls.clear()
+        walks.clear()
+        walked.clear()
+        d = make()
+        assert len(calls) == 1 and walks == [] and walked == calls
+        assert d.dart_cycle == dart_tables_reference(d)[0]
 
 
 TORUS_REGIONS = "region 0 genus=0 cycles=0\nregion 1 genus=1 cycles=1\n"
@@ -241,6 +303,45 @@ def test_arc_index_circle(fixtures):
     arcs, crossings = arc_and_crossing_indices(d, ind)
     assert {arc: v + Fraction(1, 2) for arc, v in arcs.items()} == {0: Fraction(1, 2)}
     assert crossings == {}
+
+
+def crossing_indices_reference(d, ind):
+    """Each crossing's index by sorting its four corner values."""
+    low = [ind.values[r] for r in d.dart_region[1::2]]
+    out = {}
+    for label, (p1, p2, _sign) in d.code.crossing_positions().items():
+        vals = sorted((low[p1 - 1] + 1, low[p2 - 1] + 1, low[p1], low[p2]))
+        i = vals[1]
+        if vals != [i - 1, i, i, i + 1]:
+            raise TopologyError(f"crossing {label} corners {vals} are not i-1,i,i,i+1")
+        out[label] = i
+    return out
+
+
+def test_crossing_corner_check_matches_sorting(random_corpus):
+    """On arbitrary region values the corner test accepts, indexes and
+    rejects (with the same message) exactly as sorting the corners does."""
+    rng = random.Random(1907)
+    accepted = rejected = 0
+    for d in random_corpus:
+        if d.n == 0:
+            continue
+        for _ in range(5):
+            values = {r: rng.randint(-2, 2) for r in range(len(d.regions))}
+            ind = IndexFunction(base_region=0, values=values)
+            try:
+                want = crossing_indices_reference(d, ind)
+            except TopologyError as exc:
+                with pytest.raises(TopologyError) as got:
+                    arc_and_crossing_indices(d, ind)
+                assert str(got.value) == str(exc)
+                rejected += 1
+            else:
+                assert arc_and_crossing_indices(d, ind)[1] == want
+                accepted += 1
+        assert arc_and_crossing_indices(d, index_function(d))[1] == \
+            crossing_indices_reference(d, index_function(d))
+    assert accepted >= 100 and rejected >= 100
 
 
 # -- subsurface machinery ---------------------------------------------------
@@ -758,3 +859,80 @@ def test_index_matches_reference_on_random_groupings():
         else:
             clean += 1
     assert raised >= 1000 and clean >= 200
+
+
+# -- dart tables and canonical renumbering against their references ----------
+
+
+def dart_tables_reference(d):
+    """dart -> cycle and dart -> region by walking every cycle."""
+    darts = sum(map(len, d.cycles))
+    cycle_region = {c: r for r, region in enumerate(d.regions) for c in region.cycles}
+    dart_cycle, dart_region = [0] * darts, [0] * darts
+    for c, cycle in enumerate(d.cycles):
+        for dart in cycle:
+            dart_cycle[dart] = c
+            dart_region[dart] = cycle_region[c]
+    return tuple(dart_cycle), tuple(dart_region)
+
+
+def rotation_candidate_reference(diagram, back, own, r):
+    """_rotation_candidate with the cycles renumbered by their least dart
+    id after the rotation, found over each cycle's darts and sorted."""
+    m = 2 * diagram.n
+    code = []
+    labels = 0
+    for k in range(m):
+        v = (k + r) % m
+        if back[v] <= k:
+            code.append(code[k - back[v]])
+        else:
+            labels += 1
+            code.append((labels, own[v]))
+    least = [min((d - 2 * r) % (2 * m) for d in cycle) for cycle in diagram.cycles]
+    order = sorted(range(len(least)), key=least.__getitem__)
+    renumber = {old: new for new, old in enumerate(order)}
+    descr = sorted(((region.genus, tuple(sorted(renumber[c] for c in region.cycles)))
+                    for region in diagram.regions), key=lambda item: item[1])
+    base = diagram.regions[diagram.base_region]
+    key = (base.genus, tuple(sorted(renumber[c] for c in base.cycles)))
+    return tuple(code), tuple(descr), descr.index(key)
+
+
+def assert_tables_and_rotations_match_reference(d):
+    assert (d.dart_cycle, d.dart_region) == dart_tables_reference(d)
+    assert type(d.dart_cycle) is tuple and type(d.dart_region) is tuple
+    m = 2 * d.n
+    partner, own = d.code.partner, d.code.own
+    back = [(v - partner[v]) % m for v in range(m)]
+    for r in range(m):
+        got = _rotation_candidate(d, back, own, r)
+        want = rotation_candidate_reference(d, back, own, r)
+        assert got == want and repr(got) == repr(want), (r, serialize_diagram(d))
+
+
+def test_tables_and_rotations_match_reference_golden():
+    for d in [*GOLDEN.values(), SYMMETRIC]:
+        assert_tables_and_rotations_match_reference(d)
+
+
+def test_tables_and_rotations_match_reference_random(random_corpus):
+    for d in random_corpus:
+        assert_tables_and_rotations_match_reference(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, 2)), st.integers(1, 12),
+       st.data())
+def test_tables_and_rotations_match_reference_grown(seed, genus, n, data):
+    d = grow_walkers(random.Random(seed), {genus: n})[0].diagram
+    assert (2 - d.surface_chi) // 2 == genus and d.n >= n
+    d = replace(d, base_region=data.draw(st.integers(0, len(d.regions) - 1)))
+    assert_tables_and_rotations_match_reference(d)
+
+
+def test_region_is_a_named_pair_with_chi():
+    region = Region(1, (0, 2))
+    assert (region.genus, region.cycles, region.chi) == (1, (0, 2), -2)
+    assert repr(region) == "Region(genus=1, cycles=(0, 2))"
+    assert region == (1, (0, 2)) and hash(region) == hash((1, (0, 2)))

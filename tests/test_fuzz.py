@@ -6,24 +6,180 @@ goes through parse_diagram, full_report at every base, canonicalize, and a
 bigon death and a triple move at every region id (and one past each end).
 Every step must end in a result or a CurveInvError, and the bigon and
 triangle finders must give the sites of the _disk scan over every region.
+The parser must also agree with `reference_parse`, a plain line-by-line
+reading of the format kept here: the same diagram with the same dart
+tables, or the same error class and message.
 """
 
 import random
 
 from curveinv.diagram import (
+    CurveDiagram,
+    Region,
     SignedGaussCode,
     canonicalize,
     parse_diagram,
     trace_boundary_cycles,
 )
-from curveinv.errors import CurveInvError
+from curveinv.errors import CurveInvError, LabelError, ParseError, TopologyError
 from curveinv.invariants import full_report
 from curveinv.moves import _disk, bigon_death, find_bigons, find_triangles, triple_move
 
 STRAY = ["", "   ", "# comment", "bogus", "curve", "region", "base", "surface",
          "surface genus=", "surface genus=x", "region 0", "region 0 genus=0",
          "region 0 genus=0 cycles=", "region 0 genus=0 cycles=0,,1",
-         "region x genus=0 cycles=0", "base 0 1", "base x", "1+", "curve -"]
+         "region x genus=0 cycles=0", "base 0 1", "base x", "1+", "curve -",
+         "region 0 genux=0 cycles=0", "region 0 genus=-1 cycles=0",
+         "region 0 genus=0 cycle=0", "region 0 genus=x cycles=y", "region -1 genus=0 cycles=0"]
+
+
+def reference_parse(text):
+    """The diagram file format read one field at a time, with the dart
+    tables built by walking every traced cycle."""
+    def parse_int(text, line_no, what):
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"bad {what}: {text!r}", line_no) from None
+
+    def parse_kv(field, key, line_no):
+        if not field.startswith(key + "="):
+            raise ParseError(f"expected {key}=<value>", line_no)
+        value = parse_int(field[len(key) + 1:], line_no, key)
+        if value < 0:
+            raise ParseError(f"{key} must be nonnegative", line_no)
+        return value
+
+    curve_tokens = surface_genus = base_rid = None
+    region_lines = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind == "surface":
+            if len(fields) != 2:
+                raise ParseError("surface needs exactly genus=<g>", line_no)
+            if surface_genus is not None:
+                raise ParseError("duplicate surface line", line_no)
+            surface_genus = parse_kv(fields[1], "genus", line_no)
+        elif kind == "curve":
+            if curve_tokens is not None:
+                raise ParseError("duplicate curve line", line_no)
+            if len(fields) == 1:
+                raise ParseError("curve needs visit tokens, or - for no crossing", line_no)
+            curve_tokens = (fields[1:], line_no)
+        elif kind == "region":
+            if len(fields) != 4:
+                raise ParseError("region needs exactly <rid> genus=<g> cycles=<c,...>",
+                                 line_no)
+            rid = parse_int(fields[1], line_no, "region id")
+            genus = parse_kv(fields[2], "genus", line_no)
+            if not fields[3].startswith("cycles="):
+                raise ParseError("expected cycles=<c1,c2,...>", line_no)
+            try:
+                cycles = tuple(int(c) for c in fields[3][len("cycles="):].split(","))
+            except ValueError:
+                raise ParseError("bad cycle list", line_no) from None
+            region_lines.append((line_no, rid, genus, cycles))
+        elif kind == "base":
+            if len(fields) != 2:
+                raise ParseError("base needs exactly one region id", line_no)
+            if base_rid is not None:
+                raise ParseError("duplicate base line", line_no)
+            base_rid = (parse_int(fields[1], line_no, "base region"), line_no)
+        else:
+            raise ParseError(f"unknown directive {kind!r}", line_no)
+    if curve_tokens is None:
+        raise ParseError("missing curve line")
+    if base_rid is None:
+        raise ParseError("missing base line")
+
+    tokens, curve_line = curve_tokens
+    visits = []
+    if tokens != ["-"]:
+        for tok in tokens:
+            if len(tok) < 2 or tok[-1] not in "+-":
+                raise ParseError(f"bad visit token {tok!r}", curve_line)
+            label = parse_int(tok[:-1], curve_line, "crossing label")
+            if label <= 0:
+                raise ParseError(f"crossing label must be positive: {tok!r}", curve_line)
+            visits.append((label, 1 if tok[-1] == "+" else -1))
+    try:
+        code = SignedGaussCode(tuple(visits))
+    except LabelError as exc:
+        raise LabelError(f"line {curve_line}: {exc}") from None
+
+    regions = rid_to_index = None
+    if region_lines:
+        region_lines.sort(key=lambda item: item[1])
+        rids = [rid for _, rid, _, _ in region_lines]
+        if len(set(rids)) != len(rids):
+            raise ParseError("duplicate region id", region_lines[0][0])
+        regions = [(genus, cycles) for _, _, genus, cycles in region_lines]
+        rid_to_index = {rid: i for i, (_, rid, _, _) in enumerate(region_lines)}
+    cycles = trace_boundary_cycles(code)
+    base, base_line = base_rid
+    if rid_to_index is not None:
+        if base not in rid_to_index:
+            raise ParseError(f"base region {base} not declared", base_line)
+        base = rid_to_index[base]
+    elif not 0 <= base < len(cycles):
+        raise ParseError(f"base region {base} does not exist", base_line)
+
+    # assembly, faults in the order: partition, each region, chi, base
+    if regions is None:
+        regs = tuple(Region(0, (c,)) for c in range(len(cycles)))
+        cycle_region = list(range(len(cycles)))
+    else:
+        regs = tuple(Region(g, tuple(sorted(cs))) for g, cs in regions)
+        cycle_region = [None] * len(cycles)
+        for r, region in enumerate(regs):
+            for c in region.cycles:
+                if c not in range(len(cycles)) or cycle_region[c] is not None:
+                    cycle_region = None
+                    break
+                cycle_region[c] = r
+            if cycle_region is None:
+                break
+        if cycle_region is None or None in cycle_region:
+            claimed = sorted(c for r in regs for c in r.cycles)
+            raise TopologyError(
+                f"region lines must partition cycles 0..{len(cycles) - 1}, got {claimed}")
+        for r in regs:
+            if r.genus < 0:
+                raise TopologyError("region genus must be a nonnegative integer")
+            if not r.cycles:
+                raise TopologyError("every region needs at least one boundary cycle")
+    derived_chi = sum(r.chi for r in regs) - code.n
+    surface_chi = derived_chi if surface_genus is None else 2 - 2 * surface_genus
+    if surface_chi != derived_chi:
+        raise TopologyError(
+            f"declared chi(S) = {surface_chi} inconsistent with chi conservation "
+            f"(regions give {derived_chi})")
+    if (2 - surface_chi) % 2 != 0 or surface_chi > 2:
+        raise TopologyError(f"chi(S) = {surface_chi} is not 2 - 2g for genus g >= 0")
+    if not 0 <= base < len(regs):
+        raise TopologyError(f"base region {base} does not exist")
+    darts = sum(map(len, cycles))
+    dart_cycle, dart_region = [0] * darts, [0] * darts
+    for c, cycle in enumerate(cycles):
+        for d in cycle:
+            dart_cycle[d] = c
+            dart_region[d] = cycle_region[c]
+    return CurveDiagram(code=code, cycles=cycles, regions=regs, surface_chi=surface_chi,
+                        base_region=base, dart_cycle=tuple(dart_cycle),
+                        dart_region=tuple(dart_region))
+
+
+def parse_outcome(parse, text):
+    """(diagram, dart -> cycle, dart -> region), or (error class, message)."""
+    try:
+        d = parse(text)
+    except CurveInvError as exc:
+        return type(exc), str(exc)
+    return d, d.dart_cycle, d.dart_region
 
 
 def random_visits(rng, n):
@@ -120,6 +276,7 @@ def test_fuzzed_diagram_texts_end_in_results_or_curveinv_errors():
     parsed = reports = 0
     for _ in range(total):
         text = fuzz_text(rng)
+        assert parse_outcome(parse_diagram, text) == parse_outcome(reference_parse, text), text
         try:
             p, r = run_all(text)
         except Exception as exc:   # anything but a CurveInvError fails

@@ -186,17 +186,20 @@ def test_figure8_probe_matches_combinatorial_index(contexts):
 def test_torus_extraction_traces_once(contexts, monkeypatch):
     """The genus-1 diagram is assembled from the cycles already traced."""
     calls = []
-    trace = diagram_module.trace_boundary_cycles
+    trace = diagram_module._trace
 
     def counted(code):
         calls.append(code)
         return trace(code)
 
-    monkeypatch.setattr(diagram_module, "trace_boundary_cycles", counted)
-    monkeypatch.setattr(geometry, "trace_boundary_cycles", counted)
+    public, walked = diagram_module.trace_boundary_cycles, []
+    monkeypatch.setattr(diagram_module, "_trace", counted)
+    monkeypatch.setattr(geometry, "_trace", counted)
+    monkeypatch.setattr(diagram_module, "trace_boundary_cycles",
+                        lambda code, **kw: walked.append(code) or public(code, **kw))
     ctx = contexts["torus"]
     diagram, _base = extract_diagram(ctx.curve, ctx.base_point, CFG, context=ctx)
-    assert len(calls) == 1
+    assert len(calls) == 1 and walked == calls
     assert sorted(r.genus for r in diagram.regions) == [0, 1]
 
 

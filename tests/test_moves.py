@@ -331,10 +331,13 @@ def test_triple_move_requires_triangle(fixtures):
 def test_each_move_traces_once(fixtures, monkeypatch):
     """A move traces its new code once and assembles the diagram from it."""
     calls = []
-    trace = diagram_module.trace_boundary_cycles
+    trace = diagram_module._trace
     for module in (diagram_module, moves):
-        monkeypatch.setattr(module, "trace_boundary_cycles",
+        monkeypatch.setattr(module, "_trace",
                             lambda code: calls.append(code) or trace(code))
+    public, walked = diagram_module.trace_boundary_cycles, []
+    monkeypatch.setattr(diagram_module, "trace_boundary_cycles",
+                        lambda code, **kw: walked.append(code) or public(code, **kw))
     fig8, host = fixtures["figure8_sphere"], triple_host(fixtures)
     counts = []
     for move, d, site in (
@@ -344,8 +347,10 @@ def test_each_move_traces_once(fixtures, monkeypatch):
         (triple_move, host, find_triangles(host)[0]),
     ):
         calls.clear()
+        walked.clear()
         move(d, site)
         counts.append(len(calls))
+        assert walked == calls
     assert counts == [1, 1, 1]
     # the wrong tangency in a disk is rejected from the darts' sides alone
     calls.clear()
