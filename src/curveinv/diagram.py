@@ -36,17 +36,20 @@ its second.  The crossing tables of the index functions, canonical forms
 and moves read partner, and `rotation_prev` builds from partner and own the
 one list sigma^{-1} over darts that face tracing and the moves follow.  The
 trace that finds the boundary cycles records dart -> cycle as it walks
-them; assembling a diagram maps it through cycle -> region to dart ->
-region (the same table when every cycle is its own region), and both are
-stored on the CurveDiagram for every later step to read.  An index
-function is read off the code and dart -> region in one pass.
+them.  Assembly takes a finished cycle -> region table (a declared region
+list is checked to partition the cycles first, a move builds its table
+from the old one), groups the cycles into regions from it and maps dart ->
+cycle through it to dart -> region (the same table when every cycle is its
+own region); both tables are stored on the CurveDiagram for every later
+step to read.  An index function is read off the code and dart -> region
+in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter, neg
 from typing import NamedTuple
 
@@ -219,38 +222,58 @@ def build_diagram(code, regions=None, surface_chi=None, base_region=0):
     """
     if not isinstance(code, SignedGaussCode):
         code = SignedGaussCode(tuple(code))
-    return _assemble_diagram(code, *_trace(code), regions, surface_chi, base_region)
+    cycles, dart_cycle = _trace(code)
+    return _assemble_diagram(code, cycles, dart_cycle, *_region_table(regions, len(cycles)),
+                             surface_chi, base_region)
 
 
-def _assemble_diagram(code, cycles, dart_cycle, regions, surface_chi, base_region):
-    """build_diagram on the boundary cycles and dart -> cycle table already
-    traced from code.
-
-    The faults are checked in a fixed order: the partition of the cycles,
-    then each region's genus and boundary count in region order, then chi
-    conservation, the surface's chi and the base region."""
+def _region_table(regions, count):
+    """(genera, cycle -> region) of a declared list of (genus, cycle ids),
+    which must partition the cycles 0 .. count - 1.  regions None makes each
+    cycle its own genus-0 region, with the table None."""
     if regions is None:
-        regs = tuple([Region(0, (c,)) for c in range(len(cycles))])
-        dart_region, region_chi = dart_cycle, len(cycles)
+        return [0] * count, None
+    regs = [(int(g), tuple(sorted(cs))) for g, cs in regions]
+    owner = _cycle_regions(regs, count)
+    if owner is None:
+        claimed = sorted(c for _genus, cs in regs for c in cs)
+        raise TopologyError(
+            f"region lines must partition cycles 0..{count - 1}, got {claimed}"
+        )
+    return [genus for genus, _cs in regs], owner
+
+
+def _assemble_diagram(code, cycles, dart_cycle, genera, cycle_region, surface_chi,
+                      base_region):
+    """A CurveDiagram from the boundary cycles and dart -> cycle table traced
+    from code, and a finished cycle -> region table.
+
+    Region r has genus genera[r] and the cycles c with cycle_region[c] == r,
+    ascending; a cycle_region of None makes cycle c its own region c.  The
+    table must map every cycle into range(len(genera)): _region_table
+    checks a declared region list, and a move builds its table itself.
+    The faults are checked in a fixed order: each region's genus and
+    boundary count in region order, then chi conservation, the surface's
+    chi and the base region."""
+    if cycle_region is None:
+        owned = [(c,) for c in range(len(cycles))]
+        dart_region = dart_cycle
     else:
-        regs = tuple([Region(int(g), tuple(sorted(cs))) for g, cs in regions])
-        cycle_region = _cycle_regions(regs, len(cycles))
-        if cycle_region is None:
-            claimed = sorted(c for r in regs for c in r.cycles)
-            raise TopologyError(
-                f"region lines must partition cycles 0..{len(cycles) - 1}, got {claimed}"
-            )
-        genera = 0
+        owned = [()] * len(genera)
+        for c, r in enumerate(cycle_region):
+            owned[r] += (c,)
+        dart_region = tuple(map(cycle_region.__getitem__, dart_cycle))
+    # tuple.__new__ makes each Region without a call of Region's own Python
+    # __new__: half the cost on a move's 100-160 regions
+    regs = tuple(map(tuple.__new__, repeat(Region), zip(genera, owned)))
+    if min(genera, default=0) < 0 or not all(owned):
         for genus, cs in regs:
             if genus < 0:
                 raise TopologyError("region genus must be a nonnegative integer")
             if not cs:
                 raise TopologyError("every region needs at least one boundary cycle")
-            genera += genus
-        # the regions' boundary counts add up to the partitioned cycles
-        region_chi = 2 * len(regs) - 2 * genera - len(cycles)
-        dart_region = tuple(map(cycle_region.__getitem__, dart_cycle))
-    derived_chi = region_chi - code.n
+    # the regions' boundary counts add up to the cycles
+    derived_chi = 2 * len(regs) - 2 * sum(genera) - len(cycles) - code.n
     if surface_chi is None:
         surface_chi = derived_chi
     elif surface_chi != derived_chi:
@@ -274,11 +297,11 @@ def _assemble_diagram(code, cycles, dart_cycle, regions, surface_chi, base_regio
 
 
 def _cycle_regions(regs, count):
-    """cycle -> index of the region that owns it, or None unless the regions
-    partition the cycles 0 .. count - 1."""
+    """cycle -> index of the region that owns it, or None unless the
+    (genus, cycles) regions partition the cycles 0 .. count - 1."""
     owner, ids = [None] * count, range(count)
-    for r, region in enumerate(regs):
-        for c in region.cycles:
+    for r, (_genus, cs) in enumerate(regs):
+        for c in cs:
             if c not in ids or owner[c] is not None:
                 return None
             owner[c] = r
@@ -392,7 +415,8 @@ def parse_diagram(text: str) -> CurveDiagram:
         raise ParseError(f"base region {base} does not exist", base_line)
 
     surface_chi = None if surface_genus is None else 2 - 2 * surface_genus
-    return _assemble_diagram(code, cycles, dart_cycle, regions, surface_chi, base)
+    return _assemble_diagram(code, cycles, dart_cycle, *_region_table(regions, len(cycles)),
+                             surface_chi, base)
 
 
 _SIGNS = {"+": 1, "-": -1}

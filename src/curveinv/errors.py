@@ -50,7 +50,7 @@ class NotSphere(CurveInvError):
 
 
 class NonPositiveQ(CurveInvError):
-    """Numeric evaluation requires q > 0."""
+    """Numeric evaluation requires a finite q > 0."""
 
 
 class QOverflow(CurveInvError):

@@ -46,6 +46,7 @@ from .diagram import (
     RIGHT,
     SignedGaussCode,
     _assemble_diagram,
+    _region_table,
     _trace,
     dart_id,
     index_function,
@@ -799,7 +800,7 @@ class NumericContext:
 
 
 def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=None):
-    """I_q from the integral definition, for each q in q_values (q > 0).
+    """I_q from the integral definition, for each finite q > 0 in q_values.
 
     q = 1 is evaluated by the limit formula (the Gauss-Bonnet form of the
     rotation number) rather than the divided difference.
@@ -807,8 +808,8 @@ def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=N
     ctx = context or NumericContext(curve, base_point, cfg)
     out = []
     for q in q_values:
-        if q <= 0:
-            raise NonPositiveQ(f"q must be positive, got {q}")
+        if not 0 < q < math.inf:
+            raise NonPositiveQ(f"q must be finite and positive, got {q}")
         if q == 1:
             out.append(numeric_i1(curve, base_point, cfg, context=ctx))
             continue
@@ -890,8 +891,8 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
         (k + 1, ctx.double_points[k].sign) for _t, k in ctx.events
     ))
     cycles, dart_cycle = _trace(code)
-    diagram = _assemble_diagram(code, cycles, dart_cycle, curve.surface.regions(ctx, cycles),
-                                curve.surface.chi, 0)
+    table = _region_table(curve.surface.regions(ctx, cycles), len(cycles))
+    diagram = _assemble_diagram(code, cycles, dart_cycle, *table, curve.surface.chi, 0)
     # the left side probe of arc 0 has index arc_index[0] + 1
     ind0 = index_function(diagram, 0)
     left_region = diagram.dart_region[dart_id(0, LEFT)]

@@ -25,6 +25,7 @@ surface is the torus) and, for chi(S) != 0, the J+ and J- invariants.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,15 +130,16 @@ def sjplus(jplus_value, chi_s: int) -> Fraction:
 
 
 def iq_rational_eval(iq: HalfLaurent, C, chi_s: int, q: float) -> float:
-    """Numeric I_q after a rational index shift C, evaluated pointwise.
+    """Numeric I_q after a rational index shift C, evaluated pointwise at a
+    finite q > 0.
 
     Uses the shift law q^C I_q + chi(S) (q^C - 1)/(q^(1/2) - q^(-1/2));
     the q = 1 value is the removable-singularity limit I_1 + C chi(S).
     Non-integer C does not stay in the half-integer Laurent ring, which is
     why this is a pointwise evaluation rather than a HalfLaurent.
     """
-    if q <= 0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise NonPositiveQ(f"q must be finite and positive, got {q}")
     C = Fraction(C)
     if q == 1:
         return float(laurent.value_at_1(iq) + C * chi_s)

@@ -11,6 +11,7 @@ The zero polynomial has an empty term map.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NonPositiveQ
@@ -107,9 +108,10 @@ def derivative_at_1(a: HalfLaurent) -> Fraction:
 
 
 def eval_real(a: HalfLaurent, q: float) -> float:
-    """Numeric value at real q > 0, summed in ascending exponent order."""
-    if q <= 0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    """Numeric value at a finite real q > 0, summed in ascending exponent
+    order."""
+    if not 0 < q < math.inf:
+        raise NonPositiveQ(f"q must be finite and positive, got {q}")
     sqrt_q = float(q) ** 0.5
     total = 0.0
     for e in sorted(a.terms):

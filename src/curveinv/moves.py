@@ -35,13 +35,21 @@ determined by the endpoints; the plan declares the outcome and is validated
 against chi conservation and the traced cycle structure.
 
 Every move that goes ahead traces its new code once and carries the regions
-over along one path.  It states `parents`: for each new arc, the old arcs it
-runs along (none for the sides of a new lens, a dead bigon or a moved
-triangle).  `_inherited_darts` turns these into the old darts each new face
-continues; the move keys each face by the old region of those darts, or by
-a new region (split pieces, lens, merged region).  `_moved_diagram` groups
-the faces by key, checks that every carried-over region keeps its boundary
-count, places the base and assembles the diagram from the traced cycles.
+over in one table pass.  Each new arc continues an old arc, or none: in a
+birth every arc but the two lens sides continues its parent, in a triple
+move every arc but the triangle's three sides continues itself, and in a
+death every old arc but the bigon's two sides continues into the new arc of
+the last kept visit at or before it.  A dart keeps its side, so this pairs
+darts: the move zips a list of new faces with a list of keys over the same
+darts, the key being the old region of the continued dart (in a death its
+new region, the merged regions as one) and None where no arc is continued.
+`_face_keys` reads each new face's key from the distinct (face, key) pairs,
+O(faces) work after the one pass over the darts; a face with two keys is a
+merge.  A birth reads the old cycles of the split region's faces from their
+darts.  The move then names each face's new region (split pieces, lens,
+merged region, or a carried-over one), and `_moved_diagram` checks that
+every carried-over region keeps its boundary count and assembles the
+diagram from the finished face -> region table.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import (
     LEFT,
@@ -86,8 +95,7 @@ class SplitPlan:
     base_piece: int = 0
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     """A move location: kind is one of bigon_direct, bigon_opposite,
     triangle, birth_direct, birth_opposite (a bare "bigon" names a bigon of
     either tangency).  Deaths and triple moves read only the region id.
@@ -105,26 +113,31 @@ class MoveSite:
 
 
 def _disk(diagram, rid, corners):
-    """(cycle, arcs, arc ends) of region rid if it is a genus-0 single-cycle
-    disk with `corners` corners whose corner crossings and boundary arcs are
-    pairwise distinct; None otherwise, and for an id that names no region.
-    An arc's ends are the labels of its start and end crossings."""
+    """(cycle, arcs) of region rid if it is a genus-0 single-cycle disk with
+    `corners` corners whose corner crossings and boundary arcs are pairwise
+    distinct; None otherwise, and for an id that names no region.
+
+    The walk along a dart of arc a ends at visit a + 1 on a left side and at
+    visit a on a right side, and it starts where the previous dart of the
+    cycle ends, so these ends are the cycle's corners."""
     if not 0 <= rid < len(diagram.regions):
         return None
-    region = diagram.regions[rid]
-    if region.genus != 0 or len(region.cycles) != 1:
+    genus, cycle_ids = diagram.regions[rid]
+    if genus != 0 or len(cycle_ids) != 1:
         return None
-    cycle = diagram.cycles[region.cycles[0]]
+    cycle = diagram.cycles[cycle_ids[0]]
     if len(cycle) != corners:
         return None
-    arcs = [dart_arc(d) for d in cycle]
-    if len(set(arcs)) != corners:
-        return None
     visits = diagram.code.visits
-    ends = [(visits[a][0], visits[(a + 1) % len(visits)][0]) for a in arcs]
-    if len({c for end in ends for c in end}) != corners:
+    m = len(visits)
+    arcs, labels = [], set()
+    for d in cycle:
+        a = d >> 1
+        arcs.append(a)
+        labels.add(visits[(a + 1 - (d & 1)) % m][0])
+    if len(set(arcs)) != corners or len(labels) != corners:
         return None
-    return cycle, arcs, ends
+    return cycle, arcs
 
 
 def _short_cycle_regions(diagram, corners):
@@ -138,20 +151,22 @@ def _short_cycle_regions(diagram, corners):
 def find_bigons(diagram: CurveDiagram):
     """All bigon sites: the 2-corner _disk regions, whose two arcs join the
     same two crossings.  Direct if both arcs run P -> Q (parallel strands),
-    opposite if one runs P -> Q and the other Q -> P."""
+    i.e. start at the same crossing; opposite if one runs P -> Q and the
+    other Q -> P."""
+    visits = diagram.code.visits
     sites = []
     for rid in _short_cycle_regions(diagram, 2):
         if (disk := _disk(diagram, rid, 2)) is not None:
-            _cycle, _arcs, (ends0, ends1) = disk
-            kind = "bigon_direct" if ends0 == ends1 else "bigon_opposite"
-            sites.append(MoveSite(kind=kind, region=rid))
+            a0, a1 = disk[1]
+            same = visits[a0][0] == visits[a1][0]
+            sites.append(MoveSite("bigon_direct" if same else "bigon_opposite", rid))
     return sites
 
 
 def find_triangles(diagram: CurveDiagram):
     """All triangle sites: 3-corner disk regions with three distinct
     boundary arcs meeting three distinct crossings pairwise."""
-    return [MoveSite(kind="triangle", region=rid)
+    return [MoveSite("triangle", rid)
             for rid in _short_cycle_regions(diagram, 3)
             if _disk(diagram, rid, 3) is not None]
 
@@ -160,38 +175,40 @@ def find_triangles(diagram: CurveDiagram):
 # carrying regions over a move
 
 
-def _inherited_darts(cycles, parents):
-    """For each new face, the old darts it continues.
-
-    parents[k] lists the old arcs that new arc k runs along; a dart keeps
-    its side, so new dart 2k + side continues the old darts 2a + side."""
-    return [[2 * a + (d & 1) for d in cycle for a in parents[d >> 1]]
-            for cycle in cycles]
+_MERGED = -1     # the key of a face whose darts carry two keys
 
 
-def _moved_diagram(diagram, code, traced, face_key, layout, base_key):
-    """Assemble the diagram after a move from the (cycles, dart -> cycle)
-    traced from its new code.
+def _face_keys(dart_face, dart_key, faces):
+    """The key each of the `faces` new faces carries over, read from the
+    distinct (face, key) pairs of its darts: None for a face whose darts
+    all have the blank key None, _MERGED for a face whose darts carry two
+    keys."""
+    keys = [None] * faces
+    for f, k in set(zip(dart_face, dart_key)):
+        if k is not None:
+            have = keys[f]
+            if have is None:
+                keys[f] = k
+            elif have != k:
+                keys[f] = _MERGED
+    return keys
 
-    face_key[c] names the region of new face c.  layout lists the new
-    regions in order: an int r carries old region r over (its key is r, and
-    it must keep its boundary count), a pair (key, genus) is a new region.
-    The base goes to the region whose key is base_key."""
-    faces = {}
-    for c, key in enumerate(face_key):
-        faces.setdefault(key, []).append(c)
-    regions, base = [], None
-    for entry in layout:
-        if isinstance(entry, int):
-            key, genus = entry, diagram.regions[entry].genus
-            if len(faces.get(key, ())) != len(diagram.regions[entry].cycles):
-                raise TopologyError(f"region {entry} changed its boundary count")
-        else:
-            key, genus = entry
-        if key == base_key:
-            base = len(regions)
-        regions.append((genus, faces.get(key, ())))
-    return _assemble_diagram(code, *traced, regions, diagram.surface_chi, base)
+
+def _moved_diagram(diagram, code, traced, genera, face_region, carried, base):
+    """Assemble the diagram after a move from the (cycles, dart -> face)
+    traced from its new code and its finished face -> region table.
+
+    genera[r] is the genus of new region r, and carried[r] the old region
+    it carries over, None for a new region (split pieces, lens, merged
+    region).  A carried-over region must keep its boundary count."""
+    counts = [0] * len(genera)
+    for r in face_region:
+        counts[r] += 1
+    old = diagram.regions
+    for r, o in enumerate(carried):
+        if o is not None and counts[r] != len(old[o].cycles):
+            raise TopologyError(f"region {o} changed its boundary count")
+    return _assemble_diagram(code, *traced, genera, face_region, diagram.surface_chi, base)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +262,7 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     f2 = Fraction(t2) if s2 == LEFT else 1 - Fraction(t2)
 
     visits = list(diagram.code.visits)
-    p_label = max((lab for lab, _sign in visits), default=0) + 1
+    p_label = max(visits, default=(0, 0))[0] + 1
     q_label = p_label + 1
     # strand 0 pushes, strand 1 is static.  Sorted by (arc, fraction, pusher
     # first), each strand's pair of visits lands right after its arc's start
@@ -264,37 +281,32 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
     # the pusher visits (P, Q); the static strand (P, Q) for a direct
     # tangency and (Q, P) for an opposite one
     pairs = ([p, q], [p, q] if direct else [q, p])
-    parent = list(range(len(visits)))
+    # the old region and cycle of the old dart each new dart continues: a
+    # strand's first new arc is a lens side and continues none (None), its
+    # second continues the old arc, and every other arc continues itself
+    reg_src = list(dart_region) if diagram.n else []
+    cyc_src = list(dart_cycle) if diagram.n else []
     for i in (1, 0):
         a, _f, strand = order[i]
         visits[at[i]:at[i]] = pairs[strand]
-        parent[at[i]:at[i]] = [a, a]
+        x, left, right = 2 * at[i], 2 * a, 2 * a + 1
+        reg_src[x:x] = [None, None, dart_region[left], dart_region[right]]
+        cyc_src[x:x] = [None, None, dart_cycle[left], dart_cycle[right]]
     code = SignedGaussCode(tuple(visits))
     traced = _trace(code)
     cycles, face_of = traced
 
-    # each strand's lens-bounding mid arc is the slot at its first visit;
-    # the two lens sides continue no old arc, every other slot its parent
-    parents = [[] if k in first else [a] for k, a in enumerate(parent)]
-    inherited = _inherited_darts(cycles, parents)
-
-    lens = [ci for ci, darts in enumerate(inherited) if not darts]
-    if len(lens) != 1 or len(cycles[lens[0]]) != 2:
+    keys = _face_keys(face_of, reg_src, len(cycles))
+    if keys.count(None) != 1 or len(cycles[keys.index(None)]) != 2:
         raise PlanInvalid("the inserted lens does not close up into a bigon face")
-
-    face_key = [None] * len(cycles)
-    face_key[lens[0]] = "lens"
-    r_faces = {}     # face of the split region -> its old cycles
-    for ci, darts in enumerate(inherited):
-        regs = {dart_region[x] for x in darts}
-        if len(regs) > 1:
-            # the declared tangency would force distinct regions to merge,
-            # i.e. it is not realizable on the fixed surface
-            raise PlanInvalid(_UNREALIZABLE)
-        if regs == {rid}:
-            r_faces[ci] = {dart_cycle[x] for x in darts}
-        elif regs:
-            face_key[ci] = regs.pop()
+    if _MERGED in keys:
+        # the declared tangency would force distinct regions to merge, i.e.
+        # it is not realizable on the fixed surface
+        raise PlanInvalid(_UNREALIZABLE)
+    # the faces of the split region, ascending, and the old cycles each one
+    # continues, read from the old cycles of its darts
+    r_faces = {ci: set(map(cyc_src.__getitem__, cycles[ci])) - {None}
+               for ci, k in enumerate(keys) if k == rid}
 
     cut_cycles = {dart_cycle[d1], dart_cycle[d2]}
     untouched = set(region.cycles) - cut_cycles
@@ -326,29 +338,29 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
             f"{len(cut_faces)} boundary face(s)"
         )
 
-    # piece 0 sits on the walk-predecessor side of pos1
+    # piece 0 sits on the walk-predecessor side of pos1; piece_of maps each
+    # face of the split region to its piece
     marker_slot = first[0] - 1 if s1 == LEFT else first[0] + 1
     marker_dart = dart_id(marker_slot % len(visits), s1)
     if len(pieces) == 1:
-        for ci in cut_faces:
-            face_key[ci] = ("piece", 0)
+        piece_of = dict.fromkeys(cut_faces, 0)
     else:
         marker_face = face_of[marker_dart]
         if marker_face not in cut_faces:
             raise PlanInvalid("cannot locate the piece adjacent to pos1")
-        for ci in cut_faces:
-            face_key[ci] = ("piece", 0 if ci == marker_face else 1)
+        piece_of = {ci: 0 if ci == marker_face else 1 for ci in cut_faces}
     for ci, cyc_set in plain_faces.items():
         homes = {k for k, (_g, cs) in enumerate(pieces) if cyc_set & cs}
         if len(homes) != 1:
             raise PlanInvalid(
                 f"face with cycles {sorted(cyc_set)} does not fit the plan's partition"
             )
-        face_key[ci] = ("piece", homes.pop())
+        piece_of[ci] = homes.pop()
 
     chi_total = 0
+    piece_faces = list(piece_of.values())
     for p, (g, _cs) in enumerate(pieces):
-        faces = face_key.count(("piece", p))
+        faces = piece_faces.count(p)
         if not faces:
             raise PlanInvalid(f"piece {p} has no boundary faces")
         chi_total += 2 - 2 * g - faces
@@ -357,14 +369,21 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
             f"plan chi {chi_total} != region chi {region.chi} + 1"
         )
 
-    layout = [*range(rid),
-              *((("piece", p), g) for p, (g, _cs) in enumerate(pieces)),
-              *range(rid + 1, len(diagram.regions)),
-              ("lens", 0)]
-    base_key = diagram.base_region
-    if base_key == rid:
-        base_key = ("piece", plan.base_piece)
-    return _moved_diagram(diagram, code, traced, face_key, layout, base_key)
+    # new regions: the old ones before rid, the pieces, the old ones after
+    # rid, the lens; old region r > rid moves up by len(pieces) - 1, and
+    # key len(regions) stands for the lens
+    count, shift = len(diagram.regions), len(pieces) - 1
+    keys[keys.index(None)] = count
+    renumber = [*range(rid + 1), *range(rid + 1 + shift, count + shift + 1)]
+    face_region = list(map(renumber.__getitem__, keys))
+    for ci, piece in piece_of.items():
+        face_region[ci] = rid + piece
+    old_genera = [g for g, _cs in diagram.regions]
+    genera = [*old_genera[:rid], *(g for g, _cs in pieces), *old_genera[rid + 1:], 0]
+    carried = [*range(rid), *[None] * len(pieces), *range(rid + 1, count), None]
+    base = diagram.base_region
+    base = rid + plan.base_piece if base == rid else renumber[base]
+    return _moved_diagram(diagram, code, traced, genera, face_region, carried, base)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +396,7 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     disk = _disk(diagram, rid, 2)
     if disk is None:
         raise SiteError(f"region {rid} is not a bigon")
-    cycle, mid_arcs, ends = disk
+    cycle, mid_arcs = disk
     m = 2 * diagram.n
     dart_region = diagram.dart_region
 
@@ -393,36 +412,52 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     for r in set(opposite_regions):
         chi_merged += diagram.regions[r].chi
 
-    # every visit but the two of each corner crossing stays
-    corners = set(ends[0])
-    kept = [k for k, (lab, _sign) in enumerate(diagram.code.visits) if lab not in corners]
-    visits = tuple(diagram.code.visits[k] for k in kept)
+    # every visit but the two of each corner crossing stays: the bigon's
+    # side a runs between corners visited at a and a + 1, and partner gives
+    # their other visits
+    partner = diagram.code.partner
+    start, end = mid_arcs[0], (mid_arcs[0] + 1) % m
+    corners = sorted((start, partner[start], end, partner[end]))
+    old_visits = diagram.code.visits
+    visits = old_visits[:corners[0]]
+    for lo, hi in zip(corners, corners[1:] + [m]):
+        visits += old_visits[lo + 1:hi]
     code = SignedGaussCode(visits)
     traced = _trace(code)
-    cycles = traced[0]
+    cycles, face_of = traced
 
-    # each new arc spans the old arcs from its kept visit up to the next
-    # one (all of them when no crossing is kept), less the bigon's sides
-    mid_set = set(mid_arcs)
-    starts, ends = (kept, kept[1:] + [kept[0] + m]) if kept else ([0], [m])
-    parents = [[a % m for a in range(s, e) if a % m not in mid_set]
-               for s, e in zip(starts, ends)]
-
-    face_key = []
-    for darts in _inherited_darts(cycles, parents):
-        regs = {dart_region[x] for x in darts}
-        if not regs:
-            raise TopologyError("a face lost all boundary material in a death")
-        if regs & merged_old:
-            if not regs <= merged_old:
-                raise TopologyError("a death merged an unexpected region")
-            face_key.append("merged")
+    # the new face of each old dart: old arc a continues in the new arc of
+    # the last kept visit at or before it, a - k - 1 where k + 1 corners lie
+    # at or before a.  With the last new arc's two darts prepended, old dart
+    # x reads slot x - 2k, and an arc before the first corner slot x + 2;
+    # an arc before the first kept visit thus wraps to the last new arc
+    wrapped = face_of[-2:] + face_of
+    old_face = list(wrapped[2:2 * corners[0] + 2])
+    for k, (lo, hi) in enumerate(zip(corners, corners[1:] + [m])):
+        old_face += wrapped[2 * lo - 2 * k:2 * hi - 2 * k]
+    # the old darts keyed by their new region, the merged regions as one
+    # (numbered as the least of them); the bigon's sides continue no arc
+    first = min(merged_old)
+    renumber, carried = [], []
+    for r in range(len(diagram.regions)):
+        if r in merged_old:
+            renumber.append(first)
+            if r == first:
+                carried.append(None)
         else:
-            if len(regs) != 1:
-                raise TopologyError("a death merged an unexpected region")
-            face_key.append(regs.pop())
+            renumber.append(len(carried))
+            carried.append(r)
+    dart_key = list(map(renumber.__getitem__, dart_region))
+    for a in mid_arcs:
+        dart_key[2 * a] = dart_key[2 * a + 1] = None
 
-    merged_faces = face_key.count("merged")
+    keys = _face_keys(old_face, dart_key, len(cycles))
+    for key in keys:
+        if key is None:
+            raise TopologyError("a face lost all boundary material in a death")
+        if key == _MERGED:
+            raise TopologyError("a death merged an unexpected region")
+    merged_faces = keys.count(first)
     if not merged_faces:
         raise TopologyError("merged region has no boundary faces")
     genus2 = 2 - chi_merged - merged_faces
@@ -432,11 +467,9 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
             "gives a non-integer or negative genus"
         )
 
-    first = min(merged_old)
-    layout = [("merged", genus2 // 2) if r == first else r
-              for r in range(len(diagram.regions)) if r == first or r not in merged_old]
-    base_key = "merged" if diagram.base_region in merged_old else diagram.base_region
-    return _moved_diagram(diagram, code, traced, face_key, layout, base_key)
+    genera = [genus2 // 2 if r is None else diagram.regions[r].genus for r in carried]
+    return _moved_diagram(diagram, code, traced, genera, keys, carried,
+                          renumber[diagram.base_region])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +482,7 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
     disk = _disk(diagram, rid, 3)
     if disk is None:
         raise SiteError(f"region {rid} is not a triangle")
-    _cycle, side_arcs, _ends = disk
+    _cycle, side_arcs = disk
     m = 2 * diagram.n
     blocks = [(a, (a + 1) % m) for a in side_arcs]
     touched = [p for b in blocks for p in b]
@@ -459,34 +492,38 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
     perm = list(range(m))
     for a, b in blocks:
         perm[a], perm[b] = b, a
-    # a crossing's stored sign flips where the swap reverses its visit order
-    partner = diagram.code.partner
-    visits = [None] * m
-    for p, (lab, sign) in enumerate(diagram.code.visits):
+    # only the six swapped visits, both visits of each corner, move; a
+    # crossing's stored sign flips where the swap reverses its visit order
+    partner, old_visits = diagram.code.partner, diagram.code.visits
+    visits = list(old_visits)
+    for p in touched:
+        lab, sign = old_visits[p]
         q = partner[p]
         visits[perm[p]] = (lab, sign if (p < q) == (perm[p] < perm[q]) else -sign)
     code = SignedGaussCode(tuple(visits))
     traced = _trace(code)
-    cycles = traced[0]
+    cycles, face_of = traced
 
     # the triangle's sides continue no old arc; every other arc stays put
-    side_set = set(side_arcs)
-    parents = [[] if k in side_set else [k] for k in range(m)]
-    face_key = []
-    for darts, cyc in zip(_inherited_darts(cycles, parents), cycles):
-        regs = {diagram.dart_region[x] for x in darts}
-        if not regs:
-            if rid in face_key:
+    dart_key = list(diagram.dart_region)
+    for a in side_arcs:
+        dart_key[2 * a] = dart_key[2 * a + 1] = None
+    keys = _face_keys(face_of, dart_key, len(cycles))
+    triangle = None
+    for ci, key in enumerate(keys):
+        if key is None:
+            if triangle is not None:
                 raise TopologyError("two faces claim the triangle after the move")
-            if len(cyc) != 3:
+            if len(cycles[ci]) != 3:
                 raise TopologyError("the moved triangle is not a 3-corner face")
-            regs = {rid}
-        if len(regs) != 1:
+            triangle = ci
+        elif key == _MERGED:
             raise TopologyError("a triple move may not merge regions")
-        face_key.append(regs.pop())
-    if rid not in face_key:
+    if triangle is None:
         raise TopologyError("the triangle vanished in a triple move")
-    return _moved_diagram(diagram, code, traced, face_key, range(len(diagram.regions)),
+    keys[triangle] = rid
+    genera = [g for g, _cs in diagram.regions]
+    return _moved_diagram(diagram, code, traced, genera, keys, range(len(genera)),
                           diagram.base_region)
 
 
@@ -521,11 +558,9 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
         carrier_genus = (2 - carrier_chi) // 2
         if carrier_genus > genus:
             continue
-        deficit = genus - carrier_genus
-        regions = [
-            (deficit if c == 0 else 0, (c,)) for c in range(len(cycles))
-        ]
-        diagram = _assemble_diagram(code, cycles, dart_cycle, regions, 2 - 2 * genus, 0)
+        # the missing genus goes to the region of cycle 0
+        genera = [genus - carrier_genus] + [0] * (len(cycles) - 1)
+        diagram = _assemble_diagram(code, cycles, dart_cycle, genera, None, 2 - 2 * genus, 0)
         try:
             index_function(diagram, 0)
         except HomologicallyNontrivial:

@@ -12,6 +12,7 @@ from curveinv.errors import (
     ChartViolation,
     ChiZero,
     DegenerateTangency,
+    NonPositiveQ,
     PointOnCurve,
     QOverflow,
 )
@@ -236,6 +237,15 @@ def test_numeric_iq_names_a_q_whose_powers_overflow(contexts, q):
         numeric_iq(ctx.curve, ctx.base_point, [q], CFG, context=ctx)
     assert str(exc.value) == (f"q = {q}: a power q^i at this curve's index levels "
                               "overflows a float")
+
+
+@pytest.mark.parametrize("q", [math.inf, math.nan])
+def test_numeric_iq_rejects_a_q_that_is_not_finite(contexts, q):
+    # numeric_iq(figure eight, [inf]) returned [nan]
+    ctx = contexts["fig8"]
+    with pytest.raises(NonPositiveQ) as exc:
+        numeric_iq(ctx.curve, ctx.base_point, [q], CFG, context=ctx)
+    assert str(exc.value) == f"q must be finite and positive, got {q}"
 
 
 @pytest.mark.parametrize("name,tol", ROUTE_TOLERANCES)

@@ -162,6 +162,14 @@ def test_iq_rational_eval(fixtures):
         iq_rational_eval(rep.iq, Fraction(1, 2), 2, 0.0)
 
 
+@pytest.mark.parametrize("q", [float("inf"), float("nan")])
+def test_iq_rational_eval_rejects_a_q_that_is_not_finite(fixtures, q):
+    rep = full_report(fixtures["figure8_sphere"])
+    with pytest.raises(NonPositiveQ) as exc:
+        iq_rational_eval(rep.iq, Fraction(1, 2), 2, q)
+    assert str(exc.value) == f"q must be finite and positive, got {q}"
+
+
 def test_iq_rational_eval_integer_shift_matches_change_base(random_corpus):
     for d in random_corpus[::11]:
         rep = full_report(d)

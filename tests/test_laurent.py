@@ -95,6 +95,14 @@ def test_eval_real_rejects_nonpositive_q():
         laurent.eval_real(Q_HALF, -2.0)
 
 
+@pytest.mark.parametrize("q", [float("inf"), float("nan"), float("-inf")])
+def test_eval_real_rejects_a_q_that_is_not_finite(q):
+    # nan slipped past a q <= 0 test and gave nan, inf gave inf
+    with pytest.raises(NonPositiveQ) as exc:
+        laurent.eval_real(Q_HALF, q)
+    assert str(exc.value) == f"q must be finite and positive, got {q}"
+
+
 FIXTURE_POLYS = [
     HalfLaurent(),
     Q_HALF,

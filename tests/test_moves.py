@@ -329,7 +329,8 @@ def test_triple_move_requires_triangle(fixtures):
 
 
 def test_each_move_traces_once(fixtures, monkeypatch):
-    """A move traces its new code once and assembles the diagram from it."""
+    """A move traces its new code once and assembles the diagram from it
+    once, from that trace."""
     calls = []
     trace = diagram_module._trace
     for module in (diagram_module, moves):
@@ -338,6 +339,10 @@ def test_each_move_traces_once(fixtures, monkeypatch):
     public, walked = diagram_module.trace_boundary_cycles, []
     monkeypatch.setattr(diagram_module, "trace_boundary_cycles",
                         lambda code, **kw: walked.append(code) or public(code, **kw))
+    assemble, assembled = diagram_module._assemble_diagram, []
+    for module in (diagram_module, moves):
+        monkeypatch.setattr(module, "_assemble_diagram", lambda code, *args:
+                            assembled.append(code) or assemble(code, *args))
     fig8, host = fixtures["figure8_sphere"], triple_host(fixtures)
     counts = []
     for move, d, site in (
@@ -348,10 +353,11 @@ def test_each_move_traces_once(fixtures, monkeypatch):
     ):
         calls.clear()
         walked.clear()
-        move(d, site)
-        counts.append(len(calls))
-        assert walked == calls
-    assert counts == [1, 1, 1]
+        assembled.clear()
+        moved = move(d, site)
+        counts.append((len(calls), len(assembled)))
+        assert walked == calls == assembled == [moved.code]
+    assert counts == [(1, 1), (1, 1), (1, 1)]
     # the wrong tangency in a disk is rejected from the darts' sides alone
     calls.clear()
     with pytest.raises(PlanInvalid, match=f"^{UNREALIZABLE}$"):
