@@ -29,27 +29,30 @@ embeddings (for example a contractible circle on the torus).  A region with
 genus g and b boundary cycles has chi = 2 - 2g - b, and Euler-characteristic
 conservation reads  sum_r chi_r - n = chi(S)  (for n = 0, sum_r chi_r).
 
-Incidence is derived once per object.  A code stores `partner`, where
-partner[k] is the other visit of the crossing at visit k, and `own`, the
-per-visit sign: the crossing's sign at its first visit, the negated sign at
-its second.  The crossing tables of the index functions, canonical forms
-and moves read partner, and `rotation_prev` builds from partner and own the
-one list sigma^{-1} over darts that face tracing and the moves follow.  The
-trace that finds the boundary cycles records dart -> cycle as it walks
-them.  Assembly takes a finished cycle -> region table (a declared region
-list is checked to partition the cycles first, a move builds its table
-from the old one), groups the cycles into regions from it and maps dart ->
-cycle through it to dart -> region (the same table when every cycle is its
-own region); both tables are stored on the CurveDiagram for every later
-step to read.  An index function is read off the code and dart -> region
-in one pass.
+Incidence is derived once per object.  One pass over a code's visits
+stores four tables on it: `partner`, where partner[k] is the other visit of
+the crossing at visit k; `own`, the per-visit sign (the crossing's sign at
+its first visit, the negated sign at its second); `rotation_prev`, the one
+list sigma^{-1} over darts that face tracing and the moves follow; and
+`crossings`, each crossing's (first visit, second visit) in order of first
+visit.  Index functions read own, canonical forms partner and own, the
+trace and the moves sigma^{-1} and partner, and the crossing pass of the
+report the crossing list, n steps instead of 2n.  The trace that finds the
+boundary cycles records dart -> cycle as it walks them.  Assembly takes a
+finished cycle -> region table (a declared region list is checked to
+partition the cycles first, a move builds its table from the old one, and
+region lines that declare the default regions need none), groups the
+cycles into regions from it and maps dart -> cycle through it to dart ->
+region (the same table when every cycle is its own region); both tables
+are stored on the CurveDiagram for every later step to read.  An index
+function is read off the code and dart -> region in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from operator import itemgetter, neg
 from typing import NamedTuple
 
@@ -81,33 +84,24 @@ class SignedGaussCode:
     partner[k] is the position of the other visit of the crossing visited
     at position k, and own[k] is the crossing's sign if k is its first
     visit, else the negated sign: +1 where the curve passes from the other
-    strand's left to its right.  Both are derived when the code is made."""
+    strand's left to its right.  rotation_prev is sigma^{-1} over darts:
+    rotation_prev[d] is the dart before d in the counterclockwise rotation
+    at its crossing.  crossings holds each crossing's (first visit, second
+    visit), in order of first visit.  All four are derived in one pass over
+    the visits when the code is made."""
 
     visits: tuple
     partner: tuple = field(init=False, compare=False, repr=False)
     own: tuple = field(init=False, compare=False, repr=False)
+    rotation_prev: tuple = field(init=False, compare=False, repr=False)
+    crossings: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        where = {}
-        for k, (label, sign) in enumerate(self.visits):
-            if sign not in (1, -1):
-                raise LabelError(f"sign of crossing {label} must be +1 or -1")
-            where.setdefault(label, []).append(k)
-        partner = [0] * len(self.visits)
-        own = [0] * len(self.visits)
-        for label, ks in where.items():
-            if len(ks) != 2:
-                raise LabelError(
-                    f"crossing {label} appears {len(ks)} time(s), expected 2"
-                )
-            p1, p2 = ks
-            sign = self.visits[p1][1]
-            if self.visits[p2][1] != sign:
-                raise LabelError(f"crossing {label} has mismatched signs")
-            partner[p1], partner[p2] = p2, p1
-            own[p1], own[p2] = sign, -sign
-        object.__setattr__(self, "partner", tuple(partner))
-        object.__setattr__(self, "own", tuple(own))
+        tables = _code_tables(self.visits)
+        if tables is None:
+            _code_fault(self.visits)
+        for name, table in zip(("partner", "own", "rotation_prev", "crossings"), tables):
+            object.__setattr__(self, name, table)
 
     @property
     def n(self):
@@ -115,30 +109,78 @@ class SignedGaussCode:
 
     def crossing_positions(self):
         """Map label -> (first position, second position, sign), read from
-        partner."""
-        return {label: (k, j, sign)
-                for k, (j, (label, sign)) in enumerate(zip(self.partner, self.visits))
-                if k < j}
+        the crossing list."""
+        visits = self.visits
+        return {visits[k][0]: (k, j, visits[k][1]) for k, j in self.crossings}
 
 
-def rotation_prev(code: SignedGaussCode):
-    """sigma^{-1} over darts: prev[d] is the dart before d in the
-    counterclockwise rotation at its crossing.
+def _code_tables(visits):
+    """(partner, own, sigma^{-1}, crossing list) of a visit list, from one
+    pass over its visits; None if the list has a fault.
 
     Visit k has the outgoing end 2k (left side of arc k) and the incoming
-    end 2k - 1 (right side of arc k - 1).  Read from visit k with partner j,
-    the rotations of the module docstring say: where own[k] = +1, out_k
-    follows in_j and in_k follows out_j; otherwise out_k follows out_j and
-    in_k follows in_j."""
-    darts = 2 * len(code.visits)
-    prev = [0] * darts
-    for k, (j, own) in enumerate(zip(code.partner, code.own)):
-        out_j, in_j = 2 * j, (2 * j - 1) % darts
-        if own > 0:
-            prev[2 * k], prev[(2 * k - 1) % darts] = in_j, out_j
-        else:
-            prev[2 * k], prev[(2 * k - 1) % darts] = out_j, in_j
-    return prev
+    end 2k - 1 (right side of arc k - 1).  At the second visit j of a
+    crossing first visited at k, the rotations of the module docstring give
+    the four entries of sigma^{-1} there: for sign +, out_k follows in_j,
+    in_k follows out_j, out_j follows out_k and in_j follows in_k; for sign
+    -, out_k follows out_j, in_k follows in_j, out_j follows in_k and in_j
+    follows out_k."""
+    m = len(visits)
+    darts = 2 * m
+    partner, own, prev = [0] * m, [0] * m, [0] * darts
+    first = {}
+    try:
+        for j, (label, sign) in enumerate(visits):
+            k = first.setdefault(label, j)
+            if k == j:
+                continue
+            s = visits[k][1]
+            if partner[k] or sign != s or s not in (1, -1):
+                return None     # a third visit, or a sign that is wrong
+            # one store per statement: a quarter faster than tuple stores
+            partner[k] = j
+            partner[j] = k
+            own[k] = s
+            own[j] = -s
+            out1 = 2 * k
+            out2 = 2 * j
+            in1 = out1 - 1 if k else darts - 1
+            in2 = out2 - 1
+            if s == 1:
+                prev[out1] = in2
+                prev[in1] = out2
+                prev[out2] = out1
+                prev[in2] = in1
+            else:
+                prev[out1] = out2
+                prev[in1] = in2
+                prev[out2] = in1
+                prev[in2] = out1
+    except (TypeError, ValueError):
+        return None             # a malformed visit or an unhashable label
+    if 2 * len(first) != m:
+        return None             # a label visited once
+    firsts = first.values()
+    return (tuple(partner), tuple(own), tuple(prev),
+            tuple(zip(firsts, map(partner.__getitem__, firsts))))
+
+
+def _code_fault(visits):
+    """Raise the error for the first fault of a visit list: a sign other
+    than +1 or -1 in visit order, then per label in order of first visit a
+    count other than 2 or mismatched signs (a malformed visit or label
+    raises the Python error that reading it does)."""
+    where = {}
+    for k, (label, sign) in enumerate(visits):
+        if sign not in (1, -1):
+            raise LabelError(f"sign of crossing {label} must be +1 or -1")
+        where.setdefault(label, []).append(k)
+    for label, ks in where.items():
+        if len(ks) != 2:
+            raise LabelError(f"crossing {label} appears {len(ks)} time(s), expected 2")
+        if visits[ks[1]][1] != visits[ks[0]][1]:
+            raise LabelError(f"crossing {label} has mismatched signs")
+    raise AssertionError("a visit list without fault was sent to _code_fault")
 
 
 def trace_boundary_cycles(code: SignedGaussCode, *, dart_cycle=None):
@@ -156,7 +198,7 @@ def trace_boundary_cycles(code: SignedGaussCode, *, dart_cycle=None):
     if code.n == 0:
         owner, cycles = [0, 1], ((dart_id(0, LEFT),), (dart_id(0, RIGHT),))
     else:
-        prev = rotation_prev(code)
+        prev = code.rotation_prev
         owner = [-1] * len(prev)
         cycles = []
         for start in range(len(prev)):
@@ -233,7 +275,9 @@ def _region_table(regions, count):
     cycle its own genus-0 region, with the table None."""
     if regions is None:
         return [0] * count, None
-    regs = [(int(g), tuple(sorted(cs))) for g, cs in regions]
+    # a genus that is not an int is kept as -1, which assembly rejects in
+    # region order with the message of a negative genus
+    regs = [(g if _is_int(g) else -1, tuple(sorted(cs))) for g, cs in regions]
     owner = _cycle_regions(regs, count)
     if owner is None:
         claimed = sorted(c for _genus, cs in regs for c in cs)
@@ -283,7 +327,7 @@ def _assemble_diagram(code, cycles, dart_cycle, genera, cycle_region, surface_ch
         )
     if (2 - surface_chi) % 2 != 0 or surface_chi > 2:
         raise TopologyError(f"chi(S) = {surface_chi} is not 2 - 2g for genus g >= 0")
-    if not 0 <= base_region < len(regs):
+    if not _is_int(base_region) or not 0 <= base_region < len(regs):
         raise TopologyError(f"base region {base_region} does not exist")
     return CurveDiagram(
         code=code,
@@ -294,6 +338,11 @@ def _assemble_diagram(code, cycles, dart_cycle, genera, cycle_region, surface_ch
         dart_cycle=dart_cycle,
         dart_region=dart_region,
     )
+
+
+def _is_int(value):
+    """Whether value is an int, not a bool: region ids and genera must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cycle_regions(regs, count):
@@ -395,28 +444,29 @@ def parse_diagram(text: str) -> CurveDiagram:
     except LabelError as exc:
         raise LabelError(f"line {curve_line}: {exc}") from None
 
-    regions = None
-    rid_to_index = None
+    cycles, dart_cycle = _trace(code)
+    count = len(cycles)
+    base, base_line = base_rid
+    table = [0] * count, None    # one default region per cycle
     if region_lines:
         region_lines.sort(key=itemgetter(1))
         rids = [rid for _, rid, _, _ in region_lines]
         if len(set(rids)) != len(rids):
             raise ParseError("duplicate region id", region_lines[0][0])
-        regions = [(genus, cycles) for _, _, genus, cycles in region_lines]
-        rid_to_index = {rid: i for i, (_, rid, _, _) in enumerate(region_lines)}
-
-    cycles, dart_cycle = _trace(code)
-    base, base_line = base_rid
-    if rid_to_index is not None:
-        if base not in rid_to_index:
+        if base not in rids:
             raise ParseError(f"base region {base} not declared", base_line)
-        base = rid_to_index[base]
-    elif not 0 <= base < len(cycles):   # one default region per cycle
+        base = rids.index(base)
+        # lines that declare exactly the default regions, region i = genus 0
+        # and cycle i (as serialize_diagram writes them), cannot fault and
+        # need no region table
+        if rids != list(range(count)) or not all(
+                genus == 0 and cs == (rid,) for _, rid, genus, cs in region_lines):
+            table = _region_table([(genus, cs) for _, _, genus, cs in region_lines], count)
+    elif not 0 <= base < count:
         raise ParseError(f"base region {base} does not exist", base_line)
 
     surface_chi = None if surface_genus is None else 2 - 2 * surface_genus
-    return _assemble_diagram(code, cycles, dart_cycle, *_region_table(regions, len(cycles)),
-                             surface_chi, base)
+    return _assemble_diagram(code, cycles, dart_cycle, *table, surface_chi, base)
 
 
 _SIGNS = {"+": 1, "-": -1}
@@ -493,7 +543,7 @@ def index_function(diagram: CurveDiagram, base_region=None) -> IndexFunction:
     """
     if base_region is None:
         base_region = diagram.base_region
-    if not 0 <= base_region < len(diagram.regions):
+    if not _is_int(base_region) or not 0 <= base_region < len(diagram.regions):
         raise TopologyError(f"base region {base_region} does not exist")
     side = diagram.dart_region
     values = {}
@@ -517,20 +567,20 @@ def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
     values, which form {i-1, i, i, i+1}: left of the arcs into its visits,
     right of the arcs out of them.
     """
-    low = [ind.values[r] for r in diagram.dart_region[1::2]]
+    low = list(map(ind.values.__getitem__, diagram.dart_region[1::2]))
     crossing_idx = {}
-    code = diagram.code
-    for p1, (p2, (label, _sign)) in enumerate(zip(code.partner, code.visits)):
-        if p2 < p1:
-            continue
+    visits = diagram.code.visits
+    for p1, p2 in diagram.code.crossings:
         # integers with sum 4i and squared deviations from i summing to 2
-        # are exactly {i-1, i, i, i+1}
+        # are exactly {i-1, i, i, i+1}; with the sum 4i, those deviations
+        # sum to a^2 + b^2 + c^2 + d^2 - 4i^2
         a, b, c, d = low[p1 - 1] + 1, low[p2 - 1] + 1, low[p1], low[p2]
-        i, rem = divmod(a + b + c + d, 4)
-        if rem or (a - i) ** 2 + (b - i) ** 2 + (c - i) ** 2 + (d - i) ** 2 != 2:
-            raise TopologyError(
-                f"crossing {label} corners {sorted((a, b, c, d))} are not i-1,i,i,i+1")
-        crossing_idx[label] = i
+        total = a + b + c + d
+        i = total >> 2
+        if total & 3 or a * a + b * b + c * c + d * d != 4 * i * i + 2:
+            raise TopologyError(f"crossing {visits[p1][0]} corners "
+                                f"{sorted((a, b, c, d))} are not i-1,i,i,i+1")
+        crossing_idx[visits[p1][0]] = i
     return dict(enumerate(low)), crossing_idx
 
 
@@ -588,6 +638,7 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
     chi(S_j) for every level at once.
     """
     arc_idx, crossing_idx = arc_and_crossing_indices(diagram, ind)
+    crossing_indices = tuple(sorted(crossing_idx.values()))
     lo = min(min(ind.values.values()), 0)
     hi = max(max(ind.values.values()), 0)
     hist = [0] * (hi - lo + 2)
@@ -596,8 +647,9 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
     if diagram.n > 0:
         for v in arc_idx.values():
             hist[v - lo] -= 1
-        for i in crossing_idx.values():
-            hist[i - 1 - lo] += 1
+        # the crossings once per distinct index, read off the sorted indices
+        for i, same in groupby(crossing_indices):
+            hist[i - 1 - lo] += len(list(same))
     chi_sj = [0] * len(hist)    # chi_sj[k] = chi(S_j) at j = lo + k - 1/2
     for k in range(len(hist) - 2, -1, -1):
         chi_sj[k] = chi_sj[k + 1] + hist[k]
@@ -605,10 +657,8 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
     for k, chi in enumerate(chi_sj):
         twice_j = 2 * (lo + k) - 1
         a_j[twice_j] = chi - (diagram.surface_chi if twice_j < 0 else 0)
-    return SubsurfaceProfile(
-        a_j=a_j, crossing_indices=tuple(sorted(crossing_idx.values())),
-        surface_chi=diagram.surface_chi,
-    )
+    return SubsurfaceProfile(a_j=a_j, crossing_indices=crossing_indices,
+                             surface_chi=diagram.surface_chi)
 
 
 @dataclass(frozen=True)

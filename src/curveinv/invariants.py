@@ -13,11 +13,15 @@ exact routes that must agree term by term:
   + sum_i level_chi[i] * (q^i - 1)/(q^(1/2) - q^(-1/2)).
 
 Both routes keep twice each coefficient as an integer per exponent (in
-half-units) and build the HalfLaurent once.  Each double point of index i
-adds -1 at 2i + 1 and +1 at 2i - 1; the topological route adds 2 a_j at 2j;
-the Euler route sums the geometric series by suffix and prefix sums over the
-levels, in O(L): q^(k + 1/2) gets sum_{i > k} level_chi[i] for k >= 0 and
--sum_{i <= k} level_chi[i] for k < 0.
+half-units) and build the HalfLaurent once.  The double points of index i
+add -c at 2i + 1 and +c at 2i - 1, with c their count, once per distinct
+index; the topological route adds 2 a_j at 2j; the Euler route sums the
+geometric series by suffix and prefix sums over the levels, in O(L):
+q^(k + 1/2) gets sum_{i > k} level_chi[i] for k >= 0 and
+-sum_{i <= k} level_chi[i] for k < 0.  The report reads I_1 and I_1' as
+integers from twice each coefficient c of I_q at exponent e: 2 I_1 is the
+sum of the c and 4 I_1' the sum of the e c; only I_1' and J+- become
+Fractions.
 
 Evaluations at q = 1 give the rotation number (mod |chi(S)| unless the
 surface is the torus) and, for chi(S) != 0, the J+ and J- invariants.
@@ -29,6 +33,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from . import laurent
 from .diagram import (
@@ -47,17 +52,23 @@ from .laurent import HalfLaurent
 
 def _spike_halves(crossing_indices) -> defaultdict:
     """Twice the crossing spikes -(1/2) (q^(i + 1/2) - q^(i - 1/2)), as
-    integer counts per exponent in half-units."""
+    integer counts per exponent in half-units, added once per run of equal
+    indices: once per distinct index of a sorted multiset."""
     halves = defaultdict(int)
-    for i in crossing_indices:
-        halves[2 * i + 1] -= 1
-        halves[2 * i - 1] += 1
+    for i, same in groupby(crossing_indices):
+        count = len(list(same))
+        halves[2 * i + 1] -= count
+        halves[2 * i - 1] += count
     return halves
 
 
 def _from_halves(halves) -> HalfLaurent:
-    """The HalfLaurent with coefficient c/2 at each exponent e of {e: c}."""
-    return HalfLaurent({e: Fraction(c, 2) for e, c in halves.items() if c})
+    """The HalfLaurent with coefficient c/2 at each exponent e of {e: c}.
+    The terms are built here already clean (integer exponents, nonzero
+    Fractions), so HalfLaurent does not normalize them again."""
+    iq = HalfLaurent()
+    iq.terms = {e: Fraction(c, 2) for e, c in halves.items() if c}
+    return iq
 
 
 def iq_topological(profile: SubsurfaceProfile) -> HalfLaurent:
@@ -182,13 +193,21 @@ def full_report(diagram: CurveDiagram, base_region=None) -> InvariantReport:
         raise CrossCheckFailed("I_q topological vs euler", iq, iq2,
                                serialize_diagram(diagram))
     m1, m2 = euler_moments(smoothed)
-    i1 = laurent.value_at_1(iq)
-    i1p = laurent.derivative_at_1(iq)
+    # every coefficient is a half-integer c/2, so I_1 = sum(c) / 2 and
+    # I_1' = sum(e c) / 4 over the exponents e in half-units
+    twice_i1 = quad_i1p = 0
+    for e, coeff in iq.terms.items():
+        num, den = coeff.as_integer_ratio()
+        c = 2 * num // den
+        twice_i1 += c
+        quad_i1p += e * c
     n = diagram.n
-    if i1 != m1:
-        raise CrossCheckFailed("I_1 vs Euler moment m1", i1, m1,
+    if twice_i1 != 2 * m1:
+        raise CrossCheckFailed("I_1 vs Euler moment m1", Fraction(twice_i1, 2), m1,
                                serialize_diagram(diagram))
-    i1p_moments = Fraction(-n, 1) / 2 + Fraction(m2, 2)
+    i1 = twice_i1 // 2
+    i1p = Fraction(quad_i1p, 4)
+    i1p_moments = Fraction(m2 - n, 2)
     if i1p != i1p_moments:
         raise CrossCheckFailed("I_1' vs -n/2 + m2/2", i1p, i1p_moments,
                                serialize_diagram(diagram))
@@ -211,7 +230,7 @@ def full_report(diagram: CurveDiagram, base_region=None) -> InvariantReport:
         else:
             sj_reason = "not_sphere"
     report = InvariantReport(
-        iq=iq, i1=int(i1), i1_prime=i1p, rotation=rotation,
+        iq=iq, i1=i1, i1_prime=i1p, rotation=rotation,
         jplus=jp, jminus=jm, sjplus=sj,
         jplus_reason=jp_reason, sjplus_reason=sj_reason,
         crossing_count=n, chi_s=chi_s, base_region=base_region,

@@ -69,7 +69,6 @@ from .diagram import (
     dart_id,
     dart_side,
     index_function,
-    rotation_prev,
 )
 from .errors import (
     ExhaustedRetries,
@@ -403,7 +402,7 @@ def bigon_death(diagram: CurveDiagram, site) -> CurveDiagram:
     # regions at the corner-opposite sectors: at each corner the bigon's
     # outgoing dart e occupies the sector (e, sigma(e)); the region two
     # rotation steps away faces it across the crossing
-    prev = rotation_prev(diagram.code)
+    prev = diagram.code.rotation_prev
     opposite_regions = [dart_region[prev[prev[e]]] for e in cycle]
     merged_old = {rid, *opposite_regions}
     if rid in opposite_regions:

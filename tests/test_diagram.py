@@ -25,7 +25,6 @@ from curveinv.diagram import (
     euler_moments,
     index_function,
     parse_diagram,
-    rotation_prev,
     serialize_diagram,
     smoothed_level_chi,
     subsurface_chi,
@@ -165,6 +164,34 @@ def test_parse_and_build_trace_once_and_assemble_without_walking_cycles(monkeypa
 
 
 TORUS_REGIONS = "region 0 genus=0 cycles=0\nregion 1 genus=1 cycles=1\n"
+
+
+def test_parse_reads_default_region_lines_without_a_region_table(monkeypatch):
+    """Region lines that declare region i = genus 0 and cycle i, as
+    serialize_diagram writes a diagram of default regions, give that
+    diagram without a region table; any other lines go through one."""
+    # each golden code with its default regions on the carrier surface
+    defaults = [build_diagram(d.code, base_region=d.n % 3) for d in GOLDEN.values()]
+    assert len(defaults) > 30
+    tables = []
+    table = diagram_module._region_table
+    monkeypatch.setattr(diagram_module, "_region_table",
+                        lambda *args: tables.append(args) or table(*args))
+    for d in defaults:
+        back = parse_diagram(serialize_diagram(d))
+        assert back == d and back.dart_region is back.dart_cycle == d.dart_region
+    assert tables == []
+    fig8 = "curve 1+ 1+\nregion 0 genus=0 cycles=0\nregion 1 genus=0 cycles=1\n"
+    for text, table_calls in ((fig8 + "region 2 genus=0 cycles=2\nbase 2\n", 0),
+                              (fig8 + "region 3 genus=0 cycles=2\nbase 3\n", 1),
+                              (fig8 + "region 2 genus=0 cycles=0,2\nbase 2\n", 1),
+                              ("surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n", 1)):
+        tables.clear()
+        try:
+            parse_diagram(text)
+        except TopologyError:
+            pass
+        assert len(tables) == table_calls, text
 
 
 @pytest.mark.parametrize("text,line", [
@@ -585,6 +612,24 @@ def test_build_diagram_rejects_bad_genus():
         build_diagram(SignedGaussCode(()), regions=[(-1, (0, 1))], base_region=0)
 
 
+@pytest.mark.parametrize("genus,chi", [(0.9, None), ("0", None), (True, 0)])
+def test_build_diagram_rejects_a_genus_that_is_not_an_int(genus, chi):
+    # on the figure eight's cycles (0,), (1,), (2,), int() would read 0.9
+    # and "0" as genus 0 and True as genus 1
+    with pytest.raises(TopologyError, match="^region genus must be a nonnegative integer$"):
+        build_diagram(FIG8_CODE, regions=[(genus, (0,)), (0, (1,)), (0, (2,))],
+                      surface_chi=chi)
+
+
+@pytest.mark.parametrize("base", [1.0, True])
+def test_a_base_region_that_is_not_an_int_does_not_exist(base):
+    with pytest.raises(TopologyError, match=f"^base region {base} does not exist$"):
+        build_diagram(FIG8_CODE, base_region=base)
+    d = build_diagram(FIG8_CODE)
+    with pytest.raises(TopologyError, match=f"^base region {base} does not exist$"):
+        index_function(d, base)
+
+
 # -- crossing incidence ---------------------------------------------------------
 
 
@@ -645,7 +690,7 @@ def assert_incidence_matches_reference(d):
     for p1, p2, _sign in positions.values():
         partner[p1], partner[p2] = p2, p1
     assert code.partner == tuple(partner)
-    prev = rotation_prev(code)
+    prev = code.rotation_prev
     assert sorted(prev) == list(range(4 * code.n))
     for order in rotations_reference(code)[0].values():
         for i, dart in enumerate(order):

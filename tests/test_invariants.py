@@ -24,6 +24,7 @@ from curveinv.errors import (
     HomologicallyNontrivial,
     NonPositiveQ,
     NotSphere,
+    TopologyError,
 )
 from curveinv.invariants import (
     change_base,
@@ -207,6 +208,13 @@ def test_full_report_fixtures(fixtures):
     assert rep.rotation == (1, 0)
     assert rep.jplus is None and rep.jplus_reason == "chi_zero"
     assert rep.sjplus is None
+
+
+@pytest.mark.parametrize("base", [1.0, True])
+def test_full_report_rejects_a_base_region_that_is_not_an_int(fixtures, base):
+    # region 1 of the figure eight exists, and 1.0 and True compare equal to 1
+    with pytest.raises(TopologyError, match=f"^base region {base} does not exist$"):
+        full_report(fixtures["figure8_sphere"], base)
 
 
 def test_report_invariant_relations(random_corpus):
@@ -407,6 +415,35 @@ def test_shifted_level_chi_fails_cross_check(name, monkeypatch, fixtures):
                 full_report(d)
         assert info.value.what == "I_q topological vs euler"
     full_report(d)   # unpatched, the routes agree
+
+
+@pytest.mark.parametrize("name", ["figure8_sphere", "grown:16", "walk:2,8,7"])
+def test_moment_and_viro_checks_stay_hard_errors(name, monkeypatch, fixtures):
+    """Shifted Euler moments fail the I_1 and I_1' checks, and a shifted
+    Viro J- the J- check, each with the values it compared."""
+    d = fixtures[name] if name in fixtures else GOLDEN[name]
+    rep = full_report(d)
+    real_moments, real_viro = invariants.euler_moments, invariants.viro_jminus
+    m1, m2 = real_moments(report_ingredients(d, d.base_region)[2])
+    for dm1, dm2, what, first, second in (
+        (1, 0, "I_1 vs Euler moment m1", Fraction(rep.i1), m1 + 1),
+        (0, 2, "I_1' vs -n/2 + m2/2", rep.i1_prime, rep.i1_prime + 1),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "euler_moments", lambda sm, dm1=dm1, dm2=dm2: tuple(
+                map(sum, zip(real_moments(sm), (dm1, dm2)))))
+            with pytest.raises(CrossCheckFailed) as info:
+                full_report(d)
+        got = info.value
+        assert (got.what, got.first, got.second) == (what, first, second)
+        assert type(got.first) is Fraction
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "viro_jminus", lambda *args: real_viro(*args) + 1)
+        with pytest.raises(CrossCheckFailed) as info:
+            full_report(d)
+    assert (info.value.what, info.value.first, info.value.second) == (
+        "J- Viro vs J+ - n", rep.jminus + 1, rep.jminus)
+    full_report(d)   # unpatched, every check passes
 
 
 def test_shifted_level_chi_exits_3(monkeypatch, capsys):

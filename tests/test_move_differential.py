@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_report_differential import ref_rotation_prev
 
 from curveinv.catalog import DIAGRAM_FIXTURES
 from curveinv.diagram import (
@@ -35,7 +36,6 @@ from curveinv.diagram import (
     dart_id,
     dart_side,
     parse_diagram,
-    rotation_prev,
 )
 from curveinv.errors import CurveInvError, PlanInvalid, PlanRequired, SiteError, TopologyError
 from curveinv.moves import (
@@ -287,7 +287,7 @@ def ref_bigon_death(diagram, rid):
     cycle, mid_arcs, ends = disk
     m = 2 * diagram.n
     dart_region = diagram.dart_region
-    prev = rotation_prev(diagram.code)
+    prev = ref_rotation_prev(diagram.code.partner, diagram.code.own)
     opposite_regions = [dart_region[prev[prev[e]]] for e in cycle]
     merged_old = {rid, *opposite_regions}
     if rid in opposite_regions:

@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 import curveinv.diagram as diagram_module
 from curveinv import moves
-from curveinv.diagram import canonicalize, dart_side, index_function, parse_diagram
+from curveinv.diagram import (
+    SignedGaussCode,
+    build_diagram,
+    canonicalize,
+    dart_side,
+    index_function,
+    parse_diagram,
+    serialize_diagram,
+)
 from curveinv.errors import (
     ExhaustedRetries,
     PlanInvalid,
@@ -329,8 +337,37 @@ def test_triple_move_requires_triangle(fixtures):
 
 
 def test_each_move_traces_once(fixtures, monkeypatch):
-    """A move traces its new code once and assembles the diagram from it
-    once, from that trace."""
+    """A parse, a build and a move each make one code in one pass, and the
+    trace and bigon_death read sigma^{-1} from it without a second loop over
+    its visits.  A move traces its new code once and assembles the diagram
+    from it once, from that trace."""
+    passes, scans = [], []
+    post_init = SignedGaussCode.__post_init__
+
+    class Scanned(tuple):
+        """A code table that records each loop over it, as rebuilding
+        sigma^{-1} from partner and own visit by visit would make."""
+
+        def __iter__(self):
+            scans.append("iter")
+            return super().__iter__()
+
+    def one_pass(code):
+        post_init(code)
+        passes.append(code)
+        for name in ("partner", "own"):
+            object.__setattr__(code, name, Scanned(getattr(code, name)))
+
+    monkeypatch.setattr(SignedGaussCode, "__post_init__", one_pass)
+    fig8, host = (parse_diagram(serialize_diagram(d))
+                  for d in (fixtures["figure8_sphere"], triple_host(fixtures)))
+    for make in (lambda: parse_diagram("curve 1+ 2- 1+ 2-\nbase 0\n"),
+                 lambda: build_diagram(((1, 1), (1, 1)), base_region=1)):
+        passes.clear()
+        scans.clear()
+        made = make()
+        assert len(passes) == 1 and passes[0] is made.code and scans == []
+
     calls = []
     trace = diagram_module._trace
     for module in (diagram_module, moves):
@@ -343,7 +380,6 @@ def test_each_move_traces_once(fixtures, monkeypatch):
     for module in (diagram_module, moves):
         monkeypatch.setattr(module, "_assemble_diagram", lambda code, *args:
                             assembled.append(code) or assemble(code, *args))
-    fig8, host = fixtures["figure8_sphere"], triple_host(fixtures)
     counts = []
     for move, d, site in (
         (tangency_birth, fig8,
@@ -354,10 +390,13 @@ def test_each_move_traces_once(fixtures, monkeypatch):
         calls.clear()
         walked.clear()
         assembled.clear()
+        passes.clear()
+        scans.clear()
         moved = move(d, site)
-        counts.append((len(calls), len(assembled)))
+        counts.append((len(calls), len(assembled), len(passes)))
         assert walked == calls == assembled == [moved.code]
-    assert counts == [(1, 1), (1, 1), (1, 1)]
+        assert passes[0] is moved.code and scans == []
+    assert counts == [(1, 1, 1), (1, 1, 1), (1, 1, 1)]
     # the wrong tangency in a disk is rejected from the darts' sides alone
     calls.clear()
     with pytest.raises(PlanInvalid, match=f"^{UNREALIZABLE}$"):
