@@ -138,11 +138,7 @@ def cmd_validate(args):
 def cmd_invariant(args):
     diagram = _load_diagram(args.diagram)
     base = args.base if args.base is not None else diagram.base_region
-    try:
-        rep = full_report(diagram, base)
-    except HomologicallyNontrivial as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = full_report(diagram, base)
     if args.format == "json":
         print(json.dumps(_report_dict(rep), indent=2))
         return 0
@@ -172,11 +168,7 @@ def cmd_compare(args):
     rows = []
     ok = True
     for base in range(len(diagram.regions)):
-        try:
-            ind, profile, smoothed = report_ingredients(diagram, base)
-        except HomologicallyNontrivial as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        ind, profile, smoothed = report_ingredients(diagram, base)
         a = iq_topological(profile)
         b = iq_euler(smoothed, profile.crossing_indices)
         row = {"base": base, "iq_topological": str(a), "iq_euler": str(b),
@@ -333,7 +325,7 @@ def cmd_numeric(args):
             print(f"error: bad value for --param {key}: {value!r}", file=sys.stderr)
             return 1
     qs = []
-    for value in (args.q or "0.5,2,3").split(","):
+    for value in ("0.5,2,3" if args.q is None else args.q).split(","):
         try:
             qs.append(float(value))
         except ValueError:

@@ -277,10 +277,11 @@ def _region_table(regions, count):
         return [0] * count, None
     # a genus that is not an int is kept as -1, which assembly rejects in
     # region order with the message of a negative genus
-    regs = [(g if _is_int(g) else -1, tuple(sorted(cs))) for g, cs in regions]
+    regs = [(g if _is_int(g) else -1, tuple(cs)) for g, cs in regions]
     owner = _cycle_regions(regs, count)
-    if owner is None:
-        claimed = sorted(c for _genus, cs in regs for c in cs)
+    if owner is None:   # the int ids ascending, then the others
+        claimed = sorted((c for _genus, cs in regs for c in cs),
+                         key=lambda c: (0, c) if _is_int(c) else (1, repr(c)))
         raise TopologyError(
             f"region lines must partition cycles 0..{count - 1}, got {claimed}"
         )
@@ -347,11 +348,12 @@ def _is_int(value):
 
 def _cycle_regions(regs, count):
     """cycle -> index of the region that owns it, or None unless the
-    (genus, cycles) regions partition the cycles 0 .. count - 1."""
+    (genus, cycles) regions partition the cycles 0 .. count - 1, each id an
+    int."""
     owner, ids = [None] * count, range(count)
     for r, (_genus, cs) in enumerate(regs):
         for c in cs:
-            if c not in ids or owner[c] is not None:
+            if not _is_int(c) or c not in ids or owner[c] is not None:
                 return None
             owner[c] = r
     return None if None in owner else owner

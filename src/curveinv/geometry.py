@@ -23,6 +23,8 @@ chart of the surface (stereographic on the sphere, the fundamental domain
 on the torus), less that around the base point.  On the sphere one pole,
 the axis pole farthest from the curve, is the chart's point at infinity,
 alpha's singular point and the fixed probe that alpha reads with its index.
+The faces that hold the base point and the torus chart's corner, the base
+region and the genus-1 face, are read at their nearest samples (_face_dart).
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -33,6 +35,7 @@ visiting tangents in visit order.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -191,29 +194,12 @@ class _FlatTorus:
         return None   # K = 0: no area term
 
     def regions(self, ctx, cycles):
-        """Genus 1 for the chart-unbounded face, 0 for the others.  That face
-        is on the outward side of the rightmost point of the lift (nothing
-        lies to its right)."""
-        curve = ctx.curve
-        ts, pts = ctx.samples
+        """Genus 1 for the chart-unbounded face, 0 for the others: the face
+        holding the chart's corner (0, 0), which is outside the curve."""
+        pts = ctx.samples[1]
         if pts[:-1].min() < 1e-6 or pts[:-1].max() > 1 - 1e-6:
             raise ChartViolation("the curve leaves the open fundamental-domain chart")
-        t = ts[int(np.argmax(pts[:-1, 0]))]
-        for _ in range(40):   # polish the x-extremum: vx(t) = 0
-            _, v, a = curve.jet(t)
-            if abs(a[0]) < 1e-12:
-                break
-            step = v[0] / a[0]
-            t = (t - step) % 1.0
-            if abs(step) < 1e-13:
-                break
-        v = curve.jet(t, 1)[1]
-        # +x points left of the curve iff det(v, +x) = -v_y is positive
-        side = LEFT if -v[1] > 0 else RIGHT
-        spans = ctx.arc_spans   # the arc holding parameter t
-        k = next((k for k, (a0, b0) in enumerate(spans)
-                  if a0 <= t < b0 or a0 <= t + 1.0 < b0), len(spans) - 1)
-        outer = dart_id(k, side)
+        outer = _face_dart(ctx, (0.0, 0.0))
         return [(1 if outer in cycle else 0, (c,)) for c, cycle in enumerate(cycles)]
 
 
@@ -882,9 +868,9 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     is traced once, and the surface assigns the genus of each face: on the
     sphere every complement region of a connected curve is a disk, on the
     torus the unique chart-unbounded face receives genus 1.  The base
-    region is identified by matching the index just left of the first arc
-    against the combinatorial index function.  A given context supplies
-    the samples and the config.  Returns (diagram, base region id).
+    region holds the base point (_face_dart); arc 0's left side must have
+    index arc_index[0] + 1 from it.  A given context supplies the samples
+    and the config.  Returns (diagram, base region id).
     """
     ctx = context or NumericContext(curve, base_point, cfg)
     code = SignedGaussCode(tuple(
@@ -893,11 +879,24 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     cycles, dart_cycle = _trace(code)
     table = _region_table(curve.surface.regions(ctx, cycles), len(cycles))
     diagram = _assemble_diagram(code, cycles, dart_cycle, *table, curve.surface.chi, 0)
-    # the left side probe of arc 0 has index arc_index[0] + 1
-    ind0 = index_function(diagram, 0)
+    base = diagram.dart_region[_face_dart(ctx, ctx.base_point)]
     left_region = diagram.dart_region[dart_id(0, LEFT)]
-    want = ind0.values[left_region] - (ctx.arc_index[0] + 1)
-    base = next((r for r in range(len(diagram.regions)) if ind0.values[r] == want), None)
-    if base is None:
-        raise TopologyError("no region matches the base point's index offset")
+    if index_function(diagram, base).values[left_region] != ctx.arc_index[0] + 1:
+        raise TopologyError("the base point's face disagrees with the arc indices")
     return replace(diagram, base_region=base), base
+
+
+def _face_dart(ctx, point):
+    """A dart of the face holding point, a point off the curve: the segment
+    to its nearest curve point meets the curve nowhere else.  That point is
+    read as the nearest dense sample, the side from the chord of the
+    sample's neighbours, the arc from the sample's parameter.  A point
+    within about one sample spacing of a crossing can land in the opposite
+    corner's face, which has the same index."""
+    ts, pts = ctx.samples   # the last sample repeats the first
+    x = np.asarray(point, dtype=float)
+    i = int(np.argmin(sum((c - xc) ** 2 for c, xc in zip(pts[:-1].T, x))))
+    chord = pts[i + 1] - pts[i - 1 if i else -2]
+    left = ctx.curve.surface.orientation(pts[i], chord, x - pts[i]) > 0
+    k = bisect.bisect_right([a for a, _b in ctx.arc_spans], ts[i]) - 1
+    return dart_id(k % len(ctx.arc_spans), LEFT if left else RIGHT)

@@ -64,6 +64,7 @@ from .diagram import (
     CurveDiagram,
     SignedGaussCode,
     _assemble_diagram,
+    _is_int,
     _trace,
     dart_arc,
     dart_id,
@@ -85,7 +86,9 @@ class SplitPlan:
     """How a birth distributes a region's topology among its pieces.
 
     pieces: one or two (genus, untouched-cycle-ids) entries.  pieces[0] is
-    the piece on the walk-predecessor side of the first birth position.
+    the piece on the walk-predecessor side of the first birth position.  One
+    piece may own both faces that the cut leaves: a finger around a handle,
+    whose piece then has genus g - 1.
     base_piece: index of the piece keeping the base when the split region is
     the base region (defaults to piece 0).
     """
@@ -314,7 +317,8 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
 
     if plan is None:
         plan = SplitPlan(pieces=((0, frozenset()), (0, frozenset())), base_piece=0)
-    pieces = [(int(g), frozenset(cs)) for g, cs in plan.pieces]
+    # a genus that is not an int is kept as -1, rejected as a negative one
+    pieces = [(g if _is_int(g) else -1, frozenset(cs)) for g, cs in plan.pieces]
     if len(pieces) not in (1, 2):
         raise PlanInvalid("a split plan must declare one or two pieces")
     declared = set()
@@ -331,7 +335,9 @@ def tangency_birth(diagram: CurveDiagram, site: MoveSite) -> CurveDiagram:
             f"base piece {plan.base_piece!r} is not one of the plan's "
             f"{len(pieces)} piece(s)"
         )
-    if len(cut_faces) != len(pieces):
+    # a face per piece, or two faces that one piece owns: a finger around a
+    # handle
+    if len(cut_faces) not in (len(pieces), 2):
         raise PlanInvalid(
             f"plan declares {len(pieces)} piece(s) but the cut produced "
             f"{len(cut_faces)} boundary face(s)"

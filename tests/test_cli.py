@@ -105,6 +105,13 @@ def test_invariant_nontrivial_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["invariant", "compare"])
+def test_a_nontrivial_curve_is_an_error_line_and_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "essential_torus_circle")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cross_check_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(invariants, "iq_euler", lambda *args: HalfLaurent.zero())
     code, out, err = run(capsys, "invariant", "figure8_sphere")
@@ -328,6 +335,13 @@ def test_numeric_bad_q_value_names_the_option(capsys, q, shown):
     code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", q)
     assert (code, out) == (1, "")
     assert err == f"error: bad value for --q: {shown}\n"
+
+
+def test_numeric_empty_q_is_a_bad_value(capsys):
+    # an empty list is not the default q values
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--q", "")
+    assert (code, out) == (1, "")
+    assert err == "error: bad value for --q: ''\n"
 
 
 @pytest.mark.parametrize("q", ["1e-320", "5e-324"])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -619,6 +620,17 @@ def test_build_diagram_rejects_a_genus_that_is_not_an_int(genus, chi):
     with pytest.raises(TopologyError, match="^region genus must be a nonnegative integer$"):
         build_diagram(FIG8_CODE, regions=[(genus, (0,)), (0, (1,)), (0, (2,))],
                       surface_chi=chi)
+
+
+@pytest.mark.parametrize("cycle,claimed", [(1.0, "[0, 2, 1.0]"), ("1", "[0, 2, '1']"),
+                                           (True, "[0, 2, True]")])
+def test_build_diagram_rejects_a_cycle_id_that_is_not_an_int(cycle, claimed):
+    # 1.0 indexed a list, "1" could not be sorted among ints, True was cycle 1
+    with pytest.raises(TopologyError) as exc:
+        build_diagram(FIG8_CODE, regions=[(0, (0,)), (0, (cycle,)), (0, (2,))])
+    assert str(exc.value) == PARTITION + claimed
+    with pytest.raises(TopologyError, match=f"^{re.escape(PARTITION)}"):
+        build_diagram(FIG8_CODE, regions=[(0, (0, cycle)), (0, (2,))])
 
 
 @pytest.mark.parametrize("base", [1.0, True])

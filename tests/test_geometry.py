@@ -1,13 +1,16 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_numeric_kernels import Epicycle
 
 import curveinv.diagram as diagram_module
 from curveinv import geometry, laurent
 from curveinv.catalog import parametric_fixture
-from curveinv.diagram import index_function
+from curveinv.diagram import canonicalize, index_function
 from curveinv.errors import (
     ChartViolation,
     ChiZero,
@@ -15,12 +18,15 @@ from curveinv.errors import (
     NonPositiveQ,
     PointOnCurve,
     QOverflow,
+    TopologyError,
 )
 from curveinv.geometry import (
+    FLAT_TORUS,
     GreatCircle,
     LatitudeCircle,
     NumericConfig,
     NumericContext,
+    ParametricCurve,
     SphereFigureEight,
     TorusCircle,
     UNIT_SPHERE,
@@ -420,3 +426,105 @@ def test_torus_curve_leaving_the_chart_is_a_chart_violation():
     curve = TorusCircle(0.2, center=(0.1, 0.5))
     with pytest.raises(ChartViolation, match="leaves the open fundamental-domain chart"):
         extract_diagram(curve, (0.6, 0.9), CFG)
+
+
+# -- the base region against a segment reference --------------------------------
+
+
+class ThreeHarmonic(ParametricCurve):
+    """z(t) = (1 + i)/2 + sum of c e^(2 pi i k t) over the (c, k) terms, in the
+    torus chart."""
+
+    surface = FLAT_TORUS
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def _jet(self, t):
+        for order in range(3):
+            z = sum(c * (2j * math.pi * k) ** order * np.exp(2j * math.pi * k * t)
+                    for c, k in self.terms)
+            if order == 0:
+                z = z + (0.5 + 0.5j)
+            yield np.stack([z.real, z.imag], axis=-1)
+
+
+def seeded_torus_curves(count):
+    """(draw, curve, base point) of seeded three-harmonic torus curves."""
+    rng = random.Random(5)
+    for i in range(count):
+        terms = [(0.22, 1)]
+        for ks, lo, hi in (([-4, -3, -2, 2, 3, 4, 5], 0.03, 0.12),
+                           ([-7, -6, -5, 5, 6, 7], 0.005, 0.04)):
+            k, r = rng.choice(ks), rng.uniform(lo, hi)
+            terms.append((r * np.exp(1j * rng.uniform(0, 6.28)), k))
+        base = (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
+        yield i, ThreeHarmonic(terms), base
+
+
+def _cross(u, w):
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def segment_base_regions(ctx, diagram, samples=16384, off=1e-5):
+    """The regions that hold a torus curve's base point: those with a probe
+    `off` to one side of one of their arcs that a straight segment from the
+    base point reaches without crossing an edge of the curve's polygon of
+    `samples` vertices.  Probes are spread along each arc, 4 of them and
+    then 32 if no segment was free."""
+    curve, b = ctx.curve, ctx.base_point
+    poly = curve.jet(np.arange(samples + 1) / samples, 0)[0]   # closed
+    edge = np.diff(poly, axis=0)
+    for per_arc in (4, 32):
+        found = set()
+        for k, (lo, hi) in enumerate(ctx.arc_spans):
+            x, v = curve.jet(lo + (hi - lo) * (np.arange(per_arc) + 0.5) / per_arc, 1)
+            left = np.stack([-v[:, 1], v[:, 0]], axis=-1) / np.linalg.norm(v, axis=-1)[:, None]
+            for side, probes in enumerate((x + off * left, x - off * left)):
+                # probe j's segment crosses edge e: e's ends lie on either side
+                # of the segment's line, and b and probe j on either side of e's
+                s = _cross((probes - b)[:, None, :], poly - b)
+                j, e = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+                hit = (_cross(edge[e], b - poly[e]) * _cross(edge[e], probes[j] - poly[e]) < 0)
+                if len(set(j[hit].tolist())) < per_arc:
+                    found.add(diagram.dart_region[2 * k + side])
+        if found:
+            return found
+    return found
+
+
+@pytest.mark.parametrize("k,a,base_region", [(9, 0.5, 4), (13, 0.45, 4), (17, 0.5, 8)])
+def test_epicycle_base_region_holds_the_base_point(k, a, base_region):
+    ctx = NumericContext(Epicycle(k, a), (0.5, 0.5), CFG)
+    diagram, base = extract_diagram(ctx.curve, ctx.base_point, context=ctx)
+    assert segment_base_regions(ctx, diagram) == {base_region}
+    # region 1 has the base point's index but another based canonical form
+    assert canonicalize(diagram) == canonicalize(replace(diagram, base_region=base_region))
+    assert base == diagram.base_region == base_region
+
+
+def test_seeded_torus_base_regions_hold_the_base_point():
+    # in draws 62, 77, 89 and 97 another region has the base point's index;
+    # the draws whose side probes fail, a separate defect of near-cusps and
+    # close branches, are skipped
+    checked = []
+    for i, curve, base_point in seeded_torus_curves(100):
+        try:
+            ctx = NumericContext(curve, base_point, CFG.halved())
+        except TopologyError as exc:
+            assert "side probes" in str(exc)
+            continue
+        diagram, base = extract_diagram(curve, base_point, context=ctx)
+        want = segment_base_regions(ctx, diagram)
+        assert want == {base}, i
+        checked.append(i)
+    assert len(checked) >= 90 and {62, 77, 89, 97} <= set(checked)
+
+
+@pytest.mark.parametrize("name", ["latitude", "fig8"])
+def test_a_base_face_on_the_wrong_side_fails_the_cross_check(contexts, monkeypatch, name):
+    face_dart = geometry._face_dart
+    monkeypatch.setattr(geometry, "_face_dart", lambda ctx, point: face_dart(ctx, point) ^ 1)
+    ctx = contexts[name]
+    with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
+        extract_diagram(ctx.curve, ctx.base_point, context=ctx)

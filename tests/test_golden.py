@@ -13,6 +13,9 @@ and on grown genus-1 and genus-2 diagrams (which also carry a full record),
 with each birth's serialized result or error name and the death of its lens.
 tests/data/record_golden_moves.py wrote it; both files were recorded with the
 library as it was before the moves were rebuilt on one shared path.
+golden_moves.json was recorded again when one-piece plans became able to
+take both faces of a cut (a finger around a handle): only births of such
+plans, rejected before, changed, and the results born from them were added.
 """
 
 import json

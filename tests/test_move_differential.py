@@ -242,7 +242,7 @@ def ref_tangency_birth(diagram, site):
     if plan.base_piece not in range(len(pieces)):
         raise PlanInvalid(f"base piece {plan.base_piece!r} is not one of the plan's "
                           f"{len(pieces)} piece(s)")
-    if len(cut_faces) != len(pieces):
+    if len(cut_faces) not in (len(pieces), 2):
         raise PlanInvalid(f"plan declares {len(pieces)} piece(s) but the cut produced "
                           f"{len(cut_faces)} boundary face(s)")
     marker_slot = first[0] - 1 if s1 == LEFT else first[0] + 1

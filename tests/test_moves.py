@@ -219,6 +219,43 @@ def test_direct_birth_absorbed_by_handle(fixtures):
     assert canonicalize(back) == canonicalize(ess)
 
 
+def test_one_piece_births_around_a_handle_obey_the_laws(fixtures, grown):
+    """A finger between two positions on one boundary cycle of a region of
+    genus g >= 1, declared as one piece of genus g - 1 that owns both faces
+    of the cut: as in a disk, the birth is direct exactly when the two darts
+    lie on different sides.  It adds the lens and one boundary cycle to the
+    region, moves J+ by 2 (direct) or 0 (opposite) when chi(S) != 0, keeps
+    the rotation number, and the lens's death undoes it."""
+    rng = random.Random(23)
+    fraction = [Fraction(k, 10) for k in range(1, 10)]
+    born_count = 0
+    for d in [fixtures["circle_torus"], *grown]:
+        before = full_report(d)
+        for rid, region in enumerate(d.regions):
+            if region.genus == 0:
+                continue
+            for c in region.cycles:
+                plan = SplitPlan(((region.genus - 1, frozenset(region.cycles) - {c}),))
+                for _ in range(16):
+                    p1, p2 = ((rng.choice(d.cycles[c]), rng.choice(fraction)) for _ in "12")
+                    move = "direct" if dart_side(p1[0]) != dart_side(p2[0]) else "opposite"
+                    other = "opposite" if move == "direct" else "direct"
+                    with pytest.raises(PlanInvalid, match=UNREALIZABLE):
+                        tangency_birth(d, birth_site(rid, p1, p2, other, plan))
+                    born = tangency_birth(d, birth_site(rid, p1, p2, move, plan))
+                    assert born.n == d.n + 2
+                    assert born.regions[rid] == (region.genus - 1, born.regions[rid].cycles)
+                    assert len(born.regions[rid].cycles) == len(region.cycles) + 1
+                    after = full_report(born)
+                    if d.surface_chi:
+                        assert after.jplus - before.jplus == (2 if move == "direct" else 0)
+                    assert same_rotation(before, after)
+                    lens = len(born.regions) - 1
+                    assert canonicalize(bigon_death(born, lens)) == canonicalize(d)
+                    born_count += 1
+    assert born_count >= 80
+
+
 def test_birth_rejects_wrong_plan(fixtures):
     torus = fixtures["circle_torus"]
     bad = SplitPlan(pieces=((0, frozenset()), (0, frozenset())))  # chi law fails
@@ -268,6 +305,17 @@ def test_birth_rejections(fixtures):
                           SplitPlan(pieces))
         with pytest.raises(PlanInvalid, match=f"^{message}$"):
             tangency_birth(torus, site)
+
+
+@pytest.mark.parametrize("pieces", [((0.9, ()), (1, ())), (("0", ()), (1, ())),
+                                    ((0, ()), (True, ()))])
+def test_birth_rejects_a_piece_genus_that_is_not_an_int(fixtures, pieces):
+    # int() would read 0.9 and "0" as genus 0 and True as genus 1, a plan
+    # that goes ahead
+    site = birth_site(1, (1, Fraction(1, 3)), (1, Fraction(2, 3)), "opposite",
+                      SplitPlan(pieces))
+    with pytest.raises(PlanInvalid, match="^piece genus must be nonnegative$"):
+        tangency_birth(fixtures["circle_torus"], site)
 
 
 # -- deaths ------------------------------------------------------------------
