@@ -41,10 +41,11 @@ report the crossing list, n steps instead of 2n.  The trace that finds the
 boundary cycles records dart -> cycle as it walks them.  Assembly takes a
 finished cycle -> region table (a declared region list is checked to
 partition the cycles first, a move builds its table from the old one, and
-region lines that declare the default regions need none), groups the
-cycles into regions from it and maps dart -> cycle through it to dart ->
-region (the same table when every cycle is its own region); both tables
-are stored on the CurveDiagram for every later step to read.  An index
+the default region lines that serialize_diagram writes, matched as text,
+need none), groups the cycles into regions from it and maps dart -> cycle
+through it to dart -> region (the same table when every cycle is its own
+region); both tables are stored on the CurveDiagram for every later step
+to read.  An index
 function is read off the code and dart -> region in one pass.
 """
 
@@ -377,7 +378,16 @@ def parse_diagram(text: str) -> CurveDiagram:
     surface_genus = None
     region_lines = []   # (line_no, rid, genus, cycles)
     base_rid = None
+    # the next default region line as serialize_diagram writes it, region i
+    # of genus 0 with cycle i; None once a region line was read otherwise
+    default = "region 0 genus=0 cycles=0"
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if raw == default:
+            i = len(region_lines)
+            region_lines.append((line_no, i, 0, (i,)))
+            rid = str(i + 1)
+            default = f"region {rid} genus=0 cycles={rid}"
+            continue
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
@@ -406,6 +416,7 @@ def parse_diagram(text: str) -> CurveDiagram:
             except ValueError:
                 raise ParseError("bad cycle list", line_no) from None
             region_lines.append((line_no, rid, genus, cycle_list))
+            default = None
         elif kind == "surface":
             if len(fields) != 2:
                 raise ParseError("surface needs exactly genus=<g>", line_no)
@@ -450,7 +461,12 @@ def parse_diagram(text: str) -> CurveDiagram:
     count = len(cycles)
     base, base_line = base_rid
     table = [0] * count, None    # one default region per cycle
-    if region_lines:
+    if default is not None and len(region_lines) == count:
+        # every cycle's default line, in order: ids, partition and the base's
+        # index hold as written
+        if not 0 <= base < count:
+            raise ParseError(f"base region {base} not declared", base_line)
+    elif region_lines:
         region_lines.sort(key=itemgetter(1))
         rids = [rid for _, rid, _, _ in region_lines]
         if len(set(rids)) != len(rids):
@@ -458,12 +474,7 @@ def parse_diagram(text: str) -> CurveDiagram:
         if base not in rids:
             raise ParseError(f"base region {base} not declared", base_line)
         base = rids.index(base)
-        # lines that declare exactly the default regions, region i = genus 0
-        # and cycle i (as serialize_diagram writes them), cannot fault and
-        # need no region table
-        if rids != list(range(count)) or not all(
-                genus == 0 and cs == (rid,) for _, rid, genus, cs in region_lines):
-            table = _region_table([(genus, cs) for _, _, genus, cs in region_lines], count)
+        table = _region_table([(genus, cs) for _, _, genus, cs in region_lines], count)
     elif not 0 <= base < count:
         raise ParseError(f"base region {base} does not exist", base_line)
 
@@ -721,14 +732,20 @@ def canonicalize(diagram: CurveDiagram):
     and own[v] is the crossing's sign if v is its first visit in the stored
     code, else the negated sign.  At position k of rotation r, visit
     v = r + k (mod 2n) repeats a label iff back[v] <= k; its key is then
-    (-back[v], -own[v]), and (0, own[v]) otherwise.  Among rotations whose
-    codes agree before k, the key orders them as their (label, sign) pairs
-    at k do: a first visit takes the next new label, larger than every label
-    so far; a repeat with a larger back reuses the label of an earlier, so
-    smaller, first visit; and the sign is own[v] at the rotated first visit
-    and -own[v] at the repeat.  Rotations are dropped while their key
-    exceeds the least one; the survivors share one code, and several
-    survive only when the code has a rotational symmetry.
+    -3 back[v] - own[v], at most -2, and own[v] otherwise: as back[v] >= 1
+    and own[v] = +-1, these integers order as the pairs (-back[v], -own[v])
+    and (0, own[v]) would.  Among rotations whose codes agree before k, the
+    key orders them as their (label, sign) pairs at k do: a first visit
+    takes the next new label, larger than every label so far; a repeat with
+    a larger back reuses the label of an earlier, so smaller, first visit;
+    and the sign is own[v] at the rotated first visit and -own[v] at the
+    repeat.  Rotations are dropped while their key exceeds the least one;
+    the survivors share one code, and several survive only when the code
+    has a rotational symmetry.
+
+    When every region is one genus-0 cycle, as on the sphere, renumbering
+    the cycles only permutes the regions: every candidate then shares one
+    region descriptor, and only the base position is read per candidate.
     """
     if diagram.n == 0:
         regions = _region_descriptor(diagram, {0: 0, 1: 1})
@@ -736,24 +753,33 @@ def canonicalize(diagram: CurveDiagram):
     m = 2 * diagram.n
     partner, own = diagram.code.partner, diagram.code.own
     back = [(v - partner[v]) % m for v in range(m)]
-    first_key = [(0, s) for s in own]
-    repeat_key = [(-b, -s) for b, s in zip(back, own)]
+    back2, own2 = back * 2, own * 2     # visit r + k of rotation r, unwrapped
     live = range(m)
     for k in range(m):
         if len(live) == 1:
             break
-        keys = []
-        for r in live:
-            v = (r + k) % m
-            keys.append(repeat_key[v] if back[v] <= k else first_key[v])
+        keys = [own2[r + k] if back2[r + k] > k else -3 * back2[r + k] - own2[r + k]
+                for r in live]
         least = min(keys)
         live = [r for r, key in zip(live, keys) if key == least]
-    return min(_rotation_candidate(diagram, back, own, r) for r in live)
+    shared = _shared_descriptor(diagram)
+    return min(_rotation_candidate(diagram, back, own, r, shared) for r in live)
 
 
-def _rotation_candidate(diagram, back, own, r):
+def _shared_descriptor(diagram):
+    """The region descriptor of every candidate when each region is one
+    genus-0 cycle, as on the sphere, else None: renumbering the cycles
+    then only permutes the regions."""
+    regions = diagram.regions
+    if len(regions) == len(diagram.cycles) and not any(map(itemgetter(0), regions)):
+        return tuple((0, (c,)) for c in range(len(regions)))
+    return None
+
+
+def _rotation_candidate(diagram, back, own, r, shared):
     """The (code, region descriptor, base position) of the code started at
-    visit r, from the per-visit back and own of canonicalize."""
+    visit r, from the per-visit back and own of canonicalize; shared is
+    _shared_descriptor's descriptor, or None to build the descriptor."""
     # a first visit takes the next label and its own sign; a repeat copies
     # the entry of its partner, back[v] positions earlier
     code = []
@@ -768,7 +794,12 @@ def _rotation_candidate(diagram, back, own, r):
     # r; renumber them as the trace of the rotated code would, in order of
     # each cycle's first dart from dart 2r on
     dart_cycle = diagram.dart_cycle
-    order = dict.fromkeys(dart_cycle[2 * r:] + dart_cycle[:2 * r])
+    darts = dart_cycle[2 * r:] + dart_cycle[:2 * r]
+    if shared is not None:
+        # the base's one cycle is numbered by the cycles seen before it
+        first = darts.index(diagram.regions[diagram.base_region].cycles[0])
+        return (tuple(code), shared, len(set(darts[:first])))
+    order = dict.fromkeys(darts)
     cycle_renumber = dict(zip(order, range(len(order))))
     regions = _region_descriptor(diagram, cycle_renumber)
     return (tuple(code), regions, _base_position(diagram, regions, cycle_renumber))

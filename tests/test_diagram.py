@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curveinv.diagram as diagram_module
+from curveinv.catalog import DIAGRAM_FIXTURES
 from curveinv.diagram import (
     LEFT,
     RIGHT,
@@ -19,6 +20,7 @@ from curveinv.diagram import (
     _base_position,
     _region_descriptor,
     _rotation_candidate,
+    _shared_descriptor,
     arc_and_crossing_indices,
     build_diagram,
     canonicalize,
@@ -168,9 +170,11 @@ TORUS_REGIONS = "region 0 genus=0 cycles=0\nregion 1 genus=1 cycles=1\n"
 
 
 def test_parse_reads_default_region_lines_without_a_region_table(monkeypatch):
-    """Region lines that declare region i = genus 0 and cycle i, as
-    serialize_diagram writes a diagram of default regions, give that
-    diagram without a region table; any other lines go through one."""
+    """Region lines that declare region i = genus 0 and cycle i, written
+    as serialize_diagram writes a diagram of default regions, give that
+    diagram without a region table; any other lines go through one, the
+    same regions written another way (extra spaces, a comment, an id with a
+    leading zero) too."""
     # each golden code with its default regions on the carrier surface
     defaults = [build_diagram(d.code, base_region=d.n % 3) for d in GOLDEN.values()]
     assert len(defaults) > 30
@@ -186,7 +190,10 @@ def test_parse_reads_default_region_lines_without_a_region_table(monkeypatch):
     for text, table_calls in ((fig8 + "region 2 genus=0 cycles=2\nbase 2\n", 0),
                               (fig8 + "region 3 genus=0 cycles=2\nbase 3\n", 1),
                               (fig8 + "region 2 genus=0 cycles=0,2\nbase 2\n", 1),
-                              ("surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n", 1)):
+                              ("surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n", 1),
+                              (fig8 + "region 2  genus=0 cycles=2\nbase 2\n", 1),
+                              (fig8 + "region 2 genus=0 cycles=2 # outside\nbase 2\n", 1),
+                              (fig8 + "region 02 genus=0 cycles=2\nbase 2\n", 1)):
         tables.clear()
         try:
             parse_diagram(text)
@@ -578,6 +585,67 @@ def test_canonicalize_symmetric_code():
         assert canonicalize(rotate_code_start(SYMMETRIC, r)) == form
 
 
+def permuted_region_text(d, rng):
+    """The file text of d with its regions declared under shuffled ids and
+    in shuffled line order, and the new id of each region."""
+    rids = list(range(len(d.regions)))
+    rng.shuffle(rids)
+    lines = [f"region {rid} genus={region.genus} cycles={','.join(map(str, region.cycles))}"
+             for rid, region in zip(rids, d.regions)]
+    rng.shuffle(lines)
+    head, base = serialize_diagram(d).split("region", 1)[0], rids[d.base_region]
+    return head + "\n".join(lines) + f"\nbase {base}\n", rids
+
+
+def sphere_diagrams(random_corpus):
+    """The golden sphere diagrams with 1 to 16 crossings, and a third of
+    the random ones."""
+    return [d for d in [*GOLDEN.values(), *random_corpus[::3]]
+            if d.surface_chi == 2 and 0 < d.n <= 16]
+
+
+def test_canonicalize_shares_the_descriptor_of_permuted_sphere_regions(random_corpus):
+    """Sphere diagrams whose region r holds a cycle other than r take the
+    shared descriptor, and match the reference at every base."""
+    rng = random.Random(24)
+    permuted = 0
+    for d in sphere_diagrams(random_corpus):
+        text, rids = permuted_region_text(d, rng)
+        moved = parse_diagram(text)
+        assert _shared_descriptor(moved) == tuple((0, (c,)) for c in range(len(d.cycles)))
+        permuted += any(region.cycles != (r,) for r, region in enumerate(moved.regions))
+        for r, rid in enumerate(rids):
+            based = replace(moved, base_region=rid)
+            assert_matches_reference(based)
+            assert canonicalize(based) == canonicalize(replace(d, base_region=r))
+    assert permuted > 30
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAM_FIXTURES))
+def test_canonicalize_matches_reference_on_the_small_fixtures(name):
+    d = parse_diagram(DIAGRAM_FIXTURES[name])
+    assert d.n <= 1
+    for base in range(len(d.regions)):
+        assert_matches_reference(replace(d, base_region=base))
+
+
+@pytest.mark.parametrize("genera", [(1,), (2,), (1, 1)])
+def test_one_cycle_regions_with_a_genus_take_the_general_descriptor(genera, random_corpus):
+    """Regions of one cycle each, but some of nonzero genus: the shared
+    descriptor does not apply, and canonicalize matches the reference."""
+    built = 0
+    for d in sphere_diagrams(random_corpus):
+        regions = [(genera[r] if r < len(genera) else 0, region.cycles)
+                   for r, region in enumerate(d.regions)]
+        torus = build_diagram(d.code, regions=regions)
+        assert torus.surface_chi == 2 - 2 * sum(genera)
+        assert len(torus.regions) == len(torus.cycles) and _shared_descriptor(torus) is None
+        for base in range(len(torus.regions)):
+            assert_matches_reference(replace(torus, base_region=base))
+        built += 1
+    assert built > 30
+
+
 def relabel_crossings(diagram, labels):
     """The same based diagram with crossing k renamed labels[k]."""
     names = {}
@@ -962,10 +1030,12 @@ def assert_tables_and_rotations_match_reference(d):
     m = 2 * d.n
     partner, own = d.code.partner, d.code.own
     back = [(v - partner[v]) % m for v in range(m)]
+    shared = _shared_descriptor(d)
     for r in range(m):
-        got = _rotation_candidate(d, back, own, r)
         want = rotation_candidate_reference(d, back, own, r)
-        assert got == want and repr(got) == repr(want), (r, serialize_diagram(d))
+        for got in (_rotation_candidate(d, back, own, r, None),
+                    _rotation_candidate(d, back, own, r, shared)):
+            assert got == want and repr(got) == repr(want), (r, serialize_diagram(d))
 
 
 def test_tables_and_rotations_match_reference_golden():

@@ -1,7 +1,9 @@
 """Seeded fuzzing of the diagram file format and everything that reads it.
 
 Each text is built from a random signed Gauss code, sometimes corrupted,
-with random `surface genus=`, region and `base` lines and stray tokens.  It
+with random `surface genus=`, region and `base` lines and stray tokens; a
+quarter of the texts are the default-region texts serialize_diagram writes,
+most of them written another way (near misses of the lines it writes).  It
 goes through parse_diagram, full_report at every base, canonicalize, and a
 bigon death and a triple move at every region id (and one past each end).
 Every step must end in a result or a CurveInvError, and the bigon and
@@ -12,13 +14,16 @@ tables, or the same error class and message.
 """
 
 import random
+from dataclasses import replace
 
 from curveinv.diagram import (
     CurveDiagram,
     Region,
     SignedGaussCode,
+    build_diagram,
     canonicalize,
     parse_diagram,
+    serialize_diagram,
     trace_boundary_cycles,
 )
 from curveinv.errors import CurveInvError, LabelError, ParseError, TopologyError
@@ -223,7 +228,56 @@ def region_lines(rng, cycles, n):
     return lines, rids, chi
 
 
+BAD_REGION = ["region", "region 0 genus=0", "region 0 genus=0 cycles=",
+              "region x genus=0 cycles=0", "region 0 genus=-1 cycles=0"]
+
+
+def default_region_text(rng):
+    """The text serialize_diagram writes for a random code with its default
+    regions (region i of genus 0 with cycle i), three times in four written
+    another way: a near miss of the default lines, or an undeclared base."""
+    d = build_diagram(random_visits(rng, rng.randrange(7)))
+    lines = serialize_diagram(replace(d, base_region=rng.randrange(len(d.regions)))).splitlines()
+    count = len(d.regions)
+    k = rng.randrange(2, 2 + count)     # a region line; i = k - 2 is its id
+    line, i = lines[k], k - 2
+    kind = rng.randrange(17)
+    if kind == 0:       # a doubled space
+        cut = rng.choice([j for j, ch in enumerate(line) if ch == " "])
+        lines[k] = line[:cut] + " " + line[cut:]
+    elif kind == 1:
+        lines[k] = line.replace(" ", "\t", 1)
+    elif kind == 2:
+        lines[k] = line + " # comment"
+    elif kind == 3:
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == 4:     # read by the field path as region i
+        lead, lead2 = rng.choice(["0", "+"]), rng.choice(["", "0", "+"])
+        lines[k] = f"region {lead}{i} genus=0 cycles={lead2}{i}"
+    elif kind == 5:
+        j = rng.randrange(2, 2 + count)
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == 6:
+        lines.insert(k, line)
+    elif kind == 7:
+        del lines[k]
+    elif kind == 8:
+        lines.insert(2 + count, f"region {count} genus=0 cycles={count}")
+    elif kind == 9:
+        lines[k] = line.replace("genus=0", "genus=1")
+    elif kind == 10:
+        lines[k] = f"{line},{rng.randrange(count + 1)}"
+    elif kind == 11:    # the region line's fault comes first
+        lines[k] = rng.choice(BAD_REGION)
+        lines[1] = rng.choice(["curve x+", "curve 0+ 0+", "curve 1* 1+", "curve +"])
+    elif kind == 12:
+        lines[-1] = f"base {rng.choice([-1, count, 99])}"
+    return "\n".join(lines) + "\n"
+
+
 def fuzz_text(rng):
+    if rng.random() < 0.25:
+        return default_region_text(rng)
     n = rng.randrange(7)
     visits = random_visits(rng, n)
     lines = ["curve " + " ".join(curve_tokens(rng, visits))]
@@ -273,14 +327,18 @@ def run_all(text):
 def test_fuzzed_diagram_texts_end_in_results_or_curveinv_errors():
     rng = random.Random(2015)
     total = 20000
-    parsed = reports = 0
+    parsed = reports = exact = 0
     for _ in range(total):
         text = fuzz_text(rng)
-        assert parse_outcome(parse_diagram, text) == parse_outcome(reference_parse, text), text
+        outcome = parse_outcome(parse_diagram, text)
+        assert outcome == parse_outcome(reference_parse, text), text
+        # a default-region text exactly as serialize_diagram writes it
+        exact += isinstance(outcome[0], CurveDiagram) and (
+            serialize_diagram(outcome[0]) == text and outcome[2] is outcome[1])
         try:
             p, r = run_all(text)
         except Exception as exc:   # anything but a CurveInvError fails
             raise AssertionError(f"{type(exc).__name__}: {exc}\n{text}") from exc
         parsed += p
         reports += r
-    assert parsed >= total // 6 and reports >= 1000
+    assert parsed >= total // 6 and reports >= 1000 and exact >= total // 20
