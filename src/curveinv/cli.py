@@ -32,7 +32,7 @@ from .catalog import (
     diagram_fixture,
     parametric_fixture,
 )
-from .diagram import euler_moments, index_function, parse_diagram, serialize_diagram
+from .diagram import _decimal, euler_moments, index_function, parse_diagram, serialize_diagram
 from .errors import (
     CrossCheckFailed,
     CurveInvError,
@@ -198,9 +198,10 @@ def cmd_compare(args):
 
 
 def _site_int(text, what):
-    """int(text), or a SiteError naming the bad field of --site."""
+    """The integer text, written as in a diagram file, or a SiteError naming
+    the bad field of --site."""
     try:
-        return int(text)
+        return _decimal(text)
     except ValueError:
         raise SiteError(f"bad {what}: {text!r}") from None
 

@@ -51,6 +51,7 @@ function is read off the code and dart -> region in one pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, groupby, repeat
@@ -398,13 +399,13 @@ def parse_diagram(text: str) -> CurveDiagram:
                                  line_no)
             _, rid, genus, cycle_list = fields
             try:
-                rid = int(rid)
+                rid = _decimal(rid)
             except ValueError:
                 raise ParseError(f"bad region id: {rid!r}", line_no) from None
             if not genus.startswith("genus="):
                 raise ParseError("expected genus=<value>", line_no)
             try:
-                genus = int(genus[6:])
+                genus = _decimal(genus[6:])
             except ValueError:
                 raise ParseError(f"bad genus: {genus[6:]!r}", line_no) from None
             if genus < 0:
@@ -412,7 +413,7 @@ def parse_diagram(text: str) -> CurveDiagram:
             if not cycle_list.startswith("cycles="):
                 raise ParseError("expected cycles=<c1,c2,...>", line_no)
             try:
-                cycle_list = tuple(map(int, cycle_list[7:].split(",")))
+                cycle_list = tuple(map(_decimal, cycle_list[7:].split(",")))
             except ValueError:
                 raise ParseError("bad cycle list", line_no) from None
             region_lines.append((line_no, rid, genus, cycle_list))
@@ -428,7 +429,7 @@ def parse_diagram(text: str) -> CurveDiagram:
                 raise ParseError("duplicate curve line", line_no)
             if len(fields) == 1:
                 raise ParseError("curve needs visit tokens, or - for no crossing", line_no)
-            curve_tokens = (fields[1:], line_no)
+            curve_tokens = (fields[1:], line_no, raw)
         elif kind == "base":
             if len(fields) != 2:
                 raise ParseError("base needs exactly one region id", line_no)
@@ -443,14 +444,20 @@ def parse_diagram(text: str) -> CurveDiagram:
     if base_rid is None:
         raise ParseError("missing base line")
 
-    tokens, curve_line = curve_tokens
+    tokens, curve_line, line = curve_tokens
     visits = ()
     if tokens != ["-"]:
         try:
             visits = tuple([(int(tok[:-1]), _SIGNS[tok[-1]]) for tok in tokens])
         except (ValueError, KeyError):
             visits = None
-        if visits is None or min(visits)[0] <= 0:
+        # int() also reads 1_0, +1, 01 and non-ASCII digits.  Whole-line tests
+        # rule them out: a label's leading + or 0 follows a space, or the tab
+        # or \x1f that are a line's other ASCII whitespace.  A line they flag
+        # (a comment may) gets the per-token checks, which raise only at a
+        # faulty token.
+        if (visits is None or min(visits)[0] <= 0 or not line.isascii() or "_" in line
+                or "\t" in line or "\x1f" in line or " +" in line or " 0" in line):
             _visit_fault(tokens, curve_line)
     try:
         code = SignedGaussCode(visits)
@@ -486,7 +493,7 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def _visit_fault(tokens, line_no):
-    """Raise the error for the first faulty visit token."""
+    """Raise the error for the first faulty visit token, if there is one."""
     for tok in tokens:
         if len(tok) < 2 or tok[-1] not in "+-":
             raise ParseError(f"bad visit token {tok!r}", line_no)
@@ -494,9 +501,22 @@ def _visit_fault(tokens, line_no):
             raise ParseError(f"crossing label must be positive: {tok!r}", line_no)
 
 
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _decimal(text):
+    """int(text) for an integer written as serialize_diagram writes one, 0 or
+    [1-9][0-9]* in ASCII, or with a leading '-' that the callers' range
+    checks reject; ValueError for the other forms int() reads, such as 1_0,
+    +1, 01, -0 or non-ASCII digits."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_int(text, line_no, what):
     try:
-        return int(text)
+        return _decimal(text)
     except ValueError:
         raise ParseError(f"bad {what}: {text!r}", line_no) from None
 

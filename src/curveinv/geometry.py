@@ -97,6 +97,35 @@ class NumericConfig:
 
 
 # ---------------------------------------------------------------------------
+# component arithmetic on (..., d) arrays, in place of np.stack, np.cross and
+# np.linalg.norm, whose per-call argument handling costs more than their
+# arithmetic on the few hundred rows of a context's arrays
+
+
+def _columns(*cols):
+    """np.stack(cols, axis=-1): the (..., d) array of the d columns cols.
+    The first is an array, of shape () at a scalar parameter (the result
+    then has shape (d,)); the others have its shape or are numbers."""
+    first = cols[0]
+    out = np.empty(first.shape + (len(cols),), first.dtype)
+    for k, c in enumerate(cols):
+        out[..., k] = c
+    return out
+
+
+def _norm(v):
+    """|v| along the last axis, the squares summed in np.linalg.norm's order."""
+    return np.sqrt(functools.reduce(np.add, [v[..., k] * v[..., k] for k in range(v.shape[-1])]))
+
+
+def _cross(u, w):
+    """The three columns of u x w, each formed as np.cross forms it."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    return u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+
+
+# ---------------------------------------------------------------------------
 # model surfaces; each has chi and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
@@ -120,13 +149,14 @@ class _UnitSphere:
     chi = 2
 
     def orientation(self, x, u, w):
-        return np.einsum("...i,...i->...", x, np.cross(u, w))
+        c0, c1, c2 = _cross(u, w)
+        return x[..., 0] * c0 + x[..., 1] * c1 + x[..., 2] * c2
 
     def project(self, x):
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / _norm(x)[..., None]
 
     def left_normal(self, x, u):
-        return np.cross(self.project(x), u)
+        return _columns(*_cross(self.project(x), u))
 
     def pole(self, pts):
         """(a, sign) of the pole s = sign e_a: the one of +-e1, +-e2, +-e3
@@ -164,9 +194,13 @@ class _UnitSphere:
 
     def area_form(self, ctx, x, v):
         """alpha = -s.(x cross v) / (1 - s.x), with d alpha = dA away from
-        the pole s, the context's one fixed probe."""
+        the pole s, the context's one fixed probe.  s = sign e_a, so both
+        dot products read component a alone."""
         s = ctx._fixed_probes[0]
-        return -(np.cross(x, v) @ s) / (1.0 - x @ s), ctx.fixed_index[0]
+        a = int(np.abs(s).argmax())
+        i, j = (a + 1) % 3, (a + 2) % 3
+        cross = x[..., i] * v[..., j] - x[..., j] * v[..., i]
+        return -(s[a] * cross) / (1.0 - s[a] * x[..., a]), ctx.fixed_index[0]
 
 
 class _FlatTorus:
@@ -182,7 +216,7 @@ class _FlatTorus:
         return x
 
     def left_normal(self, x, u):
-        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        return _columns(-u[..., 1], u[..., 0])
 
     def fixed_probes(self, pts):
         return np.empty((0, 2))
@@ -236,10 +270,10 @@ class GreatCircle(ParametricCurve):
 
     def _jet(self, t):
         s = TWO_PI * t
-        c, d, z = np.cos(s), np.sin(s), np.zeros_like(s)
-        yield np.stack([c, d, z], axis=-1)
-        yield TWO_PI * np.stack([-d, c, z], axis=-1)
-        yield -TWO_PI ** 2 * np.stack([c, d, z], axis=-1)
+        c, d = np.cos(s), np.sin(s)
+        yield _columns(c, d, 0.0)
+        yield _columns(TWO_PI * -d, TWO_PI * c, 0.0)
+        yield _columns(-TWO_PI ** 2 * c, -TWO_PI ** 2 * d, 0.0)
 
 
 class LatitudeCircle(ParametricCurve):
@@ -256,10 +290,10 @@ class LatitudeCircle(ParametricCurve):
     def _jet(self, t):
         s = TWO_PI * t
         sa, ca = math.sin(self.alpha), math.cos(self.alpha)
-        c, d, z = np.cos(s), np.sin(s), np.zeros_like(s)
-        yield np.stack([sa * c, sa * d, ca * np.ones_like(s)], axis=-1)
-        yield TWO_PI * sa * np.stack([-d, c, z], axis=-1)
-        yield -TWO_PI ** 2 * sa * np.stack([c, d, z], axis=-1)
+        c, d = np.cos(s), np.sin(s)
+        yield _columns(sa * c, sa * d, ca)
+        yield _columns(TWO_PI * sa * -d, TWO_PI * sa * c, 0.0)
+        yield _columns(-TWO_PI ** 2 * sa * c, -TWO_PI ** 2 * sa * d, 0.0)
 
 
 class SphereFigureEight(ParametricCurve):
@@ -279,12 +313,17 @@ class SphereFigureEight(ParametricCurve):
         c, s = math.cos(self.tilt), math.sin(self.tilt)
         self._rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
+    def _tilted(self, x, y, z):
+        """The columns (x, y, z) @ self._rot.T: the tilt turns about the x-axis."""
+        r = self._rot
+        return _columns(x, r[1, 1] * y + r[1, 2] * z, r[2, 1] * y + r[2, 2] * z)
+
     def _jet(self, t):
         s = TWO_PI * t + self.phase
         c2, s2, s1 = np.cos(2 * s), np.sin(2 * s), np.sin(s)
-        yield np.stack([0.5 * (1.0 + c2), 0.5 * s2, s1], axis=-1) @ self._rot.T
-        yield TWO_PI * np.stack([-s2, c2, np.cos(s)], axis=-1) @ self._rot.T
-        yield TWO_PI ** 2 * np.stack([-2 * c2, -2 * s2, -s1], axis=-1) @ self._rot.T
+        yield self._tilted(0.5 * (1.0 + c2), 0.5 * s2, s1)
+        yield self._tilted(TWO_PI * -s2, TWO_PI * c2, TWO_PI * np.cos(s))
+        yield self._tilted(TWO_PI ** 2 * (-2 * c2), TWO_PI ** 2 * (-2 * s2), TWO_PI ** 2 * -s1)
 
 
 class TorusCircle(ParametricCurve):
@@ -301,9 +340,10 @@ class TorusCircle(ParametricCurve):
     def _jet(self, t):
         s = TWO_PI * t
         c, d = np.cos(s), np.sin(s)
-        yield self.center + self.rho * np.stack([c, d], axis=-1)
-        yield TWO_PI * self.rho * np.stack([-d, c], axis=-1)
-        yield -TWO_PI ** 2 * self.rho * np.stack([c, d], axis=-1)
+        (cx, cy), r = self.center, self.rho
+        yield _columns(cx + r * c, cy + r * d)
+        yield _columns(TWO_PI * r * -d, TWO_PI * r * c)
+        yield _columns(-TWO_PI ** 2 * r * c, -TWO_PI ** 2 * r * d)
 
 
 @dataclass(frozen=True)
@@ -329,7 +369,7 @@ def geodesic_curvature(curve: ParametricCurve, t):
 
 def _geodesic_curvature(surface, x, v, a):
     """The geodesic curvature of the jet (x, v, a) on surface."""
-    return surface.orientation(x, v, a) / np.linalg.norm(v, axis=-1) ** 3
+    return surface.orientation(x, v, a) / _norm(v) ** 3
 
 
 def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
@@ -347,7 +387,7 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     n = cfg.double_grid
     ts = np.arange(n) / n
     pts, vel = curve.jet(ts, 1)
-    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
+    step = float(_norm(vel).max()) / n
     cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
     cand = cand[_may_cross(pts, cand)]
     t1, t2 = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
@@ -430,7 +470,8 @@ def _close_pairs(ts, pts, threshold, diag_gap):
     chunks of at most _SCAN_ROWS rows of the pair grid.  The distances are
     summed from one gather per coordinate column, not from gathered rows."""
     n = len(ts)
-    key = pts[:, int(np.argmax([np.ptp(c) for c in pts.T]))]
+    coords = np.ascontiguousarray(pts.T)   # reduced along rows, as in _UnitSphere.pole
+    key = coords[int((coords.max(axis=1) - coords.min(axis=1)).argmax())]
     order = np.argsort(key, kind="stable")
     key = key[order]
     # a little wider than the distance, so rounding drops no pair
@@ -441,17 +482,17 @@ def _close_pairs(ts, pts, threshold, diag_gap):
     # adds at most n - 1 more
     chunk = start // max(1, (_SCAN_ROWS - 1) * (n - 1))
     out = [np.empty(0, dtype=np.intp)]
-    for rows in np.split(np.arange(n), np.flatnonzero(np.diff(chunk)) + 1):
-        c = count[rows]
-        row = np.repeat(rows, c)
-        col = row + 1 + np.arange(len(row)) - np.repeat(start[rows] - start[rows[0]], c)
+    cuts = [0, *((chunk[1:] != chunk[:-1]).nonzero()[0] + 1).tolist(), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        c = count[lo:hi]
+        row = np.repeat(np.arange(lo, hi), c)
+        col = row + 1 + np.arange(len(row)) - np.repeat(start[lo:hi] - start[lo], c)
         i, j = np.minimum(order[row], order[col]), np.maximum(order[row], order[col])
-        d2 = _sum_terms([(np.take(c, i) - np.take(c, j)) ** 2 for c in pts.T])
+        d2 = _sum_terms([(c.take(i) - c.take(j)) ** 2 for c in coords])
         sep = np.abs(ts[i] - ts[j])
         keep = (d2 < threshold) & ~(np.minimum(sep, 1.0 - sep) < diag_gap)
         out.append(i[keep] * n + j[keep])
-    pair = np.sort(np.concatenate(out))
-    return np.stack((pair // n, pair % n), axis=1)
+    return _columns(*np.divmod(np.sort(np.concatenate(out)), n))
 
 
 _MONOTONE_SPAN = 16   # longest short way, in grid steps, that _may_cross inspects
@@ -478,7 +519,8 @@ def _may_cross(pts, cand):
     width = int(span.max(initial=0))
     steps = start[:, None] + np.arange(width)   # the segments of each short way
     wrap = np.arange(n + width + 1) % n         # the grid, extended past its seam
-    terms = [np.take(np.diff(c[wrap]), steps) * (c[end] - c[start])[:, None] for c in pts.T]
+    terms = [(c[wrap[1:]] - c[wrap[:-1]]).take(steps) * (c[end] - c[start])[:, None]
+             for c in pts.T]
     along = (np.arange(width) >= span[:, None]) | (_sum_terms(terms) > 0)
     keep = np.ones(len(cand), dtype=bool)
     keep[near[along.all(axis=1)]] = False
@@ -568,7 +610,7 @@ def _min_distance_to_curve(curve, samples, points):
     node, seed = [], []
     for k, x in enumerate(points):
         d2 = sum((c - xc) ** 2 for c, xc in zip(cols, x))
-        best[k] = np.min(d2)
+        best[k] = d2.min()
         if best[k] < spacing2:
             # the nearest sample of each branch: a cyclic local minimum
             i = np.flatnonzero(d2 < spacing2)
@@ -608,7 +650,7 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     pts = samples[1]
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
-    nodes = np.vstack((b, p.reshape(-1, len(b))))   # node 0 is b, node k probe k
+    nodes = np.concatenate((b[None], p.reshape(-1, len(b))))   # node 0 is b, node k probe k
     near = _min_distance_to_curve(curve, samples, nodes) < POINT_TOL
     if near.any():
         k = int(np.argmax(near))
@@ -637,7 +679,7 @@ def _winding(polygon, points):
     block of points at a time: no temporary holds more than _CHUNK_CELLS
     (points x vertices) cells, and the rest scale with the polygon or with
     the edges marked."""
-    x, y = (np.append(c, c[0]) for c in polygon.T)   # closed: vertex n is vertex 0
+    x, y = (np.concatenate((c, c[:1])) for c in polygon.T)   # closed: vertex n is vertex 0
     rows = max(1, _CHUNK_CELLS // len(y))
     out = np.zeros(len(points), dtype=int)
     for s in range(0, len(points), rows):
@@ -702,10 +744,10 @@ class NumericContext:
         half = 0.5 * (b - a)
         ts = ((half[:, None] * nodes + 0.5 * (a + b)[:, None]) % 1.0).ravel()
         x, v, acc = curve.jet(ts)
-        kg = _geodesic_curvature(curve.surface, x, v, acc) * np.linalg.norm(v, axis=-1)
+        kg = _geodesic_curvature(curve.surface, x, v, acc) * _norm(v)
 
         def integral(f):   # over each arc, of f at its nodes
-            return half * np.sum(weights * f.reshape(len(spans), -1), axis=1)
+            return half * (weights * f.reshape(len(spans), -1)).sum(axis=1)
 
         self.arc_spans = spans
         self.arc_kg = integral(kg).tolist()
@@ -763,7 +805,7 @@ class NumericContext:
         parameter, or an array of them)."""
         surface = self.curve.surface
         x, v = self.curve.jet(t, 1)
-        left = surface.left_normal(x, v / np.linalg.norm(v, axis=-1, keepdims=True))
+        left = surface.left_normal(x, v / _norm(v)[..., None])
         return (surface.project(x + PROBE_EPS * left),
                 surface.project(x - PROBE_EPS * left))
 

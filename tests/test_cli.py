@@ -424,6 +424,11 @@ def test_usage_error_exit_code(capsys):
     ("birth:0:x.1:0.0.750:opposite", "error: bad cycle in position 'x.1': 'x'\n"),
     ("birth:0:0.0.250:0.0.750:opposite:plan=gX",
      "error: bad genus in plan piece 'gX': 'X'\n"),
+    # integers are read as in a diagram file: 0 or [1-9][0-9]* in ASCII
+    ("bigon:+0", "error: bad region id: '+0'\n"),
+    ("bigon:0_0", "error: bad region id: '0_0'\n"),
+    ("birth:0:0.0.0250:0.0.750:opposite",
+     "error: bad permille in position '0.0.0250': '0250'\n"),
 ])
 def test_move_site_errors_name_the_bad_field(capsys, site, message):
     code, out, err = run(capsys, "move", "circle_sphere", "--site", site)

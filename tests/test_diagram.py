@@ -126,6 +126,38 @@ def test_parse_names_the_first_fault(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    ("curve 1_0+ 1_0+\nbase 0\n", "line 1: bad crossing label: '1_0'"),
+    ("curve 01+ 01+\nbase 0\n", "line 1: bad crossing label: '01'"),
+    ("curve +1+ +1+\nbase 0\n", "line 1: bad crossing label: '+1'"),
+    ("curve 1+ 2- 2- 1\u0661+\nbase 0\n", "line 1: bad crossing label: '1\u0661'"),
+    ("curve 1+ 1+\nregion \u0661 genus=0 cycles=0\nbase 0\n",
+     "line 2: bad region id: '\u0661'"),
+    ("curve 1+ 1+\nregion 02 genus=0 cycles=2\nbase 2\n", "line 2: bad region id: '02'"),
+    ("curve 1+ 1+\nregion 0 genus=+0 cycles=0\nbase 0\n", "line 2: bad genus: '+0'"),
+    ("curve 1+ 1+\nregion 0 genus=0 cycles=+2\nbase 0\n", "line 2: bad cycle list"),
+    ("curve 1+ 1+\nbase \u0662\n", "line 2: bad base region: '\u0662'"),
+    ("curve 1+ 1+\nbase -0\n", "line 2: bad base region: '-0'"),
+    ("surface genus=0_0\ncurve 1+ 1+\nbase 0\n", "line 1: bad genus: '0_0'"),
+    ("curve\t1+\t01+ 2- 2-\nbase 0\n", "line 1: bad crossing label: '01'"),
+    ("curve 1+ 2-\x1f+1+ 2-\nbase 0\n", "line 1: bad crossing label: '+1'"),
+])
+def test_parse_reads_integers_only_as_serialize_writes_them(text, message):
+    # 0 or [1-9][0-9]* in ASCII; int() alone reads each of these
+    with pytest.raises(ParseError) as exc:
+        parse_diagram(text)
+    assert str(exc.value) == message
+
+
+def test_parse_reads_curve_lines_that_only_look_faulty():
+    # a comment or other whitespace that the whole-line tests flag: the
+    # per-token checks find no fault
+    want = parse_diagram("curve 1+ 2- 10+ 2- 1+ 10+\nbase 0\n")
+    for line in ("curve 1+ 2- 10+ 2- 1+ 10+ # 0_1 +1 \u0661",
+                 "curve\t1+ 2-\x1f10+ 2- 1+\t10+"):
+        assert parse_diagram(line + "\nbase 0\n") == want
+
+
 def test_parse_and_build_trace_once_and_assemble_without_walking_cycles(monkeypatch):
     """The trace yields dart -> cycle, so assembly never walks the cycles."""
     calls, walks = [], []
@@ -173,8 +205,7 @@ def test_parse_reads_default_region_lines_without_a_region_table(monkeypatch):
     """Region lines that declare region i = genus 0 and cycle i, written
     as serialize_diagram writes a diagram of default regions, give that
     diagram without a region table; any other lines go through one, the
-    same regions written another way (extra spaces, a comment, an id with a
-    leading zero) too."""
+    same regions written another way (extra spaces, a comment) too."""
     # each golden code with its default regions on the carrier surface
     defaults = [build_diagram(d.code, base_region=d.n % 3) for d in GOLDEN.values()]
     assert len(defaults) > 30
@@ -192,8 +223,7 @@ def test_parse_reads_default_region_lines_without_a_region_table(monkeypatch):
                               (fig8 + "region 2 genus=0 cycles=0,2\nbase 2\n", 1),
                               ("surface genus=1\ncurve -\n" + TORUS_REGIONS + "base 1\n", 1),
                               (fig8 + "region 2  genus=0 cycles=2\nbase 2\n", 1),
-                              (fig8 + "region 2 genus=0 cycles=2 # outside\nbase 2\n", 1),
-                              (fig8 + "region 02 genus=0 cycles=2\nbase 2\n", 1)):
+                              (fig8 + "region 2 genus=0 cycles=2 # outside\nbase 2\n", 1)):
         tables.clear()
         try:
             parse_diagram(text)

@@ -14,6 +14,7 @@ tables, or the same error class and message.
 """
 
 import random
+import re
 from dataclasses import replace
 
 from curveinv.diagram import (
@@ -35,15 +36,22 @@ STRAY = ["", "   ", "# comment", "bogus", "curve", "region", "base", "surface",
          "region 0 genus=0 cycles=", "region 0 genus=0 cycles=0,,1",
          "region x genus=0 cycles=0", "base 0 1", "base x", "1+", "curve -",
          "region 0 genux=0 cycles=0", "region 0 genus=-1 cycles=0",
-         "region 0 genus=0 cycle=0", "region 0 genus=x cycles=y", "region -1 genus=0 cycles=0"]
+         "region 0 genus=0 cycle=0", "region 0 genus=x cycles=y", "region -1 genus=0 cycles=0",
+         "base +0", "base \u0662", "surface genus=0_0", "region 0 genus=-0 cycles=0"]
+DECIMAL = re.compile(r"0|-?[1-9][0-9]*")   # an integer as serialize_diagram writes it, or negative
 
 
 def reference_parse(text):
     """The diagram file format read one field at a time, with the dart
     tables built by walking every traced cycle."""
+    def decimal(text):
+        if DECIMAL.fullmatch(text) is None:
+            raise ValueError(text)
+        return int(text)
+
     def parse_int(text, line_no, what):
         try:
-            return int(text)
+            return decimal(text)
         except ValueError:
             raise ParseError(f"bad {what}: {text!r}", line_no) from None
 
@@ -84,7 +92,7 @@ def reference_parse(text):
             if not fields[3].startswith("cycles="):
                 raise ParseError("expected cycles=<c1,c2,...>", line_no)
             try:
-                cycles = tuple(int(c) for c in fields[3][len("cycles="):].split(","))
+                cycles = tuple(decimal(c) for c in fields[3][len("cycles="):].split(","))
             except ValueError:
                 raise ParseError("bad cycle list", line_no) from None
             region_lines.append((line_no, rid, genus, cycles))
@@ -204,7 +212,8 @@ def curve_tokens(rng, visits):
         k = rng.randrange(len(tokens))
         tokens[k] = rng.choice([tokens[k][:-1], tokens[k][:-1] + "*", "0+", "-3+",
                                 "x+", tokens[k][:-1] + ("-" if tokens[k][-1] == "+" else "+"),
-                                tokens[k] + " " + tokens[k], "+"])
+                                tokens[k] + " " + tokens[k], "+", "1_0+", "01+", "+1+",
+                                "\u0661+"])
     return tokens
 
 
@@ -251,7 +260,7 @@ def default_region_text(rng):
         lines[k] = line + " # comment"
     elif kind == 3:
         return "\r\n".join(lines) + "\r\n"
-    elif kind == 4:     # read by the field path as region i
+    elif kind == 4:     # a bad region id or cycle list: a leading zero or sign
         lead, lead2 = rng.choice(["0", "+"]), rng.choice(["", "0", "+"])
         lines[k] = f"region {lead}{i} genus=0 cycles={lead2}{i}"
     elif kind == 5:

@@ -15,16 +15,20 @@ pairs that cannot cross, and seeding from every close pair is kept as a
 reference.  The loops that the straddling-edge winding count, the one-gather
 seed filter and the whole-array root merge replaced are kept too, and the
 kernels must equal them exactly.  Every curve's jet must agree with central
-differences of its own lower terms.
+differences of its own lower terms.  The kernels build their frames, norms
+and jets in components; the numpy helper formulas they replaced (np.stack
+jets, np.cross, np.einsum, np.linalg.norm) are kept as references, to
+rounding, and a context must call none of those helpers.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from curveinv import geometry
-from curveinv.catalog import parametric_fixture
+from curveinv.catalog import PARAMETRIC_NAMES, parametric_fixture
 from curveinv.geometry import (
     FLAT_TORUS,
     GreatCircle,
@@ -767,3 +771,109 @@ def test_lower_order_jets_are_bitwise_prefixes(curve, t):
         low = curve.jet(t, order)
         assert len(low) == order + 1
         assert [a.tobytes() for a in low] == [a.tobytes() for a in full[:order + 1]]
+
+
+# -- component arithmetic against the numpy helpers it replaced ----------------
+
+PARAMS = {"scalar": 0.3, "1-D": (np.arange(50) + 0.5) / 50,
+          "arcs x nodes": ((np.arange(24) + 0.25) / 24).reshape(4, 6)}
+FIXTURE_CURVES = [GreatCircle(), LatitudeCircle(math.pi / 3), SphereFigureEight(),
+                  SphereFigureEight(0.2, 0.1), TorusCircle(), TorusCircle(0.35, center=(0.4, 0.6))]
+
+
+def jet_reference(curve, t):
+    """p, p', p'' as the fixture curves wrote them with np.stack, and the
+    figure eight's tilt as a matrix product."""
+    s = 2 * math.pi * np.asarray(t, dtype=float)
+    w = 2 * math.pi
+    if isinstance(curve, SphereFigureEight):
+        c, d = math.cos(curve.tilt), math.sin(curve.tilt)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -d], [0.0, d, c]])
+        s = s + curve.phase
+        c2, s2, s1 = np.cos(2 * s), np.sin(2 * s), np.sin(s)
+        return (np.stack([0.5 * (1.0 + c2), 0.5 * s2, s1], axis=-1) @ rot.T,
+                w * np.stack([-s2, c2, np.cos(s)], axis=-1) @ rot.T,
+                w ** 2 * np.stack([-2 * c2, -2 * s2, -s1], axis=-1) @ rot.T)
+    c, d, z = np.cos(s), np.sin(s), np.zeros_like(s)
+    if isinstance(curve, TorusCircle):
+        return (curve.center + curve.rho * np.stack([c, d], axis=-1),
+                w * curve.rho * np.stack([-d, c], axis=-1),
+                -w ** 2 * curve.rho * np.stack([c, d], axis=-1))
+    sa, ca = ((1.0, 0.0) if isinstance(curve, GreatCircle)
+              else (math.sin(curve.alpha), math.cos(curve.alpha)))
+    return (np.stack([sa * c, sa * d, ca * np.ones_like(s)], axis=-1),
+            w * sa * np.stack([-d, c, z], axis=-1),
+            -w ** 2 * sa * np.stack([c, d, z], axis=-1))
+
+
+def assert_same(got, want):
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("curve", FIXTURE_CURVES, ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize("t", PARAMS.values(), ids=PARAMS.keys())
+def test_jets_match_stack_reference(curve, t):
+    want = jet_reference(curve, t)
+    for order in (0, 1, 2):
+        got = curve.jet(t, order)
+        assert len(got) == order + 1
+        for g, w in zip(got, want):
+            assert_same(g, w)
+
+
+@pytest.mark.parametrize("curve", FIXTURE_CURVES, ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize("t", PARAMS.values(), ids=PARAMS.keys())
+def test_norms_and_curvature_match_helper_formulas(curve, t):
+    x, v, a = curve.jet(t)
+    for u in (x, v, a):
+        assert_same(geometry._norm(u), np.linalg.norm(u, axis=-1))
+    speed = np.linalg.norm(v, axis=-1)
+    if curve.surface is FLAT_TORUS:
+        turn = v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]
+        u = v / speed[..., None]
+        assert_same(FLAT_TORUS.left_normal(x, u), np.stack([-u[..., 1], u[..., 0]], axis=-1))
+    else:
+        turn = np.einsum("...i,...i->...", x, np.cross(v, a))
+    assert_same(geometry.geodesic_curvature(curve, t), turn / speed ** 3)
+
+
+@pytest.mark.parametrize("curve", FIXTURE_CURVES[:4], ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize("t", PARAMS.values(), ids=PARAMS.keys())
+def test_sphere_frames_match_helper_formulas(curve, t):
+    x, v, a = curve.jet(t)
+    off = 1.001 * x   # off the sphere, as a side probe before its projection
+    project = off / np.linalg.norm(off, axis=-1, keepdims=True)
+    assert_same(UNIT_SPHERE.project(off), project)
+    for frame in ((v, a), (a, v), (x, v)):
+        assert_same(UNIT_SPHERE.orientation(x, *frame),
+                    np.einsum("...i,...i->...", x, np.cross(*frame)))
+    u = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    assert_same(UNIT_SPHERE.left_normal(off, u), np.cross(project, u))
+    for s in np.vstack((np.eye(3), -np.eye(3))):   # the six poles, those off the curve
+        if np.min(1.0 - x @ s) < 1e-3:
+            continue
+        ctx = SimpleNamespace(_fixed_probes=s[None], fixed_index=[7])
+        alpha, index = UNIT_SPHERE.area_form(ctx, x, v)
+        assert index == 7
+        assert_same(alpha, -(np.cross(x, v) @ s) / (1.0 - x @ s))
+
+
+def test_contexts_call_no_numpy_helper(monkeypatch):
+    # the kernels' frames, norms, jets and pair table are written in
+    # components: at a context's array sizes these helpers' per-call checks
+    # cost more than their arithmetic
+    calls = []
+
+    def counting(name, helper):
+        return lambda *args, **kw: calls.append(name) or helper(*args, **kw)
+
+    for owner, name in ((np, "cross"), (np.linalg, "norm"), (np, "ptp"), (np, "split"),
+                        (np, "stack")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for name in PARAMETRIC_NAMES:
+        fx = parametric_fixture(name)
+        for cfg in (NumericConfig(), NumericConfig().halved()):
+            ctx = NumericContext(fx.curve, fx.base_point, cfg)
+            geometry.extract_diagram(fx.curve, fx.base_point, cfg, context=ctx)
+    assert calls == []
