@@ -23,8 +23,13 @@ chart of the surface (stereographic on the sphere, the fundamental domain
 on the torus), less that around the base point.  On the sphere one pole,
 the axis pole farthest from the curve, is the chart's point at infinity,
 alpha's singular point and the fixed probe that alpha reads with its index.
-The faces that hold the base point and the torus chart's corner, the base
-region and the genus-1 face, are read at their nearest samples (_face_dart).
+The arc indices are prefix sums of the crossing signs along the curve plus
+one constant, fixed by an anchor: its index, and its face read at its
+nearest sample (_face_dart).  The anchor is the pole on the sphere and the
+chart's corner (0, 0), in the genus-1 face, on the torus; extract_diagram
+checks the base point's face, read the same way, against the arc indices.
+A base at the pole is the anchor: its misread face shifts every arc index,
+and the level areas, whose 4 pi goes by the pole's winding number, fail.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -72,7 +77,6 @@ POSITION_TOL = 1e-9    # accepted residual distance at a crossing
 MERGE_TOL = 1e-8       # duplicate merge radius in parameter space
 ANGLE_FLOOR = 1e-4     # genericity floor on crossing angles (rad)
 DIAG_GAP = 5e-3        # excluded |t1 - t2| band near the diagonal
-PROBE_EPS = 1e-3       # offset of the side probes from the curve
 POINT_TOL = 1e-6       # minimum probe distance from the curve
 
 
@@ -129,18 +133,19 @@ def _cross(u, w):
 # model surfaces; each has chi and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
-#   left_normal(x, u)     the left unit normal of a unit tangent u at x
 #   fixed_probes(pts)     (k, d) points off the samples pts; area_form
 #                         reads them and their indices from the context
+#   anchor(fixed)         the point, off the curve, whose index and face fix
+#                         the arc indices, given the fixed probes
 #   plane(pts, x)         points x in an orientation-preserving planar chart
 #                         of the surface minus one point off the samples pts;
 #                         that point maps to nan
 #   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
-# On the sphere the chart's missing point, the one fixed probe and alpha's
-# singular point are the same pole, which pole(pts) chooses from the samples
-# for fixed_probes and plane; area_form reads the probe.
+# On the sphere the chart's missing point, the one fixed probe, the anchor
+# and alpha's singular point are the same pole, which pole(pts) chooses from
+# the samples for fixed_probes and plane; area_form reads the probe.
 
 
 class _UnitSphere:
@@ -154,9 +159,6 @@ class _UnitSphere:
 
     def project(self, x):
         return x / _norm(x)[..., None]
-
-    def left_normal(self, x, u):
-        return _columns(*_cross(self.project(x), u))
 
     def pole(self, pts):
         """(a, sign) of the pole s = sign e_a: the one of +-e1, +-e2, +-e3
@@ -173,6 +175,9 @@ class _UnitSphere:
         s = np.zeros((1, 3))
         s[0, a] = sign
         return s
+
+    def anchor(self, fixed):
+        return fixed[0]   # the pole
 
     def plane(self, pts, x):
         """Stereographic projection of x from the pole s onto axes (e1, e2)
@@ -215,11 +220,11 @@ class _FlatTorus:
     def project(self, x):
         return x
 
-    def left_normal(self, x, u):
-        return _columns(-u[..., 1], u[..., 0])
-
     def fixed_probes(self, pts):
         return np.empty((0, 2))
+
+    def anchor(self, fixed):
+        return np.zeros(2)   # the chart's corner, outside the curve
 
     def plane(self, pts, x):
         return x   # the chart holds the curve's plane lift
@@ -229,11 +234,11 @@ class _FlatTorus:
 
     def regions(self, ctx, cycles):
         """Genus 1 for the chart-unbounded face, 0 for the others: the face
-        holding the chart's corner (0, 0), which is outside the curve."""
+        holding the chart's corner (0, 0), the context's anchor."""
         pts = ctx.samples[1]
         if pts[:-1].min() < 1e-6 or pts[:-1].max() > 1 - 1e-6:
             raise ChartViolation("the curve leaves the open fundamental-domain chart")
-        outer = _face_dart(ctx, (0.0, 0.0))
+        outer = ctx.anchor_dart
         return [(1 if outer in cycle else 0, (c,)) for c, cycle in enumerate(cycles)]
 
 
@@ -714,9 +719,10 @@ class NumericContext:
     one (arcs x line_nodes) array of Gauss-Legendre nodes) and the area of
     every index level, folded from the latter; every invariant is then a
     cheap weighted sum over these tables.  The double points come from one
-    batched Newton refinement of all seeds, and every index from one
-    point_index call: the winding numbers, in the surface's planar chart,
-    of the side probes of all arcs and of the surface's fixed probes.
+    batched Newton refinement of all seeds, and the arc indices from the
+    crossing signs and one point_index call, on the base and the surface's
+    anchor (the pole; the torus chart's corner).  A crossing index that is
+    not an integer or a level area that is not positive is a TopologyError.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -738,7 +744,8 @@ class NumericContext:
         curve, cfg = self.curve, self.cfg
         bounds = [t for t, _ in events] or [0.0]
         spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
-        self._index_probes(spans)
+        self.arc_spans = spans   # read by _face_dart
+        self._index_arcs()
         nodes, weights = _leggauss(cfg.line_nodes)
         a, b = np.array(spans).T
         half = 0.5 * (b - a)
@@ -749,7 +756,6 @@ class NumericContext:
         def integral(f):   # over each arc, of f at its nodes
             return half * (weights * f.reshape(len(spans), -1)).sum(axis=1)
 
-        self.arc_spans = spans
         self.arc_kg = integral(kg).tolist()
         form = curve.surface.area_form(self, x, v)
         self.level_area = {} if form is None else self._fold_levels(integral(form[0]), form[1])
@@ -783,31 +789,23 @@ class NumericContext:
                 raise TopologyError(f"index level {i} has area {a}")
         return area
 
-    def _index_probes(self, spans):
-        """One point_index call for the side probes at the middle of every
-        arc and the surface's fixed probes: sets arc_index, and the fixed
-        probes with their fixed_index."""
-        t = 0.5 * np.sum(spans, axis=1) % 1.0
-        n = len(t)
-        self._fixed_probes = self.curve.surface.fixed_probes(self.samples[1])
-        probes = np.concatenate((*self._side_probes(t), self._fixed_probes))
-        ind = point_index(self.curve, self.base_point, probes, self.cfg, samples=self.samples)
-        for tk, il, ir in zip(t, ind[:n], ind[n:2 * n]):
-            if il != ir + 1:
-                raise TopologyError(
-                    f"side probes at t={tk:.6f} give indices {il}/{ir}, expected a +1 jump"
-                )
-        self.arc_index = ind[n:2 * n]   # the lower side v of index v + 1/2
-        self.fixed_index = ind[2 * n:]
-
-    def _side_probes(self, t):
-        """The points PROBE_EPS left and right of the curve at t (one
-        parameter, or an array of them)."""
+    def _index_arcs(self):
+        """Sets arc_index, fixed_index and anchor_dart.  The index just right
+        of the curve drops by own at each passage, +sign at a crossing's first
+        parameter and -sign at its second, from the anchor's index and face."""
         surface = self.curve.surface
-        x, v = self.curve.jet(t, 1)
-        left = surface.left_normal(x, v / _norm(v)[..., None])
-        return (surface.project(x + PROBE_EPS * left),
-                surface.project(x - PROBE_EPS * left))
+        self._fixed_probes = surface.fixed_probes(self.samples[1])
+        anchor = surface.anchor(self._fixed_probes)
+        index, = point_index(self.curve, self.base_point, anchor[None], self.cfg,
+                             samples=self.samples)
+        self.fixed_index = [index] * len(self._fixed_probes)   # a fixed probe is the anchor
+        self.anchor_dart = _face_dart(self, anchor)
+        dps = self.double_points
+        right = list(itertools.accumulate(
+            -dps[k].sign if t == dps[k].t1 else dps[k].sign for t, k in self.events)) or [0]
+        arc, side = divmod(self.anchor_dart, 2)   # anchor_dart = dart_id(arc, side)
+        shift = index - right[arc] - (1 if side == LEFT else 0)
+        self.arc_index = [v + shift for v in right]   # the lower side v of index v + 1/2
 
     # -- weighted sums over the cached tables
 
@@ -891,11 +889,11 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
     diagram, base = extracted
     ind = index_function(diagram, base)
     lhs = TWO_PI * subsurface_chi(diagram, ind, j)
-    rhs = ctx.area_integral(lambda i: 1.0 if i > j else 0.0)
-    rhs += sum(w for v, w in zip(ctx.arc_index, ctx.arc_kg) if 2 * v + 1 == 2 * j)
-    half = Fraction(1, 2)
-    rhs += ctx.crossing_sum(lambda theta, i: (math.pi - theta) if i == j - half else 0.0)
-    rhs -= ctx.crossing_sum(lambda theta, i: (math.pi - theta) if i == j + half else 0.0)
+    twice_j = j.numerator   # subsurface_chi checked that j is a half odd integer
+    rhs = ctx.area_integral(lambda i: 1.0 if 2 * i > twice_j else 0.0)
+    rhs += sum(w for v, w in zip(ctx.arc_index, ctx.arc_kg) if 2 * v + 1 == twice_j)
+    rhs += ctx.crossing_sum(lambda theta, i: (math.pi - theta) if 2 * i == twice_j - 1 else 0.0)
+    rhs -= ctx.crossing_sum(lambda theta, i: (math.pi - theta) if 2 * i == twice_j + 1 else 0.0)
     return lhs, rhs
 
 
@@ -911,8 +909,9 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     sphere every complement region of a connected curve is a disk, on the
     torus the unique chart-unbounded face receives genus 1.  The base
     region holds the base point (_face_dart); arc 0's left side must have
-    index arc_index[0] + 1 from it.  A given context supplies the samples
-    and the config.  Returns (diagram, base region id).
+    index arc_index[0] + 1 from it, as the anchor's index and face set it.
+    A given context supplies the samples and the config.  Returns
+    (diagram, base region id).
     """
     ctx = context or NumericContext(curve, base_point, cfg)
     code = SignedGaussCode(tuple(

@@ -1,15 +1,17 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from test_numeric_kernels import Epicycle
+from test_numeric_kernels import Epicycle, side_probe_indices, side_probes
 
 import curveinv.diagram as diagram_module
 from curveinv import geometry, laurent
-from curveinv.catalog import parametric_fixture
+from curveinv.catalog import PARAMETRIC_NAMES, parametric_fixture
 from curveinv.diagram import canonicalize, index_function
 from curveinv.errors import (
     ChartViolation,
@@ -40,6 +42,9 @@ from curveinv.geometry import (
     point_index,
 )
 from curveinv.invariants import full_report
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.generators import NUMERIC_KINDS, draw_curve  # noqa: E402
 
 CFG = NumericConfig()   # the default grid
 SOUTH = (0.0, 0.0, -1.0)
@@ -168,7 +173,7 @@ def test_point_index_path_independence(contexts):
     curve = ctx.curve
     probes = []
     for t in (0.1, 0.3, 0.6, 0.85):
-        pl, pr = ctx._side_probes(t)
+        pl, pr = side_probes(ctx, t)
         probes.extend([pl, pr])
     idx = [point_index(curve, ctx.base_point, p, CFG) for p in probes]
     for p, i in zip(probes, idx):
@@ -338,7 +343,7 @@ def test_level_areas_agree_for_every_axis_pole(monkeypatch, name):
 def test_point_index_on_context_samples(contexts):
     ctx = contexts["fig8"]
     for t in (0.1, 0.6):
-        for probe in ctx._side_probes(t):
+        for probe in side_probes(ctx, t):
             assert point_index(ctx.curve, ctx.base_point, probe, CFG) == \
                 point_index(ctx.curve, ctx.base_point, probe, CFG, samples=ctx.samples)
 
@@ -418,6 +423,14 @@ def test_extract_torus_circle(contexts):
     rep = full_report(diagram, base)
     assert rep.rotation == (1, 0)
     assert rep.iq == laurent.HalfLaurent({1: 1})
+
+
+@pytest.mark.parametrize("base_point,base_genus", [((0.05, 0.05), 1), ((0.5, 0.5), 0)])
+def test_torus_genus_goes_to_the_face_of_the_chart_corner(base_point, base_genus):
+    # the genus-1 face holds the chart's corner, wherever the base point is
+    diagram, base = extract_diagram(TorusCircle(0.2), base_point, CFG)
+    assert [r.genus for r in diagram.regions] == [base_genus if r == base else 1 - base_genus
+                                                  for r in range(2)]
 
 
 def test_torus_curve_leaving_the_chart_is_a_chart_violation():
@@ -504,21 +517,86 @@ def test_epicycle_base_region_holds_the_base_point(k, a, base_region):
 
 
 def test_seeded_torus_base_regions_hold_the_base_point():
-    # in draws 62, 77, 89 and 97 another region has the base point's index;
-    # the draws whose side probes fail, a separate defect of near-cusps and
-    # close branches, are skipped
-    checked = []
+    # in draws 62, 77, 89 and 97 another region has the base point's index
     for i, curve, base_point in seeded_torus_curves(100):
-        try:
-            ctx = NumericContext(curve, base_point, CFG.halved())
-        except TopologyError as exc:
-            assert "side probes" in str(exc)
-            continue
+        ctx = NumericContext(curve, base_point, CFG.halved())
         diagram, base = extract_diagram(curve, base_point, context=ctx)
-        want = segment_base_regions(ctx, diagram)
-        assert want == {base}, i
-        checked.append(i)
-    assert len(checked) >= 90 and {62, 77, 89, 97} <= set(checked)
+        assert segment_base_regions(ctx, diagram) == {base}, i
+
+
+def test_a_missed_crossing_fails_the_parity_check(monkeypatch):
+    # without one double point, a crossing interleaved with it has an odd
+    # number of passages between its own two: its arcs give no integer index
+    find = geometry.find_double_points
+    monkeypatch.setattr(geometry, "find_double_points", lambda curve, cfg: find(curve, cfg)[1:])
+    with pytest.raises(TopologyError, match="non-integer index"):
+        NumericContext(Epicycle(9, 0.5), (0.05, 0.05), CFG)
+
+
+def test_a_context_makes_one_point_index_call_on_two_nodes(monkeypatch):
+    # the base point and the anchor: the pole, or the torus chart's corner
+    nodes = []
+    point_index_ = geometry.point_index
+
+    def counted(curve, b, p, *args, **kwargs):
+        nodes.append(1 + len(p))
+        return point_index_(curve, b, p, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "point_index", counted)
+    cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+    for curve, base_point in cases + [(Epicycle(17, 0.5), (0.05, 0.05))]:
+        nodes.clear()
+        NumericContext(curve, base_point, CFG)
+        assert nodes == [2]
+
+
+def side_probe_cases(family):
+    """(curve, base point) of one family of contexts: the 64 curves of the
+    numeric_verify benchmark workload at seeds 3, 5 and 7, five epicycles,
+    or the 100 seeded torus curves."""
+    if family == "specs":
+        for seed in (3, 5, 7):
+            rng = random.Random(f"numeric_verify:{seed}")
+            for k in range(64):
+                spec = draw_curve(rng, NUMERIC_KINDS[k % len(NUMERIC_KINDS)])
+                yield spec.curve, spec.base_point
+    elif family == "epicycles":
+        for k, a in ((5, 0.5), (9, 0.5), (13, 0.45), (17, 0.5), (25, 0.5)):
+            yield Epicycle(k, a), (0.05, 0.05)
+    else:
+        for _i, curve, base_point in seeded_torus_curves(100):
+            yield curve, base_point
+
+
+@pytest.mark.parametrize("family,least", [("specs", 192), ("epicycles", 5),
+                                          ("seeded_torus", 94)])
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_arc_indices_equal_side_probe_indices(family, least, cfg):
+    # the arc indices, prefix sums of the crossing signs from one anchor,
+    # equal the side probes' wherever the probes succeed: every spec and
+    # epicycle; 6 seeded draws (near-cusps and close branches) fail them
+    checked = 0
+    for curve, base_point in side_probe_cases(family):
+        ctx = NumericContext(curve, base_point, cfg)
+        want = side_probe_indices(ctx)
+        if want is not None:
+            assert ctx.arc_index == want
+            checked += 1
+    assert checked >= least
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_epicycle_with_352_crossings_matches_exact_iq(cfg):
+    # k = 33: the mid-arc side probes 1e-3 off the curve misread it at both
+    # grids (side_probe_indices is None); the arc indices do not use them
+    curve = Epicycle(33, 0.5)
+    ctx = NumericContext(curve, (0.05, 0.05), cfg)
+    assert len(ctx.double_points) == 352
+    diagram, base = extract_diagram(curve, ctx.base_point, context=ctx)
+    iq = full_report(diagram, base).iq
+    for q, got in zip((0.5, 2.0, 3.0), numeric_iq(curve, ctx.base_point, (0.5, 2.0, 3.0),
+                                                   context=ctx)):
+        assert abs(got - laurent.eval_real(iq, q)) <= 1e-10, q
 
 
 @pytest.mark.parametrize("name", ["latitude", "fig8"])
@@ -528,3 +606,28 @@ def test_a_base_face_on_the_wrong_side_fails_the_cross_check(contexts, monkeypat
     ctx = contexts[name]
     with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
         extract_diagram(ctx.curve, ctx.base_point, context=ctx)
+
+
+AREA_CHECK = "index level .* has area"
+FACE_CHECK = "base point's face disagrees with the arc indices"
+
+
+@pytest.mark.parametrize("curve,base_point,check", [
+    (LatitudeCircle(ALPHA), SOUTH, AREA_CHECK),                 # the base is the anchor
+    (SphereFigureEight(), (-1.0, 0.0, 0.0), AREA_CHECK),        # the base is the anchor
+    (LatitudeCircle(ALPHA), (0.6, 0.0, -0.8), FACE_CHECK),
+    (TorusCircle(0.2), (0.05, 0.05), FACE_CHECK),
+])
+def test_a_base_face_misread_by_a_new_context_is_a_topology_error(monkeypatch, curve,
+                                                                   base_point, check):
+    # the arc indices rest on the anchor's index and face.  A base point
+    # elsewhere is read against them; a base at the sphere's pole is the
+    # anchor, whose level areas then disagree with its winding number
+    face_dart = geometry._face_dart
+
+    def misread(ctx, point):
+        return face_dart(ctx, point) ^ (np.asarray(point, dtype=float).tolist() == list(base_point))
+
+    monkeypatch.setattr(geometry, "_face_dart", misread)
+    with pytest.raises(TopologyError, match=check):
+        extract_diagram(curve, base_point, context=NumericContext(curve, base_point, CFG))

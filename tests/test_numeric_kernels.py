@@ -18,7 +18,10 @@ kernels must equal them exactly.  Every curve's jet must agree with central
 differences of its own lower terms.  The kernels build their frames, norms
 and jets in components; the numpy helper formulas they replaced (np.stack
 jets, np.cross, np.einsum, np.linalg.norm) are kept as references, to
-rounding, and a context must call none of those helpers.
+rounding, and a context must call none of those helpers.  The arc indices
+are prefix sums of the crossing signs plus one anchor; the side probes they
+replaced, a point PROBE_EPS to either side of the middle of every arc, are
+kept as a reference (side_probe_indices).
 """
 
 import math
@@ -29,6 +32,7 @@ import pytest
 
 from curveinv import geometry
 from curveinv.catalog import PARAMETRIC_NAMES, parametric_fixture
+from curveinv.errors import PointOnCurve
 from curveinv.geometry import (
     FLAT_TORUS,
     GreatCircle,
@@ -345,29 +349,60 @@ def test_batched_newton_equals_scalar_loop(curve):
     assert list(zip(*(r.tolist() for r in roots))) == [r for r in expected if r is not None]
 
 
-def probe_sets():
+PROBE_EPS = 1e-3   # the offset of side probes from the curve
+
+
+def side_probes(ctx, t, eps=PROBE_EPS):
+    """The points eps left and right of a context's curve at t (one
+    parameter, or an array of them)."""
+    surface = ctx.curve.surface
+    x, v = ctx.curve.jet(t, 1)
+    u = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    if surface is UNIT_SPHERE:
+        left = np.cross(x, u)
+    else:
+        left = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    return surface.project(x + eps * left), surface.project(x - eps * left)
+
+
+def side_probe_indices(ctx, eps=PROBE_EPS):
+    """The arc indices as the side probes at the middle of every arc read
+    them, in one point_index call: the index of each arc's right probe.
+    None where a probe lies on the curve, or where the two probes of an arc
+    do not differ by one."""
+    t = 0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0
+    left, right = side_probes(ctx, t, eps)
+    try:
+        ind = geometry.point_index(ctx.curve, ctx.base_point, np.concatenate((left, right)),
+                                   samples=ctx.samples)
+    except PointOnCurve:
+        return None
+    above, below = ind[:len(t)], ind[len(t):]
+    return below if above == [v + 1 for v in below] else None
+
+
+def probe_sets(eps=PROBE_EPS):
     """(context, probes) on three curves, with the probes of every pair
-    leg among: the base, side probes at four parameters and, on the
-    sphere, the north pole and the base's antipode.  Call with PROBE_EPS
-    set to 2e-4: side probes close to the curve, so that legs between them
-    end just short of a crossing of their great circle (chord line)."""
+    leg among: the base, side probes eps off the curve at four parameters
+    and, on the sphere, the north pole and the base's antipode.  At
+    eps = 2e-4 the side probes are close to the curve, so that legs between
+    them end just short of a crossing of their great circle (chord line)."""
     out = []
     for ctx in (NumericContext(SphereFigureEight(), (-1.0, 0.0, 0.0), CFG),
                 NumericContext(LatitudeCircle(1.0), (0.0, 0.0, -1.0), CFG),
                 NumericContext(TorusCircle(0.2), (0.05, 0.05), CFG)):
         probes = [ctx.base_point] + [p for t in np.linspace(0.05, 0.95, 4)
-                                     for p in ctx._side_probes(t)]
+                                     for p in side_probes(ctx, t, eps)]
         if ctx.curve.surface == UNIT_SPHERE:
             probes += [np.array([0.0, 0.0, 1.0]), -ctx.base_point]
         out.append((ctx, probes))
     return out
 
 
-def test_segment_index_equals_scalar_loop(monkeypatch):
+def test_segment_index_equals_scalar_loop():
     # every ordered pair of probes, degenerate legs of the reference skipped
-    monkeypatch.setattr(geometry, "PROBE_EPS", 2e-4)
     seen = set()
-    for ctx, probes in probe_sets():
+    for ctx, probes in probe_sets(2e-4):
         for b in probes:
             for p in probes:
                 want = segment_reference(ctx.curve, b, p, *ctx.samples)
@@ -414,7 +449,7 @@ def context_probes(ctx, stride=1):
     """The side probes of every stride-th arc of a context, with the index
     that the context gives each, then its fixed probe, if any, with its."""
     t = (0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0)[::stride]
-    left, right = ctx._side_probes(t)
+    left, right = side_probes(ctx, t)
     arcs = ctx.arc_index[::stride]
     return (list(zip(left, (v + 1 for v in arcs))) + list(zip(right, arcs))
             + list(zip(ctx.curve.surface.fixed_probes(ctx.samples[1]), ctx.fixed_index)))
@@ -831,8 +866,6 @@ def test_norms_and_curvature_match_helper_formulas(curve, t):
     speed = np.linalg.norm(v, axis=-1)
     if curve.surface is FLAT_TORUS:
         turn = v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]
-        u = v / speed[..., None]
-        assert_same(FLAT_TORUS.left_normal(x, u), np.stack([-u[..., 1], u[..., 0]], axis=-1))
     else:
         turn = np.einsum("...i,...i->...", x, np.cross(v, a))
     assert_same(geometry.geodesic_curvature(curve, t), turn / speed ** 3)
@@ -848,8 +881,6 @@ def test_sphere_frames_match_helper_formulas(curve, t):
     for frame in ((v, a), (a, v), (x, v)):
         assert_same(UNIT_SPHERE.orientation(x, *frame),
                     np.einsum("...i,...i->...", x, np.cross(*frame)))
-    u = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    assert_same(UNIT_SPHERE.left_normal(off, u), np.cross(project, u))
     for s in np.vstack((np.eye(3), -np.eye(3))):   # the six poles, those off the curve
         if np.min(1.0 - x @ s) < 1e-3:
             continue
