@@ -83,3 +83,7 @@ class PointOnCurve(CurveInvError):
 
 class ChartViolation(CurveInvError):
     """A torus curve leaves the fundamental-domain chart required for extraction."""
+
+
+class InvalidBasePoint(CurveInvError):
+    """A base point that is not a finite point of the curve's surface."""

@@ -31,6 +31,14 @@ checks the base point's face, read the same way, against the arc indices.
 A base at the pole is the anchor: its misread face shifts every arc index,
 and the level areas, whose 4 pi goes by the pole's winding number, fail.
 
+A context derives each fact of its two grids once: the seed grid of
+find_double_points, whose near seed pairs are mostly decided by the
+turning of their short way, with one jet per Newton step and one for the
+roots (up to _JOINT_JET seeds); and the dense samples, which carry the
+pole, chosen once, and the nearest sample of the base and the anchor, from
+the one distance scan of the context's one point_index call, for both face
+readings.
+
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
 counterclockwise contractible loop has positive geodesic curvature and
@@ -64,6 +72,7 @@ from .errors import (
     ChartViolation,
     ChiZero,
     DegenerateTangency,
+    InvalidBasePoint,
     NonPositiveQ,
     PointOnCurve,
     QOverflow,
@@ -130,28 +139,33 @@ def _cross(u, w):
 
 
 # ---------------------------------------------------------------------------
-# model surfaces; each has chi and these methods:
+# model surfaces; each has chi, dim (the length of a point) and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
-#   fixed_probes(pts)     (k, d) points off the samples pts; area_form
-#                         reads them and their indices from the context
+#   place(x)              a finite point x of length dim as a context reads
+#                         it; InvalidBasePoint if it is off the surface
+#   pole(pts)             the chart's missing point, chosen from the sample
+#                         points pts, as _Samples keeps it (None: no point)
+#   fixed_probes(samples) (k, d) points off the samples; area_form reads
+#                         them and their indices from the context
 #   anchor(fixed)         the point, off the curve, whose index and face fix
 #                         the arc indices, given the fixed probes
-#   plane(pts, x)         points x in an orientation-preserving planar chart
-#                         of the surface minus one point off the samples pts;
-#                         that point maps to nan
+#   plane(samples, x)     points x in an orientation-preserving planar chart
+#                         of the surface minus samples.pole; that point maps
+#                         to nan
 #   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
 # On the sphere the chart's missing point, the one fixed probe, the anchor
-# and alpha's singular point are the same pole, which pole(pts) chooses from
-# the samples for fixed_probes and plane; area_form reads the probe.
+# and alpha's singular point are the same pole, which pole(pts) chooses once
+# per sampling, for fixed_probes and plane; area_form reads the probe.
 
 
 class _UnitSphere:
     """The unit sphere in R^3: K = 1, chi = 2."""
 
     chi = 2
+    dim = 3
 
     def orientation(self, x, u, w):
         c0, c1, c2 = _cross(u, w)
@@ -159,6 +173,12 @@ class _UnitSphere:
 
     def project(self, x):
         return x / _norm(x)[..., None]
+
+    def place(self, x):
+        """x itself, if its norm is 1 within 1e-9."""
+        if not abs(math.hypot(*x.tolist()) - 1.0) <= 1e-9:
+            raise InvalidBasePoint(f"base point {tuple(x.tolist())} is not on the unit sphere")
+        return x
 
     def pole(self, pts):
         """(a, sign) of the pole s = sign e_a: the one of +-e1, +-e2, +-e3
@@ -169,9 +189,9 @@ class _UnitSphere:
         k = int(np.argmin(np.concatenate((cols.max(axis=1), -cols.min(axis=1)))))
         return k % 3, 1.0 if k < 3 else -1.0
 
-    def fixed_probes(self, pts):
+    def fixed_probes(self, samples):
         """The pole, as a stack of one point."""
-        a, sign = self.pole(pts)
+        a, sign = samples.pole
         s = np.zeros((1, 3))
         s[0, a] = sign
         return s
@@ -179,10 +199,10 @@ class _UnitSphere:
     def anchor(self, fixed):
         return fixed[0]   # the pole
 
-    def plane(self, pts, x):
+    def plane(self, samples, x):
         """Stereographic projection of x from the pole s onto axes (e1, e2)
         with (e1, e2, -s) right-handed."""
-        a, sign = self.pole(pts)
+        a, sign = samples.pole
         e1, e2 = (a + 2) % 3, (a + 1) % 3
         if sign < 0:
             e1, e2 = e2, e1
@@ -213,6 +233,7 @@ class _FlatTorus:
     are given by their plane lift."""
 
     chi = 0
+    dim = 2
 
     def orientation(self, x, u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
@@ -220,13 +241,21 @@ class _FlatTorus:
     def project(self, x):
         return x
 
-    def fixed_probes(self, pts):
+    def place(self, x):
+        """x reduced mod 1 into the chart [0, 1)^2."""
+        x = x % 1.0
+        return np.where(x < 1.0, x, 0.0)   # a tiny negative coordinate rounds to 1
+
+    def pole(self, pts):
+        return None   # the chart holds the whole surface
+
+    def fixed_probes(self, samples):
         return np.empty((0, 2))
 
     def anchor(self, fixed):
         return np.zeros(2)   # the chart's corner, outside the curve
 
-    def plane(self, pts, x):
+    def plane(self, samples, x):
         return x   # the chart holds the curve's plane lift
 
     def area_form(self, ctx, x, v):
@@ -383,10 +412,13 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     A coarse grid over ordered parameter pairs, scanned a block of rows at a
     time, seeds Newton refinement of the stationarity system of the squared
     (lift) distance.  Close pairs whose short way between them cannot hold
-    a crossing are dropped; the other seeds are refined, all of them
-    together as arrays.  Converged roots with near-zero residual are kept,
-    duplicates merged in seed order (_distinct_roots), and crossings with
-    angle below the genericity floor rejected.
+    a crossing are dropped (_seed_mask): most by the turning of that way,
+    the rest by _may_cross.  The other seeds are refined, all of them
+    together as arrays, with one jet of both parameters per Newton step
+    (_pair_jet).  Converged roots with near-zero residual, read from one
+    more such jet, are kept, duplicates merged in seed order
+    (_distinct_roots), and crossings with angle below the genericity floor
+    rejected.
     """
     cfg = cfg or NumericConfig()
     n = cfg.double_grid
@@ -394,11 +426,11 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     pts, vel = curve.jet(ts, 1)
     step = float(_norm(vel).max()) / n
     cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
-    cand = cand[_may_cross(pts, cand)]
+    cand = cand[_seed_mask(pts, cand)]
     t1, t2 = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
     if not len(t1):   # an embedded curve: nothing to evaluate
         return []
-    (x, v1), (x2, v2) = curve.jet(t1, 1), curve.jet(t2, 1)
+    (x, v1), (x2, v2) = _pair_jet(curve, t1, t2, np.arange(len(t1)), 1)
     gap = x - x2
     met = np.flatnonzero(~(np.sqrt(_dot(gap, gap)) > POSITION_TOL))
     keep = met[_distinct_roots(t1[met], t2[met])]
@@ -426,8 +458,9 @@ def _distinct_roots(t1, t2):
     both parameters and in either orientation, of a root kept before it.
 
     The pairs of roots within MERGE_TOL are found by a searchsorted window
-    on the first parameter, among both parameters of every root, each also
-    shifted by -1 and +1 across the seam; so the pairs scale with the
+    on the first parameter, among both parameters of every root and, shifted
+    by -1 or +1 across the seam, those parameters near enough to it to fall
+    in a window; so the sort scales with the roots and the pairs with the
     duplicates.  The greedy rule is then settled in rounds over all roots
     at once: an undecided root whose earlier neighbours are all dropped is
     kept, and then an undecided root with a kept earlier neighbour is
@@ -436,9 +469,12 @@ def _distinct_roots(t1, t2):
     m = len(t1)
     if not m:   # a curve without crossings: skip the passes below
         return np.empty(0, dtype=np.intp)
-    key = np.concatenate([u + s for s in (-1.0, 0.0, 1.0) for u in (t1, t2)])
+    both = np.concatenate((t1, t2))
+    # a window reaches 2 MERGE_TOL past the seam; no other shifted copy falls in one
+    low, high = np.flatnonzero(both < 4 * MERGE_TOL), np.flatnonzero(both > 1.0 - 4 * MERGE_TOL)
+    key = np.concatenate((both, both[low] + 1.0, both[high] - 1.0))
     order = np.argsort(key, kind="stable")
-    key, owner = key[order], order % m
+    key, owner = key[order], np.concatenate((np.arange(2 * m), low, high))[order] % m
     # twice as wide as the merge radius, so rounding drops no pair
     lo = np.searchsorted(key, t1 - 2 * MERGE_TOL, side="left")
     count = np.searchsorted(key, t1 + 2 * MERGE_TOL, side="right") - lo
@@ -500,36 +536,75 @@ def _close_pairs(ts, pts, threshold, diag_gap):
     return _columns(*np.divmod(np.sort(np.concatenate(out)), n))
 
 
-_MONOTONE_SPAN = 16   # longest short way, in grid steps, that _may_cross inspects
+_MONOTONE_SPAN = 16   # longest short way, in grid steps, of a near pair
+# below pi/2 by a margin far above the rounding of the angles and their sums
+_TURN_LIMIT = 0.5 * math.pi - 1e-6
 
 
-def _may_cross(pts, cand):
-    """Mask of the seed pairs (i, j) of the cyclic grid pts that can lie
-    near a crossing.  A pair fails when the samples along its short way,
-    at most _MONOTONE_SPAN steps, run monotonically along their own chord:
-    every segment has a positive dot product with the chord.  Such an arc
-    is injective, so it holds no crossing.
-
-    The segments of all short ways come from one gather per coordinate of
-    (pairs x the longest short way) cells, on the grid's segments extended
-    past its seam so that no index wraps; no temporary is larger than that
-    gather."""
+def _seed_mask(pts, cand):
+    """Mask of the close pairs (i, j) of the cyclic grid pts that seed the
+    search: every far pair, and the near pairs that _turns_little leaves
+    undecided and _may_cross keeps.  A pair is near when its short way
+    between i and j spans at most _MONOTONE_SPAN steps."""
     n = len(pts)
     i, j = cand[:, 0], cand[:, 1]
     forward = 2 * (j - i) <= n
     span = np.where(forward, j - i, n - (j - i))
     near = np.flatnonzero(span <= _MONOTONE_SPAN)
-    start, span = np.where(forward, i, j)[near], span[near]
-    end = np.where(forward, j, i)[near]
+    start, span = np.where(forward, i, j)[near], span[near]   # the short way's first sample
+    keep = np.ones(len(cand), dtype=bool)
+    left = ~_turns_little(pts, start, span)
+    keep[near] = left
+    if left.any():
+        keep[near[left]] = _may_cross(pts, start[left], span[left])
+    return keep
+
+
+def _turns_little(pts, start, span):
+    """Mask of the short ways, span <= _MONOTONE_SPAN steps from sample
+    start of the cyclic grid pts, that turn by less than _TURN_LIMIT at
+    their inner samples and have no segment of zero length.  Every segment
+    of such a way lies within pi/2 of every other, so each has a positive
+    dot product with the chord, their sum: _may_cross would drop its pair.
+    A zero-length segment has no direction, so its ways stay undecided.
+
+    The turning at a sample is the angle between its two segments; one
+    prefix sum of the turnings, and one count of zero-length segments, on
+    the grid extended past its seam, give every way's totals."""
+    ext = np.ascontiguousarray(np.concatenate((pts[-1:], pts, pts[:_MONOTONE_SPAN + 1])).T)
+    seg = ext[:, 1:] - ext[:, :-1]   # column k + 1: segment k, from sample k to k + 1
+    u, w = seg[:, :-1], seg[:, 1:]   # column k: the segments into and out of sample k
+    if len(seg) == 3:
+        wedge = np.sqrt(sum(c * c for c in _cross(u.T, w.T)))
+    else:
+        wedge = np.abs(u[0] * w[1] - u[1] * w[0])
+    turned = np.concatenate(([0.0], np.cumsum(np.arctan2(wedge, sum(u * w)))))
+    flat = np.concatenate(([0], np.cumsum(~(sum(w * w) > 0.0))))
+    end = start + span
+    return (turned[end] - turned[start + 1] < _TURN_LIMIT) & (flat[end] == flat[start])
+
+
+def _may_cross(pts, start, span):
+    """Mask of the short ways, span <= _MONOTONE_SPAN steps from sample
+    start of the cyclic grid pts, that can hold a crossing.  A way fails
+    when its samples run monotonically along their own chord: every
+    segment has a positive dot product with the chord.  Such an arc is
+    injective, so it holds no crossing.  _seed_mask asks only about the
+    ways that _turns_little leaves.
+
+    The segments of all ways come from one gather per coordinate of
+    (ways x the longest way) cells, on the grid's segments extended past
+    its seam so that no index wraps; no temporary is larger than that
+    gather."""
+    n = len(pts)
     width = int(span.max(initial=0))
-    steps = start[:, None] + np.arange(width)   # the segments of each short way
+    steps = start[:, None] + np.arange(width)   # the segments of each way
     wrap = np.arange(n + width + 1) % n         # the grid, extended past its seam
+    end = wrap[start + span]
     terms = [(c[wrap[1:]] - c[wrap[:-1]]).take(steps) * (c[end] - c[start])[:, None]
              for c in pts.T]
     along = (np.arange(width) >= span[:, None]) | (_sum_terms(terms) > 0)
-    keep = np.ones(len(cand), dtype=bool)
-    keep[near[along.all(axis=1)]] = False
-    return keep
+    return ~along.all(axis=1)
 
 
 def _dot(u, w):
@@ -544,9 +619,28 @@ def _sum_terms(terms):
     return functools.reduce(np.add, terms[0::2]) + functools.reduce(np.add, terms[1::2])
 
 
+_JOINT_JET = 2048   # most parameters of each of t1 and t2 in one joint jet
+
+
+def _pair_jet(curve, t1, t2, at, order=2):
+    """(curve.jet(t1[at], order), curve.jet(t2[at], order)), from one jet of
+    both while the indices at pick at most _JOINT_JET parameters.  A jet is
+    elementwise, so the values are the same either way.  One jet saves a
+    call on the few seeds of most curves; on the tens of thousands of seeds
+    of a curve with hundreds of crossings its arrays outgrow the cache, and
+    two jets are faster, each on parameters gathered just before it, which
+    keeps the memory in use, and the page faults, lower."""
+    m = len(at)
+    if m > _JOINT_JET:
+        return curve.jet(t1[at], order), curve.jet(t2[at], order)
+    both = curve.jet(np.concatenate((t1[at], t2[at])), order)
+    return tuple(x[:m] for x in both), tuple(x[m:] for x in both)
+
+
 def _refine_double_points(curve, t1, t2):
     """Newton iteration on the stationarity system of |p(t1) - p(t2)|^2,
-    run on all seed pairs at once.
+    run on all seed pairs at once, with one _pair_jet of both parameters
+    per step.
 
     A seed leaves the batch where a lone iteration would stop: rejected at
     a near-singular Jacobian, converged once both steps fall below
@@ -560,8 +654,7 @@ def _refine_double_points(curve, t1, t2):
     for _ in range(60):
         if not live.size:
             break
-        p1, v1, a1 = curve.jet(t1[live])
-        p2, v2, a2 = curve.jet(t2[live])
+        (p1, v1, a1), (p2, v2, a2) = _pair_jet(curve, t1, t2, live)
         d = p1 - p2
         f1 = _dot(d, v1)
         f2 = _dot(d, v2)
@@ -588,16 +681,30 @@ def _refine_double_points(curve, t1, t2):
     return t1[keep], t2[keep]
 
 
+class _Samples(tuple):
+    """(ts, pts), the curve at evenly spaced parameters, with the facts read
+    from them once: `pole`, the surface's choice of the chart's missing
+    point (surface.pole), and `nearest`, the index of the nearest sample of
+    each point that point_index has placed on them, by its coordinates."""
+
+    def __new__(cls, surface, ts, pts):
+        self = super().__new__(cls, (ts, pts))
+        self.pole = surface.pole(pts)
+        self.nearest = {}
+        return self
+
+
 def _curve_samples(curve, cfg):
     """The curve at cfg.curve_samples + 1 evenly spaced parameters
-    t = 0, ..., 1, for distance tests, winding numbers and the choice of
-    the sphere's pole."""
+    t = 0, ..., 1, for distance tests, winding numbers, faces and the
+    choice of the sphere's pole."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    return ts, curve.jet(ts, 0)[0]
+    return _Samples(curve.surface, ts, curve.jet(ts, 0)[0])
 
 
 def _min_distance_to_curve(curve, samples, points):
-    """Distance of each of the points (k, d) to the curve.
+    """Distance of each of the points (k, d) to the curve, and the index of
+    each point's nearest sample.
 
     The nearest sample gives an upper bound.  Where a branch of the curve
     comes within one sample spacing of a point, the branch's nearest sample
@@ -612,10 +719,11 @@ def _min_distance_to_curve(curve, samples, points):
     del gap   # before the column copies: at --grid 65536 each is 12 MB
     cols = [np.ascontiguousarray(c) for c in pts[:-1].T]   # t = 1 repeats t = 0
     best = np.empty(len(points))
-    node, seed = [], []
+    nearest, node, seed = [], [], []
     for k, x in enumerate(points):
         d2 = sum((c - xc) ** 2 for c, xc in zip(cols, x))
-        best[k] = d2.min()
+        nearest.append(int(d2.argmin()))
+        best[k] = d2[nearest[-1]]
         if best[k] < spacing2:
             # the nearest sample of each branch: a cyclic local minimum
             i = np.flatnonzero(d2 < spacing2)
@@ -633,7 +741,7 @@ def _min_distance_to_curve(curve, samples, points):
                 break
         p = curve.jet(t, 0)[0] - x
         np.fmin.at(best, node, _dot(p, p))
-    return np.sqrt(best)
+    return np.sqrt(best), nearest
 
 
 def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples=None):
@@ -649,20 +757,23 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     h^2 kappa / 8 for sample spacing h and curvature kappa) can be
     misjudged; a point within POINT_TOL of the curve raises PointOnCurve.
     `samples` is the curve's dense sampling as a NumericContext holds it;
-    it is computed when not given.
+    it is computed when not given.  The nearest sample of b and of each
+    probe is kept in samples.nearest, where _face_dart reads it.
     """
     samples = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
     pts = samples[1]
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     nodes = np.concatenate((b[None], p.reshape(-1, len(b))))   # node 0 is b, node k probe k
-    near = _min_distance_to_curve(curve, samples, nodes) < POINT_TOL
+    distance, nearest = _min_distance_to_curve(curve, samples, nodes)
+    near = distance < POINT_TOL
     if near.any():
         k = int(np.argmax(near))
         raise PointOnCurve(
             f"{'probe' if k else 'base'} point {tuple(nodes[k].tolist())} lies on the curve")
+    samples.nearest.update(zip(map(tuple, nodes.tolist()), nearest))
     n = len(pts) - 1   # t = 1 repeats t = 0
-    chart = curve.surface.plane(pts, np.concatenate((pts[:-1], nodes)))
+    chart = curve.surface.plane(samples, np.concatenate((pts[:-1], nodes)))
     w = _winding(chart[:n], chart[n:])
     index = (w[1:] - w[0]).tolist()
     return index if p.ndim > 1 else index[0]
@@ -713,22 +824,28 @@ def _leggauss(n):
 class NumericContext:
     """All quadrature data for one (curve, base point, config).
 
-    Samples the curve once (`samples`, shared by every winding number and
-    distance test) and caches the double points, the arc table (per smooth
-    arc: its index and its integrals of k_g ds and of the area form, all on
-    one (arcs x line_nodes) array of Gauss-Legendre nodes) and the area of
-    every index level, folded from the latter; every invariant is then a
-    cheap weighted sum over these tables.  The double points come from one
-    batched Newton refinement of all seeds, and the arc indices from the
-    crossing signs and one point_index call, on the base and the surface's
-    anchor (the pole; the torus chart's corner).  A crossing index that is
-    not an integer or a level area that is not positive is a TopologyError.
+    The base point is checked once: a float array of the surface's length,
+    finite and on the surface, reduced mod 1 into the chart on the torus;
+    InvalidBasePoint otherwise.  The context samples the curve once
+    (`samples`, shared by every winding number, distance test and face
+    reading, with the sphere's pole chosen once from them) and caches the
+    double points, the arc table (per smooth arc: its index and its
+    integrals of k_g ds and of the area form, all on one (arcs x line_nodes)
+    array of Gauss-Legendre nodes) and the area of every index level, folded
+    from the latter; every invariant is then a cheap weighted sum over these
+    tables.  The double points come from one batched Newton refinement of
+    all seeds, and the arc indices from the crossing signs and one
+    point_index call, on the base and the surface's anchor (the pole; the
+    torus chart's corner), whose one scan of the samples per node also
+    gives the nearest sample that each face reading takes.  A crossing
+    index that is not an integer or a level area that is not positive is a
+    TopologyError.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
         self.curve = curve
         self.cfg = cfg or NumericConfig()
-        self.base_point = np.asarray(base_point, dtype=float)
+        self.base_point = _place_base_point(curve.surface, base_point)
         self.samples = _curve_samples(curve, self.cfg)
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
@@ -794,7 +911,7 @@ class NumericContext:
         of the curve drops by own at each passage, +sign at a crossing's first
         parameter and -sign at its second, from the anchor's index and face."""
         surface = self.curve.surface
-        self._fixed_probes = surface.fixed_probes(self.samples[1])
+        self._fixed_probes = surface.fixed_probes(self.samples)
         anchor = surface.anchor(self._fixed_probes)
         index, = point_index(self.curve, self.base_point, anchor[None], self.cfg,
                              samples=self.samples)
@@ -823,6 +940,21 @@ class NumericContext:
             weight(d.theta, i)
             for d, i in zip(self.double_points, self.crossing_index)
         )
+
+
+def _place_base_point(surface, point):
+    """point as a float array of length surface.dim, finite and on the
+    surface (surface.place); InvalidBasePoint if it is not."""
+    try:
+        x = np.asarray(point, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidBasePoint(f"base point {point!r} is not a point") from None
+    if x.shape != (surface.dim,):
+        raise InvalidBasePoint(
+            f"base point {point!r} does not have the surface's {surface.dim} coordinates")
+    if not np.isfinite(x).all():
+        raise InvalidBasePoint(f"base point {tuple(x.tolist())} is not finite")
+    return surface.place(x)
 
 
 def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=None):
@@ -928,15 +1060,16 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
 
 
 def _face_dart(ctx, point):
-    """A dart of the face holding point, a point off the curve: the segment
-    to its nearest curve point meets the curve nowhere else.  That point is
-    read as the nearest dense sample, the side from the chord of the
-    sample's neighbours, the arc from the sample's parameter.  A point
-    within about one sample spacing of a crossing can land in the opposite
-    corner's face, which has the same index."""
+    """A dart of the face holding point, a point off the curve that
+    point_index placed on the context's samples: the segment to its nearest
+    curve point meets the curve nowhere else.  That point is read as the
+    nearest dense sample, which point_index's distance scan kept, the side
+    from the chord of the sample's neighbours, the arc from the sample's
+    parameter.  A point within about one sample spacing of a crossing can
+    land in the opposite corner's face, which has the same index."""
     ts, pts = ctx.samples   # the last sample repeats the first
     x = np.asarray(point, dtype=float)
-    i = int(np.argmin(sum((c - xc) ** 2 for c, xc in zip(pts[:-1].T, x))))
+    i = ctx.samples.nearest[tuple(x.tolist())]
     chord = pts[i + 1] - pts[i - 1 if i else -2]
     left = ctx.curve.surface.orientation(pts[i], chord, x - pts[i]) > 0
     k = bisect.bisect_right([a for a, _b in ctx.arc_spans], ts[i]) - 1

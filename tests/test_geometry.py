@@ -7,7 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_numeric_kernels import Epicycle, side_probe_indices, side_probes
+from test_numeric_kernels import (
+    EPICYCLES,
+    Epicycle,
+    may_cross_reference,
+    side_probe_indices,
+    side_probes,
+)
 
 import curveinv.diagram as diagram_module
 from curveinv import geometry, laurent
@@ -17,6 +23,7 @@ from curveinv.errors import (
     ChartViolation,
     ChiZero,
     DegenerateTangency,
+    InvalidBasePoint,
     NonPositiveQ,
     PointOnCurve,
     QOverflow,
@@ -522,6 +529,116 @@ def test_seeded_torus_base_regions_hold_the_base_point():
         ctx = NumericContext(curve, base_point, CFG.halved())
         diagram, base = extract_diagram(curve, base_point, context=ctx)
         assert segment_base_regions(ctx, diagram) == {base}, i
+
+
+def seed_filter_curves():
+    """The four parametric fixtures, the epicycles of EPICYCLES and the 100
+    seeded torus curves."""
+    yield from (parametric_fixture(name).curve for name in PARAMETRIC_NAMES)
+    yield from (Epicycle(k, a) for k, a, _ in EPICYCLES)
+    yield from (curve for _i, curve, _b in seeded_torus_curves(100))
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_refined_seeds_are_the_may_cross_seeds(monkeypatch, cfg):
+    # the turning decides most near pairs before _may_cross sees them; the
+    # seeds that reach Newton's method are still the close pairs that the
+    # one-einsum-per-step reference keeps, in the same order
+    seeds = []
+    refine = geometry._refine_double_points
+    monkeypatch.setattr(geometry, "_refine_double_points",
+                        lambda curve, t1, t2: seeds.append((t1, t2)) or refine(curve, t1, t2))
+    n = cfg.double_grid
+    ts = np.arange(n) / n
+    for curve in seed_filter_curves():
+        seeds.clear()
+        find_double_points(curve, cfg)
+        pts, vel = curve.jet(ts, 1)
+        step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
+        close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
+        want = close[may_cross_reference(pts, close)]
+        (t1, t2), = seeds
+        assert t1.tolist() == ts[want[:, 0]].tolist() and t2.tolist() == ts[want[:, 1]].tolist()
+
+
+def face_dart_reference(ctx, point):
+    """_face_dart with the nearest sample found by its own scan."""
+    ts, pts = ctx.samples
+    x = np.asarray(point, dtype=float)
+    i = int(np.argmin(np.sum((pts[:-1] - x) ** 2, axis=1)))
+    chord = pts[i + 1] - pts[i - 1 if i else -2]
+    left = ctx.curve.surface.orientation(pts[i], chord, x - pts[i]) > 0
+    k = int(np.searchsorted([a for a, _b in ctx.arc_spans], ts[i], side="right")) - 1
+    return 2 * (k % len(ctx.arc_spans)) + (0 if left else 1)
+
+
+def test_faces_read_the_nearest_sample_of_the_one_distance_scan(monkeypatch):
+    # the samples are scanned once per node, for the base and the anchor in
+    # the context's point_index call; the anchor's face and extraction's
+    # base face read the nearest samples that scan kept, and a point that
+    # no scan placed has none
+    scans = []
+    scan = geometry._min_distance_to_curve
+    monkeypatch.setattr(geometry, "_min_distance_to_curve",
+                        lambda curve, samples, points: scans.append(len(points))
+                        or scan(curve, samples, points))
+    assert geometry.LEFT == 0 and geometry.RIGHT == 1   # as face_dart_reference numbers darts
+    cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+    for curve, base_point in cases + [(Epicycle(17, 0.5), (0.05, 0.05)),
+                                      (LatitudeCircle(ALPHA), (0.6, 0.0, -0.8))]:
+        for cfg in (CFG, CFG.halved()):
+            scans.clear()
+            ctx = NumericContext(curve, base_point, cfg)
+            extract_diagram(curve, base_point, context=ctx)
+            assert scans == [2]
+            anchor = curve.surface.anchor(ctx._fixed_probes)
+            assert set(ctx.samples.nearest) == {tuple(ctx.base_point.tolist()),
+                                                tuple(anchor.tolist())}
+            for point in (ctx.base_point, anchor):
+                assert geometry._face_dart(ctx, point) == face_dart_reference(ctx, point)
+            with pytest.raises(KeyError):
+                geometry._face_dart(ctx, anchor + 0.25)
+
+
+def test_a_base_point_off_the_torus_chart_is_reduced_into_it():
+    # (1.5, 0.5) and (-0.5, 0.5) are the torus point (0.5, 0.5)
+    curve, qs = TorusCircle(), (0.5, 2.0, 3.0)
+    want = NumericContext(curve, (0.5, 0.5), CFG)
+    for point in ((1.5, 0.5), (-0.5, 0.5), (0.5, -2.5)):
+        ctx = NumericContext(curve, point, CFG)
+        assert ctx.base_point.tolist() == [0.5, 0.5]
+        assert ctx.arc_index == want.arc_index
+        assert extract_diagram(curve, point, context=ctx)[1] == \
+            extract_diagram(curve, (0.5, 0.5), context=want)[1] == 0
+        assert numeric_iq(curve, point, qs, context=ctx) == numeric_iq(curve, None, qs,
+                                                                       context=want)
+    # a coordinate just below 0 rounds to 1 mod 1: the chart holds it as 0
+    assert NumericContext(curve, (-1e-17, 0.25), CFG).base_point.tolist() == [0.0, 0.25]
+
+
+@pytest.mark.parametrize("curve,base_point,message", [
+    (TorusCircle(), (math.nan, 0.5), "not finite"),
+    (TorusCircle(), (0.5, math.inf), "not finite"),
+    (TorusCircle(), (0.5, 0.5, 0.5), "2 coordinates"),
+    (TorusCircle(), 0.5, "2 coordinates"),
+    (TorusCircle(), "corner", "not a point"),
+    (GreatCircle(), (0.0, 0.0, math.nan), "not finite"),
+    (GreatCircle(), (0.0, 0.0, 0.0), "not on the unit sphere"),
+    (GreatCircle(), (0.0, 0.0, 2.0), "not on the unit sphere"),
+    (GreatCircle(), (0.0, 0.0, -1.0 - 2e-9), "not on the unit sphere"),
+    (GreatCircle(), (0.0, -1.0), "3 coordinates"),
+    (GreatCircle(), [[0.0, 0.0, -1.0]], "3 coordinates"),
+    (GreatCircle(), [(0.0, 0.0), (1.0,)], "not a point"),
+])
+def test_a_base_point_the_context_cannot_place_is_rejected(curve, base_point, message):
+    with pytest.raises(InvalidBasePoint, match=message):
+        NumericContext(curve, base_point, CFG)
+
+
+def test_a_sphere_base_point_within_1e_9_of_unit_norm_is_kept():
+    point = (0.0, 0.0, -1.0 - 5e-10)
+    ctx = NumericContext(GreatCircle(), point, CFG)
+    assert ctx.base_point.tolist() == list(point) and ctx.fixed_index == [1]
 
 
 def test_a_missed_crossing_fails_the_parity_check(monkeypatch):

@@ -11,10 +11,14 @@ chart, must equal the crossing count along the geodesic leg that it
 replaced, kept as a scalar loop with an 80-step bisection per crossing,
 wherever that leg is not degenerate; the windowed pair scan must return
 the pairs of the dense grid in the same order; double-point seeding skips
-pairs that cannot cross, and seeding from every close pair is kept as a
-reference.  The loops that the straddling-edge winding count, the one-gather
-seed filter and the whole-array root merge replaced are kept too, and the
-kernels must equal them exactly.  Every curve's jet must agree with central
+pairs that cannot cross, and seeding from every close pair, past both seed
+filters, is kept as a reference.  The loops that the straddling-edge
+winding count, the one-gather seed filter, the prefix-sum turning mask (a
+loop summing the angles of each short way) and the whole-array root merge
+replaced are kept too, and the kernels must equal them exactly; the seeds
+after the turning mask are the one-gather filter's.  A context makes one
+jet per Newton step and one for the roots (one per parameter above
+_JOINT_JET seeds, with the same bits), and chooses the sphere's pole once.  Every curve's jet must agree with central
 differences of its own lower terms.  The kernels build their frames, norms
 and jets in components; the numpy helper formulas they replaced (np.stack
 jets, np.cross, np.einsum, np.linalg.norm) are kept as references, to
@@ -172,6 +176,41 @@ def may_cross_reference(pts, cand):
     return keep
 
 
+def on_pairs(kernel, pts, cand, far):
+    """A seed kernel's mask over the short ways of the near pairs of cand,
+    spread over cand: far pairs read `far`."""
+    n = len(pts)
+    i, j = cand[:, 0], cand[:, 1]
+    forward = 2 * (j - i) <= n
+    span = np.where(forward, j - i, n - (j - i))
+    near = span <= geometry._MONOTONE_SPAN
+    out = np.full(len(cand), far)
+    out[near] = kernel(pts, np.where(forward, i, j)[near], span[near])
+    return out
+
+
+def turns_little_reference(pts, cand):
+    """_turns_little as a loop over the pairs: the angles between the
+    consecutive segments of each near pair's short way, summed one by one;
+    a way with a zero-length segment is undecided."""
+    n, out = len(pts), []
+    for i, j in cand.tolist():
+        forward = 2 * (j - i) <= n
+        start, span = (i, j - i) if forward else (j, n - (j - i))
+        way = pts[[(start + k) % n for k in range(span + 1)]]
+        seg = way[1:] - way[:-1]
+        if span > geometry._MONOTONE_SPAN or not (np.einsum("md,md->m", seg, seg) > 0).all():
+            out.append(False)
+            continue
+        turn = 0.0
+        for u, w in zip(seg, seg[1:]):
+            wedge = (np.linalg.norm(np.cross(u, w)) if len(u) == 3
+                     else abs(u[0] * w[1] - u[1] * w[0]))
+            turn += math.atan2(wedge, float(np.dot(u, w)))
+        out.append(turn < geometry._TURN_LIMIT)
+    return np.array(out, dtype=bool)
+
+
 def merge_reference(t1s, t2s):
     """The indices of the roots that find_double_points' greedy loop kept:
     each root in seed order unless it is near a kept one."""
@@ -198,9 +237,10 @@ def plane_reference(pts, x):
 
 
 def double_points_all_seeds(curve, cfg):
-    """find_double_points seeded from every close pair of the grid."""
+    """find_double_points seeded from every close pair of the grid: neither
+    the turning nor _may_cross drops a pair."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_may_cross", lambda pts, cand: np.ones(len(cand), dtype=bool))
+        mp.setattr(geometry, "_seed_mask", lambda pts, cand: np.ones(len(cand), dtype=bool))
         return find_double_points(curve, cfg)
 
 
@@ -452,7 +492,7 @@ def context_probes(ctx, stride=1):
     left, right = side_probes(ctx, t)
     arcs = ctx.arc_index[::stride]
     return (list(zip(left, (v + 1 for v in arcs))) + list(zip(right, arcs))
-            + list(zip(ctx.curve.surface.fixed_probes(ctx.samples[1]), ctx.fixed_index)))
+            + list(zip(ctx.curve.surface.fixed_probes(ctx.samples), ctx.fixed_index)))
 
 
 @pytest.mark.parametrize("curve,base,cfg", [
@@ -561,7 +601,7 @@ def test_winding_equals_reference_on_probe_stacks(which, cfg):
     ctx = NumericContext(curve, base, cfg)
     probes, indices = zip(*context_probes(ctx))
     pts, nodes = ctx.samples[1], np.vstack((ctx.base_point, *probes))
-    polygon, points = curve.surface.plane(pts, pts[:-1]), curve.surface.plane(pts, nodes)
+    polygon, points = (curve.surface.plane(ctx.samples, x) for x in (pts[:-1], nodes))
     got = geometry._winding(polygon, points)
     assert got.tolist() == winding_reference(polygon, points).tolist()
     assert (got[1:] - got[0]).tolist() == list(indices)
@@ -579,15 +619,52 @@ def test_may_cross_equals_reference(curve, n):
     close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
     seam = np.array([(i, j) for i in range(20) for j in range(n - 20, n) if i < j])
     cand = np.concatenate([close, seam])
-    got = geometry._may_cross(pts, cand)
+    got = on_pairs(geometry._may_cross, pts, cand, True)
     assert got.tolist() == may_cross_reference(pts, cand).tolist()
     wraps = (seam[:, 1] - seam[:, 0] > n // 2) & (n - (seam[:, 1] - seam[:, 0]) <= 16)
     assert wraps.any() and not got[len(close):][wraps].all()
     assert not got[:len(close)].all()
 
 
+@pytest.mark.parametrize("curve", [SphereFigureEight(), LatitudeCircle(1.0), TorusCircle(0.2),
+                                   *(Epicycle(k, a) for k, a, _ in EPICYCLES)])
+@pytest.mark.parametrize("n", [50, 100, 200, 400, 800])
+def test_turning_mask_equals_scalar_loop(curve, n):
+    # the close pairs and the seam pairs of test_may_cross_equals_reference:
+    # the turning decides most near pairs, and the seeds are _may_cross's
+    ts = np.arange(n) / n
+    pts, vel = curve.jet(ts, 1)
+    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
+    close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
+    seam = np.array([(i, j) for i in range(20) for j in range(n - 20, n) if i < j])
+    cand = np.concatenate([close, seam])
+    straight = on_pairs(geometry._turns_little, pts, cand, False)
+    assert straight.tolist() == turns_little_reference(pts, cand).tolist()
+    assert geometry._seed_mask(pts, cand).tolist() == may_cross_reference(pts, cand).tolist()
+    assert straight[:len(close)].any() and straight[len(close):].any()
+
+
+def test_turning_leaves_zero_length_segments_undecided():
+    # a repeated grid sample: its segment has no direction.  The pairs whose
+    # short way holds it are left to _may_cross, with no RuntimeWarning
+    n = 100
+    pts = TorusCircle(0.2).jet(np.arange(n) / n, 0)[0]
+    pts[[41, 97]] = pts[[40, 96]]   # segments 40 and 96 have zero length
+    cand = np.array([(i, j) for i in range(n) for j in range(i + 1, min(i + 9, n))]
+                    + [(2, 95), (1, 99)])   # short ways across the seam, one through 96
+    zero = np.array([(i <= 40 < j or i <= 96 < j) if 2 * (j - i) <= n else j <= 96
+                     for i, j in cand.tolist()])
+    straight = on_pairs(geometry._turns_little, pts, cand, False)
+    assert straight.tolist() == turns_little_reference(pts, cand).tolist()
+    assert zero.sum() == 58 and not straight[zero].any() and straight[~zero].all()
+    seeds = geometry._seed_mask(pts, cand)
+    assert seeds.tolist() == may_cross_reference(pts, cand).tolist()
+    assert seeds[zero].all() and not seeds[~zero].any()
+
+
 def test_distinct_roots_equals_greedy_loop_on_hand_made_roots():
     tol = geometry.MERGE_TOL
+    rng_seam = np.random.default_rng(4)
     cases = [
         # seam-wrapped duplicates, both orientations
         ([1e-10, 0.3, 0.3, 1 - 1e-10, 0.5], [0.3, 1 - 1e-10, 1e-10, 0.3, 0.7]),
@@ -600,7 +677,18 @@ def test_distinct_roots_equals_greedy_loop_on_hand_made_roots():
         # just outside the radius, and exactly at it
         ([0.1, 0.1 + 1.01 * tol, 0.1 + tol], [0.9, 0.9, 0.9]),
         ([], []),
+        # first parameters across the seam, found only through the shifted
+        # copies of an earlier root's parameters: its first, then its second
+        # (swapped orientation), and t = 1, where a tiny negative root
+        # rounds mod 1
+        ([1 - 0.8 * tol, 0.1 * tol, 1.0, 0.0, 0.5 * tol], [0.5, 0.5, 0.7, 0.7, 0.7]),
+        ([0.1 * tol, 1 - 0.8 * tol, 0.9 * tol], [0.5, 0.5, 0.5]),
+        ([0.5, 0.2 * tol, 1 - 0.3 * tol], [1 - 0.7 * tol, 0.5, 0.5]),
+        ([0.6, 0.6, 0.6, 0.6], [1.9 * tol, 1 - 0.05 * tol, 3.9 * tol, 1 - 2.1 * tol]),
     ]
+    for centre in ((0.0, 0.4), (1 - 2 * tol, 0.7), (0.2, 1 - 3 * tol)):
+        roots = (np.array(centre) + rng_seam.normal(scale=1.5 * tol, size=(40, 2))) % 1.0
+        cases.append((roots[:, 0], roots[:, 1]))
     rng = np.random.default_rng(3)
     for _ in range(200):
         m = int(rng.integers(1, 60))
@@ -643,7 +731,7 @@ def test_latitude_seam_fixed_index(cfg):
     ctx = NumericContext(LatitudeCircle(2.0150167225273448), (0.0, 0.0, -1.0), cfg)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert geometry.point_index(ctx.curve, ctx.base_point, poles, samples=ctx.samples) == [1, 0]
-    assert UNIT_SPHERE.fixed_probes(ctx.samples[1]).tolist() == [[0.0, 0.0, 1.0]]
+    assert UNIT_SPHERE.fixed_probes(ctx.samples).tolist() == [[0.0, 0.0, 1.0]]
     assert ctx.fixed_index == [1]
 
 
@@ -715,17 +803,22 @@ def test_point_index_makes_one_plane_call(monkeypatch, name):
         np.testing.assert_array_equal(charts[0], want)
         pole = np.zeros(3)
         pole[k % 3] = 1.0 if k < 3 else -1.0
-        assert np.isnan(plane(pts, pole)).all() and not np.isnan(charts[0][:len(pts) - 1]).any()
+        assert np.isnan(plane(ctx.samples, pole)).all()
+        assert not np.isnan(charts[0][:len(pts) - 1]).any()
 
 
 @pytest.mark.parametrize("name,crossings", [("figure8_sphere_param", 1), ("great_circle", 0)])
 @pytest.mark.parametrize("cfg", [NumericConfig(), NumericConfig().halved()])
 def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
-    # the arc nodes take one jet, the Newton roots two of order 1 (none on
-    # an embedded curve), nothing evaluates an empty array, and the sphere's
-    # pole is chosen twice: for the fixed probe and for the chart
-    calls, poles, finding = [], [], []
+    # the arc nodes take one jet; each Newton step one jet of both
+    # parameters of its live seeds (fewer than _JOINT_JET), for as many
+    # steps as the slowest seed's scalar loop takes; the Newton roots one
+    # jet of order 1 (none on an embedded curve); nothing evaluates an empty
+    # array; and the sphere's pole is chosen once, for the fixed probe and
+    # the chart
+    calls, poles, finding, seeds = [], [], [], []
     jet, find, pole = ParametricCurve.jet, geometry.find_double_points, UNIT_SPHERE.pole
+    refine = geometry._refine_double_points
 
     def counted_jet(curve, t, order=2):
         calls.append((np.size(t), order, bool(finding)))
@@ -741,6 +834,8 @@ def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
     monkeypatch.setattr(ParametricCurve, "jet", counted_jet)
     monkeypatch.setattr(geometry, "find_double_points", counted_find)
     monkeypatch.setattr(UNIT_SPHERE, "pole", lambda pts: poles.append(1) or pole(pts))
+    monkeypatch.setattr(geometry, "_refine_double_points",
+                        lambda curve, t1, t2: seeds.append((t1, t2)) or refine(curve, t1, t2))
     fx = parametric_fixture(name)
     ctx = NumericContext(fx.curve, fx.base_point, cfg)
     assert len(ctx.double_points) == crossings
@@ -748,9 +843,20 @@ def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
     assert [c for c in calls if c[0] == nodes] == [(nodes, 2, False)]
     lower = [(size, order) for size, order, inside in calls if inside and order < 2]
     assert lower[0] == (cfg.double_grid, 1)   # the seed grid
-    assert [order for _, order in lower[1:]] == [1, 1] * crossings
+    assert [order for _, order in lower[1:]] == [1] * crossings
+    assert all(size % 2 == 0 for size, _ in lower[1:])   # both parameters of each root
     assert all(size for size, _, _ in calls)
-    assert len(poles) == 2
+    assert len(poles) == 1
+    newton = [size for size, order, inside in calls if inside and order == 2]
+    (t1, t2), = seeds
+    assert all(size % 2 == 0 for size in newton) and sum(newton[:1]) == 2 * len(t1)
+    steps = 0
+    for a, b in zip(t1, t2):   # the scalar loop makes two jets a step
+        calls.clear()
+        newton_reference(fx.curve, a, b)
+        steps = max(steps, len(calls) // 2)
+    assert len(newton) == steps
+    assert (steps > 0) == (crossings > 0)
 
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
@@ -806,6 +912,27 @@ def test_lower_order_jets_are_bitwise_prefixes(curve, t):
         low = curve.jet(t, order)
         assert len(low) == order + 1
         assert [a.tobytes() for a in low] == [a.tobytes() for a in full[:order + 1]]
+
+
+@pytest.mark.parametrize("curve", JET_CURVES, ids=lambda c: type(c).__name__)
+def test_pair_jet_equals_two_jets(curve):
+    # one joint jet up to _JOINT_JET parameters each, one jet each above:
+    # the same bits either way, since a jet is elementwise
+    rng, cap = np.random.default_rng(7), geometry._JOINT_JET
+    jet = ParametricCurve.jet
+    for m, order in ((1, 2), (7, 1), (60, 2), (cap, 2), (cap + 1, 1)):
+        t1, t2 = rng.random(m + 9), rng.random(m + 9)
+        at = rng.permutation(m + 9)[:m]   # live seeds, in any order
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ParametricCurve, "jet",
+                       lambda c, t, order=2: sizes.append(np.size(t)) or jet(c, t, order))
+            got = geometry._pair_jet(curve, t1, t2, at, order)
+        assert sizes == ([2 * m] if m <= cap else [m, m])
+        want = (curve.jet(t1[at], order), curve.jet(t2[at], order))
+        for g, w in zip(got, want):
+            assert [a.shape for a in g] == [a.shape for a in w]
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
 
 
 # -- component arithmetic against the numpy helpers it replaced ----------------
