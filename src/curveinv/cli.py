@@ -368,7 +368,7 @@ def cmd_numeric(args):
             cv = float(numeric_iq(fx.curve, fx.base_point, [q], context=coarse)[0])
             exact = float(laurent.eval_real(rep.iq, q))
             rounding = 1e-12 * laurent.eval_real(magnitude, q)
-        except (OverflowError, QOverflow):   # from eval_real, from numeric_iq
+        except QOverflow:   # from eval_real or numeric_iq
             raise CurveInvError(f"--q {q}: a power q^i at this curve's index levels "
                                 "overflows a float") from None
         est = abs(nv - cv) / 2

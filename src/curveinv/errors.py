@@ -85,5 +85,9 @@ class ChartViolation(CurveInvError):
     """A torus curve leaves the fundamental-domain chart required for extraction."""
 
 
+class InvalidConfig(CurveInvError):
+    """A NumericConfig size that the numeric kernels cannot use."""
+
+
 class InvalidBasePoint(CurveInvError):
     """A base point that is not a finite point of the curve's surface."""

@@ -32,12 +32,13 @@ A base at the pole is the anchor: its misread face shifts every arc index,
 and the level areas, whose 4 pi goes by the pole's winding number, fail.
 
 A context derives each fact of its two grids once: the seed grid of
-find_double_points, whose near seed pairs are mostly decided by the
-turning of their short way, with one jet per Newton step and one for the
-roots (up to _JOINT_JET seeds); and the dense samples, which carry the
-pole, chosen once, and the nearest sample of the base and the anchor, from
-the one distance scan of the context's one point_index call, for both face
-readings.
+find_double_points, whose near pairs are decided by the turning of their
+short way before any distance is taken, and whose far pairs come from
+boxes of consecutive samples that come close, with one jet per Newton
+step and one for the roots (up to _JOINT_JET seeds); and the dense
+samples, which carry the pole, chosen once, and the nearest sample of the
+base and the anchor, from the one distance scan of the context's one
+point_index call, for both face readings.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -73,6 +74,7 @@ from .errors import (
     ChiZero,
     DegenerateTangency,
     InvalidBasePoint,
+    InvalidConfig,
     NonPositiveQ,
     PointOnCurve,
     QOverflow,
@@ -89,24 +91,33 @@ DIAG_GAP = 5e-3        # excluded |t1 - t2| band near the diagonal
 POINT_TOL = 1e-6       # minimum probe distance from the curve
 
 
+# the smallest size of each grid; a seed grid of more than 2 _MONOTONE_SPAN
+# samples gives each near pair one short way (_seed_pairs)
+_FLOORS = {"double_grid": 50, "line_nodes": 8, "curve_samples": 512}
+
+
 @dataclass(frozen=True)
 class NumericConfig:
     """Grid sizes of the numerical path; `halved` gives the coarser grid.
-    Nothing reads `meridians`, kept for callers that still pass it."""
+    Each size is an int (not a bool) at or above its floor in _FLOORS, or
+    the config raises InvalidConfig.  Nothing reads `meridians`, kept for
+    callers that still pass it."""
 
     double_grid: int = 400        # coarse grid per parameter for double points
     line_nodes: int = 96          # Gauss-Legendre nodes per smooth arc
     meridians: int = 1024         # read by nothing
     curve_samples: int = 8192     # dense samples for winding numbers and distance tests
 
+    def __post_init__(self):
+        for name, floor in _FLOORS.items():
+            size = getattr(self, name)
+            if not isinstance(size, int) or size < floor:   # a bool is below every floor
+                raise InvalidConfig(f"{name} must be an integer of at least {floor}, got {size!r}")
+
     def halved(self):
         """The next-coarsest grid, used for error estimates."""
-        return replace(
-            self,
-            double_grid=max(50, self.double_grid // 2),
-            line_nodes=max(8, self.line_nodes // 2),
-            curve_samples=max(512, self.curve_samples // 2),
-        )
+        return replace(self, **{name: max(floor, getattr(self, name) // 2)
+                                for name, floor in _FLOORS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +420,26 @@ def _geodesic_curvature(surface, x, v, a):
 def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     """Locate all transverse double points.
 
-    A coarse grid over ordered parameter pairs, scanned a block of rows at a
-    time, seeds Newton refinement of the stationarity system of the squared
-    (lift) distance.  Close pairs whose short way between them cannot hold
-    a crossing are dropped (_seed_mask): most by the turning of that way,
-    the rest by _may_cross.  The other seeds are refined, all of them
-    together as arrays, with one jet of both parameters per Newton step
-    (_pair_jet).  Converged roots with near-zero residual, read from one
-    more such jet, are kept, duplicates merged in seed order
-    (_distinct_roots), and crossings with angle below the genericity floor
-    rejected.
+    The close pairs of a coarse grid of parameters seed Newton refinement
+    of the stationarity system of the squared (lift) distance
+    (_seed_pairs).  Near pairs, a few grid steps apart along the curve, are
+    kept only where the short way between them can hold a crossing: its
+    turning decides most of them before any distance is taken, and
+    _may_cross the rest.  Far pairs are found through boxes of consecutive
+    samples, and only boxes that come close are paired.  The seeds are
+    refined, all of them together as arrays, with one jet of both
+    parameters per Newton step (_pair_jet).  Converged roots with near-zero
+    residual, read from one more such jet, are kept, duplicates merged in
+    seed order (_distinct_roots), and crossings with angle below the
+    genericity floor rejected.
     """
     cfg = cfg or NumericConfig()
     n = cfg.double_grid
     ts = np.arange(n) / n
     pts, vel = curve.jet(ts, 1)
     step = float(_norm(vel).max()) / n
-    cand = _close_pairs(ts, pts, (4.0 * step) ** 2, DIAG_GAP)
-    cand = cand[_seed_mask(pts, cand)]
-    t1, t2 = _refine_double_points(curve, ts[cand[:, 0]], ts[cand[:, 1]])
+    i, j = _seed_pairs(ts, pts, (4.0 * step) ** 2)
+    t1, t2 = _refine_double_points(curve, ts[i], ts[j])
     if not len(t1):   # an embedded curve: nothing to evaluate
         return []
     (x, v1), (x2, v2) = _pair_jet(curve, t1, t2, np.arange(len(t1)), 1)
@@ -499,79 +511,57 @@ def _distinct_roots(t1, t2):
     return np.flatnonzero(state == 1)
 
 
-_SCAN_ROWS = 32   # _close_pairs compares at most this many grid rows' worth of pairs at once
-
-
-def _close_pairs(ts, pts, threshold, diag_gap):
-    """Index pairs (i, j), i < j, of samples with squared distance below
-    threshold and cyclic parameter gap at least diag_gap, in row-major
-    order.  Only pairs within the distance along the coordinate of widest
-    spread are compared: the samples are sorted by that coordinate, and
-    each is paired with the later ones of its searchsorted window, in
-    chunks of at most _SCAN_ROWS rows of the pair grid.  The distances are
-    summed from one gather per coordinate column, not from gathered rows."""
-    n = len(ts)
-    coords = np.ascontiguousarray(pts.T)   # reduced along rows, as in _UnitSphere.pole
-    key = coords[int((coords.max(axis=1) - coords.min(axis=1)).argmax())]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # a little wider than the distance, so rounding drops no pair
-    count = np.searchsorted(key, key + 1.000001 * math.sqrt(threshold), side="right")
-    count -= np.arange(1, n + 1)   # the later samples of each window
-    start = np.cumsum(count) - count
-    # a chunk starts every (_SCAN_ROWS - 1)(n - 1) pairs, and its last row
-    # adds at most n - 1 more
-    chunk = start // max(1, (_SCAN_ROWS - 1) * (n - 1))
-    out = [np.empty(0, dtype=np.intp)]
-    cuts = [0, *((chunk[1:] != chunk[:-1]).nonzero()[0] + 1).tolist(), n]
-    for lo, hi in zip(cuts, cuts[1:]):
-        c = count[lo:hi]
-        row = np.repeat(np.arange(lo, hi), c)
-        col = row + 1 + np.arange(len(row)) - np.repeat(start[lo:hi] - start[lo], c)
-        i, j = np.minimum(order[row], order[col]), np.maximum(order[row], order[col])
-        d2 = _sum_terms([(c.take(i) - c.take(j)) ** 2 for c in coords])
-        sep = np.abs(ts[i] - ts[j])
-        keep = (d2 < threshold) & ~(np.minimum(sep, 1.0 - sep) < diag_gap)
-        out.append(i[keep] * n + j[keep])
-    return _columns(*np.divmod(np.sort(np.concatenate(out)), n))
-
-
 _MONOTONE_SPAN = 16   # longest short way, in grid steps, of a near pair
 # below pi/2 by a margin far above the rounding of the angles and their sums
 _TURN_LIMIT = 0.5 * math.pi - 1e-6
+_BOX = (_MONOTONE_SPAN + 1) // 2   # samples per box: two boxes one apart hold only near pairs
+_BOX_CELLS = np.divmod(np.arange(_BOX * _BOX), _BOX)   # the sample offsets of a box pair's pairs
 
 
-def _seed_mask(pts, cand):
-    """Mask of the close pairs (i, j) of the cyclic grid pts that seed the
-    search: every far pair, and the near pairs that _turns_little leaves
-    undecided and _may_cross keeps.  A pair is near when its short way
-    between i and j spans at most _MONOTONE_SPAN steps."""
-    n = len(pts)
-    i, j = cand[:, 0], cand[:, 1]
-    forward = 2 * (j - i) <= n
-    span = np.where(forward, j - i, n - (j - i))
-    near = np.flatnonzero(span <= _MONOTONE_SPAN)
-    start, span = np.where(forward, i, j)[near], span[near]   # the short way's first sample
-    keep = np.ones(len(cand), dtype=bool)
-    left = ~_turns_little(pts, start, span)
-    keep[near] = left
-    if left.any():
-        keep[near[left]] = _may_cross(pts, start[left], span[left])
-    return keep
+def _seed_pairs(ts, pts, threshold):
+    """Index arrays (i, j), i < j, of the sample pairs of the cyclic grid
+    (ts, pts) that seed the search, in row-major order: the pairs with
+    squared distance below threshold and cyclic parameter gap at least
+    DIAG_GAP, less the near pairs whose short way cannot hold a crossing.
 
+    A pair is near when its short way spans s <= _MONOTONE_SPAN steps; on
+    a grid of more than 2 _MONOTONE_SPAN samples each near pair has one
+    short way (i, s), from sample i.  Each way is first tested by its
+    turning: a way that turns by less than _TURN_LIMIT at its inner
+    samples and has no zero-length segment runs along its chord (each
+    segment lies within pi/2 of every other, so of their sum), and
+    _may_cross would drop it.  The turning at a sample is the angle between
+    its two segments; one prefix sum of the turnings, and one count of
+    zero-length segments, on the grid extended past its seam, give every
+    way's totals.  Both grow with s, so only the samples whose longest way
+    is undecided have their shorter ways tested.  Only the ways left get a
+    distance, the gap test and _may_cross: on a smooth curve, none.
 
-def _turns_little(pts, start, span):
-    """Mask of the short ways, span <= _MONOTONE_SPAN steps from sample
-    start of the cyclic grid pts, that turn by less than _TURN_LIMIT at
-    their inner samples and have no segment of zero length.  Every segment
-    of such a way lies within pi/2 of every other, so each has a positive
-    dot product with the chord, their sum: _may_cross would drop its pair.
-    A zero-length segment has no direction, so its ways stay undecided.
+    Far pairs come from a broad phase on boxes of _BOX consecutive samples.
+    Boxes at most one box apart, cyclically, hold near pairs only; two
+    boxes farther apart are a candidate when, widened by the distance,
+    they overlap in every coordinate; their sample pairs get a distance,
+    the close ones the gap test, and the far ones among those are kept.
+    The box-pair table is built a block of
+    rows at a time, and the candidates' sample pairs are tested in chunks:
+    besides the list of candidate box pairs, no temporary of the far pairs
+    holds more than _CHUNK_CELLS cells, and those of the near ones scale
+    with the grid."""
+    n, most = len(ts), _MONOTONE_SPAN
+    # the coordinate columns, padded with nan to whole boxes: a padded
+    # sample is close to nothing
+    cols = np.full((pts.shape[1], -(-n // _BOX) * _BOX), np.nan)
+    coords = cols[:, :n]
+    coords[...] = pts.T
 
-    The turning at a sample is the angle between its two segments; one
-    prefix sum of the turnings, and one count of zero-length segments, on
-    the grid extended past its seam, give every way's totals."""
-    ext = np.ascontiguousarray(np.concatenate((pts[-1:], pts, pts[:_MONOTONE_SPAN + 1])).T)
+    def close(i, j):   # mask of the pairs i < j near enough and off the diagonal band
+        keep = _sum_terms([(c.take(i) - c.take(j)) ** 2 for c in cols]) < threshold
+        k = np.flatnonzero(keep)
+        sep = np.abs(ts[i[k]] - ts[j[k]])
+        keep[k] = ~(np.minimum(sep, 1.0 - sep) < DIAG_GAP)
+        return keep
+
+    ext = np.concatenate((coords[:, -1:], coords, coords[:, :most + 1]), axis=1)
     seg = ext[:, 1:] - ext[:, :-1]   # column k + 1: segment k, from sample k to k + 1
     u, w = seg[:, :-1], seg[:, 1:]   # column k: the segments into and out of sample k
     if len(seg) == 3:
@@ -580,8 +570,44 @@ def _turns_little(pts, start, span):
         wedge = np.abs(u[0] * w[1] - u[1] * w[0])
     turned = np.concatenate(([0.0], np.cumsum(np.arctan2(wedge, sum(u * w)))))
     flat = np.concatenate(([0], np.cumsum(~(sum(w * w) > 0.0))))
-    end = start + span
-    return (turned[end] - turned[start + 1] < _TURN_LIMIT) & (flat[end] == flat[start])
+
+    def undecided(start, end):   # the ways from start to end that _may_cross must see
+        return ~((turned[end] - turned[start + 1] < _TURN_LIMIT) & (flat[end] == flat[start]))
+
+    first = np.flatnonzero(undecided(np.arange(n), np.arange(most, most + n)))
+    keys = [np.empty(0, dtype=np.intp)]
+    if len(first):   # none on a smooth curve on a fine grid
+        row, span = np.nonzero(undecided(first[:, None], first[:, None] + np.arange(1, most + 1)))
+        start, span = first[row], span + 1
+        end = start + span
+        i, j = np.where(end < n, start, end - n), np.where(end < n, end, start)
+        keep = close(i, j)
+        keep[keep] = _may_cross(pts, start[keep], span[keep])
+        keys.append(i[keep] * n + j[keep])
+
+    firsts = np.arange(0, n, _BOX)
+    m = len(firsts)
+    # a little wider than the distance, so rounding drops no pair
+    low = np.minimum.reduceat(coords, firsts, axis=1) - 1.000001 * math.sqrt(threshold)
+    high = np.maximum.reduceat(coords, firsts, axis=1)
+    rows = max(1, _CHUNK_CELLS // (len(coords) * m))
+    pairs = []
+    for r in range(0, m, rows):
+        meet = ((low[:, r:r + rows, None] <= high[:, None, :])
+                & (low[:, None, :] <= high[:, r:r + rows, None]))
+        pairs.append(np.flatnonzero(meet.all(axis=0)) + r * m)
+    a, b = np.divmod(np.concatenate(pairs), m)
+    apart = (b - a >= 2) & (b - a <= m - 2)   # two boxes apart or more, cyclically
+    a, b = a[apart], b[apart]
+    per = _CHUNK_CELLS // _BOX ** 2
+    for s in range(0, len(a), per):
+        i = (_BOX * a[s:s + per, None] + _BOX_CELLS[0]).ravel()
+        j = (_BOX * b[s:s + per, None] + _BOX_CELLS[1]).ravel()
+        keep = close(i, j)
+        i, j = i[keep], j[keep]
+        far = (j - i > most) & (n - (j - i) > most)
+        keys.append(i[far] * n + j[far])
+    return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
 def _may_cross(pts, start, span):
@@ -589,8 +615,8 @@ def _may_cross(pts, start, span):
     start of the cyclic grid pts, that can hold a crossing.  A way fails
     when its samples run monotonically along their own chord: every
     segment has a positive dot product with the chord.  Such an arc is
-    injective, so it holds no crossing.  _seed_mask asks only about the
-    ways that _turns_little leaves.
+    injective, so it holds no crossing.  _seed_pairs asks only about the
+    close pairs' ways that their turning leaves undecided.
 
     The segments of all ways come from one gather per coordinate of
     (ways x the longest way) cells, on the grid's segments extended past

@@ -46,7 +46,7 @@ from .diagram import (
     smoothed_level_chi,
     subsurface_profile,
 )
-from .errors import ChiZero, CrossCheckFailed, NonPositiveQ, NotSphere
+from .errors import ChiZero, CrossCheckFailed, NonPositiveQ, NotSphere, QOverflow
 from .laurent import HalfLaurent
 
 
@@ -147,14 +147,18 @@ def iq_rational_eval(iq: HalfLaurent, C, chi_s: int, q: float) -> float:
     Uses the shift law q^C I_q + chi(S) (q^C - 1)/(q^(1/2) - q^(-1/2));
     the q = 1 value is the removable-singularity limit I_1 + C chi(S).
     Non-integer C does not stay in the half-integer Laurent ring, which is
-    why this is a pointwise evaluation rather than a HalfLaurent.
+    why this is a pointwise evaluation rather than a HalfLaurent.  A power
+    of q that overflows a float raises QOverflow.
     """
     if not 0 < q < math.inf:
         raise NonPositiveQ(f"q must be finite and positive, got {q}")
     C = Fraction(C)
     if q == 1:
         return float(laurent.value_at_1(iq) + C * chi_s)
-    qc = float(q) ** float(C)
+    try:
+        qc = float(q) ** float(C)
+    except OverflowError:
+        raise QOverflow(f"q = {q}: the shift q^{C} overflows a float") from None
     denom = q ** 0.5 - q ** -0.5
     return qc * laurent.eval_real(iq, q) + chi_s * (qc - 1.0) / denom
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NonPositiveQ
+from .errors import NonPositiveQ, QOverflow
 
 
 class HalfLaurent:
@@ -109,13 +109,16 @@ def derivative_at_1(a: HalfLaurent) -> Fraction:
 
 def eval_real(a: HalfLaurent, q: float) -> float:
     """Numeric value at a finite real q > 0, summed in ascending exponent
-    order."""
+    order; QOverflow where a power q^(e/2) overflows a float."""
     if not 0 < q < math.inf:
         raise NonPositiveQ(f"q must be finite and positive, got {q}")
     sqrt_q = float(q) ** 0.5
     total = 0.0
-    for e in sorted(a.terms):
-        total += float(a.terms[e]) * sqrt_q ** e
+    try:
+        for e in sorted(a.terms):
+            total += float(a.terms[e]) * sqrt_q ** e
+    except OverflowError:
+        raise QOverflow(f"q = {q}: a power q^(e/2) of the polynomial overflows a float") from None
     return total
 
 

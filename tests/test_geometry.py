@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +11,16 @@ import pytest
 from test_numeric_kernels import (
     EPICYCLES,
     Epicycle,
+    close_pairs_reference,
+    double_points_all_seeds,
     may_cross_reference,
+    seed_grid,
+    seed_kernel,
+    seed_reference,
+    short_spans,
     side_probe_indices,
     side_probes,
+    ways_to_may_cross,
 )
 
 import curveinv.diagram as diagram_module
@@ -24,6 +32,7 @@ from curveinv.errors import (
     ChiZero,
     DegenerateTangency,
     InvalidBasePoint,
+    InvalidConfig,
     NonPositiveQ,
     PointOnCurve,
     QOverflow,
@@ -548,17 +557,94 @@ def test_refined_seeds_are_the_may_cross_seeds(monkeypatch, cfg):
     refine = geometry._refine_double_points
     monkeypatch.setattr(geometry, "_refine_double_points",
                         lambda curve, t1, t2: seeds.append((t1, t2)) or refine(curve, t1, t2))
-    n = cfg.double_grid
-    ts = np.arange(n) / n
     for curve in seed_filter_curves():
         seeds.clear()
         find_double_points(curve, cfg)
-        pts, vel = curve.jet(ts, 1)
-        step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
-        close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
-        want = close[may_cross_reference(pts, close)]
+        ts, pts, threshold = seed_grid(curve, cfg.double_grid)
+        want = seed_reference(ts, pts, threshold)
         (t1, t2), = seeds
         assert t1.tolist() == ts[want[:, 0]].tolist() and t2.tolist() == ts[want[:, 1]].tolist()
+
+
+@pytest.mark.parametrize("n", [50, 101, 400, 800])
+def test_seed_kernel_equals_dense_reference(n):
+    # the seeds are the dense grid's close pairs that the one-gather filter
+    # keeps, in row-major order, near and far ones; the fixtures, the
+    # epicycles (with k = 25 and 33) and the seeded torus curves
+    near = far = 0
+    for k, curve in enumerate([*seed_filter_curves(), Epicycle(25, 0.5), Epicycle(33, 0.5)]):
+        ts, pts, threshold = seed_grid(curve, n)
+        want = seed_reference(ts, pts, threshold)
+        assert seed_kernel(ts, pts, threshold).tolist() == want.tolist(), k
+        spans = short_spans(n, want)
+        near += (spans <= geometry._MONOTONE_SPAN).sum()
+        far += (spans > geometry._MONOTONE_SPAN).sum()
+    assert near and far
+
+
+def test_seed_kernel_gap_test_reaches_far_pairs():
+    # at n = 3400, DIAG_GAP n = 17 > _MONOTONE_SPAN: far pairs along the slow
+    # parts of draws 22 and 27 are close but within the diagonal band, and
+    # at a span of 17 the float gap test drops some pairs and keeps others
+    n = 3400
+    assert geometry.DIAG_GAP * n > geometry._MONOTONE_SPAN
+    for i, curve, _b in seeded_torus_curves(28):
+        if i not in (22, 27):
+            continue
+        ts, pts, threshold = seed_grid(curve, n)
+        banded = close_pairs_reference(ts, pts, threshold, gap=0.0)
+        sep = np.abs(ts[banded[:, 0]] - ts[banded[:, 1]])
+        off = ~(np.minimum(sep, 1.0 - sep) < geometry.DIAG_GAP)
+        spans = short_spans(n, banded)
+        assert (spans[~off] == 17).any() and (spans[off] == 17).any()
+        close = banded[off]
+        want = close[may_cross_reference(pts, close)]
+        assert seed_kernel(ts, pts, threshold).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [101, 400])
+def test_seed_kernel_sends_a_stalled_parametrization_to_may_cross(n):
+    # a circle that rests at its start for a tenth of its parameter: its
+    # repeated samples join zero-length segments, whose ways the turning
+    # leaves to _may_cross
+    ts = np.arange(n) / n
+    stall = np.where(ts < 0.1, 0.0, (ts - 0.1) / 0.9)
+    pts, vel = TorusCircle(0.2).jet(stall, 1)
+    threshold = (4.0 * float(np.max(np.linalg.norm(vel, axis=-1))) / 0.9 / n) ** 2
+    seeds, asked = ways_to_may_cross(ts, pts, threshold)
+    assert seeds.tolist() == seed_reference(ts, pts, threshold).tolist()
+    # segments 0 ... resting - 2 have zero length: each way asked about
+    # starts on one, or wraps the seam through segment 0
+    resting = int(np.count_nonzero(stall == 0.0))
+    assert asked and all(i < resting - 1 or 2 * (j - i) > n for i, j in asked)
+
+
+def test_seed_kernel_on_the_smallest_grid():
+    # the floor of double_grid, with a partial last box (50 = 6 * 8 + 2)
+    n = geometry._FLOORS["double_grid"]
+    with pytest.raises(InvalidConfig):
+        NumericConfig(double_grid=n - 1)
+    cfg = NumericConfig(double_grid=n)
+    for curve in (*(parametric_fixture(name).curve for name in PARAMETRIC_NAMES),
+                  *(Epicycle(k, a) for k, a, _ in EPICYCLES)):
+        ts, pts, threshold = seed_grid(curve, n)
+        want = seed_reference(ts, pts, threshold)
+        assert seed_kernel(ts, pts, threshold).tolist() == want.tolist()
+    got = find_double_points(SphereFigureEight(), cfg)
+    assert len(got) == 1 and got == double_points_all_seeds(SphereFigureEight(), cfg)
+
+
+def test_seed_memory_grows_linearly_with_the_grid():
+    # a box x box table would grow 16 x from 3200 to 12800 samples; the
+    # blocked one stays below _CHUNK_CELLS cells, and the rest of the search
+    # grows 4 x
+    peaks = []
+    for n in (3200, 12800):
+        tracemalloc.start()
+        find_double_points(TorusCircle(), NumericConfig(double_grid=n))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 6 * peaks[0]
 
 
 def face_dart_reference(ctx, point):
@@ -648,6 +734,27 @@ def test_a_missed_crossing_fails_the_parity_check(monkeypatch):
     monkeypatch.setattr(geometry, "find_double_points", lambda curve, cfg: find(curve, cfg)[1:])
     with pytest.raises(TopologyError, match="non-integer index"):
         NumericContext(Epicycle(9, 0.5), (0.05, 0.05), CFG)
+
+
+@pytest.mark.parametrize("field,size", [
+    ("double_grid", 0), ("double_grid", -5), ("double_grid", 49), ("double_grid", 2.5),
+    ("double_grid", True), ("line_nodes", 0), ("line_nodes", 7),
+    ("curve_samples", 0), ("curve_samples", 1), ("curve_samples", 511), ("curve_samples", 1024.0),
+])
+def test_config_rejects_a_size_its_kernels_cannot_use(field, size):
+    # before, 0 and -5 gave a bare ValueError, 2.5 was accepted, and
+    # curve_samples=1 gave I_2 = 1.414 for a torus circle whose I_2 is 0.707
+    with pytest.raises(InvalidConfig, match=field):
+        NumericConfig(**{field: size})
+
+
+def test_config_floors_are_the_halved_grids_floors():
+    smallest = NumericConfig(**geometry._FLOORS)
+    assert smallest.halved() == smallest
+    assert NumericConfig().halved().halved().halved().halved().double_grid == 50
+    ctx = NumericContext(TorusCircle(), (0.5, 0.5), smallest)
+    assert abs(numeric_iq(ctx.curve, ctx.base_point, [2.0], context=ctx)[0]
+               - math.sqrt(2.0) / 2) < 1e-6
 
 
 def test_a_context_makes_one_point_index_call_on_two_nodes(monkeypatch):

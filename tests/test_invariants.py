@@ -24,6 +24,7 @@ from curveinv.errors import (
     HomologicallyNontrivial,
     NonPositiveQ,
     NotSphere,
+    QOverflow,
     TopologyError,
 )
 from curveinv.invariants import (
@@ -161,6 +162,22 @@ def test_iq_rational_eval(fixtures):
     assert value == pytest.approx(17 / 6, abs=1e-9)
     with pytest.raises(NonPositiveQ):
         iq_rational_eval(rep.iq, Fraction(1, 2), 2, 0.0)
+
+
+def test_iq_rational_eval_names_a_q_whose_powers_overflow(fixtures):
+    # a grown n = 64 diagram at its deepest base, where I_q reaches
+    # q^(-65/2): at q = 1e-300 its powers overflow, and so does the shift
+    # q^400 at q = 1e300; before, a bare OverflowError from both functions
+    snaps, _, _ = grow_deep(random.Random("exact_deep:7"), {64})
+    d, _ = snaps[64]
+    rep = min((full_report(d, b) for b in range(len(d.regions))), key=lambda r: min(r.iq.terms))
+    assert min(rep.iq.terms) <= -39
+    for evaluate in (lambda q: laurent.eval_real(rep.iq, q),
+                     lambda q: iq_rational_eval(rep.iq, 0, d.surface_chi, q)):
+        with pytest.raises(QOverflow):
+            evaluate(1e-300)
+    with pytest.raises(QOverflow):
+        iq_rational_eval(full_report(fixtures["figure8_sphere"]).iq, 400, 2, 1e300)
 
 
 @pytest.mark.parametrize("q", [float("inf"), float("nan")])

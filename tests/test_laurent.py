@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curveinv import laurent
-from curveinv.errors import NonPositiveQ
+from curveinv.errors import NonPositiveQ, QOverflow
 from curveinv.laurent import HalfLaurent
 
 
@@ -86,6 +86,19 @@ def test_eval_real():
         assert laurent.eval_real(poly, 1.0) == pytest.approx(
             float(laurent.value_at_1(poly)), abs=1e-15
         )
+
+
+@pytest.mark.parametrize("q", [1e-300, 1e300])
+def test_eval_real_names_a_q_whose_powers_overflow(q):
+    # q^(-39/2) at q = 1e-300 and q^(39/2) at q = 1e300 leave the float
+    # range; before, a bare OverflowError
+    for e in (-39, 39):
+        poly = HalfLaurent({e: 1, 0: 2})
+        if (e < 0) == (q < 1):
+            with pytest.raises(QOverflow, match="overflows a float"):
+                laurent.eval_real(poly, q)
+        else:
+            assert laurent.eval_real(poly, q) == 2.0
 
 
 def test_eval_real_rejects_nonpositive_q():

@@ -9,16 +9,18 @@ replaced is kept as a first-order reference: with m meridians it must lie
 within 2 pi / m of them.  The probe index, a winding number in a planar
 chart, must equal the crossing count along the geodesic leg that it
 replaced, kept as a scalar loop with an 80-step bisection per crossing,
-wherever that leg is not degenerate; the windowed pair scan must return
-the pairs of the dense grid in the same order; double-point seeding skips
-pairs that cannot cross, and seeding from every close pair, past both seed
-filters, is kept as a reference.  The loops that the straddling-edge
-winding count, the one-gather seed filter, the prefix-sum turning mask (a
-loop summing the angles of each short way) and the whole-array root merge
-replaced are kept too, and the kernels must equal them exactly; the seeds
-after the turning mask are the one-gather filter's.  A context makes one
-jet per Newton step and one for the roots (one per parameter above
-_JOINT_JET seeds, with the same bits), and chooses the sphere's pole once.  Every curve's jet must agree with central
+wherever that leg is not degenerate.  The seeding kernel (_seed_pairs)
+must return the close pairs of the dense grid, formed a block of rows at a
+time, that the one-gather-per-step filter keeps, in the same order;
+seeding from every close pair, past both seed filters, is kept as a
+reference.  The loops that the straddling-edge winding count, the
+one-gather seed filter, the prefix-sum turning rule (a loop summing the
+angles of each short way) and the whole-array root merge replaced are kept
+too, and the kernels must equal them exactly; the kernel asks _may_cross
+about the close near pairs that the turning loop leaves undecided.  A
+context makes one jet per Newton step and one for the roots (one per
+parameter above _JOINT_JET seeds, with the same bits), and chooses the
+sphere's pole once.  Every curve's jet must agree with central
 differences of its own lower terms.  The kernels build their frames, norms
 and jets in components; the numpy helper formulas they replaced (np.stack
 jets, np.cross, np.einsum, np.linalg.norm) are kept as references, to
@@ -176,6 +178,12 @@ def may_cross_reference(pts, cand):
     return keep
 
 
+def short_spans(n, cand):
+    """The cyclic span of the short way of each pair (i, j), i < j, of cand."""
+    gap = cand[:, 1] - cand[:, 0]
+    return np.minimum(gap, n - gap)
+
+
 def on_pairs(kernel, pts, cand, far):
     """A seed kernel's mask over the short ways of the near pairs of cand,
     spread over cand: far pairs read `far`."""
@@ -190,9 +198,10 @@ def on_pairs(kernel, pts, cand, far):
 
 
 def turns_little_reference(pts, cand):
-    """_turns_little as a loop over the pairs: the angles between the
-    consecutive segments of each near pair's short way, summed one by one;
-    a way with a zero-length segment is undecided."""
+    """_seed_pairs' turning rule as a loop over the pairs: the angles
+    between the consecutive segments of each near pair's short way, summed
+    one by one; a way with a zero-length segment is undecided.  True where
+    the turning drops the pair."""
     n, out = len(pts), []
     for i, j in cand.tolist():
         forward = 2 * (j - i) <= n
@@ -237,11 +246,62 @@ def plane_reference(pts, x):
 
 
 def double_points_all_seeds(curve, cfg):
-    """find_double_points seeded from every close pair of the grid: neither
-    the turning nor _may_cross drops a pair."""
+    """find_double_points seeded from every close pair of the grid, as the
+    dense reference finds them: neither the turning nor _may_cross drops a
+    pair."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_seed_mask", lambda pts, cand: np.ones(len(cand), dtype=bool))
+        mp.setattr(geometry, "_seed_pairs",
+                   lambda ts, pts, threshold: tuple(close_pairs_reference(ts, pts, threshold).T))
         return find_double_points(curve, cfg)
+
+
+def seed_grid(curve, n):
+    """The seed grid of n samples of find_double_points, and its threshold."""
+    ts = np.arange(n) / n
+    pts, vel = curve.jet(ts, 1)
+    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
+    return ts, pts, (4.0 * step) ** 2
+
+
+def close_pairs_reference(ts, pts, threshold, gap=geometry.DIAG_GAP, rows=128):
+    """The close pairs (i, j), i < j, of the dense n x n grid in row-major
+    order: squared distance below threshold and cyclic parameter gap at
+    least gap.  The grid is formed a block of rows at a time, each row from
+    its diagonal on."""
+    n, out = len(ts), [np.empty((0, 2), dtype=np.intp)]
+    for lo in range(0, n, rows):
+        diff = pts[lo:lo + rows, None, :] - pts[None, lo:, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        sep = np.abs(ts[lo:lo + rows, None] - ts[None, lo:])
+        close = (d2 < threshold) & ~(np.minimum(sep, 1.0 - sep) < gap)
+        close &= np.arange(n - lo) > np.arange(len(d2))[:, None]   # above the diagonal
+        out.append(np.argwhere(close) + lo)
+    return np.concatenate(out)
+
+
+def seed_reference(ts, pts, threshold):
+    """The seeds of _seed_pairs: the close pairs that may_cross_reference keeps."""
+    close = close_pairs_reference(ts, pts, threshold)
+    return close[may_cross_reference(pts, close)]
+
+
+def seed_kernel(ts, pts, threshold):
+    """_seed_pairs' seeds as an (m, 2) array of pairs."""
+    return np.column_stack(geometry._seed_pairs(ts, pts, threshold))
+
+
+def ways_to_may_cross(ts, pts, threshold):
+    """The seeds of _seed_pairs, and the pairs, sorted, whose short ways it
+    asks _may_cross about."""
+    asked = [(np.empty(0, dtype=np.intp),) * 2]
+    may_cross = geometry._may_cross
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_may_cross", lambda pts, start, span:
+                   asked.append((start, span)) or may_cross(pts, start, span))
+        seeds = seed_kernel(ts, pts, threshold)
+    start, span = (np.concatenate(c) for c in zip(*asked))
+    end = (start + span) % len(ts)
+    return seeds, sorted(zip(np.minimum(start, end).tolist(), np.maximum(start, end).tolist()))
 
 
 # (k, a, crossings) of the epicycles below
@@ -339,45 +399,33 @@ def sweep_reference(ctx, m):
     return {i: a for i, a in area.items() if a != 0.0}
 
 
-def dense_close_pairs(curve, n):
-    """The grid of n samples, the threshold of find_double_points, and the
-    close pairs (i, j), i < j, of the dense n x n grid in row-major order."""
-    ts = np.arange(n) / n
-    pts, vel = curve.jet(ts, 1)
-    threshold = (4.0 * float(np.max(np.linalg.norm(vel, axis=-1))) / n) ** 2
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    sep = np.abs(ts[:, None] - ts[None, :])
-    d2[np.minimum(sep, 1.0 - sep) < geometry.DIAG_GAP] = np.inf
-    d2[np.tril_indices(n)] = np.inf
-    return ts, pts, threshold, np.argwhere(d2 < threshold)
-
-
 @pytest.mark.parametrize("n", [50, 100, 101])
 def test_blocked_pair_scan_matches_dense_grid(n):
-    # the windowed scan finds the pairs of the dense n x n grid, in order
-    ts, pts, threshold, dense = dense_close_pairs(SphereFigureEight(), n)
-    assert len(dense) > 0
-    blocked = geometry._close_pairs(ts, pts, threshold, geometry.DIAG_GAP)
-    assert blocked.tolist() == dense.tolist()
+    # the seeding kernel keeps the seeds of the dense n x n grid, in order:
+    # the crossing's far pairs, found through the boxes
+    ts, pts, threshold = seed_grid(SphereFigureEight(), n)
+    want = seed_reference(ts, pts, threshold)
+    assert len(want) > 0 and (short_spans(n, want) > geometry._MONOTONE_SPAN).all()
+    assert seed_kernel(ts, pts, threshold).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("curve", [TorusCircle(0.2), Epicycle(17, 0.5)])
 @pytest.mark.parametrize("n", [200, 400, 800])
 def test_pair_scan_matches_dense_grid_on_loops(curve, n):
-    ts, pts, threshold, dense = dense_close_pairs(curve, n)
-    assert len(dense) > 0
-    assert geometry._close_pairs(ts, pts, threshold, geometry.DIAG_GAP).tolist() == dense.tolist()
+    # the circle has close pairs but no seed
+    ts, pts, threshold = seed_grid(curve, n)
+    assert len(close_pairs_reference(ts, pts, threshold)) > 0
+    want = seed_reference(ts, pts, threshold)
+    assert seed_kernel(ts, pts, threshold).tolist() == want.tolist()
+    assert (len(want) > 0) is isinstance(curve, Epicycle)
 
 
 @pytest.mark.parametrize("curve", [SphereFigureEight(), SphereFigureEight(0.6, 0.3),
                                    LatitudeCircle(1.0), TorusCircle(0.2)])
 def test_batched_newton_equals_scalar_loop(curve):
     n = CFG.double_grid
-    ts = np.arange(n) / n
-    pts, vel = curve.jet(ts, 1)
-    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
-    cand = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
+    ts, pts, threshold = seed_grid(curve, n)
+    cand = close_pairs_reference(ts, pts, threshold)
     # the near pairs that seed the search, far pairs that mostly fail, and
     # a pair of the 400-grid that, on the figure eight, meets a Jacobian
     # with det ~ -1e-6 and converges only after wandering to t ~ 1400
@@ -613,10 +661,8 @@ def test_winding_equals_reference_on_probe_stacks(which, cfg):
 def test_may_cross_equals_reference(curve, n):
     # the close pairs of the grid, and pairs across the seam, some of whose
     # short ways wrap it
-    ts = np.arange(n) / n
-    pts, vel = curve.jet(ts, 1)
-    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
-    close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
+    ts, pts, threshold = seed_grid(curve, n)
+    close = close_pairs_reference(ts, pts, threshold)
     seam = np.array([(i, j) for i in range(20) for j in range(n - 20, n) if i < j])
     cand = np.concatenate([close, seam])
     got = on_pairs(geometry._may_cross, pts, cand, True)
@@ -631,35 +677,45 @@ def test_may_cross_equals_reference(curve, n):
 @pytest.mark.parametrize("n", [50, 100, 200, 400, 800])
 def test_turning_mask_equals_scalar_loop(curve, n):
     # the close pairs and the seam pairs of test_may_cross_equals_reference:
-    # the turning decides most near pairs, and the seeds are _may_cross's
-    ts = np.arange(n) / n
-    pts, vel = curve.jet(ts, 1)
-    step = float(np.max(np.linalg.norm(vel, axis=-1))) / n
-    close = geometry._close_pairs(ts, pts, (4.0 * step) ** 2, geometry.DIAG_GAP)
+    # the turning decides most near pairs, _may_cross sees the close ones
+    # it leaves, and the seeds are _may_cross's.  With no distance bound,
+    # _may_cross sees every near pair off the diagonal band that it leaves
+    ts, pts, threshold = seed_grid(curve, n)
+    close = close_pairs_reference(ts, pts, threshold)
     seam = np.array([(i, j) for i in range(20) for j in range(n - 20, n) if i < j])
-    cand = np.concatenate([close, seam])
-    straight = on_pairs(geometry._turns_little, pts, cand, False)
-    assert straight.tolist() == turns_little_reference(pts, cand).tolist()
-    assert geometry._seed_mask(pts, cand).tolist() == may_cross_reference(pts, cand).tolist()
+    straight = turns_little_reference(pts, np.concatenate([close, seam]))
+    undecided = (short_spans(n, close) <= geometry._MONOTONE_SPAN) & ~straight[:len(close)]
+    seeds, asked = ways_to_may_cross(ts, pts, threshold)
+    assert asked == list(map(tuple, close[undecided].tolist()))
+    assert seeds.tolist() == close[may_cross_reference(pts, close)].tolist()
+    sep = np.abs(ts[seam[:, 0]] - ts[seam[:, 1]])
+    undecided = ((short_spans(n, seam) <= geometry._MONOTONE_SPAN) & ~straight[len(close):]
+                 & ~(np.minimum(sep, 1.0 - sep) < geometry.DIAG_GAP))
+    _, asked = ways_to_may_cross(ts, pts, math.inf)
+    assert set(asked) & set(map(tuple, seam.tolist())) == set(map(tuple, seam[undecided].tolist()))
     assert straight[:len(close)].any() and straight[len(close):].any()
 
 
 def test_turning_leaves_zero_length_segments_undecided():
     # a repeated grid sample: its segment has no direction.  The pairs whose
-    # short way holds it are left to _may_cross, with no RuntimeWarning
+    # short way holds it are left to _may_cross, with no RuntimeWarning; no
+    # distance bound keeps any of these pairs from the kernel
     n = 100
-    pts = TorusCircle(0.2).jet(np.arange(n) / n, 0)[0]
+    ts = np.arange(n) / n
+    pts = TorusCircle(0.2).jet(ts, 0)[0]
     pts[[41, 97]] = pts[[40, 96]]   # segments 40 and 96 have zero length
     cand = np.array([(i, j) for i in range(n) for j in range(i + 1, min(i + 9, n))]
                     + [(2, 95), (1, 99)])   # short ways across the seam, one through 96
     zero = np.array([(i <= 40 < j or i <= 96 < j) if 2 * (j - i) <= n else j <= 96
                      for i, j in cand.tolist()])
-    straight = on_pairs(geometry._turns_little, pts, cand, False)
-    assert straight.tolist() == turns_little_reference(pts, cand).tolist()
+    straight = turns_little_reference(pts, cand)
     assert zero.sum() == 58 and not straight[zero].any() and straight[~zero].all()
-    seeds = geometry._seed_mask(pts, cand)
-    assert seeds.tolist() == may_cross_reference(pts, cand).tolist()
-    assert seeds[zero].all() and not seeds[~zero].any()
+    seeds, asked = ways_to_may_cross(ts, pts, math.inf)
+    pairs = set(map(tuple, cand.tolist()))
+    assert [p for p in asked if p in pairs] == sorted(map(tuple, cand[zero].tolist()))
+    kept = [p for p in map(tuple, seeds.tolist()) if p in pairs]
+    assert kept == sorted(map(tuple, cand[may_cross_reference(pts, cand)].tolist()))
+    assert kept == sorted(map(tuple, cand[zero].tolist()))
 
 
 def test_distinct_roots_equals_greedy_loop_on_hand_made_roots():
