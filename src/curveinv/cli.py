@@ -39,8 +39,6 @@ from .errors import (
     HomologicallyNontrivial,
     NonPositiveQ,
     ParseError,
-    PlanInvalid,
-    PlanRequired,
     QOverflow,
     SiteError,
 )
@@ -270,17 +268,13 @@ def _parse_site(diagram, text):
 
 def cmd_move(args):
     diagram = _load_diagram(args.diagram)
-    try:
-        site = _parse_site(diagram, args.site)
-        if site.kind.startswith("birth"):
-            moved = tangency_birth(diagram, site)
-        elif site.kind.startswith("bigon"):
-            moved = bigon_death(diagram, site)
-        else:
-            moved = triple_move(diagram, site)
-    except (SiteError, PlanRequired, PlanInvalid, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    site = _parse_site(diagram, args.site)
+    if site.kind.startswith("birth"):
+        moved = tangency_birth(diagram, site)
+    elif site.kind.startswith("bigon"):
+        moved = bigon_death(diagram, site)
+    else:
+        moved = triple_move(diagram, site)
     before = full_report(diagram)
     after = full_report(moved)
     deltas = {

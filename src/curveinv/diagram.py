@@ -393,23 +393,13 @@ def parse_diagram(text: str) -> CurveDiagram:
         if not fields:
             continue
         kind = fields[0]
-        if kind == "region":    # the most frequent line, read without helpers
+        if kind == "region":
             if len(fields) != 4:
                 raise ParseError("region needs exactly <rid> genus=<g> cycles=<c,...>",
                                  line_no)
             _, rid, genus, cycle_list = fields
-            try:
-                rid = _decimal(rid)
-            except ValueError:
-                raise ParseError(f"bad region id: {rid!r}", line_no) from None
-            if not genus.startswith("genus="):
-                raise ParseError("expected genus=<value>", line_no)
-            try:
-                genus = _decimal(genus[6:])
-            except ValueError:
-                raise ParseError(f"bad genus: {genus[6:]!r}", line_no) from None
-            if genus < 0:
-                raise ParseError("genus must be nonnegative", line_no)
+            rid = _parse_int(rid, line_no, "region id")
+            genus = _parse_kv(genus, "genus", line_no)
             if not cycle_list.startswith("cycles="):
                 raise ParseError("expected cycles=<c1,c2,...>", line_no)
             try:
@@ -621,11 +611,12 @@ def arc_and_crossing_indices(diagram: CurveDiagram, ind: IndexFunction):
 # subsurfaces over half-integer levels
 
 
-def _check_half_integer(j) -> Fraction:
+def _check_half_integer(j) -> int:
+    """2j, the odd integer that names a half odd integer level j."""
     j = Fraction(j)
     if j.denominator != 2:
         raise ValueError(f"level j must be a half odd integer, got {j}")
-    return j
+    return j.numerator
 
 
 def subsurface_chi(diagram: CurveDiagram, ind: IndexFunction, j) -> int:
@@ -634,32 +625,36 @@ def subsurface_chi(diagram: CurveDiagram, ind: IndexFunction, j) -> int:
     Computed by compactly-supported additivity over the interior: regions
     with value > j, minus one per open arc with both sides > j, plus one per
     crossing with all four corners > j.  A crossing-free closed component
-    strictly inside contributes 0.
+    strictly inside contributes 0.  The library reads chi(S_j) from
+    subsurface_profile; this one-level count is the reference the tests
+    compare that profile with.
     """
-    j = _check_half_integer(j)
-    total = sum(r.chi for rid, r in enumerate(diagram.regions) if ind.values[rid] > j)
+    twice_j = _check_half_integer(j)
+    total = sum(r.chi for rid, r in enumerate(diagram.regions)
+                if 2 * ind.values[rid] > twice_j)
     arc_idx, crossing_idx = arc_and_crossing_indices(diagram, ind)
     if diagram.n > 0:
-        total -= sum(1 for v in arc_idx.values() if v + Fraction(1, 2) > j)
-        total += sum(1 for v in crossing_idx.values() if v - 1 > j)
+        total -= sum(1 for v in arc_idx.values() if 2 * v + 1 > twice_j)
+        total += sum(1 for v in crossing_idx.values() if 2 * (v - 1) > twice_j)
     return total
 
 
 @dataclass(frozen=True)
 class SubsurfaceProfile:
-    """a_j over half-integer levels, plus crossing indices.
+    """a_j over half-integer levels, the threshold histogram's bins, plus
+    crossing indices.
 
     Keys of a_j are twice the level (odd integers).  a_j is chi(S_j) minus
     chi(S) for negative j, which vanishes outside the stored window.
+    bins[i] = chi(S_{i-1/2}) - chi(S_{i+1/2}) for each integer level i of
+    the window; it is the chi of the smoothed curve's level-i region.
     crossing_indices is the sorted multiset of double-point indices.
     """
 
     a_j: dict
+    bins: dict
     crossing_indices: tuple
     surface_chi: int
-
-    def a_at(self, twice_j: int) -> int:
-        return self.a_j.get(twice_j, 0)
 
 
 def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceProfile:
@@ -668,7 +663,9 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
     Each term of subsurface_chi counts at level j iff an integer threshold t
     satisfies t > j: a region at its value, an arc at its smaller side, a
     crossing at i - 1.  Summing a histogram of thresholds from the top gives
-    chi(S_j) for every level at once.
+    chi(S_j) for every level at once, and the histogram's bins are the
+    differences chi(S_{i-1/2}) - chi(S_{i+1/2}).  The top bin, at hi + 1,
+    holds no term and is not kept.
     """
     arc_idx, crossing_idx = arc_and_crossing_indices(diagram, ind)
     crossing_indices = tuple(sorted(crossing_idx.values()))
@@ -690,7 +687,8 @@ def subsurface_profile(diagram: CurveDiagram, ind: IndexFunction) -> SubsurfaceP
     for k, chi in enumerate(chi_sj):
         twice_j = 2 * (lo + k) - 1
         a_j[twice_j] = chi - (diagram.surface_chi if twice_j < 0 else 0)
-    return SubsurfaceProfile(a_j=a_j, crossing_indices=crossing_indices,
+    return SubsurfaceProfile(a_j=a_j, bins=dict(zip(range(lo, hi + 1), hist)),
+                             crossing_indices=crossing_indices,
                              surface_chi=diagram.surface_chi)
 
 
@@ -700,8 +698,8 @@ class SmoothedProfile:
 
     Smoothing resolves every double point respecting orientation, so the
     complement regions are unions of the original ones; the level-i region
-    has chi = a_{i-1/2} - a_{i+1/2} + [i = 0] chi(S), and the levels sum to
-    chi(S) by telescoping.
+    has chi = chi(S_{i-1/2}) - chi(S_{i+1/2}), the profile's bin i, and the
+    levels sum to chi(S) by telescoping.
     """
 
     level_chi: dict
@@ -709,18 +707,9 @@ class SmoothedProfile:
 
 
 def smoothed_level_chi(profile: SubsurfaceProfile) -> SmoothedProfile:
-    twice = sorted(profile.a_j)
-    lo = (twice[0] + 1) // 2
-    hi = (twice[-1] - 1) // 2
-    levels = {}
-    for i in range(lo, hi + 1):
-        chi = profile.a_at(2 * i - 1) - profile.a_at(2 * i + 1)
-        if i == 0:
-            chi += profile.surface_chi
-        levels[i] = chi
-    if sum(levels.values()) != profile.surface_chi:
+    if sum(profile.bins.values()) != profile.surface_chi:
         raise TopologyError("smoothed level chis do not telescope to chi(S)")
-    return SmoothedProfile(level_chi=levels, surface_chi=profile.surface_chi)
+    return SmoothedProfile(level_chi=profile.bins, surface_chi=profile.surface_chi)
 
 
 def euler_moments(smoothed: SmoothedProfile):

@@ -54,7 +54,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,11 +62,12 @@ from .diagram import (
     RIGHT,
     SignedGaussCode,
     _assemble_diagram,
+    _check_half_integer,
     _region_table,
     _trace,
     dart_id,
     index_function,
-    subsurface_chi,
+    subsurface_profile,
 )
 from .errors import (
     ChartViolation,
@@ -987,7 +987,8 @@ def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=N
     """I_q from the integral definition, for each finite q > 0 in q_values.
 
     q = 1 is evaluated by the limit formula (the Gauss-Bonnet form of the
-    rotation number) rather than the divided difference.
+    rotation number) rather than the divided difference.  A power q^i or a
+    sum that overflows a float raises QOverflow.
     """
     ctx = context or NumericContext(curve, base_point, cfg)
     out = []
@@ -1006,6 +1007,9 @@ def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=N
         except OverflowError:
             raise QOverflow(f"q = {q}: a power q^i at this curve's index levels "
                             "overflows a float") from None
+        if not math.isfinite(total):
+            raise QOverflow(f"q = {q}: the integrals at this curve's index levels "
+                            "overflow a float")
         out.append(total / TWO_PI)
     return out
 
@@ -1035,19 +1039,21 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
                               context=None, extracted=None):
     """Both sides of the Gauss-Bonnet identity for the subsurface above j.
 
-    lhs = 2 pi chi(S_j) from the extracted combinatorial diagram; rhs is the
+    lhs = 2 pi chi(S_j) from the extracted combinatorial diagram, read off
+    its subsurface profile: a_j, plus chi(S) for negative j; rhs is the
     numeric total curvature of that subsurface: its area integral of K, the
     geodesic curvature along its boundary arcs (index = j), plus the corner
-    turning angles (pi - theta) at double points of index j -+ 1/2.
+    turning angles (pi - theta) at double points of index j -+ 1/2.  Levels
+    are compared as the odd integer 2j; another j raises ValueError.
     """
+    twice_j = _check_half_integer(j)
     ctx = context or NumericContext(curve, base_point, cfg)
-    j = Fraction(j)
     if extracted is None:
         extracted = extract_diagram(curve, base_point, cfg, context=ctx)
     diagram, base = extracted
-    ind = index_function(diagram, base)
-    lhs = TWO_PI * subsurface_chi(diagram, ind, j)
-    twice_j = j.numerator   # subsurface_chi checked that j is a half odd integer
+    profile = subsurface_profile(diagram, index_function(diagram, base))
+    chi_sj = profile.a_j.get(twice_j, 0) + (diagram.surface_chi if twice_j < 0 else 0)
+    lhs = TWO_PI * chi_sj
     rhs = ctx.area_integral(lambda i: 1.0 if 2 * i > twice_j else 0.0)
     rhs += sum(w for v, w in zip(ctx.arc_index, ctx.arc_kg) if 2 * v + 1 == twice_j)
     rhs += ctx.crossing_sum(lambda theta, i: (math.pi - theta) if 2 * i == twice_j - 1 else 0.0)

@@ -148,7 +148,7 @@ def iq_rational_eval(iq: HalfLaurent, C, chi_s: int, q: float) -> float:
     the q = 1 value is the removable-singularity limit I_1 + C chi(S).
     Non-integer C does not stay in the half-integer Laurent ring, which is
     why this is a pointwise evaluation rather than a HalfLaurent.  A power
-    of q that overflows a float raises QOverflow.
+    of q or a value that overflows a float raises QOverflow.
     """
     if not 0 < q < math.inf:
         raise NonPositiveQ(f"q must be finite and positive, got {q}")
@@ -160,7 +160,10 @@ def iq_rational_eval(iq: HalfLaurent, C, chi_s: int, q: float) -> float:
     except OverflowError:
         raise QOverflow(f"q = {q}: the shift q^{C} overflows a float") from None
     denom = q ** 0.5 - q ** -0.5
-    return qc * laurent.eval_real(iq, q) + chi_s * (qc - 1.0) / denom
+    value = qc * laurent.eval_real(iq, q) + chi_s * (qc - 1.0) / denom
+    if not math.isfinite(value):
+        raise QOverflow(f"q = {q}: the shifted value overflows a float")
+    return value
 
 
 @dataclass(frozen=True)

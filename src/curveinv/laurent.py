@@ -109,7 +109,7 @@ def derivative_at_1(a: HalfLaurent) -> Fraction:
 
 def eval_real(a: HalfLaurent, q: float) -> float:
     """Numeric value at a finite real q > 0, summed in ascending exponent
-    order; QOverflow where a power q^(e/2) overflows a float."""
+    order; QOverflow where a power q^(e/2) or the sum overflows a float."""
     if not 0 < q < math.inf:
         raise NonPositiveQ(f"q must be finite and positive, got {q}")
     sqrt_q = float(q) ** 0.5
@@ -119,6 +119,8 @@ def eval_real(a: HalfLaurent, q: float) -> float:
             total += float(a.terms[e]) * sqrt_q ** e
     except OverflowError:
         raise QOverflow(f"q = {q}: a power q^(e/2) of the polynomial overflows a float") from None
+    if not math.isfinite(total):
+        raise QOverflow(f"q = {q}: the sum of the polynomial's terms overflows a float")
     return total
 
 

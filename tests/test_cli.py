@@ -8,7 +8,12 @@ import pytest
 
 import curveinv
 from curveinv import cli, geometry, invariants
-from curveinv.catalog import DIAGRAM_FIXTURES, diagram_fixture, validate_catalog
+from curveinv.catalog import (
+    DIAGRAM_FIXTURES,
+    PARAMETRIC_NAMES,
+    diagram_fixture,
+    validate_catalog,
+)
 from curveinv.cli import main
 from curveinv.laurent import HalfLaurent
 
@@ -289,6 +294,21 @@ def test_numeric_json_reports_jplus_where_chi_nonzero(capsys, fixture, has_jplus
     assert (jplus is not None) == has_jplus
     if has_jplus:
         assert set(jplus) == {"numeric", "exact", "sjplus"}
+
+
+@pytest.mark.parametrize("fixture", PARAMETRIC_NAMES)
+def test_numeric_reads_each_level_chi_from_the_profile(capsys, monkeypatch, fixture):
+    # subsurface_chi is the tests' reference; no module of the library calls it
+    def refuse(*args):
+        raise AssertionError("subsurface_chi was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "curveinv" and hasattr(module, "subsurface_chi"):
+            monkeypatch.setattr(module, "subsurface_chi", refuse)
+    code, out, _ = run(capsys, "numeric", "--fixture", fixture)
+    assert code == 0 and "gauss-bonnet j=" in out
+    code, out, _ = run(capsys, "numeric", "--fixture", fixture, "--format", "json")
+    assert code == 0 and json.loads(out)["gauss_bonnet"]
 
 
 def test_numeric_unknown_fixture(capsys):

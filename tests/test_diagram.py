@@ -424,6 +424,7 @@ def test_profile_figure8(fixtures):
     d = fixtures["figure8_sphere"]
     prof = subsurface_profile(d, index_function(d, 0))
     assert prof.a_j == {-3: 0, -1: -1, 1: 1, 3: 0}
+    assert prof.bins == {-1: 1, 0: 0, 1: 1}
     assert prof.crossing_indices == (0,)
 
 

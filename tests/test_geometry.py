@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -266,6 +267,17 @@ def test_numeric_iq_names_a_q_whose_powers_overflow(contexts, q):
                               "overflows a float")
 
 
+def test_numeric_iq_names_integrals_that_overflow(contexts):
+    # every power q^i is finite, but the line integral of a context whose
+    # arc weights are near the float range is not; before, the value was inf
+    ctx = copy.copy(contexts["fig8"])
+    ctx.arc_kg = [1e308 for _ in ctx.arc_kg]
+    with pytest.raises(QOverflow) as exc:
+        numeric_iq(ctx.curve, ctx.base_point, [4.0], CFG, context=ctx)
+    assert str(exc.value) == ("q = 4.0: the integrals at this curve's index levels "
+                              "overflow a float")
+
+
 @pytest.mark.parametrize("q", [math.inf, math.nan])
 def test_numeric_iq_rejects_a_q_that_is_not_finite(contexts, q):
     # numeric_iq(figure eight, [inf]) returned [nan]
@@ -407,6 +419,31 @@ def test_gauss_bonnet_levels(contexts):
                     extracted=extracted,
                 )
                 assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-2
+
+
+@pytest.mark.parametrize("name", PARAMETRIC_NAMES)
+@pytest.mark.parametrize("halved", [False, True])
+def test_gauss_bonnet_lhs_is_the_direct_chi(name, halved):
+    """The left side, read from the subsurface profile, is 2 pi times the
+    one-level count subsurface_chi at every level from two below the
+    index window to two above it, where the identity still holds."""
+    fx = parametric_fixture(name)
+    cfg = CFG.halved() if halved else CFG
+    ctx = NumericContext(fx.curve, fx.base_point, cfg)
+    extracted = extract_diagram(fx.curve, fx.base_point, cfg, context=ctx)
+    diagram, base = extracted
+    ind = index_function(diagram, base)
+    lo, hi = min(ind.values.values()), max(ind.values.values())
+    for twice_j in range(2 * lo - 3, 2 * hi + 4, 2):
+        j = Fraction(twice_j, 2)
+        lhs, rhs = gauss_bonnet_region_check(fx.curve, fx.base_point, j, cfg,
+                                             context=ctx, extracted=extracted)
+        assert lhs == 2 * math.pi * diagram_module.subsurface_chi(diagram, ind, j)
+        assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-2
+    for j in (1, 0.25):
+        with pytest.raises(ValueError, match="half odd integer"):
+            gauss_bonnet_region_check(fx.curve, fx.base_point, j, cfg,
+                                      context=ctx, extracted=extracted)
 
 
 # -- extraction -----------------------------------------------------------------

@@ -133,7 +133,8 @@ def test_golden_sources_regenerate():
 
 
 def test_profile_matches_direct_formula(random_corpus):
-    """The one-pass profile agrees with subsurface_chi at every stored level."""
+    """The one-pass profile agrees with subsurface_chi at every stored level,
+    and each bin is the drop of chi(S_j) across its level."""
     golden = [parse_diagram(entry["text"]) for entry in ENTRIES]
     for d in random_corpus + golden:
         try:
@@ -145,3 +146,7 @@ def test_profile_matches_direct_formula(random_corpus):
             j = Fraction(twice_j, 2)
             expected = subsurface_chi(d, ind, j) - (d.surface_chi if j < 0 else 0)
             assert a == expected, (serialize_diagram(d), twice_j)
+        for i, chi in prof.bins.items():
+            drop = (subsurface_chi(d, ind, Fraction(2 * i - 1, 2))
+                    - subsurface_chi(d, ind, Fraction(2 * i + 1, 2)))
+            assert chi == drop, (serialize_diagram(d), i)

@@ -180,6 +180,16 @@ def test_iq_rational_eval_names_a_q_whose_powers_overflow(fixtures):
         iq_rational_eval(full_report(fixtures["figure8_sphere"]).iq, 400, 2, 1e300)
 
 
+def test_iq_rational_eval_names_a_value_that_overflows():
+    # every power of q is finite, but I_q's value at q = 1e300, or q^C times
+    # a finite value at q = 1e200, is not; before, both gave inf
+    with pytest.raises(QOverflow, match="the sum of the polynomial's terms overflows"):
+        iq_rational_eval(HalfLaurent({2: 10**10}), 0, 2, 1e300)
+    with pytest.raises(QOverflow) as exc:
+        iq_rational_eval(HalfLaurent({2: 1}), 1, 2, 1e200)
+    assert str(exc.value) == "q = 1e+200: the shifted value overflows a float"
+
+
 @pytest.mark.parametrize("q", [float("inf"), float("nan")])
 def test_iq_rational_eval_rejects_a_q_that_is_not_finite(fixtures, q):
     rep = full_report(fixtures["figure8_sphere"])
@@ -380,7 +390,8 @@ def test_routes_match_reference_property(crossings, lo, chis, chi_s):
     smoothed = SmoothedProfile(level_chi=levels, surface_chi=chi_s)
     assert_same(iq_euler(smoothed, crossings), iq_euler_reference(smoothed, crossings))
     a_j = {2 * i - 1: chi for i, chi in levels.items()}
-    profile = SubsurfaceProfile(a_j=a_j, crossing_indices=crossings, surface_chi=chi_s)
+    profile = SubsurfaceProfile(a_j=a_j, bins=levels, crossing_indices=crossings,
+                                surface_chi=chi_s)
     assert_same(iq_topological(profile), iq_topological_reference(profile))
     if chi_s != 0:
         m1, _ = euler_moments(smoothed)

@@ -101,6 +101,17 @@ def test_eval_real_names_a_q_whose_powers_overflow(q):
             assert laurent.eval_real(poly, q) == 2.0
 
 
+@pytest.mark.parametrize("poly, q", [
+    (HalfLaurent({2: 10**10}), 1e300),           # a term beyond the float range
+    (HalfLaurent({0: 10**308, 2: 1}), 1e308),    # two terms whose sum is
+])
+def test_eval_real_names_a_sum_that_overflows(poly, q):
+    # every power q^(e/2) is finite; before, the value was inf
+    with pytest.raises(QOverflow) as exc:
+        laurent.eval_real(poly, q)
+    assert str(exc.value) == f"q = {q}: the sum of the polynomial's terms overflows a float"
+
+
 def test_eval_real_rejects_nonpositive_q():
     with pytest.raises(NonPositiveQ):
         laurent.eval_real(Q_HALF, 0.0)

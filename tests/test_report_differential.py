@@ -6,8 +6,9 @@ visits built the code's tables and the report read integer counts: the code
 grouped its visits per label and `ref_rotation_prev` built sigma^{-1} in a
 second loop over the visits; the crossing pass ran over every visit and
 skipped second visits; the subsurface profile added one threshold per arc
-and per crossing; each I_q route added the spikes one crossing at a time;
-and I_1 and I_1' were Fraction sums over the terms of I_q.
+and per crossing; the smoothed level chi were differences of a_j; each I_q
+route added the spikes one crossing at a time; and I_1 and I_1' were
+Fraction sums over the terms of I_q.
 
 Inputs: both golden corpora at every base, the benchmark's walkers at their
 plateau sizes (n = 96, 128 and 160 on genus 0, 1 and 2) at every fifth
@@ -31,6 +32,7 @@ from test_fuzz import curve_tokens, random_visits
 from curveinv import laurent
 from curveinv.diagram import (
     SignedGaussCode,
+    SmoothedProfile,
     SubsurfaceProfile,
     arc_and_crossing_indices,
     euler_moments,
@@ -133,7 +135,9 @@ def ref_subsurface_profile(diagram, ind):
     for k, chi in enumerate(chi_sj):
         twice_j = 2 * (lo + k) - 1
         a_j[twice_j] = chi - (diagram.surface_chi if twice_j < 0 else 0)
-    return SubsurfaceProfile(a_j=a_j, crossing_indices=tuple(sorted(crossing_idx.values())),
+    bins = {lo + k: hist[k] for k in range(hi - lo + 1)}
+    return SubsurfaceProfile(a_j=a_j, bins=bins,
+                             crossing_indices=tuple(sorted(crossing_idx.values())),
                              surface_chi=diagram.surface_chi)
 
 
@@ -143,6 +147,21 @@ def ref_spike_halves(crossing_indices):
         halves[2 * i + 1] -= 1
         halves[2 * i - 1] += 1
     return halves
+
+
+def ref_smoothed_level_chi(profile):
+    """The level chi as differences of a_j, a_{i-1/2} - a_{i+1/2} plus
+    chi(S) at i = 0, as smoothed_level_chi derived them before it read the
+    profile's bins."""
+    twice = sorted(profile.a_j)
+    levels = {}
+    for i in range((twice[0] + 1) // 2, (twice[-1] - 1) // 2 + 1):
+        levels[i] = profile.a_j.get(2 * i - 1, 0) - profile.a_j.get(2 * i + 1, 0)
+        if i == 0:
+            levels[i] += profile.surface_chi
+    if sum(levels.values()) != profile.surface_chi:
+        raise TopologyError("smoothed level chis do not telescope to chi(S)")
+    return SmoothedProfile(level_chi=levels, surface_chi=profile.surface_chi)
 
 
 def ref_from_halves(halves):
@@ -170,7 +189,7 @@ def ref_iq_euler(smoothed, crossing_indices):
 def ref_full_report(diagram, base_region):
     ind = index_function(diagram, base_region)
     profile = ref_subsurface_profile(diagram, ind)
-    smoothed = smoothed_level_chi(profile)
+    smoothed = ref_smoothed_level_chi(profile)
     iq = ref_iq_topological(profile)
     iq2 = ref_iq_euler(smoothed, profile.crossing_indices)
     if iq != iq2:
@@ -238,6 +257,7 @@ def assert_report_matches_reference(d, base):
     profile, ref_profile = subsurface_profile(d, ind), ref_subsurface_profile(d, ind)
     assert_same(profile, ref_profile)
     smoothed = smoothed_level_chi(profile)
+    assert_same(smoothed, ref_smoothed_level_chi(ref_profile))
     for got_iq, want_iq in ((iq_topological(profile), ref_iq_topological(profile)),
                             (iq_euler(smoothed, profile.crossing_indices),
                              ref_iq_euler(smoothed, profile.crossing_indices))):
