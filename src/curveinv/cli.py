@@ -77,7 +77,7 @@ def _load_diagram(spec):
     try:
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {spec}: {exc}") from None
     return parse_diagram(text)
 

@@ -20,25 +20,26 @@ integral of k_g ds, so agreement with the exact I_q tests their sum per
 arc, not the areas.  On the flat torus K = 0 and the area term vanishes.
 The index of a point is the curve's winding number around it in a planar
 chart of the surface (stereographic on the sphere, the fundamental domain
-on the torus), less that around the base point.  On the sphere one pole,
-the axis pole farthest from the curve, is the chart's point at infinity,
-alpha's singular point and the fixed probe that alpha reads with its index.
-The arc indices are prefix sums of the crossing signs along the curve plus
-one constant, fixed by an anchor: its index, and its face read at its
-nearest sample (_face_dart).  The anchor is the pole on the sphere and the
-chart's corner (0, 0), in the genus-1 face, on the torus; extract_diagram
-checks the base point's face, read the same way, against the arc indices.
-A base at the pole is the anchor: its misread face shifts every arc index,
-and the level areas, whose 4 pi goes by the pole's winding number, fail.
+on the torus), less that around the base point.  The arc indices are
+prefix sums of the crossing signs along the curve plus one constant, fixed
+by one anchor point (surface.anchor): its index, and its face read at its
+nearest sample (_face_dart).  The anchor is the chart's corner (0, 0), in
+the genus-1 face, on the torus; on the sphere it is the axis pole farthest
+from the curve, which is also the chart's point at infinity and alpha's
+singular point, whose level alpha reads as the anchor's index.
+extract_diagram checks the base point's face, read the same way, against
+the arc indices.  A base at the pole is the anchor: its misread face
+shifts every arc index, and the level areas, whose 4 pi goes by the
+pole's winding number, fail.
 
 A context derives each fact of its two grids once: the seed grid of
 find_double_points, whose near pairs are decided by the turning of their
 short way before any distance is taken, and whose far pairs come from
 boxes of consecutive samples that come close, with one jet per Newton
 step and one for the roots (up to _JOINT_JET seeds); and the dense
-samples, which carry the pole, chosen once, and the nearest sample of the
-base and the anchor, from the one distance scan of the context's one
-point_index call, for both face readings.
+samples, from which the anchor is chosen once, and whose one distance
+scan, on the base and the anchor, gives the anchor's index and the
+nearest samples that both face readings take.
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -155,21 +156,16 @@ def _cross(u, w):
 #   project(x)            ambient points onto the surface
 #   place(x)              a finite point x of length dim as a context reads
 #                         it; InvalidBasePoint if it is off the surface
-#   pole(pts)             the chart's missing point, chosen from the sample
-#                         points pts, as _Samples keeps it (None: no point)
-#   fixed_probes(samples) (k, d) points off the samples; area_form reads
-#                         them and their indices from the context
-#   anchor(fixed)         the point, off the curve, whose index and face fix
-#                         the arc indices, given the fixed probes
-#   plane(samples, x)     points x in an orientation-preserving planar chart
-#                         of the surface minus samples.pole; that point maps
-#                         to nan
+#   anchor(pts)           the point off the curve whose index and face fix
+#                         the arc indices, chosen from the sample points pts
+#   plane(anchor, x)      points x in an orientation-preserving planar chart
+#                         of the surface, less the anchor on the sphere,
+#                         which maps to nan
 #   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
-# On the sphere the chart's missing point, the one fixed probe, the anchor
-# and alpha's singular point are the same pole, which pole(pts) chooses once
-# per sampling, for fixed_probes and plane; area_form reads the probe.
+# On the sphere the anchor is a pole, the chart's missing point and alpha's
+# singular point; a context chooses it once and plane and area_form read it.
 
 
 class _UnitSphere:
@@ -191,29 +187,22 @@ class _UnitSphere:
             raise InvalidBasePoint(f"base point {tuple(x.tolist())} is not on the unit sphere")
         return x
 
-    def pole(self, pts):
-        """(a, sign) of the pole s = sign e_a: the one of +-e1, +-e2, +-e3
-        whose nearest sample of pts is farthest."""
+    def anchor(self, pts):
+        """The pole s = sign e_a: the one of +-e1, +-e2, +-e3 whose nearest
+        sample of pts is farthest."""
         # reduced along rows of a contiguous copy: an axis-0 reduction of pts
         # is far slower
         cols = np.ascontiguousarray(pts.T)
         k = int(np.argmin(np.concatenate((cols.max(axis=1), -cols.min(axis=1)))))
-        return k % 3, 1.0 if k < 3 else -1.0
-
-    def fixed_probes(self, samples):
-        """The pole, as a stack of one point."""
-        a, sign = samples.pole
-        s = np.zeros((1, 3))
-        s[0, a] = sign
+        s = np.zeros(3)
+        s[k % 3] = 1.0 if k < 3 else -1.0
         return s
 
-    def anchor(self, fixed):
-        return fixed[0]   # the pole
-
-    def plane(self, samples, x):
-        """Stereographic projection of x from the pole s onto axes (e1, e2)
-        with (e1, e2, -s) right-handed."""
-        a, sign = samples.pole
+    def plane(self, anchor, x):
+        """Stereographic projection of x from the pole s = anchor onto axes
+        (e1, e2) with (e1, e2, -s) right-handed."""
+        a = int(np.abs(anchor).argmax())
+        sign = anchor[a]
         e1, e2 = (a + 2) % 3, (a + 1) % 3
         if sign < 0:
             e1, e2 = e2, e1
@@ -230,13 +219,13 @@ class _UnitSphere:
 
     def area_form(self, ctx, x, v):
         """alpha = -s.(x cross v) / (1 - s.x), with d alpha = dA away from
-        the pole s, the context's one fixed probe.  s = sign e_a, so both
-        dot products read component a alone."""
-        s = ctx._fixed_probes[0]
+        the pole s, the context's anchor.  s = sign e_a, so both dot
+        products read component a alone."""
+        s = ctx.anchor
         a = int(np.abs(s).argmax())
         i, j = (a + 1) % 3, (a + 2) % 3
         cross = x[..., i] * v[..., j] - x[..., j] * v[..., i]
-        return -(s[a] * cross) / (1.0 - s[a] * x[..., a]), ctx.fixed_index[0]
+        return -(s[a] * cross) / (1.0 - s[a] * x[..., a]), ctx.anchor_index
 
 
 class _FlatTorus:
@@ -257,16 +246,10 @@ class _FlatTorus:
         x = x % 1.0
         return np.where(x < 1.0, x, 0.0)   # a tiny negative coordinate rounds to 1
 
-    def pole(self, pts):
-        return None   # the chart holds the whole surface
-
-    def fixed_probes(self, samples):
-        return np.empty((0, 2))
-
-    def anchor(self, fixed):
+    def anchor(self, pts):
         return np.zeros(2)   # the chart's corner, outside the curve
 
-    def plane(self, samples, x):
+    def plane(self, anchor, x):
         return x   # the chart holds the curve's plane lift
 
     def area_form(self, ctx, x, v):
@@ -707,25 +690,12 @@ def _refine_double_points(curve, t1, t2):
     return t1[keep], t2[keep]
 
 
-class _Samples(tuple):
-    """(ts, pts), the curve at evenly spaced parameters, with the facts read
-    from them once: `pole`, the surface's choice of the chart's missing
-    point (surface.pole), and `nearest`, the index of the nearest sample of
-    each point that point_index has placed on them, by its coordinates."""
-
-    def __new__(cls, surface, ts, pts):
-        self = super().__new__(cls, (ts, pts))
-        self.pole = surface.pole(pts)
-        self.nearest = {}
-        return self
-
-
 def _curve_samples(curve, cfg):
-    """The curve at cfg.curve_samples + 1 evenly spaced parameters
-    t = 0, ..., 1, for distance tests, winding numbers, faces and the
-    choice of the sphere's pole."""
+    """(ts, pts), the curve at cfg.curve_samples + 1 evenly spaced
+    parameters t = 0, ..., 1, for distance tests, winding numbers, faces
+    and the choice of the anchor."""
     ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    return _Samples(curve.surface, ts, curve.jet(ts, 0)[0])
+    return ts, curve.jet(ts, 0)[0]
 
 
 def _min_distance_to_curve(curve, samples, points):
@@ -783,26 +753,32 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     h^2 kappa / 8 for sample spacing h and curvature kappa) can be
     misjudged; a point within POINT_TOL of the curve raises PointOnCurve.
     `samples` is the curve's dense sampling as a NumericContext holds it;
-    it is computed when not given.  The nearest sample of b and of each
-    probe is kept in samples.nearest, where _face_dart reads it.
+    it is computed when not given.
     """
     samples = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
-    pts = samples[1]
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     nodes = np.concatenate((b[None], p.reshape(-1, len(b))))   # node 0 is b, node k probe k
+    index, _nearest = _scan_nodes(curve, samples, curve.surface.anchor(samples[1]), nodes)
+    return index if p.ndim > 1 else index[0]
+
+
+def _scan_nodes(curve, samples, anchor, nodes):
+    """(index, nearest): the index of each of nodes[1:] from nodes[0], and
+    the nearest sample of each node, from one distance scan of the samples
+    and one chart (plane, from the anchor) of them and the nodes.  A node
+    within POINT_TOL of the curve raises PointOnCurve."""
     distance, nearest = _min_distance_to_curve(curve, samples, nodes)
     near = distance < POINT_TOL
     if near.any():
         k = int(np.argmax(near))
         raise PointOnCurve(
             f"{'probe' if k else 'base'} point {tuple(nodes[k].tolist())} lies on the curve")
-    samples.nearest.update(zip(map(tuple, nodes.tolist()), nearest))
+    pts = samples[1]
     n = len(pts) - 1   # t = 1 repeats t = 0
-    chart = curve.surface.plane(samples, np.concatenate((pts[:-1], nodes)))
+    chart = curve.surface.plane(anchor, np.concatenate((pts[:-1], nodes)))
     w = _winding(chart[:n], chart[n:])
-    index = (w[1:] - w[0]).tolist()
-    return index if p.ndim > 1 else index[0]
+    return (w[1:] - w[0]).tolist(), nearest
 
 
 _CHUNK_CELLS = 1 << 18   # most (points x vertices) cells _winding marks at once
@@ -854,18 +830,18 @@ class NumericContext:
     finite and on the surface, reduced mod 1 into the chart on the torus;
     InvalidBasePoint otherwise.  The context samples the curve once
     (`samples`, shared by every winding number, distance test and face
-    reading, with the sphere's pole chosen once from them) and caches the
+    reading, with the `anchor` chosen once from them) and caches the
     double points, the arc table (per smooth arc: its index and its
     integrals of k_g ds and of the area form, all on one (arcs x line_nodes)
     array of Gauss-Legendre nodes) and the area of every index level, folded
     from the latter; every invariant is then a cheap weighted sum over these
     tables.  The double points come from one batched Newton refinement of
-    all seeds, and the arc indices from the crossing signs and one
-    point_index call, on the base and the surface's anchor (the pole; the
-    torus chart's corner), whose one scan of the samples per node also
-    gives the nearest sample that each face reading takes.  A crossing
-    index that is not an integer or a level area that is not positive is a
-    TopologyError.
+    all seeds, and the arc indices from the crossing signs and the
+    `anchor_index` and face of the anchor (the sphere's pole; the torus
+    chart's corner).  One scan of the samples on two nodes, the base and
+    the anchor, gives that index and the nearest sample that each face
+    reading takes.  A crossing index that is not an integer or a level
+    area that is not positive is a TopologyError.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -933,21 +909,19 @@ class NumericContext:
         return area
 
     def _index_arcs(self):
-        """Sets arc_index, fixed_index and anchor_dart.  The index just right
-        of the curve drops by own at each passage, +sign at a crossing's first
-        parameter and -sign at its second, from the anchor's index and face."""
-        surface = self.curve.surface
-        self._fixed_probes = surface.fixed_probes(self.samples)
-        anchor = surface.anchor(self._fixed_probes)
-        index, = point_index(self.curve, self.base_point, anchor[None], self.cfg,
-                             samples=self.samples)
-        self.fixed_index = [index] * len(self._fixed_probes)   # a fixed probe is the anchor
-        self.anchor_dart = _face_dart(self, anchor)
+        """Sets anchor, anchor_index, anchor_dart, arc_index and the base's
+        nearest sample.  The index just right of the curve drops by own at
+        each passage, +sign at a crossing's first parameter and -sign at its
+        second, from the anchor's index and face."""
+        self.anchor = self.curve.surface.anchor(self.samples[1])
+        (self.anchor_index,), (self._base_sample, anchor_sample) = _scan_nodes(
+            self.curve, self.samples, self.anchor, np.array((self.base_point, self.anchor)))
+        self.anchor_dart = _face_dart(self, self.anchor, anchor_sample)
         dps = self.double_points
         right = list(itertools.accumulate(
             -dps[k].sign if t == dps[k].t1 else dps[k].sign for t, k in self.events)) or [0]
         arc, side = divmod(self.anchor_dart, 2)   # anchor_dart = dart_id(arc, side)
-        shift = index - right[arc] - (1 if side == LEFT else 0)
+        shift = self.anchor_index - right[arc] - (1 if side == LEFT else 0)
         self.arc_index = [v + shift for v in right]   # the lower side v of index v + 1/2
 
     # -- weighted sums over the cached tables
@@ -1084,25 +1058,23 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     cycles, dart_cycle = _trace(code)
     table = _region_table(curve.surface.regions(ctx, cycles), len(cycles))
     diagram = _assemble_diagram(code, cycles, dart_cycle, *table, curve.surface.chi, 0)
-    base = diagram.dart_region[_face_dart(ctx, ctx.base_point)]
+    base = diagram.dart_region[_face_dart(ctx, ctx.base_point, ctx._base_sample)]
     left_region = diagram.dart_region[dart_id(0, LEFT)]
     if index_function(diagram, base).values[left_region] != ctx.arc_index[0] + 1:
         raise TopologyError("the base point's face disagrees with the arc indices")
     return replace(diagram, base_region=base), base
 
 
-def _face_dart(ctx, point):
-    """A dart of the face holding point, a point off the curve that
-    point_index placed on the context's samples: the segment to its nearest
-    curve point meets the curve nowhere else.  That point is read as the
-    nearest dense sample, which point_index's distance scan kept, the side
-    from the chord of the sample's neighbours, the arc from the sample's
+def _face_dart(ctx, point, i):
+    """A dart of the face holding point, a point off the curve whose nearest
+    of the context's samples is sample i: the segment to its nearest curve
+    point meets the curve nowhere else.  That point is read as the nearest
+    dense sample, which the context's distance scan found, the side from
+    the chord of the sample's neighbours, the arc from the sample's
     parameter.  A point within about one sample spacing of a crossing can
     land in the opposite corner's face, which has the same index."""
     ts, pts = ctx.samples   # the last sample repeats the first
-    x = np.asarray(point, dtype=float)
-    i = ctx.samples.nearest[tuple(x.tolist())]
     chord = pts[i + 1] - pts[i - 1 if i else -2]
-    left = ctx.curve.surface.orientation(pts[i], chord, x - pts[i]) > 0
+    left = ctx.curve.surface.orientation(pts[i], chord, point - pts[i]) > 0
     k = bisect.bisect_right([a for a, _b in ctx.arc_spans], ts[i]) - 1
     return dart_id(k % len(ctx.arc_spans), LEFT if left else RIGHT)

@@ -154,7 +154,10 @@ def iq_rational_eval(iq: HalfLaurent, C, chi_s: int, q: float) -> float:
         raise NonPositiveQ(f"q must be finite and positive, got {q}")
     C = Fraction(C)
     if q == 1:
-        return float(laurent.value_at_1(iq) + C * chi_s)
+        try:
+            return float(laurent.value_at_1(iq) + C * chi_s)
+        except OverflowError:
+            raise QOverflow(f"q = {q}: the value I_1 + C chi(S) overflows a float") from None
     try:
         qc = float(q) ** float(C)
     except OverflowError:

@@ -109,16 +109,22 @@ def derivative_at_1(a: HalfLaurent) -> Fraction:
 
 def eval_real(a: HalfLaurent, q: float) -> float:
     """Numeric value at a finite real q > 0, summed in ascending exponent
-    order; QOverflow where a power q^(e/2) or the sum overflows a float."""
+    order; QOverflow where a coefficient, a power q^(e/2) or the sum
+    overflows a float."""
     if not 0 < q < math.inf:
         raise NonPositiveQ(f"q must be finite and positive, got {q}")
     sqrt_q = float(q) ** 0.5
     total = 0.0
-    try:
-        for e in sorted(a.terms):
-            total += float(a.terms[e]) * sqrt_q ** e
-    except OverflowError:
-        raise QOverflow(f"q = {q}: a power q^(e/2) of the polynomial overflows a float") from None
+    for e in sorted(a.terms):
+        try:
+            c = float(a.terms[e])
+        except OverflowError:
+            raise QOverflow(f"q = {q}: the coefficient of {_render_exponent(e)} "
+                            "overflows a float") from None
+        try:
+            total += c * sqrt_q ** e
+        except OverflowError:
+            raise QOverflow(f"q = {q}: a power q^(e/2) of the polynomial overflows a float") from None
     if not math.isfinite(total):
         raise QOverflow(f"q = {q}: the sum of the polynomial's terms overflows a float")
     return total

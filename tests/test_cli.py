@@ -218,6 +218,22 @@ def test_move_unwritable_output(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["validate"], "invalid: "),
+    (["invariant"], "error: "),
+    (["compare"], "error: "),
+    (["move", "--site", "birth:0:0.0.250:0.0.750:opposite"], "error: "),
+])
+def test_a_diagram_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv, prefix):
+    # before, the UnicodeDecodeError of reading it ended in a traceback
+    path = tmp_path / "latin1.diagram"
+    path.write_bytes(b"curve 1+ 1+\nbase 0\n# \xff\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert (out + err).startswith(f"{prefix}cannot read {path}: ")
+    assert "Traceback" not in out + err
+
+
 def test_move_birth_with_plan(capsys, tmp_path):
     code, out, _ = run(capsys, "move", "circle_torus",
                        "--site", "birth:1:1.0.250:1.0.750:opposite:plan=g0~g1*",

@@ -359,7 +359,7 @@ def test_level_areas_agree_for_every_axis_pole(monkeypatch, name):
         for sign in (1.0, -1.0):
             if np.min(np.linalg.norm(pts - sign * np.eye(3)[a], axis=1)) < 0.3:
                 continue
-            monkeypatch.setattr(UNIT_SPHERE, "pole", lambda pts, s=(a, sign): s)
+            monkeypatch.setattr(UNIT_SPHERE, "anchor", lambda pts, s=sign * np.eye(3)[a]: s)
             tables.append(NumericContext(fx.curve, fx.base_point, CFG).level_area)
     assert len(tables) >= 2
     for table in tables:
@@ -684,11 +684,17 @@ def test_seed_memory_grows_linearly_with_the_grid():
     assert peaks[1] < 6 * peaks[0]
 
 
+def nearest_sample_reference(ctx, point):
+    """The index of the nearest of a context's samples to point, by its own
+    scan."""
+    return int(np.argmin(np.sum((ctx.samples[1][:-1] - point) ** 2, axis=1)))
+
+
 def face_dart_reference(ctx, point):
     """_face_dart with the nearest sample found by its own scan."""
     ts, pts = ctx.samples
     x = np.asarray(point, dtype=float)
-    i = int(np.argmin(np.sum((pts[:-1] - x) ** 2, axis=1)))
+    i = nearest_sample_reference(ctx, x)
     chord = pts[i + 1] - pts[i - 1 if i else -2]
     left = ctx.curve.surface.orientation(pts[i], chord, x - pts[i]) > 0
     k = int(np.searchsorted([a for a, _b in ctx.arc_spans], ts[i], side="right")) - 1
@@ -696,10 +702,10 @@ def face_dart_reference(ctx, point):
 
 
 def test_faces_read_the_nearest_sample_of_the_one_distance_scan(monkeypatch):
-    # the samples are scanned once per node, for the base and the anchor in
-    # the context's point_index call; the anchor's face and extraction's
-    # base face read the nearest samples that scan kept, and a point that
-    # no scan placed has none
+    # the samples are scanned once per node, for the base and the anchor, in
+    # the context's one scan; the anchor's face and extraction's base face
+    # read the nearest samples that scan found, and the samples keep no
+    # table of nearest samples for a point to be looked up in
     scans = []
     scan = geometry._min_distance_to_curve
     monkeypatch.setattr(geometry, "_min_distance_to_curve",
@@ -714,13 +720,13 @@ def test_faces_read_the_nearest_sample_of_the_one_distance_scan(monkeypatch):
             ctx = NumericContext(curve, base_point, cfg)
             extract_diagram(curve, base_point, context=ctx)
             assert scans == [2]
-            anchor = curve.surface.anchor(ctx._fixed_probes)
-            assert set(ctx.samples.nearest) == {tuple(ctx.base_point.tolist()),
-                                                tuple(anchor.tolist())}
+            anchor = ctx.anchor
+            assert type(ctx.samples) is tuple and len(ctx.samples) == 2
+            assert ctx._base_sample == nearest_sample_reference(ctx, ctx.base_point)
+            assert ctx.anchor_dart == face_dart_reference(ctx, anchor)
             for point in (ctx.base_point, anchor):
-                assert geometry._face_dart(ctx, point) == face_dart_reference(ctx, point)
-            with pytest.raises(KeyError):
-                geometry._face_dart(ctx, anchor + 0.25)
+                i = nearest_sample_reference(ctx, point)
+                assert geometry._face_dart(ctx, point, i) == face_dart_reference(ctx, point)
 
 
 def test_a_base_point_off_the_torus_chart_is_reduced_into_it():
@@ -761,7 +767,7 @@ def test_a_base_point_the_context_cannot_place_is_rejected(curve, base_point, me
 def test_a_sphere_base_point_within_1e_9_of_unit_norm_is_kept():
     point = (0.0, 0.0, -1.0 - 5e-10)
     ctx = NumericContext(GreatCircle(), point, CFG)
-    assert ctx.base_point.tolist() == list(point) and ctx.fixed_index == [1]
+    assert ctx.base_point.tolist() == list(point) and ctx.anchor_index == 1
 
 
 def test_a_missed_crossing_fails_the_parity_check(monkeypatch):
@@ -795,15 +801,16 @@ def test_config_floors_are_the_halved_grids_floors():
 
 
 def test_a_context_makes_one_point_index_call_on_two_nodes(monkeypatch):
-    # the base point and the anchor: the pole, or the torus chart's corner
+    # one scan of the samples, on the base point and the anchor: the pole,
+    # or the torus chart's corner
     nodes = []
-    point_index_ = geometry.point_index
+    scan = geometry._scan_nodes
 
-    def counted(curve, b, p, *args, **kwargs):
-        nodes.append(1 + len(p))
-        return point_index_(curve, b, p, *args, **kwargs)
+    def counted(curve, samples, anchor, points):
+        nodes.append(len(points))
+        return scan(curve, samples, anchor, points)
 
-    monkeypatch.setattr(geometry, "point_index", counted)
+    monkeypatch.setattr(geometry, "_scan_nodes", counted)
     cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
     for curve, base_point in cases + [(Epicycle(17, 0.5), (0.05, 0.05))]:
         nodes.clear()
@@ -827,6 +834,19 @@ def side_probe_cases(family):
     else:
         for _i, curve, base_point in seeded_torus_curves(100):
             yield curve, base_point
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_point_index_of_the_anchor_is_the_contexts(cfg):
+    # the public entry, on its own samples or the context's, reads the
+    # anchor's index as the context's one scan does
+    cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+    cases += [*side_probe_cases("specs"), *side_probe_cases("epicycles")]
+    assert len(cases) == 4 + 192 + 5
+    for curve, base_point in cases:
+        ctx = NumericContext(curve, base_point, cfg)
+        assert point_index(curve, base_point, ctx.anchor, cfg) == ctx.anchor_index
+        assert point_index(curve, base_point, ctx.anchor, samples=ctx.samples) == ctx.anchor_index
 
 
 @pytest.mark.parametrize("family,least", [("specs", 192), ("epicycles", 5),
@@ -863,7 +883,8 @@ def test_epicycle_with_352_crossings_matches_exact_iq(cfg):
 @pytest.mark.parametrize("name", ["latitude", "fig8"])
 def test_a_base_face_on_the_wrong_side_fails_the_cross_check(contexts, monkeypatch, name):
     face_dart = geometry._face_dart
-    monkeypatch.setattr(geometry, "_face_dart", lambda ctx, point: face_dart(ctx, point) ^ 1)
+    monkeypatch.setattr(geometry, "_face_dart",
+                        lambda ctx, point, i: face_dart(ctx, point, i) ^ 1)
     ctx = contexts[name]
     with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
         extract_diagram(ctx.curve, ctx.base_point, context=ctx)
@@ -886,8 +907,8 @@ def test_a_base_face_misread_by_a_new_context_is_a_topology_error(monkeypatch, c
     # anchor, whose level areas then disagree with its winding number
     face_dart = geometry._face_dart
 
-    def misread(ctx, point):
-        return face_dart(ctx, point) ^ (np.asarray(point, dtype=float).tolist() == list(base_point))
+    def misread(ctx, point, i):
+        return face_dart(ctx, point, i) ^ (np.asarray(point, dtype=float).tolist() == list(base_point))
 
     monkeypatch.setattr(geometry, "_face_dart", misread)
     with pytest.raises(TopologyError, match=check):

@@ -2,7 +2,8 @@
 
 tests/data/golden_numeric.json holds, for each parametric fixture at the
 default grid and at its halved() grid, the context's index tables (arc
-lower sides, crossing and fixed-probe indices), the double-point signs, the
+lower sides, crossing indices and, under `fixed_index`, the index of the
+sphere's pole, the anchor; none on the torus), the double-point signs, the
 canonical form and base of the extracted diagram, and the float tables the
 integrals read: level areas, arc geodesic-curvature integrals and I_q at
 q = 0.5, 2, 3.  tests/data/record_golden_numeric.py wrote it.  Integers
@@ -16,7 +17,13 @@ import pytest
 
 from curveinv.catalog import PARAMETRIC_NAMES, parametric_fixture
 from curveinv.diagram import canonicalize
-from curveinv.geometry import NumericConfig, NumericContext, extract_diagram, numeric_iq
+from curveinv.geometry import (
+    UNIT_SPHERE,
+    NumericConfig,
+    NumericContext,
+    extract_diagram,
+    numeric_iq,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_numeric.json"
 GRIDS = {"default": NumericConfig(), "halved": NumericConfig().halved()}
@@ -32,7 +39,8 @@ def record(name, grid):
         "name": name, "grid": grid,
         "arc_index": list(ctx.arc_index),
         "crossing_index": list(ctx.crossing_index),
-        "fixed_index": list(ctx.fixed_index),
+        # the index of the sphere's pole; the torus records none
+        "fixed_index": [ctx.anchor_index] if fx.curve.surface is UNIT_SPHERE else [],
         "double_point_signs": [d.sign for d in ctx.double_points],
         "canonical": repr(canonicalize(diagram)),
         "base": base,

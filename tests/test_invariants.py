@@ -190,6 +190,20 @@ def test_iq_rational_eval_names_a_value_that_overflows():
     assert str(exc.value) == "q = 1e+200: the shifted value overflows a float"
 
 
+@pytest.mark.parametrize("iq,C", [(HalfLaurent({2: 10**400}), 0), (HalfLaurent({2: 1}), 10**400)])
+def test_iq_rational_eval_at_1_names_a_value_that_overflows(iq, C):
+    # before, a bare OverflowError from the Fraction's conversion
+    with pytest.raises(QOverflow) as exc:
+        iq_rational_eval(iq, C, 2, 1.0)
+    assert str(exc.value) == "q = 1.0: the value I_1 + C chi(S) overflows a float"
+
+
+def test_iq_rational_eval_names_a_coefficient_that_overflows():
+    with pytest.raises(QOverflow) as exc:
+        iq_rational_eval(HalfLaurent({2: 10**400}), 0, 2, 2.0)
+    assert str(exc.value) == "q = 2.0: the coefficient of q^1 overflows a float"
+
+
 @pytest.mark.parametrize("q", [float("inf"), float("nan")])
 def test_iq_rational_eval_rejects_a_q_that_is_not_finite(fixtures, q):
     rep = full_report(fixtures["figure8_sphere"])

@@ -112,6 +112,17 @@ def test_eval_real_names_a_sum_that_overflows(poly, q):
     assert str(exc.value) == f"q = {q}: the sum of the polynomial's terms overflows a float"
 
 
+@pytest.mark.parametrize("poly, q, power", [
+    (HalfLaurent({2: 10**400}), 2.0, "q^1"),
+    (HalfLaurent({0: 1, -3: Fraction(10**400, 3)}), 0.5, "q^(-3/2)"),
+])
+def test_eval_real_names_a_coefficient_that_overflows(poly, q, power):
+    # before, the message named a power q^(e/2), which was finite
+    with pytest.raises(QOverflow) as exc:
+        laurent.eval_real(poly, q)
+    assert str(exc.value) == f"q = {q}: the coefficient of {power} overflows a float"
+
+
 def test_eval_real_rejects_nonpositive_q():
     with pytest.raises(NonPositiveQ):
         laurent.eval_real(Q_HALF, 0.0)

@@ -236,7 +236,8 @@ def merge_reference(t1s, t2s):
 
 
 def plane_reference(pts, x):
-    """UNIT_SPHERE.plane with its pole chosen by axis-0 reductions."""
+    """UNIT_SPHERE.plane with its pole, the anchor, chosen by axis-0
+    reductions."""
     k = int(np.argmin(np.concatenate((pts.max(axis=0), -pts.min(axis=0)))))
     a, sign = k % 3, 1.0 if k < 3 else -1.0
     e1, e2 = ((a + 2) % 3, (a + 1) % 3)[::1 if sign > 0 else -1]
@@ -535,12 +536,12 @@ def test_sweep_reference_within_2pi_over_m_of_stokes_areas(curve, base):
 
 def context_probes(ctx, stride=1):
     """The side probes of every stride-th arc of a context, with the index
-    that the context gives each, then its fixed probe, if any, with its."""
+    that the context gives each, then, on the sphere, its anchor with its."""
     t = (0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0)[::stride]
     left, right = side_probes(ctx, t)
     arcs = ctx.arc_index[::stride]
-    return (list(zip(left, (v + 1 for v in arcs))) + list(zip(right, arcs))
-            + list(zip(ctx.curve.surface.fixed_probes(ctx.samples), ctx.fixed_index)))
+    pole = [(ctx.anchor, ctx.anchor_index)] if ctx.curve.surface is UNIT_SPHERE else []
+    return list(zip(left, (v + 1 for v in arcs))) + list(zip(right, arcs)) + pole
 
 
 @pytest.mark.parametrize("curve,base,cfg", [
@@ -649,7 +650,7 @@ def test_winding_equals_reference_on_probe_stacks(which, cfg):
     ctx = NumericContext(curve, base, cfg)
     probes, indices = zip(*context_probes(ctx))
     pts, nodes = ctx.samples[1], np.vstack((ctx.base_point, *probes))
-    polygon, points = (curve.surface.plane(ctx.samples, x) for x in (pts[:-1], nodes))
+    polygon, points = (curve.surface.plane(ctx.anchor, x) for x in (pts[:-1], nodes))
     got = geometry._winding(polygon, points)
     assert got.tolist() == winding_reference(polygon, points).tolist()
     assert (got[1:] - got[0]).tolist() == list(indices)
@@ -782,13 +783,13 @@ def test_distinct_roots_equals_greedy_loop_on_refined_roots(monkeypatch, curve):
 @pytest.mark.parametrize("cfg", [NumericConfig(), NumericConfig().halved()])
 def test_latitude_seam_fixed_index(cfg):
     # a regression case for the seam of the chart polygon: the latitude of
-    # numeric_verify seed 7, spec 13, from the south pole; its one fixed
-    # probe is the north pole, farther from it than the south pole
+    # numeric_verify seed 7, spec 13, from the south pole; its anchor is
+    # the north pole, farther from it than the south pole
     ctx = NumericContext(LatitudeCircle(2.0150167225273448), (0.0, 0.0, -1.0), cfg)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert geometry.point_index(ctx.curve, ctx.base_point, poles, samples=ctx.samples) == [1, 0]
-    assert UNIT_SPHERE.fixed_probes(ctx.samples).tolist() == [[0.0, 0.0, 1.0]]
-    assert ctx.fixed_index == [1]
+    assert UNIT_SPHERE.anchor(ctx.samples[1]).tolist() == ctx.anchor.tolist() == [0.0, 0.0, 1.0]
+    assert ctx.anchor_index == 1
 
 
 def _same_double_points(got, want):
@@ -830,10 +831,11 @@ def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
 def test_context_makes_one_point_index_call(monkeypatch, name):
+    # the context's one scan of the samples, which point_index makes too
     calls = []
-    index = geometry.point_index
-    monkeypatch.setattr(geometry, "point_index",
-                        lambda *args, **kw: calls.append(1) or index(*args, **kw))
+    scan = geometry._scan_nodes
+    monkeypatch.setattr(geometry, "_scan_nodes",
+                        lambda *args: calls.append(1) or scan(*args))
     fx = parametric_fixture(name)
     NumericContext(fx.curve, fx.base_point)
     assert len(calls) == 1
@@ -859,7 +861,7 @@ def test_point_index_makes_one_plane_call(monkeypatch, name):
         np.testing.assert_array_equal(charts[0], want)
         pole = np.zeros(3)
         pole[k % 3] = 1.0 if k < 3 else -1.0
-        assert np.isnan(plane(ctx.samples, pole)).all()
+        assert np.isnan(plane(ctx.anchor, pole)).all()
         assert not np.isnan(charts[0][:len(pts) - 1]).any()
 
 
@@ -870,10 +872,10 @@ def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
     # parameters of its live seeds (fewer than _JOINT_JET), for as many
     # steps as the slowest seed's scalar loop takes; the Newton roots one
     # jet of order 1 (none on an embedded curve); nothing evaluates an empty
-    # array; and the sphere's pole is chosen once, for the fixed probe and
-    # the chart
+    # array; and the sphere's pole, the anchor, is chosen once, for its
+    # index, the chart and the area form
     calls, poles, finding, seeds = [], [], [], []
-    jet, find, pole = ParametricCurve.jet, geometry.find_double_points, UNIT_SPHERE.pole
+    jet, find, anchor = ParametricCurve.jet, geometry.find_double_points, UNIT_SPHERE.anchor
     refine = geometry._refine_double_points
 
     def counted_jet(curve, t, order=2):
@@ -889,7 +891,7 @@ def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
 
     monkeypatch.setattr(ParametricCurve, "jet", counted_jet)
     monkeypatch.setattr(geometry, "find_double_points", counted_find)
-    monkeypatch.setattr(UNIT_SPHERE, "pole", lambda pts: poles.append(1) or pole(pts))
+    monkeypatch.setattr(UNIT_SPHERE, "anchor", lambda pts: poles.append(1) or anchor(pts))
     monkeypatch.setattr(geometry, "_refine_double_points",
                         lambda curve, t1, t2: seeds.append((t1, t2)) or refine(curve, t1, t2))
     fx = parametric_fixture(name)
@@ -1067,7 +1069,7 @@ def test_sphere_frames_match_helper_formulas(curve, t):
     for s in np.vstack((np.eye(3), -np.eye(3))):   # the six poles, those off the curve
         if np.min(1.0 - x @ s) < 1e-3:
             continue
-        ctx = SimpleNamespace(_fixed_probes=s[None], fixed_index=[7])
+        ctx = SimpleNamespace(anchor=s, anchor_index=7)
         alpha, index = UNIT_SPHERE.area_form(ctx, x, v)
         assert index == 7
         assert_same(alpha, -(np.cross(x, v) @ s) / (1.0 - x @ s))
