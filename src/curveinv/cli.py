@@ -61,7 +61,7 @@ from .moves import (
     triple_move,
 )
 
-MAX_GRID = 65536   # largest --grid: 8 * 65536 curve samples per context
+MAX_GRID = 65536   # largest --grid: a seed grid of 65536 builds a fixture context in 0.07-0.19 s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -344,7 +344,7 @@ def cmd_numeric(args):
         return 1
     cfg = NumericConfig()
     if args.grid is not None:
-        cfg = NumericConfig(curve_samples=max(2048, 8 * args.grid))
+        cfg = NumericConfig(double_grid=max(50, args.grid))
     tol = args.tol if args.tol is not None else fx.tolerance
     ctx = NumericContext(fx.curve, fx.base_point, cfg)
     coarse = NumericContext(fx.curve, fx.base_point, cfg.halved())
@@ -487,7 +487,8 @@ def main(argv=None):
                    help="fixture parameter k=v (alpha, rho)")
     p.add_argument("--q", default=None, help="comma-separated q values")
     p.add_argument("--grid", type=int, default=None,
-                   help=f"N sets 8 N curve samples, at least 2048 (N at most {MAX_GRID})")
+                   help=f"N sets the double-point seed grid to N samples, at least 50 "
+                        f"(N at most {MAX_GRID}); the error estimate halves it")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_numeric)

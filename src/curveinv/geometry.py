@@ -23,10 +23,10 @@ chart of the surface (stereographic on the sphere, the fundamental domain
 on the torus), less that around the base point.  The arc indices are
 prefix sums of the crossing signs along the curve plus one constant, fixed
 by one anchor point (surface.anchor): its index, and its face read at its
-nearest sample (_face_dart).  The anchor is the chart's corner (0, 0), in
-the genus-1 face, on the torus; on the sphere it is the axis pole farthest
-from the curve, which is also the chart's point at infinity and alpha's
-singular point, whose level alpha reads as the anchor's index.
+foot on the curve (_face_dart).  The anchor is the chart's corner (0, 0),
+in the genus-1 face, on the torus; on the sphere it is the axis pole
+farthest from the curve, which is also the chart's point at infinity and
+alpha's singular point, whose level alpha reads as the anchor's index.
 extract_diagram checks the base point's face, read the same way, against
 the arc indices.  A base at the pole is the anchor: its misread face
 shifts every arc index, and the level areas, whose 4 pi goes by the
@@ -36,10 +36,14 @@ A context derives each fact of its two grids once: the seed grid of
 find_double_points, whose near pairs are decided by the turning of their
 short way before any distance is taken, and whose far pairs come from
 boxes of consecutive samples that come close, with one jet per Newton
-step and one for the roots (up to _JOINT_JET seeds); and the dense
-samples, from which the anchor is chosen once, and whose one distance
-scan, on the base and the anchor, gives the anchor's index and the
-nearest samples that both face readings take.
+step and one for the roots (up to _JOINT_JET seeds); and the
+Gauss-Legendre nodes of the arcs, whose one jet serves both line
+integrals and every point reading.  The anchor is chosen from the nodes.
+A winding number, the base's or the anchor's, is the sum of the steps of
+the angle of the curve's chart around the point's chart from node to node
+(_winding), with a new node halving any step whose chord is as long as
+the point's distance to its nearer end.  A face is read at a point's
+foot, reached by Newton's method from its nearest node (_feet).
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -101,13 +105,13 @@ _FLOORS = {"double_grid": 50, "line_nodes": 8, "curve_samples": 512}
 class NumericConfig:
     """Grid sizes of the numerical path; `halved` gives the coarser grid.
     Each size is an int (not a bool) at or above its floor in _FLOORS, or
-    the config raises InvalidConfig.  Nothing reads `meridians`, kept for
-    callers that still pass it."""
+    the config raises InvalidConfig.  Nothing reads `meridians` or
+    `curve_samples`, kept for callers that still pass them."""
 
     double_grid: int = 400        # coarse grid per parameter for double points
     line_nodes: int = 96          # Gauss-Legendre nodes per smooth arc
     meridians: int = 1024         # read by nothing
-    curve_samples: int = 8192     # dense samples for winding numbers and distance tests
+    curve_samples: int = 8192     # read by nothing
 
     def __post_init__(self):
         for name, floor in _FLOORS.items():
@@ -157,7 +161,7 @@ def _cross(u, w):
 #   place(x)              a finite point x of length dim as a context reads
 #                         it; InvalidBasePoint if it is off the surface
 #   anchor(pts)           the point off the curve whose index and face fix
-#                         the arc indices, chosen from the sample points pts
+#                         the arc indices, chosen from the arc nodes pts
 #   plane(anchor, x)      points x in an orientation-preserving planar chart
 #                         of the surface, less the anchor on the sphere,
 #                         which maps to nan
@@ -189,7 +193,7 @@ class _UnitSphere:
 
     def anchor(self, pts):
         """The pole s = sign e_a: the one of +-e1, +-e2, +-e3 whose nearest
-        sample of pts is farthest."""
+        node of pts is farthest."""
         # reduced along rows of a contiguous copy: an axis-0 reduction of pts
         # is far slower
         cols = np.ascontiguousarray(pts.T)
@@ -207,7 +211,7 @@ class _UnitSphere:
         if sign < 0:
             e1, e2 = e2, e1
         d = 1.0 - sign * x[..., a]
-        out = np.empty(d.shape + (2,))   # written in place: x may hold every sample
+        out = np.empty(d.shape + (2,))   # written in place: x may hold every node
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(x[..., e1], d, out=out[..., 0])
             np.divide(x[..., e2], d, out=out[..., 1])
@@ -257,9 +261,13 @@ class _FlatTorus:
 
     def regions(self, ctx, cycles):
         """Genus 1 for the chart-unbounded face, 0 for the others: the face
-        holding the chart's corner (0, 0), the context's anchor."""
-        pts = ctx.samples[1]
-        if pts[:-1].min() < 1e-6 or pts[:-1].max() > 1 - 1e-6:
+        holding the chart's corner (0, 0), the context's anchor.  The curve
+        must stay 1e-6 inside the chart; between two arc nodes a parameter
+        step h apart it strays at most max|x''| h^2 / 8 from their chord."""
+        ts, x, _v, acc = ctx.nodes
+        h = max(float((ts[1:] - ts[:-1]).max()), ts[0] + 1.0 - ts[-1])
+        sag = float(_norm(acc).max()) * h * h / 8
+        if x.min() - sag < 1e-6 or x.max() + sag > 1 - 1e-6:
             raise ChartViolation("the curve leaves the open fundamental-domain chart")
         outer = ctx.anchor_dart
         return [(1 if outer in cycle else 0, (c,)) for c, cycle in enumerate(cycles)]
@@ -499,6 +507,7 @@ _MONOTONE_SPAN = 16   # longest short way, in grid steps, of a near pair
 _TURN_LIMIT = 0.5 * math.pi - 1e-6
 _BOX = (_MONOTONE_SPAN + 1) // 2   # samples per box: two boxes one apart hold only near pairs
 _BOX_CELLS = np.divmod(np.arange(_BOX * _BOX), _BOX)   # the sample offsets of a box pair's pairs
+_CHUNK_CELLS = 1 << 18   # most cells of a temporary of _seed_pairs' far pairs
 
 
 def _seed_pairs(ts, pts, threshold):
@@ -690,57 +699,7 @@ def _refine_double_points(curve, t1, t2):
     return t1[keep], t2[keep]
 
 
-def _curve_samples(curve, cfg):
-    """(ts, pts), the curve at cfg.curve_samples + 1 evenly spaced
-    parameters t = 0, ..., 1, for distance tests, winding numbers, faces
-    and the choice of the anchor."""
-    ts = np.arange(cfg.curve_samples + 1) / cfg.curve_samples
-    return ts, curve.jet(ts, 0)[0]
-
-
-def _min_distance_to_curve(curve, samples, points):
-    """Distance of each of the points (k, d) to the curve, and the index of
-    each point's nearest sample.
-
-    The nearest sample gives an upper bound.  Where a branch of the curve
-    comes within one sample spacing of a point, the branch's nearest sample
-    seeds Newton's method on (p(t) - x).p'(t) = 0, for all such seeds
-    together, and the distance to the curve point reached replaces the
-    bound when smaller.  The samples are scanned one point at a time, on
-    contiguous copies of their coordinate columns: no temporary is larger
-    than one column of samples, besides the seeds."""
-    ts, pts = samples
-    gap = pts[1:] - pts[:-1]
-    spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
-    del gap   # before the column copies: at --grid 65536 each is 12 MB
-    cols = [np.ascontiguousarray(c) for c in pts[:-1].T]   # t = 1 repeats t = 0
-    best = np.empty(len(points))
-    nearest, node, seed = [], [], []
-    for k, x in enumerate(points):
-        d2 = sum((c - xc) ** 2 for c, xc in zip(cols, x))
-        nearest.append(int(d2.argmin()))
-        best[k] = d2[nearest[-1]]
-        if best[k] < spacing2:
-            # the nearest sample of each branch: a cyclic local minimum
-            i = np.flatnonzero(d2 < spacing2)
-            i = i[(d2[i] <= d2[i - 1]) & (d2[i] <= d2[(i + 1) % len(d2)])]
-            node.extend([k] * len(i))
-            seed.extend(ts[i])
-    if node:
-        x, t = np.asarray(points, dtype=float)[node], np.array(seed)
-        for _ in range(8):
-            p, v, a = curve.jet(t)
-            p = p - x
-            step = _dot(p, v) / (_dot(v, v) + _dot(p, a))
-            t = t - step
-            if not np.any(np.abs(step) > PARAM_TOL):
-                break
-        p = curve.jet(t, 0)[0] - x
-        np.fmin.at(best, node, _dot(p, p))
-    return np.sqrt(best), nearest
-
-
-def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples=None):
+def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None):
     """Signed number of transversal crossings of a path from b to p with the
     curve: +1 whenever the path crosses from the curve's right to its left.
     Given a (K, d) stack of probe points p, returns the list of K indices.
@@ -748,70 +707,98 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None, samples
     For a homologically trivial curve this is w(p) - w(b), w the curve's
     winding number in the surface's planar chart (curve.surface.plane), as
     in the plane: the path crosses from right to left exactly where w
-    steps up.  w is read from the closed polygon of the curve's dense
-    samples, so a point closer to the curve than a chord's sagitta (about
-    h^2 kappa / 8 for sample spacing h and curvature kappa) can be
-    misjudged; a point within POINT_TOL of the curve raises PointOnCurve.
-    `samples` is the curve's dense sampling as a NumericContext holds it;
-    it is computed when not given.
+    steps up.  Both are read as a context of (curve, b, cfg) reads its
+    base's, on that context's arc nodes (_winding): a point around which an
+    arc between two nodes winds, while their chord stays shorter than the
+    point's distance to both, can be misjudged.  A point within POINT_TOL
+    of the curve raises PointOnCurve.
     """
-    samples = samples if samples is not None else _curve_samples(curve, cfg or NumericConfig())
-    b = np.asarray(b, dtype=float)
+    ctx = NumericContext(curve, b, cfg)
     p = np.asarray(p, dtype=float)
-    nodes = np.concatenate((b[None], p.reshape(-1, len(b))))   # node 0 is b, node k probe k
-    index, _nearest = _scan_nodes(curve, samples, curve.surface.anchor(samples[1]), nodes)
+    probes = p.reshape(-1, len(ctx.base_point))
+    _feet(ctx, probes, ["probe"] * len(probes))
+    base = _winding(ctx, ctx.base_point)
+    index = [_winding(ctx, x) - base for x in probes]
     return index if p.ndim > 1 else index[0]
 
 
-def _scan_nodes(curve, samples, anchor, nodes):
-    """(index, nearest): the index of each of nodes[1:] from nodes[0], and
-    the nearest sample of each node, from one distance scan of the samples
-    and one chart (plane, from the anchor) of them and the nodes.  A node
-    within POINT_TOL of the curve raises PointOnCurve."""
-    distance, nearest = _min_distance_to_curve(curve, samples, nodes)
-    near = distance < POINT_TOL
-    if near.any():
-        k = int(np.argmax(near))
-        raise PointOnCurve(
-            f"{'probe' if k else 'base'} point {tuple(nodes[k].tolist())} lies on the curve")
-    pts = samples[1]
-    n = len(pts) - 1   # t = 1 repeats t = 0
-    chart = curve.surface.plane(anchor, np.concatenate((pts[:-1], nodes)))
-    w = _winding(chart[:n], chart[n:])
-    return (w[1:] - w[0]).tolist(), nearest
+_BISECTIONS = 40   # most rounds of halving node steps in _winding
 
 
-_CHUNK_CELLS = 1 << 18   # most (points x vertices) cells _winding marks at once
+def _winding(ctx, point):
+    """w(point), the winding number of the curve around point in the
+    surface's planar chart from the context's anchor.  It is the sum of the
+    principal-value steps of the angle of z(t) = chart(x(t)) - chart(point)
+    over the context's arc nodes in cyclic order, the last node joined to
+    the first: the turns of the closed polygon of the nodes.  A step is
+    halved, with a new node from a jet of its mid-parameter, while its
+    chord is at least as long as |z| at the nearer of its ends; each round
+    reads only the steps that the last one halved.  That
+    covers every step above pi/2 in magnitude, where the chord is its
+    triangle's longest side, and also a narrower step whose arc bulges
+    around a point near the curve: on seeded torus draw 88 at the halved
+    grid, a step of 1.56 where the arc turns by -4.72.  After _BISECTIONS
+    rounds of halving it raises a TopologyError that names the arc.  A
+    point that charts to nan, the sphere's anchor, is outside: 0."""
+    plane, anchor = ctx.curve.surface.plane, ctx.anchor
+    origin = plane(anchor, point)
+    if np.isnan(origin).any():
+        return 0
+    ts, x = ctx.nodes[:2]
+    t0, t1 = ts, np.concatenate((ts[1:], ts[:1] + 1.0))   # the last step ends one turn on
+    z0 = plane(anchor, x) - origin
+    z1 = np.concatenate((z0[1:], z0[:1]))
+    total = 0.0
+    for halvings in itertools.count():
+        (x0, y0), (x1, y1) = z0.T, z1.T
+        step = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+        wide = np.hypot(x1 - x0, y1 - y0) >= np.minimum(np.hypot(x0, y0), np.hypot(x1, y1))
+        total += float(step[~wide].sum())
+        if not wide.any():
+            return round(total / TWO_PI)
+        t0, t1, z0, z1 = t0[wide], t1[wide], z0[wide], z1[wide]
+        if halvings == _BISECTIONS:
+            raise TopologyError(
+                f"the winding number around {tuple(np.asarray(point).tolist())} is unresolved "
+                f"on arc {_arc_at(ctx, t0[0])} after {_BISECTIONS} halvings")
+        mid = 0.5 * (t0 + t1)
+        zm = plane(anchor, ctx.curve.jet(mid % 1.0, 0)[0]) - origin
+        t0, t1 = np.concatenate((t0, mid)), np.concatenate((mid, t1))
+        z0, z1 = np.concatenate((z0, zm)), np.concatenate((zm, z1))
 
 
-def _winding(polygon, points):
-    """The winding number of the closed polygon (its vertices in order, the
-    last joined to the first) around each of the (k, 2) points: the signed
-    count of its edges that cross the point's rightward ray, +1 upward.  An
-    edge holds its lower end but not its upper one, so a vertex on a ray is
-    counted once; a nan point is outside.
+_FOOT_STEPS = 30   # most Newton steps of _feet
 
-    Only an edge with one end on or below the point's line and the other
-    above it can count, so the orientation test runs on those edges alone;
-    an edge with a nan end fails it both ways.  The edges are marked for a
-    block of points at a time: no temporary holds more than _CHUNK_CELLS
-    (points x vertices) cells, and the rest scale with the polygon or with
-    the edges marked."""
-    x, y = (np.concatenate((c, c[:1])) for c in polygon.T)   # closed: vertex n is vertex 0
-    rows = max(1, _CHUNK_CELLS // len(y))
-    out = np.zeros(len(points), dtype=int)
-    for s in range(0, len(points), rows):
-        block = points[s:s + rows]
-        below = y <= block[:, 1, None]
-        k, e = np.nonzero(below[:, :-1] != below[:, 1:])   # point k straddled by edge e
-        up = below[k, e]
-        px, py = block[k].T
-        x0, y0 = x[e], y[e]
-        # > 0: the point is left of the edge
-        left = (x[e + 1] - x0) * (py - y0) - (y[e + 1] - y0) * (px - x0)
-        out[s:s + rows] = (np.bincount(k[up & (left > 0)], minlength=len(block))
-                           - np.bincount(k[~up & (left < 0)], minlength=len(block)))
-    return out
+
+def _feet(ctx, points, names):
+    """(t, x, v): the parameter, point and velocity of the foot of each of
+    the (k, d) points, its nearest curve point.  Newton's method on
+    (x(t) - p).x'(t) = 0 starts from the point's nearest arc node and runs
+    on all points together, one jet per step.  A point steps only where the
+    squared distance is convex, its second derivative above 1e-9 |x'|^2 (its
+    rounding is far smaller): at the pole of a circle, equidistant from the
+    whole curve, the foot stays at the node.  A point whose foot lies within
+    POINT_TOL of it raises PointOnCurve, named by names."""
+    ts, x, v, a = ctx.nodes
+    d2 = sum((x[:, c] - points[:, c, None]) ** 2 for c in range(points.shape[1]))
+    near = d2.argmin(axis=1)
+    t, x, v, a = ts[near], x[near], v[near], a[near]
+    for _ in range(_FOOT_STEPS):
+        d = x - points
+        speed2 = _dot(v, v)
+        curving = speed2 + _dot(d, a)
+        step = np.divide(_dot(d, v), curving, out=np.zeros(len(t)),
+                         where=curving > 1e-9 * speed2)
+        if not (np.abs(step) > PARAM_TOL).any():
+            break
+        t = t - step
+        x, v, a = ctx.curve.jet(t % 1.0)
+    gap = x - points
+    on = np.flatnonzero(np.sqrt(_dot(gap, gap)) < POINT_TOL)
+    if len(on):
+        k = int(on[0])
+        raise PointOnCurve(f"{names[k]} point {tuple(points[k].tolist())} lies on the curve")
+    return t, x, v
 
 
 # ---------------------------------------------------------------------------
@@ -828,27 +815,26 @@ class NumericContext:
 
     The base point is checked once: a float array of the surface's length,
     finite and on the surface, reduced mod 1 into the chart on the torus;
-    InvalidBasePoint otherwise.  The context samples the curve once
-    (`samples`, shared by every winding number, distance test and face
-    reading, with the `anchor` chosen once from them) and caches the
-    double points, the arc table (per smooth arc: its index and its
-    integrals of k_g ds and of the area form, all on one (arcs x line_nodes)
-    array of Gauss-Legendre nodes) and the area of every index level, folded
-    from the latter; every invariant is then a cheap weighted sum over these
-    tables.  The double points come from one batched Newton refinement of
-    all seeds, and the arc indices from the crossing signs and the
-    `anchor_index` and face of the anchor (the sphere's pole; the torus
-    chart's corner).  One scan of the samples on two nodes, the base and
-    the anchor, gives that index and the nearest sample that each face
-    reading takes.  A crossing index that is not an integer or a level
-    area that is not positive is a TopologyError.
+    InvalidBasePoint otherwise.  The context caches the double points, the
+    arc table (per smooth arc: its index and its integrals of k_g ds and of
+    the area form, all on one (arcs x line_nodes) array of Gauss-Legendre
+    nodes, whose parameters and jet it keeps as `nodes`) and the area of
+    every index level, folded from the latter; every invariant is then a
+    cheap weighted sum over these tables.  The double points come from one
+    batched Newton refinement of all seeds, and the arc indices from the
+    crossing signs and the `anchor_index` and face of the anchor (the
+    sphere's pole, chosen from the nodes; the torus chart's corner).  That
+    index is the anchor's winding number less the base's (_winding), and
+    that face is read at the anchor's foot (_face_dart), found with the
+    base's: either raises PointOnCurve within POINT_TOL of the curve.  A
+    crossing index that is not an integer or a level area that is not
+    positive is a TopologyError.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
         self.curve = curve
         self.cfg = cfg or NumericConfig()
         self.base_point = _place_base_point(curve.surface, base_point)
-        self.samples = _curve_samples(curve, self.cfg)
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
 
@@ -863,13 +849,15 @@ class NumericContext:
         curve, cfg = self.curve, self.cfg
         bounds = [t for t, _ in events] or [0.0]
         spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
-        self.arc_spans = spans   # read by _face_dart
-        self._index_arcs()
+        self.arc_spans = spans   # read by _arc_at
         nodes, weights = _leggauss(cfg.line_nodes)
         a, b = np.array(spans).T
         half = 0.5 * (b - a)
-        ts = ((half[:, None] * nodes + 0.5 * (a + b)[:, None]) % 1.0).ravel()
-        x, v, acc = curve.jet(ts)
+        # in cyclic order from bounds[0], so past 1 on the last arcs
+        ts = (half[:, None] * nodes + 0.5 * (a + b)[:, None]).ravel()
+        x, v, acc = curve.jet(ts % 1.0)
+        self.nodes = ts, x, v, acc
+        self._index_arcs()
         kg = _geodesic_curvature(curve.surface, x, v, acc) * _norm(v)
 
         def integral(f):   # over each arc, of f at its nodes
@@ -909,14 +897,17 @@ class NumericContext:
         return area
 
     def _index_arcs(self):
-        """Sets anchor, anchor_index, anchor_dart, arc_index and the base's
-        nearest sample.  The index just right of the curve drops by own at
-        each passage, +sign at a crossing's first parameter and -sign at its
-        second, from the anchor's index and face."""
-        self.anchor = self.curve.surface.anchor(self.samples[1])
-        (self.anchor_index,), (self._base_sample, anchor_sample) = _scan_nodes(
-            self.curve, self.samples, self.anchor, np.array((self.base_point, self.anchor)))
-        self.anchor_dart = _face_dart(self, self.anchor, anchor_sample)
+        """Sets anchor, anchor_index, anchor_dart and arc_index.  The index
+        just right of the curve drops by own at each passage, +sign at a
+        crossing's first parameter and -sign at its second, from the
+        anchor's index and face.  The base's face is read here only for its
+        distance; extract_diagram reads it against the arc indices.  On the
+        torus the anchor's winding number is 0 unless the curve's lift goes
+        around the chart's corner, leaving the chart."""
+        self.anchor = self.curve.surface.anchor(self.nodes[1])
+        _base_dart, self.anchor_dart = _face_dart(self, (self.base_point, self.anchor),
+                                                  ("base", "anchor"))
+        self.anchor_index = _winding(self, self.anchor) - _winding(self, self.base_point)
         dps = self.double_points
         right = list(itertools.accumulate(
             -dps[k].sign if t == dps[k].t1 else dps[k].sign for t, k in self.events)) or [0]
@@ -1048,7 +1039,7 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     torus the unique chart-unbounded face receives genus 1.  The base
     region holds the base point (_face_dart); arc 0's left side must have
     index arc_index[0] + 1 from it, as the anchor's index and face set it.
-    A given context supplies the samples and the config.  Returns
+    A given context supplies the arc nodes and the config.  Returns
     (diagram, base region id).
     """
     ctx = context or NumericContext(curve, base_point, cfg)
@@ -1058,23 +1049,29 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     cycles, dart_cycle = _trace(code)
     table = _region_table(curve.surface.regions(ctx, cycles), len(cycles))
     diagram = _assemble_diagram(code, cycles, dart_cycle, *table, curve.surface.chi, 0)
-    base = diagram.dart_region[_face_dart(ctx, ctx.base_point, ctx._base_sample)]
+    (base_dart,) = _face_dart(ctx, (ctx.base_point,), ("base",))
+    base = diagram.dart_region[base_dart]
     left_region = diagram.dart_region[dart_id(0, LEFT)]
     if index_function(diagram, base).values[left_region] != ctx.arc_index[0] + 1:
         raise TopologyError("the base point's face disagrees with the arc indices")
     return replace(diagram, base_region=base), base
 
 
-def _face_dart(ctx, point, i):
-    """A dart of the face holding point, a point off the curve whose nearest
-    of the context's samples is sample i: the segment to its nearest curve
-    point meets the curve nowhere else.  That point is read as the nearest
-    dense sample, which the context's distance scan found, the side from
-    the chord of the sample's neighbours, the arc from the sample's
-    parameter.  A point within about one sample spacing of a crossing can
+def _face_dart(ctx, points, names):
+    """A dart of the face holding each of points, points off the curve
+    named by names: the segment to a point's foot, its nearest curve point
+    (_feet), meets the curve nowhere else.  The side is read at the foot,
+    from its velocity and the offset to the point, and the arc from its
+    parameter.  A point within about one node spacing of a crossing can
     land in the opposite corner's face, which has the same index."""
-    ts, pts = ctx.samples   # the last sample repeats the first
-    chord = pts[i + 1] - pts[i - 1 if i else -2]
-    left = ctx.curve.surface.orientation(pts[i], chord, point - pts[i]) > 0
-    k = bisect.bisect_right([a for a, _b in ctx.arc_spans], ts[i]) - 1
-    return dart_id(k % len(ctx.arc_spans), LEFT if left else RIGHT)
+    points = np.array(points, dtype=float)
+    t, x, v = _feet(ctx, points, names)
+    left = ctx.curve.surface.orientation(x, v, points - x) > 0
+    return [dart_id(_arc_at(ctx, s), LEFT if is_left else RIGHT)
+            for s, is_left in zip(t.tolist(), left.tolist())]
+
+
+def _arc_at(ctx, t):
+    """The index of the context's arc whose span holds parameter t."""
+    starts = [a for a, _b in ctx.arc_spans]
+    return (bisect.bisect_right(starts, t % 1.0) - 1) % len(starts)

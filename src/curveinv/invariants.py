@@ -161,12 +161,24 @@ def iq_rational_eval(iq: HalfLaurent, C, chi_s: int, q: float) -> float:
     try:
         qc = float(q) ** float(C)
     except OverflowError:
-        raise QOverflow(f"q = {q}: the shift q^{C} overflows a float") from None
+        raise QOverflow(f"q = {q}: the shift q^{_brief(C)} overflows a float") from None
     denom = q ** 0.5 - q ** -0.5
     value = qc * laurent.eval_real(iq, q) + chi_s * (qc - 1.0) / denom
     if not math.isfinite(value):
         raise QOverflow(f"q = {q}: the shifted value overflows a float")
     return value
+
+
+def _brief(c):
+    """The Fraction c as a message shows it: in full up to 30 characters,
+    else as C with the digit counts of its numerator and denominator."""
+    text = str(c)
+    if len(text) <= 30:
+        return text
+    digits = str(len(str(abs(c.numerator))))
+    if c.denominator != 1:
+        digits += f"/{len(str(c.denominator))}"
+    return f"C (C has {digits} digits)"
 
 
 @dataclass(frozen=True)

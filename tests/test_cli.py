@@ -429,10 +429,21 @@ def test_numeric_rejects_nonpositive_grid(capsys, grid):
     assert err.startswith("error:") and "--grid" in err
 
 
+@pytest.mark.parametrize("grid,seed_grid", [("10", 50), ("128", 128)])
+def test_numeric_grid_sets_the_seed_grid(capsys, monkeypatch, grid, seed_grid):
+    # before, --grid set only curve_samples, which nothing reads now
+    grids = []
+    context = geometry.NumericContext
+    monkeypatch.setattr(geometry, "NumericContext", lambda curve, base, cfg:
+                        grids.append(cfg.double_grid) or context(curve, base, cfg))
+    code, _out, _err = run(capsys, "numeric", "--fixture", "latitude", "--grid", grid)
+    assert code == 0 and grids == [seed_grid, max(50, seed_grid // 2)]
+
+
 @pytest.mark.parametrize("grid", ["65537", "100000"])
 def test_numeric_rejects_grid_above_bound(capsys, grid):
-    # each context holds 8 * grid curve samples; far larger grids run out of
-    # memory inside numpy
+    # --grid sets the double-point seed grid; at the bound, 65536, a fixture
+    # context takes 0.07-0.19 s
     code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--grid", grid)
     assert (code, out, err) == (1, "", "error: --grid must be at most 65536\n")
 

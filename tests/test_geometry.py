@@ -15,6 +15,7 @@ from test_numeric_kernels import (
     close_pairs_reference,
     double_points_all_seeds,
     may_cross_reference,
+    scan_indices_reference,
     seed_grid,
     seed_kernel,
     seed_reference,
@@ -166,9 +167,10 @@ def test_point_index_rejects_points_on_curve():
         point_index(curve, SOUTH, (1.0, 0.0, 0.0), CFG)
 
 
+# curve_samples is read by nothing: both sizes read the same arc nodes
 @pytest.mark.parametrize("samples", [1024, 8192])
 @pytest.mark.parametrize("curve,base,point", [
-    # between two samples of the finest grid
+    # off the arc nodes
     (TorusCircle(0.2), (0.05, 0.05), 0.3 + 0.5 / 8192),
     (LatitudeCircle(1.0), SOUTH, 0.3 + 0.5 / 8192),
     (SphereFigureEight(), (-1.0, 0.0, 0.0), 0.3 + 0.5 / 8192),
@@ -176,8 +178,9 @@ def test_point_index_rejects_points_on_curve():
     (SphereFigureEight(), (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
 ])
 def test_point_index_rejects_points_between_samples(samples, curve, base, point):
-    """A probe on the curve but off its samples is found on the curve
-    itself, not reported as a crossing count or a failed path."""
+    """A probe on the curve but off its arc nodes is found on the curve
+    itself, at its foot, not reported as a crossing count or a failed
+    path."""
     p = curve.jet(point, 0)[0] if isinstance(point, float) else np.array(point)
     with pytest.raises(PointOnCurve, match=r"^probe point \(.*\) lies on the curve$"):
         point_index(curve, base, p, NumericConfig(curve_samples=samples))
@@ -353,7 +356,7 @@ def test_level_areas_agree_for_every_axis_pole(monkeypatch, name):
     # the area form singular at any of +-e1, +-e2, +-e3 at least 0.3 from
     # the curve gives the same table: the 4 pi goes to the level of the pole
     fx = parametric_fixture(name)
-    pts = NumericContext(fx.curve, fx.base_point, CFG).samples[1]
+    pts = NumericContext(fx.curve, fx.base_point, CFG).nodes[1]
     tables = []
     for a in range(3):
         for sign in (1.0, -1.0):
@@ -366,14 +369,6 @@ def test_level_areas_agree_for_every_axis_pole(monkeypatch, name):
         assert list(table) == list(tables[0])
         for level, area in tables[0].items():
             assert abs(table[level] - area) <= 1e-12
-
-
-def test_point_index_on_context_samples(contexts):
-    ctx = contexts["fig8"]
-    for t in (0.1, 0.6):
-        for probe in side_probes(ctx, t):
-            assert point_index(ctx.curve, ctx.base_point, probe, CFG) == \
-                point_index(ctx.curve, ctx.base_point, probe, CFG, samples=ctx.samples)
 
 
 def test_quadrature_convergence():
@@ -484,6 +479,18 @@ def test_torus_genus_goes_to_the_face_of_the_chart_corner(base_point, base_genus
     diagram, base = extract_diagram(TorusCircle(0.2), base_point, CFG)
     assert [r.genus for r in diagram.regions] == [base_genus if r == base else 1 - base_genus
                                                   for r in range(2)]
+
+
+def test_a_torus_lift_around_the_chart_corner_keeps_its_index():
+    # the circle's lift goes around the corner (0, 0), the anchor: its
+    # winding number there is 1, not 0, and the base outside the circle is
+    # one level below it.  Only extraction's chart test rejects the curve
+    curve, base_point = TorusCircle(0.2, center=(0.05, 0.05)), (0.6, 0.6)
+    ctx = NumericContext(curve, base_point, CFG)
+    assert (ctx.anchor_index, ctx.arc_index) == (1, [0])
+    assert numeric_iq(curve, base_point, [2.0], context=ctx)[0] == pytest.approx(math.sqrt(2.0))
+    with pytest.raises(ChartViolation):
+        extract_diagram(curve, base_point, context=ctx)
 
 
 def test_torus_curve_leaving_the_chart_is_a_chart_violation():
@@ -684,49 +691,45 @@ def test_seed_memory_grows_linearly_with_the_grid():
     assert peaks[1] < 6 * peaks[0]
 
 
-def nearest_sample_reference(ctx, point):
-    """The index of the nearest of a context's samples to point, by its own
-    scan."""
-    return int(np.argmin(np.sum((ctx.samples[1][:-1] - point) ** 2, axis=1)))
+def test_faces_are_read_at_the_newton_foot(monkeypatch):
+    # seeded torus draw 22: the side read at the base's nearest arc node,
+    # not at its foot, puts the base in the wrong face, at both grids
+    _i, curve, base_point = next(d for d in seeded_torus_curves(23) if d[0] == 22)
+
+    def at_node(ctx, points, names):   # the nearest node in place of the foot
+        ts, x, v, _a = ctx.nodes
+        d2 = sum((x[:, c] - points[:, c, None]) ** 2 for c in range(points.shape[1]))
+        near = d2.argmin(axis=1)
+        return ts[near], x[near], v[near]
+
+    for cfg in (CFG, CFG.halved()):
+        ctx = NumericContext(curve, base_point, cfg)
+        diagram, base = extract_diagram(curve, base_point, context=ctx)
+        assert segment_base_regions(ctx, diagram) == {base}
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, "_feet", at_node)
+            with pytest.raises(TopologyError, match="base point's face disagrees"):
+                extract_diagram(curve, base_point, context=NumericContext(curve, base_point, cfg))
 
 
-def face_dart_reference(ctx, point):
-    """_face_dart with the nearest sample found by its own scan."""
-    ts, pts = ctx.samples
-    x = np.asarray(point, dtype=float)
-    i = nearest_sample_reference(ctx, x)
-    chord = pts[i + 1] - pts[i - 1 if i else -2]
-    left = ctx.curve.surface.orientation(pts[i], chord, x - pts[i]) > 0
-    k = int(np.searchsorted([a for a, _b in ctx.arc_spans], ts[i], side="right")) - 1
-    return 2 * (k % len(ctx.arc_spans)) + (0 if left else 1)
-
-
-def test_faces_read_the_nearest_sample_of_the_one_distance_scan(monkeypatch):
-    # the samples are scanned once per node, for the base and the anchor, in
-    # the context's one scan; the anchor's face and extraction's base face
-    # read the nearest samples that scan found, and the samples keep no
-    # table of nearest samples for a point to be looked up in
-    scans = []
-    scan = geometry._min_distance_to_curve
-    monkeypatch.setattr(geometry, "_min_distance_to_curve",
-                        lambda curve, samples, points: scans.append(len(points))
-                        or scan(curve, samples, points))
-    assert geometry.LEFT == 0 and geometry.RIGHT == 1   # as face_dart_reference numbers darts
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_node_readings_equal_the_dense_scan(cfg):
+    # the anchor, its index, every arc index and the base region, read on
+    # the arc nodes, are those of the dense scan of cfg.curve_samples
+    # samples that they replaced, on the fixtures, the 192 numeric_verify
+    # curves, five epicycles and the 100 seeded torus draws
     cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
-    for curve, base_point in cases + [(Epicycle(17, 0.5), (0.05, 0.05)),
-                                      (LatitudeCircle(ALPHA), (0.6, 0.0, -0.8))]:
-        for cfg in (CFG, CFG.halved()):
-            scans.clear()
-            ctx = NumericContext(curve, base_point, cfg)
-            extract_diagram(curve, base_point, context=ctx)
-            assert scans == [2]
-            anchor = ctx.anchor
-            assert type(ctx.samples) is tuple and len(ctx.samples) == 2
-            assert ctx._base_sample == nearest_sample_reference(ctx, ctx.base_point)
-            assert ctx.anchor_dart == face_dart_reference(ctx, anchor)
-            for point in (ctx.base_point, anchor):
-                i = nearest_sample_reference(ctx, point)
-                assert geometry._face_dart(ctx, point, i) == face_dart_reference(ctx, point)
+    cases += [*side_probe_cases("specs"), *side_probe_cases("epicycles"),
+              *side_probe_cases("seeded_torus")]
+    assert len(cases) == 4 + 192 + 5 + 100
+    for curve, base_point in cases:
+        ctx = NumericContext(curve, base_point, cfg)
+        anchor, index, arcs, base_dart = scan_indices_reference(ctx, cfg.curve_samples)
+        diagram, base = extract_diagram(curve, base_point, context=ctx)
+        assert ctx.anchor.tolist() == anchor.tolist()
+        assert ctx.anchor_index == index
+        assert ctx.arc_index == arcs
+        assert base == diagram.dart_region[base_dart]
 
 
 def test_a_base_point_off_the_torus_chart_is_reduced_into_it():
@@ -801,21 +804,48 @@ def test_config_floors_are_the_halved_grids_floors():
 
 
 def test_a_context_makes_one_point_index_call_on_two_nodes(monkeypatch):
-    # one scan of the samples, on the base point and the anchor: the pole,
-    # or the torus chart's corner
-    nodes = []
-    scan = geometry._scan_nodes
-
-    def counted(curve, samples, anchor, points):
-        nodes.append(len(points))
-        return scan(curve, samples, anchor, points)
-
-    monkeypatch.setattr(geometry, "_scan_nodes", counted)
+    # one foot reading on two nodes, the base point and the anchor (the
+    # pole, or the torus chart's corner), and their winding numbers
+    feet, windings = [], []
+    foot, winding = geometry._feet, geometry._winding
+    monkeypatch.setattr(geometry, "_feet", lambda ctx, points, names:
+                        feet.append(list(names)) or foot(ctx, points, names))
+    monkeypatch.setattr(geometry, "_winding", lambda ctx, point:
+                        windings.append(point) or winding(ctx, point))
     cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
     for curve, base_point in cases + [(Epicycle(17, 0.5), (0.05, 0.05))]:
-        nodes.clear()
-        NumericContext(curve, base_point, CFG)
-        assert nodes == [2]
+        feet.clear()
+        windings.clear()
+        ctx = NumericContext(curve, base_point, CFG)
+        assert feet == [["base", "anchor"]]
+        assert len(windings) == 2
+        assert windings[0] is ctx.anchor and windings[1] is ctx.base_point
+
+
+@pytest.mark.parametrize("off,index", [(1e-4, 0), (-1e-4, -1), (1e-5, 0), (-1e-5, -1)])
+def test_the_winding_guard_halves_wide_steps(monkeypatch, off, index):
+    # a base this close to a circle sees a node step of the angle above
+    # pi/2: new nodes halve it until none is, and the base's winding number
+    # (1 inside, 0 outside) is read right
+    halved = []
+    jet = ParametricCurve.jet
+    monkeypatch.setattr(ParametricCurve, "jet", lambda curve, t, order=2:
+                        (order == 0 and halved.append(np.size(t))) or jet(curve, t, order))
+    # at t = 0.5, the middle of the circle's one arc, where its nodes are
+    # farthest apart
+    curve, base_point = TorusCircle(0.2), (0.3 - off, 0.5)
+    ctx = NumericContext(curve, base_point, CFG)
+    assert ctx.anchor_index == index and ctx.arc_index == [index]
+    assert len(halved) >= 4 and all(halved)
+    assert point_index(curve, base_point, ctx.anchor, CFG) == index
+
+
+def test_the_winding_guard_names_the_arc_past_its_depth_bound(monkeypatch):
+    # the same base 1e-4 outside the circle needs more rounds than 3
+    monkeypatch.setattr(geometry, "_BISECTIONS", 3)
+    with pytest.raises(TopologyError, match=r"^the winding number around \(0\.2999, 0\.5\) is "
+                       r"unresolved on arc 0 after 3 halvings$"):
+        NumericContext(TorusCircle(0.2), (0.2999, 0.5), CFG)
 
 
 def side_probe_cases(family):
@@ -838,15 +868,13 @@ def side_probe_cases(family):
 
 @pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
 def test_point_index_of_the_anchor_is_the_contexts(cfg):
-    # the public entry, on its own samples or the context's, reads the
-    # anchor's index as the context's one scan does
+    # the public entry reads the anchor's index as the context does
     cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
     cases += [*side_probe_cases("specs"), *side_probe_cases("epicycles")]
     assert len(cases) == 4 + 192 + 5
     for curve, base_point in cases:
         ctx = NumericContext(curve, base_point, cfg)
         assert point_index(curve, base_point, ctx.anchor, cfg) == ctx.anchor_index
-        assert point_index(curve, base_point, ctx.anchor, samples=ctx.samples) == ctx.anchor_index
 
 
 @pytest.mark.parametrize("family,least", [("specs", 192), ("epicycles", 5),
@@ -884,7 +912,7 @@ def test_epicycle_with_352_crossings_matches_exact_iq(cfg):
 def test_a_base_face_on_the_wrong_side_fails_the_cross_check(contexts, monkeypatch, name):
     face_dart = geometry._face_dart
     monkeypatch.setattr(geometry, "_face_dart",
-                        lambda ctx, point, i: face_dart(ctx, point, i) ^ 1)
+                        lambda ctx, points, names: [d ^ 1 for d in face_dart(ctx, points, names)])
     ctx = contexts[name]
     with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
         extract_diagram(ctx.curve, ctx.base_point, context=ctx)
@@ -907,8 +935,9 @@ def test_a_base_face_misread_by_a_new_context_is_a_topology_error(monkeypatch, c
     # anchor, whose level areas then disagree with its winding number
     face_dart = geometry._face_dart
 
-    def misread(ctx, point, i):
-        return face_dart(ctx, point, i) ^ (np.asarray(point, dtype=float).tolist() == list(base_point))
+    def misread(ctx, points, names):
+        return [d ^ (np.asarray(p, dtype=float).tolist() == list(base_point))
+                for d, p in zip(face_dart(ctx, points, names), points)]
 
     monkeypatch.setattr(geometry, "_face_dart", misread)
     with pytest.raises(TopologyError, match=check):

@@ -190,6 +190,20 @@ def test_iq_rational_eval_names_a_value_that_overflows():
     assert str(exc.value) == "q = 1e+200: the shifted value overflows a float"
 
 
+@pytest.mark.parametrize("C,q,shown", [
+    (10**400, 2.0, "C (C has 401 digits)"),
+    (10**400, 0.5, "C (C has 401 digits)"),
+    (Fraction(-10**400, 3), 2.0, "C (C has 401/1 digits)"),
+    (400, 1e300, "400"),   # a short C is shown in full
+])
+def test_iq_rational_eval_names_a_huge_shift_briefly(C, q, shown):
+    # before, C = 10**400 was printed in full, a 440-character message
+    with pytest.raises(QOverflow) as exc:
+        iq_rational_eval(HalfLaurent({2: 1}), C, 2, q)
+    assert str(exc.value) == f"q = {q}: the shift q^{shown} overflows a float"
+    assert len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("iq,C", [(HalfLaurent({2: 10**400}), 0), (HalfLaurent({2: 1}), 10**400)])
 def test_iq_rational_eval_at_1_names_a_value_that_overflows(iq, C):
     # before, a bare OverflowError from the Fraction's conversion

@@ -9,14 +9,17 @@ replaced is kept as a first-order reference: with m meridians it must lie
 within 2 pi / m of them.  The probe index, a winding number in a planar
 chart, must equal the crossing count along the geodesic leg that it
 replaced, kept as a scalar loop with an 80-step bisection per crossing,
-wherever that leg is not degenerate.  The seeding kernel (_seed_pairs)
+wherever that leg is not degenerate, and the winding number of the closed
+polygon of the dense samples that the guarded angle sum over the arc
+nodes replaced (winding_reference, scan_reference), on every probe stack
+of the fixtures and the epicycles.  The seeding kernel (_seed_pairs)
 must return the close pairs of the dense grid, formed a block of rows at a
 time, that the one-gather-per-step filter keeps, in the same order;
 seeding from every close pair, past both seed filters, is kept as a
-reference.  The loops that the straddling-edge winding count, the
-one-gather seed filter, the prefix-sum turning rule (a loop summing the
-angles of each short way) and the whole-array root merge replaced are kept
-too, and the kernels must equal them exactly; the kernel asks _may_cross
+reference.  The loops that the one-gather seed filter, the prefix-sum
+turning rule (a loop summing the angles of each short way) and the
+whole-array root merge replaced are kept too, and the kernels must equal
+them exactly; the kernel asks _may_cross
 about the close near pairs that the turning loop leaves undecided.  A
 context makes one jet per Newton step and one for the roots (one per
 parameter above _JOINT_JET seeds, with the same bits), and chooses the
@@ -148,7 +151,10 @@ def segment_reference(curve, b, p, ts, pts):
 
 
 def winding_reference(polygon, points):
-    """_winding as one pass over every edge for each point."""
+    """The winding number of the closed polygon around each of the (k, 2)
+    points, as one pass over every edge for each point: the signed count of
+    its edges that cross the point's rightward ray, +1 upward.  An edge
+    holds its lower end but not its upper one; a nan point is outside."""
     x0, y0 = polygon.T
     x1, y1 = np.roll(polygon, -1, axis=0).T
     dx, dy = x1 - x0, y1 - y0
@@ -158,6 +164,95 @@ def winding_reference(polygon, points):
         out[k] = (np.count_nonzero((y0 <= py) & (py < y1) & (left > 0))
                   - np.count_nonzero((y1 <= py) & (py < y0) & (left < 0)))
     return out
+
+
+def dense_samples(curve, n):
+    """(ts, pts): the curve at n + 1 evenly spaced parameters t = 0, ..., 1,
+    the dense samples that the scan below reads."""
+    ts = np.arange(n + 1) / n
+    return ts, curve.jet(ts, 0)[0]
+
+
+def min_distance_reference(curve, samples, points):
+    """The distance of each of the points (k, d) to the curve, and the
+    index of each point's nearest sample: the nearest sample's distance,
+    polished by 8 Newton steps on (p(t) - x).p'(t) = 0 from the nearest
+    sample of every branch that comes within one sample spacing."""
+    ts, pts = samples
+    gap = pts[1:] - pts[:-1]
+    spacing2 = float(np.max(np.einsum("ij,ij->i", gap, gap)))
+    cols = [np.ascontiguousarray(c) for c in pts[:-1].T]   # t = 1 repeats t = 0
+    best = np.empty(len(points))
+    nearest, node, seed = [], [], []
+    for k, x in enumerate(points):
+        d2 = sum((c - xc) ** 2 for c, xc in zip(cols, x))
+        nearest.append(int(d2.argmin()))
+        best[k] = d2[nearest[-1]]
+        if best[k] < spacing2:
+            i = np.flatnonzero(d2 < spacing2)
+            i = i[(d2[i] <= d2[i - 1]) & (d2[i] <= d2[(i + 1) % len(d2)])]
+            node.extend([k] * len(i))
+            seed.extend(ts[i])
+    if node:
+        x, t = np.asarray(points, dtype=float)[node], np.array(seed)
+        for _ in range(8):
+            p, v, a = curve.jet(t)
+            p = p - x
+            step = np.einsum("ij,ij->i", p, v) / (np.einsum("ij,ij->i", v, v)
+                                                   + np.einsum("ij,ij->i", p, a))
+            t = t - step
+            if not np.any(np.abs(step) > geometry.PARAM_TOL):
+                break
+        p = curve.jet(t, 0)[0] - x
+        np.fmin.at(best, node, np.einsum("ij,ij->i", p, p))
+    return np.sqrt(best), nearest
+
+
+def scan_reference(curve, samples, anchor, nodes):
+    """(index, nearest): the index of each of nodes[1:] from nodes[0], as
+    the winding numbers of the closed polygon of the dense samples in the
+    chart from anchor, and each node's nearest sample.  A node within
+    POINT_TOL of the curve raises PointOnCurve."""
+    distance, nearest = min_distance_reference(curve, samples, nodes)
+    if (distance < geometry.POINT_TOL).any():
+        raise PointOnCurve("a node lies on the curve")
+    pts = samples[1]
+    n = len(pts) - 1
+    chart = curve.surface.plane(anchor, np.concatenate((pts[:-1], nodes)))
+    w = winding_reference(chart[:n], chart[n:])
+    return (w[1:] - w[0]).tolist(), nearest
+
+
+def sample_face_reference(ctx, samples, point, i):
+    """The dart of the face holding point, read at its nearest sample i:
+    the side from the chord of the sample's neighbours, the arc from the
+    sample's parameter."""
+    ts, pts = samples
+    chord = pts[i + 1] - pts[i - 1 if i else -2]
+    left = ctx.curve.surface.orientation(pts[i], chord, np.asarray(point) - pts[i]) > 0
+    k = int(np.searchsorted([a for a, _b in ctx.arc_spans], ts[i], side="right")) - 1
+    return 2 * (k % len(ctx.arc_spans)) + (0 if left else 1)
+
+
+def scan_indices_reference(ctx, n):
+    """(anchor, anchor index, arc indices, base dart) of a context as the
+    dense scan of n samples gives them: the anchor chosen from the samples,
+    its index from the winding numbers of the sample polygon and its face,
+    like the base's, read at its nearest sample."""
+    samples = dense_samples(ctx.curve, n)
+    anchor = ctx.curve.surface.anchor(samples[1])
+    (index,), (base_i, anchor_i) = scan_reference(ctx.curve, samples, anchor,
+                                                  np.array((ctx.base_point, anchor)))
+    arc, side = divmod(sample_face_reference(ctx, samples, anchor, anchor_i), 2)
+    right, total = [], 0
+    for t, k in ctx.events:
+        d = ctx.double_points[k]
+        total += -d.sign if t == d.t1 else d.sign
+        right.append(total)
+    right = right or [0]
+    shift = index - right[arc] - (1 if side == 0 else 0)
+    return (anchor, index, [v + shift for v in right],
+            sample_face_reference(ctx, samples, ctx.base_point, base_i))
 
 
 def may_cross_reference(pts, cand):
@@ -233,17 +328,6 @@ def merge_reference(t1s, t2s):
                    or (cyc(t1, t2s[k]) < tol and cyc(t2, t1s[k]) < tol) for k in kept):
             kept.append(r)
     return kept
-
-
-def plane_reference(pts, x):
-    """UNIT_SPHERE.plane with its pole, the anchor, chosen by axis-0
-    reductions."""
-    k = int(np.argmin(np.concatenate((pts.max(axis=0), -pts.min(axis=0)))))
-    a, sign = k % 3, 1.0 if k < 3 else -1.0
-    e1, e2 = ((a + 2) % 3, (a + 1) % 3)[::1 if sign > 0 else -1]
-    d = 1.0 - sign * x[..., a]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((d > 0.0)[..., None], x[..., [e1, e2]] / d[..., None], np.nan), k
 
 
 def double_points_all_seeds(curve, cfg):
@@ -340,12 +424,18 @@ class Epicycle(ParametricCurve):
             yield np.stack([z.real, z.imag], axis=-1)
 
 
+def reference_samples(ctx):
+    """The dense samples of a context's curve, cfg.curve_samples of them,
+    for the references below."""
+    return dense_samples(ctx.curve, ctx.cfg.curve_samples)
+
+
 def sweep_reference(ctx, m):
     """The area of each index level from m meridians: along each, the index
     advances at the curve's crossings, and the exact band areas between
     consecutive crossing colatitudes are added to their levels."""
     curve, cfg = ctx.curve, ctx.cfg
-    ts, pts = ctx.samples
+    ts, pts = reference_samples(ctx)
     north = np.array([0.0, 0.0, 1.0])
     ind_n = geometry.point_index(curve, ctx.base_point, north, cfg)
     dphi = 2 * math.pi / m
@@ -456,16 +546,18 @@ def side_probes(ctx, t, eps=PROBE_EPS):
 
 def side_probe_indices(ctx, eps=PROBE_EPS):
     """The arc indices as the side probes at the middle of every arc read
-    them, in one point_index call: the index of each arc's right probe.
-    None where a probe lies on the curve, or where the two probes of an arc
-    do not differ by one."""
+    them, on the context's own nodes as point_index reads them: the index
+    of each arc's right probe.  None where a probe lies on the curve, or
+    where the two probes of an arc do not differ by one."""
     t = 0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0
     left, right = side_probes(ctx, t, eps)
+    probes = np.concatenate((left, right))
     try:
-        ind = geometry.point_index(ctx.curve, ctx.base_point, np.concatenate((left, right)),
-                                   samples=ctx.samples)
+        geometry._feet(ctx, probes, ["probe"] * len(probes))
     except PointOnCurve:
         return None
+    base = geometry._winding(ctx, ctx.base_point)
+    ind = [geometry._winding(ctx, p) - base for p in probes]
     above, below = ind[:len(t)], ind[len(t):]
     return below if above == [v + 1 for v in below] else None
 
@@ -492,25 +584,25 @@ def test_segment_index_equals_scalar_loop():
     # every ordered pair of probes, degenerate legs of the reference skipped
     seen = set()
     for ctx, probes in probe_sets(2e-4):
+        samples = reference_samples(ctx)
         for b in probes:
             for p in probes:
-                want = segment_reference(ctx.curve, b, p, *ctx.samples)
+                want = segment_reference(ctx.curve, b, p, *samples)
                 seen.add(want)
                 if want is not None:
-                    got = geometry.point_index(ctx.curve, b, p, samples=ctx.samples)
-                    assert got == want
+                    assert geometry.point_index(ctx.curve, b, p, ctx.cfg) == want
     assert None in seen and {-1, 0, 1} <= seen
 
 
 def test_meridian_index_equals_scalar_loop():
     # a great circle through both poles, between random points
     curve = Meridian()
-    samples = geometry._curve_samples(curve, CFG)
+    samples = dense_samples(curve, CFG.curve_samples)
     rng = np.random.default_rng(5)
     bases, probes = (UNIT_SPHERE.project(rng.normal(size=(k, 3))) for k in (12, 26))
     seen = []
     for b in bases:
-        got = geometry.point_index(curve, b, probes, samples=samples)
+        got = geometry.point_index(curve, b, probes, CFG)
         for p, g in zip(probes, got):
             want = segment_reference(curve, b, p, *samples)
             if want is not None:
@@ -553,9 +645,10 @@ def context_probes(ctx, stride=1):
 def test_context_indices_match_scalar_loop(curve, base, cfg):
     # the arc and fixed indices of a context, on at most 8 of its arcs
     ctx = NumericContext(curve, base, cfg)
+    samples = reference_samples(ctx)
     checked = 0
     for p, index in context_probes(ctx, max(1, len(ctx.arc_spans) // 8)):
-        want = segment_reference(curve, ctx.base_point, p, *ctx.samples)
+        want = segment_reference(curve, ctx.base_point, p, *samples)
         if want is not None:
             assert index == want
             checked += 1
@@ -563,15 +656,16 @@ def test_context_indices_match_scalar_loop(curve, base, cfg):
 
 
 def test_epicycle_index_equals_scalar_loop():
-    # the side probes of every other arc of the 80 crossings of k = 17, on
-    # a coarser sampling, in one stacked call
+    # the side probes of every other arc of the 80 crossings of k = 17, in
+    # one stacked call, against a reference on a coarser sampling
     ctx = NumericContext(Epicycle(17, 0.5), (0.05, 0.05), NumericConfig(curve_samples=1024))
     probes, indices = zip(*context_probes(ctx, 2))
-    got = geometry.point_index(ctx.curve, ctx.base_point, np.array(probes), samples=ctx.samples)
+    got = geometry.point_index(ctx.curve, ctx.base_point, np.array(probes), ctx.cfg)
     assert got == list(indices)
+    samples = reference_samples(ctx)
     checked = 0
     for p, g in zip(probes, got):
-        want = segment_reference(ctx.curve, ctx.base_point, p, *ctx.samples)
+        want = segment_reference(ctx.curve, ctx.base_point, p, *samples)
         if want is not None:
             assert g == want
             checked += 1
@@ -582,52 +676,64 @@ def test_stacked_point_index_equals_single_calls():
     # the base's antipode is left out, as the figure eight passes through it
     for ctx, probes in probe_sets():
         stack = np.array(probes[1:-1] if ctx.curve.surface == UNIT_SPHERE else probes[1:])
-        assert geometry.point_index(ctx.curve, ctx.base_point, stack, samples=ctx.samples) == [
-            geometry.point_index(ctx.curve, ctx.base_point, p, samples=ctx.samples)
-            for p in stack]
+        assert geometry.point_index(ctx.curve, ctx.base_point, stack, ctx.cfg) == [
+            geometry.point_index(ctx.curve, ctx.base_point, p, ctx.cfg) for p in stack]
+
+
+class Polygon(ParametricCurve):
+    """The closed polygon of the given vertices in the torus chart, each
+    edge traversed at constant speed in an equal share of the parameter."""
+
+    surface = FLAT_TORUS
+
+    def __init__(self, vertices):
+        self.vertices = np.asarray(vertices, dtype=float)
+
+    def _jet(self, t):
+        n = len(self.vertices)
+        k, frac = np.divmod(t * n, 1.0)
+        k = k.astype(int) % n
+        start, edge = self.vertices[k], np.roll(self.vertices, -1, axis=0)[k] - self.vertices[k]
+        yield start + frac[..., None] * edge
+        yield n * edge
+        yield np.zeros_like(edge)
+
+
+def polygon_winding(vertices, points):
+    """_winding of the polygon of vertices around each of points, on a
+    context whose nodes are the polygon's vertices and whose anchor is far
+    outside it."""
+    curve = Polygon(vertices)
+    ts = np.arange(len(curve.vertices)) / len(curve.vertices)
+    ctx = SimpleNamespace(curve=curve, anchor=np.array([-50.0, -50.0]),
+                          nodes=(ts, curve.vertices), arc_spans=[(0.0, 1.0)])
+    return [geometry._winding(ctx, p) for p in np.asarray(points, dtype=float)]
 
 
 def test_winding_on_hand_made_polygons():
+    # the guarded angle sum on polygons whose vertices are the nodes: the
+    # halvings of its wide steps run along the edges, and a nan point is
+    # outside
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     points = np.array([[0.5, 0.5],     # inside
                        [-1.0, 0.0],    # level with the bottom edge
                        [-1.0, 1.0],    # level with the top edge
                        [0.5, 2.0],     # above
                        [np.nan, np.nan]])
-    assert geometry._winding(square, points).tolist() == [1, 0, 0, 0, 0]
-    assert geometry._winding(square[::-1], points).tolist() == [-1, 0, 0, 0, 0]
-    assert geometry._winding(np.concatenate([square, square]), points).tolist() == [2, 0, 0, 0, 0]
+    assert polygon_winding(square, points) == [1, 0, 0, 0, 0]
+    assert polygon_winding(square[::-1], points) == [-1, 0, 0, 0, 0]
+    assert polygon_winding(np.concatenate([square, square]), points) == [2, 0, 0, 0, 0]
     # rays through the side vertices of a diamond
     diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     points = np.array([[-2.0, 0.0], [0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
-    assert geometry._winding(diamond, points).tolist() == [0, 1, 1, 0]
-
-
-@pytest.mark.parametrize("cells", [None, 1, 40])
-def test_winding_equals_reference_on_hand_made_polygons(monkeypatch, cells):
-    # cells: blocks of one point, of a few points, or all points at once
-    nan = math.nan
-    if cells is not None:
-        monkeypatch.setattr(geometry, "_CHUNK_CELLS", cells)
-    diamond = [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
-    # horizontal edges at y = 0 and y = 1, and vertices on the rays y = 0, 1, 2
-    stairs = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0],
-              [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]]
-    # the chart of a curve through the pole: nan vertices, and one with x alone nan
-    holed = [[0.0, -1.0], [1.0, 0.0], [nan, nan], [0.0, 1.0], [-1.0, 0.5],
-             [nan, 0.0], [-1.0, -0.5]]
-    points = np.array([[x, y] for x in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-                       for y in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)]
-                      + [[nan, nan], [nan, 0.5], [0.5, nan]])
-    seen = set()
-    for polygon in (diamond, stairs, holed):
-        polygon = np.array(polygon)
-        for poly in (polygon, polygon[::-1], np.concatenate([polygon, polygon])):
-            got = geometry._winding(poly, points)
-            assert got.tolist() == winding_reference(poly, points).tolist()
-            assert got[-3:].tolist() == [0, 0, 0]
-            seen.update(got.tolist())
-    assert {-1, 0, 1, 2} <= seen
+    assert polygon_winding(diamond, points) == [0, 1, 1, 0]
+    # stairs, and points off its edges on a grid: the ray count agrees
+    stairs = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0],
+                       [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]])
+    points = np.array([[x, y] for x in (-1.5, -0.3, 0.25, 0.55, 1.5, 2.5)
+                       for y in (-0.5, 0.3, 0.6, 1.5, 2.5)])
+    for poly in (diamond, stairs, stairs[::-1], np.concatenate([stairs, stairs])):
+        assert polygon_winding(poly, points) == winding_reference(poly, points).tolist()
 
 
 FIXTURE_AND_EPICYCLE_CONTEXTS = [
@@ -641,7 +747,8 @@ FIXTURE_AND_EPICYCLE_CONTEXTS = [
 
 @pytest.mark.parametrize("which,cfg", FIXTURE_AND_EPICYCLE_CONTEXTS)
 def test_winding_equals_reference_on_probe_stacks(which, cfg):
-    # every probe stack that a context charts, as point_index charts it
+    # every probe stack of a context, read on its arc nodes, against the
+    # winding numbers of the closed polygon of the dense samples
     if isinstance(which, str):
         fx = parametric_fixture(which)
         curve, base = fx.curve, fx.base_point
@@ -649,11 +756,10 @@ def test_winding_equals_reference_on_probe_stacks(which, cfg):
         curve, base = Epicycle(*which), (0.05, 0.05)
     ctx = NumericContext(curve, base, cfg)
     probes, indices = zip(*context_probes(ctx))
-    pts, nodes = ctx.samples[1], np.vstack((ctx.base_point, *probes))
-    polygon, points = (curve.surface.plane(ctx.anchor, x) for x in (pts[:-1], nodes))
-    got = geometry._winding(polygon, points)
-    assert got.tolist() == winding_reference(polygon, points).tolist()
-    assert (got[1:] - got[0]).tolist() == list(indices)
+    got = geometry.point_index(curve, base, np.array(probes), cfg)
+    want, _nearest = scan_reference(curve, reference_samples(ctx), ctx.anchor,
+                                    np.vstack((ctx.base_point, *probes)))
+    assert got == want == list(indices)
 
 
 @pytest.mark.parametrize("curve", [SphereFigureEight(), LatitudeCircle(1.0), TorusCircle(0.2),
@@ -787,8 +893,8 @@ def test_latitude_seam_fixed_index(cfg):
     # the north pole, farther from it than the south pole
     ctx = NumericContext(LatitudeCircle(2.0150167225273448), (0.0, 0.0, -1.0), cfg)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    assert geometry.point_index(ctx.curve, ctx.base_point, poles, samples=ctx.samples) == [1, 0]
-    assert UNIT_SPHERE.anchor(ctx.samples[1]).tolist() == ctx.anchor.tolist() == [0.0, 0.0, 1.0]
+    assert geometry.point_index(ctx.curve, ctx.base_point, poles, cfg) == [1, 0]
+    assert UNIT_SPHERE.anchor(ctx.nodes[1]).tolist() == ctx.anchor.tolist() == [0.0, 0.0, 1.0]
     assert ctx.anchor_index == 1
 
 
@@ -831,38 +937,15 @@ def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
 def test_context_makes_one_point_index_call(monkeypatch, name):
-    # the context's one scan of the samples, which point_index makes too
+    # the context's winding numbers of its anchor and base, as point_index
+    # reads each probe's
     calls = []
-    scan = geometry._scan_nodes
-    monkeypatch.setattr(geometry, "_scan_nodes",
-                        lambda *args: calls.append(1) or scan(*args))
+    winding = geometry._winding
+    monkeypatch.setattr(geometry, "_winding",
+                        lambda *args: calls.append(1) or winding(*args))
     fx = parametric_fixture(name)
     NumericContext(fx.curve, fx.base_point)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
-def test_point_index_makes_one_plane_call(monkeypatch, name):
-    # one chart for the polygon and the probes, from the pole that the
-    # axis-0 reductions chose
-    fx = parametric_fixture(name)
-    for cfg in (NumericConfig(), NumericConfig().halved()):
-        ctx = NumericContext(fx.curve, fx.base_point, cfg)
-        pts = ctx.samples[1]
-        nodes = np.vstack((ctx.base_point, *(p for p, _ in context_probes(ctx))))
-        charts = []
-        plane = UNIT_SPHERE.plane
-        monkeypatch.setattr(UNIT_SPHERE, "plane",
-                            lambda p, x: charts.append(plane(p, x)) or charts[-1])
-        geometry.point_index(fx.curve, ctx.base_point, nodes[1:], samples=ctx.samples)
-        monkeypatch.undo()
-        assert len(charts) == 1
-        want, k = plane_reference(pts, np.concatenate((pts[:-1], nodes)))
-        np.testing.assert_array_equal(charts[0], want)
-        pole = np.zeros(3)
-        pole[k % 3] = 1.0 if k < 3 else -1.0
-        assert np.isnan(plane(ctx.anchor, pole)).all()
-        assert not np.isnan(charts[0][:len(pts) - 1]).any()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name,crossings", [("figure8_sphere_param", 1), ("great_circle", 0)])
@@ -926,11 +1009,12 @@ def test_fixture_indices_equal_scalar_loop(name):
     via = UNIT_SPHERE.project(np.array([0.3, -0.5, 0.8]))
     for cfg in (NumericConfig(), NumericConfig().halved()):
         ctx = NumericContext(fx.curve, fx.base_point, cfg)
+        samples = reference_samples(ctx)
         for p, index in context_probes(ctx):
-            want = segment_reference(fx.curve, ctx.base_point, p, *ctx.samples)
+            want = segment_reference(fx.curve, ctx.base_point, p, *samples)
             if want is None:
-                want = (segment_reference(fx.curve, ctx.base_point, via, *ctx.samples)
-                        + segment_reference(fx.curve, via, p, *ctx.samples))
+                want = (segment_reference(fx.curve, ctx.base_point, via, *samples)
+                        + segment_reference(fx.curve, via, p, *samples))
             assert index == want
 
 
