@@ -27,23 +27,21 @@ foot on the curve (_face_dart).  The anchor is the chart's corner (0, 0),
 in the genus-1 face, on the torus; on the sphere it is the axis pole
 farthest from the curve, which is also the chart's point at infinity and
 alpha's singular point, whose level alpha reads as the anchor's index.
-extract_diagram checks the base point's face, read the same way, against
-the arc indices.  A base at the pole is the anchor: its misread face
-shifts every arc index, and the level areas, whose 4 pi goes by the
-pole's winding number, fail.
+The base point's face is read once, with the anchor's (base_dart), and
+extract_diagram checks it against the arc indices.  A base at the pole is
+the anchor: its misread face shifts every arc index, and the level areas,
+whose 4 pi goes by the pole's winding number, fail.
 
 A context derives each fact of its two grids once: the seed grid of
-find_double_points, whose near pairs are decided by the turning of their
-short way before any distance is taken, and whose far pairs come from
-boxes of consecutive samples that come close, with one jet per Newton
-step and one for the roots (up to _JOINT_JET seeds); and the
-Gauss-Legendre nodes of the arcs, whose one jet serves both line
-integrals and every point reading.  The anchor is chosen from the nodes.
-A winding number, the base's or the anchor's, is the sum of the steps of
-the angle of the curve's chart around the point's chart from node to node
-(_winding), with a new node halving any step whose chord is as long as
-the point's distance to its nearer end.  A face is read at a point's
-foot, reached by Newton's method from its nearest node (_feet).
+find_double_points, with one jet per Newton step and one for the roots
+(up to _JOINT_JET seeds), and the Gauss-Legendre nodes of the arcs, whose
+one jet serves both line integrals and every point reading.  The anchor
+is chosen from the nodes.  A winding number is the sum of the steps of
+the angle of the curve's chart around the point's from node to node, a
+new node halving any step whose chord is as long as the point's distance
+to its nearer end; one pass reads those of a batch of points (_winding).
+A face is read at a point's foot, reached by Newton's method from its
+nearest node (_feet).
 
 Orientation conventions match the diagram module: the left of the curve is
 the tangent rotated +90 degrees (outward normal on the sphere), a small
@@ -105,13 +103,12 @@ _FLOORS = {"double_grid": 50, "line_nodes": 8, "curve_samples": 512}
 class NumericConfig:
     """Grid sizes of the numerical path; `halved` gives the coarser grid.
     Each size is an int (not a bool) at or above its floor in _FLOORS, or
-    the config raises InvalidConfig.  Nothing reads `meridians` or
-    `curve_samples`, kept for callers that still pass them."""
+    the config raises InvalidConfig."""
 
     double_grid: int = 400        # coarse grid per parameter for double points
     line_nodes: int = 96          # Gauss-Legendre nodes per smooth arc
-    meridians: int = 1024         # read by nothing
-    curve_samples: int = 8192     # read by nothing
+    meridians: int = 1024         # read by nothing, kept for callers
+    curve_samples: int = 8192     # read by nothing, kept for callers
 
     def __post_init__(self):
         for name, floor in _FLOORS.items():
@@ -158,8 +155,8 @@ def _cross(u, w):
 # model surfaces; each has chi, dim (the length of a point) and these methods:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
 #   project(x)            ambient points onto the surface
-#   place(x)              a finite point x of length dim as a context reads
-#                         it; InvalidBasePoint if it is off the surface
+#   place(x, name)        finite (k, dim) points x as a context reads them;
+#                         InvalidBasePoint, naming one off the surface
 #   anchor(pts)           the point off the curve whose index and face fix
 #                         the arc indices, chosen from the arc nodes pts
 #   plane(anchor, x)      points x in an orientation-preserving planar chart
@@ -168,8 +165,6 @@ def _cross(u, w):
 #   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
 #                         singular point), d alpha = K dA; None where K = 0
 #   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
-# On the sphere the anchor is a pole, the chart's missing point and alpha's
-# singular point; a context chooses it once and plane and area_form read it.
 
 
 class _UnitSphere:
@@ -185,10 +180,11 @@ class _UnitSphere:
     def project(self, x):
         return x / _norm(x)[..., None]
 
-    def place(self, x):
-        """x itself, if its norm is 1 within 1e-9."""
-        if not abs(math.hypot(*x.tolist()) - 1.0) <= 1e-9:
-            raise InvalidBasePoint(f"base point {tuple(x.tolist())} is not on the unit sphere")
+    def place(self, x, name):
+        """x itself, if each point's norm is 1 within 1e-9."""
+        for point in x.tolist():
+            if not abs(math.hypot(*point) - 1.0) <= 1e-9:
+                raise InvalidBasePoint(f"{name} {tuple(point)} is not on the unit sphere")
         return x
 
     def anchor(self, pts):
@@ -245,7 +241,7 @@ class _FlatTorus:
     def project(self, x):
         return x
 
-    def place(self, x):
+    def place(self, x, name):
         """x reduced mod 1 into the chart [0, 1)^2."""
         x = x % 1.0
         return np.where(x < 1.0, x, 0.0)   # a tiny negative coordinate rounds to 1
@@ -413,12 +409,8 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
 
     The close pairs of a coarse grid of parameters seed Newton refinement
     of the stationarity system of the squared (lift) distance
-    (_seed_pairs).  Near pairs, a few grid steps apart along the curve, are
-    kept only where the short way between them can hold a crossing: its
-    turning decides most of them before any distance is taken, and
-    _may_cross the rest.  Far pairs are found through boxes of consecutive
-    samples, and only boxes that come close are paired.  The seeds are
-    refined, all of them together as arrays, with one jet of both
+    (_seed_pairs; near pairs only where their short way can hold a
+    crossing).  The seeds are refined, all together, with one jet of both
     parameters per Newton step (_pair_jet).  Converged roots with near-zero
     residual, read from one more such jet, are kept, duplicates merged in
     seed order (_distinct_roots), and crossings with angle below the
@@ -534,11 +526,9 @@ def _seed_pairs(ts, pts, threshold):
     boxes farther apart are a candidate when, widened by the distance,
     they overlap in every coordinate; their sample pairs get a distance,
     the close ones the gap test, and the far ones among those are kept.
-    The box-pair table is built a block of
-    rows at a time, and the candidates' sample pairs are tested in chunks:
-    besides the list of candidate box pairs, no temporary of the far pairs
-    holds more than _CHUNK_CELLS cells, and those of the near ones scale
-    with the grid."""
+    The box-pair table is built a block of rows at a time, and the sample
+    pairs tested in chunks: but for the list of candidate box pairs, no
+    temporary of the far pairs holds more than _CHUNK_CELLS cells."""
     n, most = len(ts), _MONOTONE_SPAN
     # the coordinate columns, padded with nan to whole boxes: a padded
     # sample is close to nothing
@@ -642,12 +632,10 @@ _JOINT_JET = 2048   # most parameters of each of t1 and t2 in one joint jet
 
 def _pair_jet(curve, t1, t2, at, order=2):
     """(curve.jet(t1[at], order), curve.jet(t2[at], order)), from one jet of
-    both while the indices at pick at most _JOINT_JET parameters.  A jet is
-    elementwise, so the values are the same either way.  One jet saves a
-    call on the few seeds of most curves; on the tens of thousands of seeds
-    of a curve with hundreds of crossings its arrays outgrow the cache, and
-    two jets are faster, each on parameters gathered just before it, which
-    keeps the memory in use, and the page faults, lower."""
+    both while the indices at pick at most _JOINT_JET parameters (the same
+    values: a jet is elementwise).  On the tens of thousands of seeds of a
+    curve with hundreds of crossings one jet's arrays outgrow the cache,
+    and two jets, each on parameters gathered just before it, are faster."""
     m = len(at)
     if m > _JOINT_JET:
         return curve.jet(t1[at], order), curve.jet(t2[at], order)
@@ -707,62 +695,68 @@ def point_index(curve: ParametricCurve, b, p, cfg: NumericConfig = None):
     For a homologically trivial curve this is w(p) - w(b), w the curve's
     winding number in the surface's planar chart (curve.surface.plane), as
     in the plane: the path crosses from right to left exactly where w
-    steps up.  Both are read as a context of (curve, b, cfg) reads its
-    base's, on that context's arc nodes (_winding): a point around which an
-    arc between two nodes winds, while their chord stays shorter than the
-    point's distance to both, can be misjudged.  A point within POINT_TOL
-    of the curve raises PointOnCurve.
+    steps up.  The base's and all probes' are read in one pass on the arc
+    nodes of the context of (curve, b, cfg) (_winding): a point around
+    which an arc between two nodes winds, while their chord stays shorter
+    than the point's distance to both, can be misjudged.  The probes are
+    checked and placed as the base is (InvalidBasePoint names a bad one).
+    A point within POINT_TOL of the curve raises PointOnCurve.
     """
     ctx = NumericContext(curve, b, cfg)
-    p = np.asarray(p, dtype=float)
+    p = _place_points(curve.surface, p, "probe point", stack=True)
     probes = p.reshape(-1, len(ctx.base_point))
     _feet(ctx, probes, ["probe"] * len(probes))
-    base = _winding(ctx, ctx.base_point)
-    index = [_winding(ctx, x) - base for x in probes]
+    base, *index = _winding(ctx, np.concatenate((ctx.base_point[None], probes)))
+    index = [w - base for w in index]
     return index if p.ndim > 1 else index[0]
 
 
 _BISECTIONS = 40   # most rounds of halving node steps in _winding
 
 
-def _winding(ctx, point):
-    """w(point), the winding number of the curve around point in the
-    surface's planar chart from the context's anchor.  It is the sum of the
-    principal-value steps of the angle of z(t) = chart(x(t)) - chart(point)
-    over the context's arc nodes in cyclic order, the last node joined to
-    the first: the turns of the closed polygon of the nodes.  A step is
-    halved, with a new node from a jet of its mid-parameter, while its
-    chord is at least as long as |z| at the nearer of its ends; each round
-    reads only the steps that the last one halved.  That
-    covers every step above pi/2 in magnitude, where the chord is its
-    triangle's longest side, and also a narrower step whose arc bulges
-    around a point near the curve: on seeded torus draw 88 at the halved
-    grid, a step of 1.56 where the arc turns by -4.72.  After _BISECTIONS
-    rounds of halving it raises a TopologyError that names the arc.  A
-    point that charts to nan, the sphere's anchor, is outside: 0."""
+def _winding(ctx, points):
+    """The winding numbers w(p) of the curve around each of the (k, d)
+    points p in the surface's planar chart from the context's anchor, as a
+    list: the sums of the principal-value steps of the angle of
+    z(t) = chart(x(t)) - chart(p) over the context's arc nodes, charted
+    once, in cyclic order (the turns of the closed polygon of the nodes).
+    A step is halved, with a new node from a jet of its mid-parameter,
+    while its chord is at least as long as |z| at the nearer of its ends;
+    each round reads only the steps, of all points, that the last halved.
+    That covers every step above pi/2, where the chord is its triangle's
+    longest side, and also a narrower step whose arc bulges around a point
+    near the curve: on seeded torus draw 88 at the halved grid, a step of
+    1.56 where the arc turns by -4.72.  After _BISECTIONS rounds it raises
+    a TopologyError naming a point and an arc.  A point charting to nan,
+    the sphere's anchor, is outside: 0."""
     plane, anchor = ctx.curve.surface.plane, ctx.anchor
-    origin = plane(anchor, point)
-    if np.isnan(origin).any():
-        return 0
+    origin = plane(anchor, points)
+    inside = np.flatnonzero(~np.isnan(origin).any(axis=1))
+    if not len(inside):
+        return [0] * len(points)
     ts, x = ctx.nodes[:2]
-    t0, t1 = ts, np.concatenate((ts[1:], ts[:1] + 1.0))   # the last step ends one turn on
-    z0 = plane(anchor, x) - origin
-    z1 = np.concatenate((z0[1:], z0[:1]))
-    total = 0.0
+    ends, chart, m = np.concatenate((ts[1:], ts[:1] + 1.0)), plane(anchor, x), len(inside)
+    # each inside point's steps; the last ends one turn on
+    owner, t0 = np.repeat(inside, len(ts)), np.concatenate((ts,) * m)
+    t1 = np.concatenate((ends,) * m)
+    z0 = (chart - origin[inside, None]).reshape(-1, 2)
+    z1 = (np.concatenate((chart[1:], chart[:1])) - origin[inside, None]).reshape(-1, 2)
+    total = np.zeros(len(points))
     for halvings in itertools.count():
         (x0, y0), (x1, y1) = z0.T, z1.T
         step = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
         wide = np.hypot(x1 - x0, y1 - y0) >= np.minimum(np.hypot(x0, y0), np.hypot(x1, y1))
-        total += float(step[~wide].sum())
+        total += np.bincount(owner[~wide], step[~wide], minlength=len(points))
         if not wide.any():
-            return round(total / TWO_PI)
-        t0, t1, z0, z1 = t0[wide], t1[wide], z0[wide], z1[wide]
+            return [round(w) for w in (total / TWO_PI).tolist()]
+        owner, t0, t1, z0, z1 = owner[wide], t0[wide], t1[wide], z0[wide], z1[wide]
         if halvings == _BISECTIONS:
             raise TopologyError(
-                f"the winding number around {tuple(np.asarray(point).tolist())} is unresolved "
+                f"the winding number around {tuple(points[owner[0]].tolist())} is unresolved "
                 f"on arc {_arc_at(ctx, t0[0])} after {_BISECTIONS} halvings")
         mid = 0.5 * (t0 + t1)
-        zm = plane(anchor, ctx.curve.jet(mid % 1.0, 0)[0]) - origin
+        zm = plane(anchor, ctx.curve.jet(mid % 1.0, 0)[0]) - origin[owner]
+        owner = np.concatenate((owner, owner))
         t0, t1 = np.concatenate((t0, mid)), np.concatenate((mid, t1))
         z0, z1 = np.concatenate((z0, zm)), np.concatenate((zm, z1))
 
@@ -775,9 +769,9 @@ def _feet(ctx, points, names):
     the (k, d) points, its nearest curve point.  Newton's method on
     (x(t) - p).x'(t) = 0 starts from the point's nearest arc node and runs
     on all points together, one jet per step.  A point steps only where the
-    squared distance is convex, its second derivative above 1e-9 |x'|^2 (its
-    rounding is far smaller): at the pole of a circle, equidistant from the
-    whole curve, the foot stays at the node.  A point whose foot lies within
+    squared distance is convex, its second derivative above 1e-9 |x'|^2: at
+    the pole of a circle, equidistant from the whole curve, the foot stays
+    at the node.  A point whose foot lies within
     POINT_TOL of it raises PointOnCurve, named by names."""
     ts, x, v, a = ctx.nodes
     d2 = sum((x[:, c] - points[:, c, None]) ** 2 for c in range(points.shape[1]))
@@ -813,30 +807,30 @@ def _leggauss(n):
 class NumericContext:
     """All quadrature data for one (curve, base point, config).
 
-    The base point is checked once: a float array of the surface's length,
-    finite and on the surface, reduced mod 1 into the chart on the torus;
-    InvalidBasePoint otherwise.  The context caches the double points, the
-    arc table (per smooth arc: its index and its integrals of k_g ds and of
-    the area form, all on one (arcs x line_nodes) array of Gauss-Legendre
-    nodes, whose parameters and jet it keeps as `nodes`) and the area of
-    every index level, folded from the latter; every invariant is then a
-    cheap weighted sum over these tables.  The double points come from one
-    batched Newton refinement of all seeds, and the arc indices from the
-    crossing signs and the `anchor_index` and face of the anchor (the
-    sphere's pole, chosen from the nodes; the torus chart's corner).  That
-    index is the anchor's winding number less the base's (_winding), and
-    that face is read at the anchor's foot (_face_dart), found with the
-    base's: either raises PointOnCurve within POINT_TOL of the curve.  A
-    crossing index that is not an integer or a level area that is not
-    positive is a TopologyError.
+    The base point is checked once (_place_points): InvalidBasePoint off
+    the surface, reduced mod 1 into the chart on the torus.  The context
+    caches the double points, the arc table (per smooth arc: its index and
+    its integrals of k_g ds and of the area form, all on one (arcs x
+    line_nodes) array of Gauss-Legendre nodes, whose parameters and jet it
+    keeps as `nodes`) and the area of every index level, folded from the
+    latter; every invariant is then a cheap weighted sum over these tables.
+    The double points come from one batched Newton refinement of all seeds,
+    and the arc indices from the crossing signs and the `anchor_index` and
+    face of the anchor (the sphere's pole, chosen from the nodes; the torus
+    chart's corner).  That index is the anchor's winding number less the
+    base's (_winding), and that face is read at the anchor's foot
+    (_face_dart) with the base's, kept as `base_dart`: either raises
+    PointOnCurve within POINT_TOL of the curve.  A crossing index that is
+    not an integer or a level area that is not positive is a TopologyError.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
         self.curve = curve
         self.cfg = cfg or NumericConfig()
-        self.base_point = _place_base_point(curve.surface, base_point)
+        self.base_point = _place_points(curve.surface, base_point, "base point")
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
+        self._profile = None, None   # gauss_bonnet_region_check's (extracted, profile)
 
     # -- smooth arcs between crossing parameters
 
@@ -897,17 +891,17 @@ class NumericContext:
         return area
 
     def _index_arcs(self):
-        """Sets anchor, anchor_index, anchor_dart and arc_index.  The index
-        just right of the curve drops by own at each passage, +sign at a
-        crossing's first parameter and -sign at its second, from the
-        anchor's index and face.  The base's face is read here only for its
-        distance; extract_diagram reads it against the arc indices.  On the
-        torus the anchor's winding number is 0 unless the curve's lift goes
-        around the chart's corner, leaving the chart."""
+        """Sets anchor, anchor_index, anchor_dart, base_dart and arc_index.
+        The index just right of the curve drops by own at each passage,
+        +sign at a crossing's first parameter and -sign at its second, from
+        the anchor's index and face; extract_diagram reads the base's face
+        against them.  On the torus the anchor's winding number is 0 unless
+        the curve's lift goes around the chart's corner, leaving the chart."""
         self.anchor = self.curve.surface.anchor(self.nodes[1])
-        _base_dart, self.anchor_dart = _face_dart(self, (self.base_point, self.anchor),
-                                                  ("base", "anchor"))
-        self.anchor_index = _winding(self, self.anchor) - _winding(self, self.base_point)
+        points = np.array((self.base_point, self.anchor))
+        self.base_dart, self.anchor_dart = _face_dart(self, points, ("base", "anchor"))
+        base, anchor = _winding(self, points)
+        self.anchor_index = anchor - base
         dps = self.double_points
         right = list(itertools.accumulate(
             -dps[k].sign if t == dps[k].t1 else dps[k].sign for t, k in self.events)) or [0]
@@ -933,19 +927,21 @@ class NumericContext:
         )
 
 
-def _place_base_point(surface, point):
-    """point as a float array of length surface.dim, finite and on the
-    surface (surface.place); InvalidBasePoint if it is not."""
+def _place_points(surface, points, name, stack=False):
+    """points as a float array of shape (dim,), or (K, dim) if stack, each
+    finite and on the surface (surface.place); else InvalidBasePoint."""
     try:
-        x = np.asarray(point, dtype=float)
+        x = np.asarray(points, dtype=float)
     except (TypeError, ValueError):
-        raise InvalidBasePoint(f"base point {point!r} is not a point") from None
-    if x.shape != (surface.dim,):
+        raise InvalidBasePoint(f"{name} {points!r} is not a point") from None
+    if x.shape[-1:] != (surface.dim,) or x.ndim > 1 + stack:
         raise InvalidBasePoint(
-            f"base point {point!r} does not have the surface's {surface.dim} coordinates")
-    if not np.isfinite(x).all():
-        raise InvalidBasePoint(f"base point {tuple(x.tolist())} is not finite")
-    return surface.place(x)
+            f"{name} {points!r} does not have the surface's {surface.dim} coordinates")
+    rows = x.reshape(-1, surface.dim)
+    for point in rows.tolist():
+        if not all(map(math.isfinite, point)):
+            raise InvalidBasePoint(f"{name} {tuple(point)} is not finite")
+    return surface.place(rows, name).reshape(x.shape)
 
 
 def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=None):
@@ -1009,14 +1005,17 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
     numeric total curvature of that subsurface: its area integral of K, the
     geodesic curvature along its boundary arcs (index = j), plus the corner
     turning angles (pi - theta) at double points of index j -+ 1/2.  Levels
-    are compared as the odd integer 2j; another j raises ValueError.
+    are compared as the odd integer 2j; another j raises ValueError.  The
+    context keeps the profile of the last extracted pair.
     """
     twice_j = _check_half_integer(j)
     ctx = context or NumericContext(curve, base_point, cfg)
     if extracted is None:
         extracted = extract_diagram(curve, base_point, cfg, context=ctx)
     diagram, base = extracted
-    profile = subsurface_profile(diagram, index_function(diagram, base))
+    if ctx._profile[0] is not extracted:
+        ctx._profile = extracted, subsurface_profile(diagram, index_function(diagram, base))
+    profile = ctx._profile[1]
     chi_sj = profile.a_j.get(twice_j, 0) + (diagram.surface_chi if twice_j < 0 else 0)
     lhs = TWO_PI * chi_sj
     rhs = ctx.area_integral(lambda i: 1.0 if 2 * i > twice_j else 0.0)
@@ -1037,10 +1036,10 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     is traced once, and the surface assigns the genus of each face: on the
     sphere every complement region of a connected curve is a disk, on the
     torus the unique chart-unbounded face receives genus 1.  The base
-    region holds the base point (_face_dart); arc 0's left side must have
-    index arc_index[0] + 1 from it, as the anchor's index and face set it.
-    A given context supplies the arc nodes and the config.  Returns
-    (diagram, base region id).
+    region holds the base point (the context's base_dart); arc 0's left
+    side must have index arc_index[0] + 1 from it, as the anchor's index and
+    face set it.  A given context supplies the arc nodes and the config.
+    Returns (diagram, base region id).
     """
     ctx = context or NumericContext(curve, base_point, cfg)
     code = SignedGaussCode(tuple(
@@ -1049,8 +1048,7 @@ def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
     cycles, dart_cycle = _trace(code)
     table = _region_table(curve.surface.regions(ctx, cycles), len(cycles))
     diagram = _assemble_diagram(code, cycles, dart_cycle, *table, curve.surface.chi, 0)
-    (base_dart,) = _face_dart(ctx, (ctx.base_point,), ("base",))
-    base = diagram.dart_region[base_dart]
+    base = diagram.dart_region[ctx.base_dart]
     left_region = diagram.dart_region[dart_id(0, LEFT)]
     if index_function(diagram, base).values[left_region] != ctx.arc_index[0] + 1:
         raise TopologyError("the base point's face disagrees with the arc indices")
@@ -1064,7 +1062,6 @@ def _face_dart(ctx, points, names):
     from its velocity and the offset to the point, and the arc from its
     parameter.  A point within about one node spacing of a crossing can
     land in the opposite corner's face, which has the same index."""
-    points = np.array(points, dtype=float)
     t, x, v = _feet(ctx, points, names)
     left = ctx.curve.surface.orientation(x, v, points - x) > 0
     return [dart_id(_arc_at(ctx, s), LEFT if is_left else RIGHT)

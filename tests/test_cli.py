@@ -327,6 +327,27 @@ def test_numeric_reads_each_level_chi_from_the_profile(capsys, monkeypatch, fixt
     assert code == 0 and json.loads(out)["gauss_bonnet"]
 
 
+@pytest.mark.parametrize("fixture", PARAMETRIC_NAMES)
+def test_numeric_builds_two_profiles_and_two_foot_batches(capsys, monkeypatch, fixture):
+    # one profile for full_report and one for every Gauss-Bonnet level; one
+    # batch of feet per context, the fine and the coarse
+    counts = {"subsurface_profile": 0, "_feet": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    for module in (geometry, invariants):
+        monkeypatch.setattr(module, "subsurface_profile",
+                            counting("subsurface_profile", module.subsurface_profile))
+    monkeypatch.setattr(geometry, "_feet", counting("_feet", geometry._feet))
+    code, out, _ = run(capsys, "numeric", "--fixture", fixture, "--format", "json")
+    assert code == 0 and json.loads(out)["gauss_bonnet"]
+    assert counts == {"subsurface_profile": 2, "_feet": 2}
+
+
 def test_numeric_unknown_fixture(capsys):
     code, _, err = run(capsys, "numeric", "--fixture", "nonsense")
     assert code == 1

@@ -186,6 +186,50 @@ def test_point_index_rejects_points_between_samples(samples, curve, base, point)
         point_index(curve, base, p, NumericConfig(curve_samples=samples))
 
 
+@pytest.mark.parametrize("curve,base,probe,message", [
+    (GreatCircle(), SOUTH, (math.nan, 0.0, 0.0), r"^probe point \(nan, 0\.0, 0\.0\) is not fin"),
+    (GreatCircle(), SOUTH, (0.0, 0.0, 5.0), r"^probe point \(0\.0, 0\.0, 5\.0\) is not on the "),
+    (GreatCircle(), SOUTH, [(0.0, 0.0, 1.0), (0.0, 0.0, 5.0)], r"\(0\.0, 0\.0, 5\.0\) is not on"),
+    (GreatCircle(), SOUTH, (0.0, 0.0, 1.0, 0.0, 0.0, -1.0), "the surface's 3 coordinates"),
+    (GreatCircle(), SOUTH, np.zeros((1, 2, 3)), "the surface's 3 coordinates"),
+    (GreatCircle(), SOUTH, "north", r"^probe point 'north' is not a point$"),
+    (TorusCircle(0.2), (0.05, 0.05), (math.nan, 0.5), r"^probe point \(nan, 0\.5\) is not fin"),
+    (TorusCircle(0.2), (0.05, 0.05), [(0.5, 0.5), (0.5, math.inf)], r"\(0\.5, inf\) is not"),
+    (TorusCircle(0.2), (0.05, 0.05), (0.5, 0.5, 0.5), "the surface's 2 coordinates"),
+], ids=["nan", "off_sphere", "off_sphere_in_stack", "flat_pair", "deep_stack", "string",
+        "torus_nan", "torus_inf_in_stack", "torus_3_vector"])
+def test_point_index_checks_its_probes_as_a_context_checks_its_base(curve, base, probe, message):
+    # before, (nan, 0, 0) and (0, 0, 5) read 1 on the great circle, the flat
+    # 6-vector read its first half alone, (nan, 0.5) read 0 on the torus and
+    # a 3-vector there raised a bare ValueError
+    with pytest.raises(InvalidBasePoint, match=message):
+        point_index(curve, base, probe, CFG)
+
+
+def test_point_index_reduces_torus_probes_into_the_chart():
+    # the circle of radius 0.2 about (0.05, 0.05) holds the torus point
+    # (0.5, 0.5) however it is written; (1.5, 0.5) read 0 before
+    curve, base = TorusCircle(0.2), (0.05, 0.05)
+    assert point_index(curve, base, (0.5, 0.5), CFG) == 1
+    probes = [(1.5, 0.5), (-0.5, 0.5), (0.5, -2.5), (0.5, 0.5)]
+    assert point_index(curve, base, probes, CFG) == [1, 1, 1, 1]
+
+
+def test_point_index_reads_every_probe_in_one_winding_pass(monkeypatch):
+    # the context's pass on its base and anchor, then one on the base and
+    # all K probes; the probes' feet in one batch
+    feet, windings = [], []
+    foot, winding = geometry._feet, geometry._winding
+    monkeypatch.setattr(geometry, "_feet", lambda ctx, points, names:
+                        feet.append(list(names)) or foot(ctx, points, names))
+    monkeypatch.setattr(geometry, "_winding", lambda ctx, points:
+                        windings.append(points.tolist()) or winding(ctx, points))
+    curve, probes = LatitudeCircle(ALPHA), [(0.0, 0.0, 1.0), SOUTH, (0.6, 0.0, -0.8)]
+    assert point_index(curve, SOUTH, probes, CFG) == [1, 0, 0]
+    assert feet == [["base", "anchor"], ["probe"] * 3]
+    assert len(windings) == 2 and windings[1] == [list(SOUTH), *map(list, probes)]
+
+
 def test_point_index_path_independence(contexts):
     # index differences between probes equal the signed crossing count of
     # the direct path: differences must be consistent across probe chains
@@ -805,21 +849,35 @@ def test_config_floors_are_the_halved_grids_floors():
 
 def test_a_context_makes_one_point_index_call_on_two_nodes(monkeypatch):
     # one foot reading on two nodes, the base point and the anchor (the
-    # pole, or the torus chart's corner), and their winding numbers
+    # pole, or the torus chart's corner), and one pass for their winding
+    # numbers
     feet, windings = [], []
     foot, winding = geometry._feet, geometry._winding
     monkeypatch.setattr(geometry, "_feet", lambda ctx, points, names:
                         feet.append(list(names)) or foot(ctx, points, names))
-    monkeypatch.setattr(geometry, "_winding", lambda ctx, point:
-                        windings.append(point) or winding(ctx, point))
+    monkeypatch.setattr(geometry, "_winding", lambda ctx, points:
+                        windings.append(points.tolist()) or winding(ctx, points))
     cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
     for curve, base_point in cases + [(Epicycle(17, 0.5), (0.05, 0.05))]:
         feet.clear()
         windings.clear()
         ctx = NumericContext(curve, base_point, CFG)
         assert feet == [["base", "anchor"]]
-        assert len(windings) == 2
-        assert windings[0] is ctx.anchor and windings[1] is ctx.base_point
+        assert windings == [[ctx.base_point.tolist(), ctx.anchor.tolist()]]
+
+
+def test_extraction_reads_the_contexts_base_face(monkeypatch):
+    # the base's face comes from the context's one batch of feet
+    contexts = [NumericContext(fx.curve, fx.base_point, CFG)
+                for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+
+    def refuse(*args):
+        raise AssertionError("_feet was called")
+
+    monkeypatch.setattr(geometry, "_feet", refuse)
+    for ctx in contexts:
+        diagram, base = extract_diagram(ctx.curve, ctx.base_point, context=ctx)
+        assert base == diagram.dart_region[ctx.base_dart]
 
 
 @pytest.mark.parametrize("off,index", [(1e-4, 0), (-1e-4, -1), (1e-5, 0), (-1e-5, -1)])
@@ -908,14 +966,16 @@ def test_epicycle_with_352_crossings_matches_exact_iq(cfg):
         assert abs(got - laurent.eval_real(iq, q)) <= 1e-10, q
 
 
-@pytest.mark.parametrize("name", ["latitude", "fig8"])
-def test_a_base_face_on_the_wrong_side_fails_the_cross_check(contexts, monkeypatch, name):
-    face_dart = geometry._face_dart
-    monkeypatch.setattr(geometry, "_face_dart",
-                        lambda ctx, points, names: [d ^ 1 for d in face_dart(ctx, points, names)])
-    ctx = contexts[name]
+@pytest.mark.parametrize("curve,base_point", [(LatitudeCircle(ALPHA), SOUTH),
+                                              (SphereFigureEight(), (-1.0, 0.0, 0.0))],
+                         ids=["latitude", "fig8"])
+def test_a_base_face_on_the_wrong_side_fails_the_cross_check(curve, base_point):
+    # extraction reads the base's face that the context read, and checks it
+    ctx = NumericContext(curve, base_point, CFG)
+    extract_diagram(curve, base_point, context=ctx)
+    ctx.base_dart ^= 1
     with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
-        extract_diagram(ctx.curve, ctx.base_point, context=ctx)
+        extract_diagram(curve, base_point, context=ctx)
 
 
 AREA_CHECK = "index level .* has area"

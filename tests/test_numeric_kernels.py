@@ -556,8 +556,8 @@ def side_probe_indices(ctx, eps=PROBE_EPS):
         geometry._feet(ctx, probes, ["probe"] * len(probes))
     except PointOnCurve:
         return None
-    base = geometry._winding(ctx, ctx.base_point)
-    ind = [geometry._winding(ctx, p) - base for p in probes]
+    base, *ind = geometry._winding(ctx, np.concatenate(([ctx.base_point], probes)))
+    ind = [w - base for w in ind]
     above, below = ind[:len(t)], ind[len(t):]
     return below if above == [v + 1 for v in below] else None
 
@@ -707,7 +707,7 @@ def polygon_winding(vertices, points):
     ts = np.arange(len(curve.vertices)) / len(curve.vertices)
     ctx = SimpleNamespace(curve=curve, anchor=np.array([-50.0, -50.0]),
                           nodes=(ts, curve.vertices), arc_spans=[(0.0, 1.0)])
-    return [geometry._winding(ctx, p) for p in np.asarray(points, dtype=float)]
+    return geometry._winding(ctx, np.asarray(points, dtype=float))
 
 
 def test_winding_on_hand_made_polygons():
@@ -937,15 +937,15 @@ def test_seed_filter_keeps_epicycle_double_points(k, a, crossings, grid):
 
 @pytest.mark.parametrize("name", ["great_circle", "latitude", "figure8_sphere_param"])
 def test_context_makes_one_point_index_call(monkeypatch, name):
-    # the context's winding numbers of its anchor and base, as point_index
-    # reads each probe's
+    # the context's winding numbers of its anchor and base, in one pass, as
+    # point_index reads its base's and every probe's
     calls = []
     winding = geometry._winding
     monkeypatch.setattr(geometry, "_winding",
                         lambda *args: calls.append(1) or winding(*args))
     fx = parametric_fixture(name)
     NumericContext(fx.curve, fx.base_point)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,crossings", [("figure8_sphere_param", 1), ("great_circle", 0)])
