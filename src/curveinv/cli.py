@@ -299,34 +299,33 @@ def cmd_move(args):
     return 0
 
 
+def _float(text, what):
+    """float(text), or a ValueError naming the bad value of option what."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad value for {what}: {text!r}") from None
+
+
 def cmd_numeric(args):
     # the numeric route alone needs numpy; the exact commands start without it
     from .geometry import (
         NumericConfig,
         NumericContext,
-        extract_diagram,
         gauss_bonnet_region_check,
         numeric_i1,
         numeric_iq,
         numeric_jplus,
     )
 
-    params = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            print(f"error: bad value for --param {key}: {value!r}", file=sys.stderr)
-            return 1
-    qs = []
-    for value in ("0.5,2,3" if args.q is None else args.q).split(","):
-        try:
-            qs.append(float(value))
-        except ValueError:
-            print(f"error: bad value for --q: {value!r}", file=sys.stderr)
-            return 1
     try:
+        params = {}
+        for item in args.param or []:
+            key, _, value = item.partition("=")
+            if key in params:
+                raise ValueError(f"duplicate --param {key}")
+            params[key] = _float(value, f"--param {key}")
+        qs = [_float(text, "--q") for text in ("0.5,2,3" if args.q is None else args.q).split(",")]
         fx = parametric_fixture(args.fixture, **params)
         if not all(math.isfinite(q) for q in qs):
             raise ValueError(f"--q values must be finite, got {args.q}")
@@ -339,17 +338,15 @@ def cmd_numeric(args):
         for q in qs:
             if q <= 0:   # before the contexts are built
                 raise NonPositiveQ(f"q must be positive, got {q}")
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)   # str(KeyError) quotes it
-        return 1
+    except (KeyError, ValueError) as exc:   # str(KeyError) quotes it
+        raise CurveInvError(exc.args[0]) from None
     cfg = NumericConfig()
     if args.grid is not None:
         cfg = NumericConfig(double_grid=max(50, args.grid))
     tol = args.tol if args.tol is not None else fx.tolerance
     ctx = NumericContext(fx.curve, fx.base_point, cfg)
     coarse = NumericContext(fx.curve, fx.base_point, cfg.halved())
-    extracted = extract_diagram(fx.curve, fx.base_point, cfg, context=ctx)
-    diagram, base = extracted
+    diagram, base = ctx.extracted
     rep = full_report(diagram, base)
     rows = []
     ok = True
@@ -383,15 +380,10 @@ def cmd_numeric(args):
         jp_ok = abs(jp_num - jp_exact) <= tol
         ok = ok and jp_ok
     gb_rows = []
-    ind = index_function(diagram, base)
-    levels = sorted(
-        {2 * int(v) + s for v in ind.values.values() for s in (-1, 1)}
-    )
-    for twice_j in levels:
+    for twice_j in sorted(ctx.profile.a_j):   # the levels 2v -+ 1 of each index value v
         j = Fraction(twice_j, 2)
-        lhs, rhs = (float(x) for x in gauss_bonnet_region_check(
-            fx.curve, fx.base_point, j, cfg, context=ctx, extracted=extracted
-        ))
+        lhs, rhs = (float(x) for x in gauss_bonnet_region_check(fx.curve, fx.base_point, j,
+                                                                 cfg, context=ctx))
         if lhs == 0 and abs(rhs) < 1e-6:
             continue
         rel = abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -28,9 +28,13 @@ in the genus-1 face, on the torus; on the sphere it is the axis pole
 farthest from the curve, which is also the chart's point at infinity and
 alpha's singular point, whose level alpha reads as the anchor's index.
 The base point's face is read once, with the anchor's (base_dart), and
-extract_diagram checks it against the arc indices.  A base at the pole is
-the anchor: its misread face shifts every arc index, and the level areas,
-whose 4 pi goes by the pole's winding number, fail.
+the context's extraction checks it against the arc indices.  A base at the
+pole is the anchor: its misread face shifts every arc index, and the level
+areas, whose 4 pi goes by the pole's winding number, fail.
+
+Each entry point answers from one NumericContext, new or given; a given
+one must be that of the call (_context), else ValueError.  It builds the
+extracted diagram and its profile once, on first read.
 
 A context derives each fact of its two grids once: the seed grid of
 find_double_points, with one jet per Newton step and one for the roots
@@ -822,6 +826,7 @@ class NumericContext:
     (_face_dart) with the base's, kept as `base_dart`: either raises
     PointOnCurve within POINT_TOL of the curve.  A crossing index that is
     not an integer or a level area that is not positive is a TopologyError.
+    `extracted` and its `profile` are built on first read.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -830,7 +835,6 @@ class NumericContext:
         self.base_point = _place_points(curve.surface, base_point, "base point")
         self.double_points = find_double_points(curve, self.cfg)
         self._build_arcs()
-        self._profile = None, None   # gauss_bonnet_region_check's (extracted, profile)
 
     # -- smooth arcs between crossing parameters
 
@@ -909,6 +913,32 @@ class NumericContext:
         shift = self.anchor_index - right[arc] - (1 if side == LEFT else 0)
         self.arc_index = [v + shift for v in right]   # the lower side v of index v + 1/2
 
+    # -- the bridge to the combinatorial path
+
+    @functools.cached_property
+    def extracted(self):
+        """(diagram, base region id): the signed Gauss code diagram, its
+        crossing signs from the tangent frames in visit order, traced once;
+        the surface assigns each face's genus (surface.regions).  The base
+        region holds the base point (base_dart); arc 0's left side must
+        have index arc_index[0] + 1 from it, as the anchor's index and face
+        set it, else TopologyError."""
+        code = SignedGaussCode(tuple((k + 1, self.double_points[k].sign)
+                                     for _t, k in self.events))
+        cycles, dart_cycle = _trace(code)
+        table = _region_table(self.curve.surface.regions(self, cycles), len(cycles))
+        diagram = _assemble_diagram(code, cycles, dart_cycle, *table, self.curve.surface.chi, 0)
+        base = diagram.dart_region[self.base_dart]
+        left_region = diagram.dart_region[dart_id(0, LEFT)]
+        if index_function(diagram, base).values[left_region] != self.arc_index[0] + 1:
+            raise TopologyError("the base point's face disagrees with the arc indices")
+        return replace(diagram, base_region=base), base
+
+    @functools.cached_property
+    def profile(self):
+        """The subsurface profile of `extracted`."""
+        return subsurface_profile(self.extracted[0], index_function(*self.extracted))
+
     # -- weighted sums over the cached tables
 
     def line_integral(self, weight):
@@ -944,6 +974,22 @@ def _place_points(surface, points, name, stack=False):
     return surface.place(rows, name).reshape(x.shape)
 
 
+def _context(curve, base_point, cfg, context):
+    """A new NumericContext of (curve, base_point, cfg) if context is None;
+    else context, if its curve is curve, its config cfg and its base point,
+    placed, within POINT_TOL of base_point (so in its face); None for cfg
+    or base_point reads the context's.  A tuple or list is compared before
+    it is placed.  Any other context raises ValueError."""
+    if context is None:
+        return NumericContext(curve, base_point, cfg)
+    x = context.base_point.tolist()
+    if (curve is not context.curve or cfg not in (context.cfg, None) or base_point is not None
+            and not (isinstance(base_point, (tuple, list)) and list(base_point) == x)
+            and math.dist(_place_points(curve.surface, base_point, "base point"), x) >= POINT_TOL):
+        raise ValueError("the context is not that of this curve, base point and config")
+    return context
+
+
 def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=None):
     """I_q from the integral definition, for each finite q > 0 in q_values.
 
@@ -951,13 +997,13 @@ def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=N
     rotation number) rather than the divided difference.  A power q^i or a
     sum that overflows a float raises QOverflow.
     """
-    ctx = context or NumericContext(curve, base_point, cfg)
+    ctx = _context(curve, base_point, cfg, context)
     out = []
     for q in q_values:
         if not 0 < q < math.inf:
             raise NonPositiveQ(f"q must be finite and positive, got {q}")
         if q == 1:
-            out.append(numeric_i1(curve, base_point, cfg, context=ctx))
+            out.append(_i1(ctx))
             continue
         rq = math.sqrt(q)
         denom = rq - 1.0 / rq
@@ -977,17 +1023,20 @@ def numeric_iq(curve, base_point, q_values, cfg: NumericConfig = None, context=N
 
 def numeric_i1(curve, base_point, cfg: NumericConfig = None, context=None):
     """The rotation number as (1/2pi)(integral k_g ds + integral K ind dA)."""
-    ctx = context or NumericContext(curve, base_point, cfg)
+    return _i1(_context(curve, base_point, cfg, context))
+
+
+def _i1(ctx):
     return (ctx.line_integral(lambda i: 1.0) + ctx.area_integral(lambda i: i)) / TWO_PI
 
 
 def numeric_jplus(curve, base_point, cfg: NumericConfig = None, context=None):
     """J+ from its integral formula (chi(S) != 0 only)."""
+    ctx = _context(curve, base_point, cfg, context)
     chi = curve.surface.chi
     if chi == 0:
         raise ChiZero("the J+ integral formula needs chi(S) != 0")
-    ctx = context or NumericContext(curve, base_point, cfg)
-    gb = TWO_PI * numeric_i1(curve, base_point, context=ctx)
+    gb = TWO_PI * _i1(ctx)
     middle = (
         ctx.line_integral(lambda i: i)
         - ctx.crossing_sum(lambda theta, i: theta)
@@ -1000,23 +1049,20 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
                               context=None, extracted=None):
     """Both sides of the Gauss-Bonnet identity for the subsurface above j.
 
-    lhs = 2 pi chi(S_j) from the extracted combinatorial diagram, read off
-    its subsurface profile: a_j, plus chi(S) for negative j; rhs is the
-    numeric total curvature of that subsurface: its area integral of K, the
-    geodesic curvature along its boundary arcs (index = j), plus the corner
-    turning angles (pi - theta) at double points of index j -+ 1/2.  Levels
-    are compared as the odd integer 2j; another j raises ValueError.  The
-    context keeps the profile of the last extracted pair.
+    lhs = 2 pi chi(S_j) from the context's extracted diagram, read off its
+    profile (NumericContext.profile): a_j, plus chi(S) for negative j; rhs
+    is the numeric total curvature of that subsurface: its area integral of
+    K, the geodesic curvature along its boundary arcs (index = j), plus the
+    corner turning angles (pi - theta) at double points of index j -+ 1/2.
+    Levels are compared as the odd integer 2j; another j raises ValueError,
+    as does an extracted pair other than the context's.
     """
     twice_j = _check_half_integer(j)
-    ctx = context or NumericContext(curve, base_point, cfg)
-    if extracted is None:
-        extracted = extract_diagram(curve, base_point, cfg, context=ctx)
-    diagram, base = extracted
-    if ctx._profile[0] is not extracted:
-        ctx._profile = extracted, subsurface_profile(diagram, index_function(diagram, base))
-    profile = ctx._profile[1]
-    chi_sj = profile.a_j.get(twice_j, 0) + (diagram.surface_chi if twice_j < 0 else 0)
+    ctx = _context(curve, base_point, cfg, context)
+    if extracted not in (None, ctx.extracted):
+        raise ValueError("extracted is not the context's own (diagram, base region)")
+    profile = ctx.profile
+    chi_sj = profile.a_j.get(twice_j, 0) + (profile.surface_chi if twice_j < 0 else 0)
     lhs = TWO_PI * chi_sj
     rhs = ctx.area_integral(lambda i: 1.0 if 2 * i > twice_j else 0.0)
     rhs += sum(w for v, w in zip(ctx.arc_index, ctx.arc_kg) if 2 * v + 1 == twice_j)
@@ -1030,29 +1076,10 @@ def gauss_bonnet_region_check(curve, base_point, j, cfg: NumericConfig = None,
 
 
 def extract_diagram(curve, base_point, cfg: NumericConfig = None, context=None):
-    """Build the signed Gauss code diagram of a parametric curve.
-
-    Crossing signs come from the tangent frames in visit order.  The code
-    is traced once, and the surface assigns the genus of each face: on the
-    sphere every complement region of a connected curve is a disk, on the
-    torus the unique chart-unbounded face receives genus 1.  The base
-    region holds the base point (the context's base_dart); arc 0's left
-    side must have index arc_index[0] + 1 from it, as the anchor's index and
-    face set it.  A given context supplies the arc nodes and the config.
-    Returns (diagram, base region id).
-    """
-    ctx = context or NumericContext(curve, base_point, cfg)
-    code = SignedGaussCode(tuple(
-        (k + 1, ctx.double_points[k].sign) for _t, k in ctx.events
-    ))
-    cycles, dart_cycle = _trace(code)
-    table = _region_table(curve.surface.regions(ctx, cycles), len(cycles))
-    diagram = _assemble_diagram(code, cycles, dart_cycle, *table, curve.surface.chi, 0)
-    base = diagram.dart_region[ctx.base_dart]
-    left_region = diagram.dart_region[dart_id(0, LEFT)]
-    if index_function(diagram, base).values[left_region] != ctx.arc_index[0] + 1:
-        raise TopologyError("the base point's face disagrees with the arc indices")
-    return replace(diagram, base_region=base), base
+    """(diagram, base region id) of a parametric curve: the context's
+    `extracted` pair, the same object on every call with one context
+    (_context checks a given one)."""
+    return _context(curve, base_point, cfg, context).extracted
 
 
 def _face_dart(ctx, points, names):

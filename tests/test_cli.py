@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from curveinv.catalog import (
     validate_catalog,
 )
 from curveinv.cli import main
+from curveinv.errors import CurveInvError
 from curveinv.laurent import HalfLaurent
 
 
@@ -378,6 +381,31 @@ def test_numeric_bad_param_value_names_the_parameter(capsys, item, shown):
     code, out, err = run(capsys, "numeric", "--fixture", "latitude", "--param", item)
     assert (code, out) == (1, "")
     assert err == f"error: bad value for --param alpha: {shown}\n"
+
+
+def test_numeric_repeated_param_is_an_error(capsys):
+    # a fault, not the last value kept in silence
+    code, out, err = run(capsys, "numeric", "--fixture", "latitude",
+                         "--param", "alpha=1", "--param", "alpha=2")
+    assert (code, out) == (1, "")
+    assert err == "error: duplicate --param alpha\n"
+
+
+@pytest.mark.parametrize("fixture,param,q,message", [
+    ("nonsense", None, None, "unknown parametric fixture 'nonsense'"),
+    ("latitude", ["alpha=x"], None, "bad value for --param alpha: 'x'"),
+    ("latitude", ["alpha=1", "alpha=1"], None, "duplicate --param alpha"),
+    ("latitude", ["alpha=0"], None, "colatitude must lie in"),
+    ("latitude", None, "2,", "bad value for --q: ''"),
+    ("latitude", None, "nan", "--q values must be finite"),
+    ("latitude", None, "-1", "q must be positive"),
+])
+def test_numeric_input_faults_are_raised_for_main_to_report(fixture, param, q, message):
+    # cmd_numeric prints no error itself: main reports every CurveInvError
+    args = argparse.Namespace(fixture=fixture, param=param, q=q, grid=None, tol=None,
+                              format="text")
+    with pytest.raises(CurveInvError, match=re.escape(message)):
+        cli.cmd_numeric(args)
 
 
 def test_numeric_bad_q(capsys):

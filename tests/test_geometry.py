@@ -970,12 +970,122 @@ def test_epicycle_with_352_crossings_matches_exact_iq(cfg):
                                               (SphereFigureEight(), (-1.0, 0.0, 0.0))],
                          ids=["latitude", "fig8"])
 def test_a_base_face_on_the_wrong_side_fails_the_cross_check(curve, base_point):
-    # extraction reads the base's face that the context read, and checks it
+    # extraction reads the base's face that the context read, and checks it;
+    # the context keeps its extraction, so the face is flipped before it
     ctx = NumericContext(curve, base_point, CFG)
-    extract_diagram(curve, base_point, context=ctx)
     ctx.base_dart ^= 1
     with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
         extract_diagram(curve, base_point, context=ctx)
+
+
+# the five numeric entry points, each called with (curve, base point, config,
+# context)
+ENTRY_POINTS = {
+    "numeric_iq": lambda c, b, cfg, ctx: numeric_iq(c, b, [0.5, 1.0, 2.0], cfg, context=ctx),
+    "numeric_i1": lambda c, b, cfg, ctx: numeric_i1(c, b, cfg, context=ctx),
+    "numeric_jplus": lambda c, b, cfg, ctx: numeric_jplus(c, b, cfg, context=ctx),
+    "extract_diagram": lambda c, b, cfg, ctx: extract_diagram(c, b, cfg, context=ctx),
+    "gauss_bonnet_region_check": lambda c, b, cfg, ctx: gauss_bonnet_region_check(
+        c, b, Fraction(1, 2), cfg, context=ctx),
+}
+NORTH = (0.0, 0.0, 1.0)
+
+
+def other_pole():   # (curve, base point, config, context of another base point)
+    curve = LatitudeCircle(1.0)
+    return curve, NORTH, CFG, NumericContext(curve, SOUTH, CFG)
+
+
+def other_torus_face():   # the circle's centre against a base outside it
+    curve = TorusCircle(0.2)
+    return curve, (0.5, 0.5), CFG, NumericContext(curve, (0.05, 0.05), CFG)
+
+
+def other_grid():
+    curve = SphereFigureEight()
+    return curve, (-1.0, 0.0, 0.0), CFG.halved(), NumericContext(curve, (-1.0, 0.0, 0.0), CFG)
+
+
+def other_curve():   # an equal curve, but not the context's
+    return LatitudeCircle(1.0), SOUTH, CFG, NumericContext(LatitudeCircle(1.0), SOUTH, CFG)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("mismatch", [other_pole, other_torus_face, other_grid, other_curve])
+def test_a_context_of_another_base_point_grid_or_curve_is_refused(entry, mismatch):
+    # answered for the context's own base, the north pole of
+    # LatitudeCircle(1.0) would read I_2 = 1.414 (-0.707 is right) and base
+    # region 1 (0 is right) from the south pole's context
+    curve, base_point, cfg, ctx = mismatch()
+    with pytest.raises(ValueError, match="the context is not that of this curve"):
+        ENTRY_POINTS[entry](curve, base_point, cfg, ctx)
+
+
+def outcome(call):
+    """call's result, or ChiZero if it raises that (J+ on the torus)."""
+    try:
+        return call()
+    except ChiZero as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("curve,base_point,given", [
+    (LatitudeCircle(1.0), SOUTH, None),
+    (LatitudeCircle(1.0), NORTH, "own array"),
+    (SphereFigureEight(), (-1.0, 0.0, 0.0), [-1.0, 0.0, 0.0]),
+    (TorusCircle(0.2), (0.05, 0.05), (1.05, 0.05)),   # 1.05 % 1 is 0.05 + 4e-17
+], ids=["none", "own-array", "list", "torus-shifted"])
+@pytest.mark.parametrize("cfg", [CFG, None], ids=["cfg", "no-cfg"])
+def test_a_context_answers_for_its_own_base_point_given_in_any_form(entry, curve, base_point,
+                                                                     given, cfg):
+    # each answer is the one a new context of the point as given reads
+    ctx = NumericContext(curve, base_point, CFG)
+    if isinstance(given, str):
+        given = ctx.base_point
+    call = ENTRY_POINTS[entry]
+    want = outcome(lambda: call(curve, base_point, CFG, None))
+    assert outcome(lambda: call(curve, given, cfg, ctx)) == want
+    if given is not None:
+        assert outcome(lambda: call(curve, given, CFG, None)) == want
+
+
+def test_extraction_is_the_contexts_one_pair():
+    curve = SphereFigureEight()
+    ctx = NumericContext(curve, (-1.0, 0.0, 0.0), CFG)
+    first = extract_diagram(curve, (-1.0, 0.0, 0.0), CFG, context=ctx)
+    assert first is ctx.extracted
+    assert extract_diagram(curve, None, context=ctx) is first is ctx.extracted
+
+
+def test_gauss_bonnet_refuses_a_pair_extracted_for_another_base_point():
+    # the north pole's pair has another base region: its profile is not the
+    # south pole's
+    curve = LatitudeCircle(1.0)
+    ctx, north = NumericContext(curve, SOUTH, CFG), NumericContext(curve, NORTH, CFG)
+    extracted = extract_diagram(curve, NORTH, CFG, context=north)
+    assert extracted[1] != ctx.extracted[1]
+    with pytest.raises(ValueError, match="not the context's own"):
+        gauss_bonnet_region_check(curve, SOUTH, Fraction(1, 2), CFG, context=ctx,
+                                  extracted=extracted)
+    assert gauss_bonnet_region_check(curve, SOUTH, Fraction(1, 2), CFG, context=ctx,
+                                     extracted=ctx.extracted) == \
+        gauss_bonnet_region_check(curve, SOUTH, Fraction(1, 2), CFG, context=ctx)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_the_profiles_levels_are_those_next_to_each_index_value(cfg):
+    # curveinv numeric checks Gauss-Bonnet at sorted(ctx.profile.a_j): the
+    # levels 2v -+ 1 of the index values v, which include the base's 0 and
+    # run without a gap
+    cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+    cases += list(side_probe_cases("specs"))
+    assert len(cases) == 4 + 192
+    for curve, base_point in cases:
+        ctx = NumericContext(curve, base_point, cfg)
+        ind = index_function(*ctx.extracted)
+        assert sorted(ctx.profile.a_j) == sorted(
+            {2 * int(v) + s for v in ind.values.values() for s in (-1, 1)})
 
 
 AREA_CHECK = "index level .* has area"
