@@ -91,7 +91,8 @@ def diagram_fixture(name: str):
 
 def validate_catalog():
     """Every diagram fixture parses; every parametric fixture is an immersion
-    lying on its surface (each point within 1e-9 of its projection)."""
+    lying on its surface, as surface.place reads its points (on the sphere,
+    each of norm 1 within 1e-9; else InvalidBasePoint)."""
     import numpy as np
 
     for name in DIAGRAM_FIXTURES:
@@ -103,7 +104,5 @@ def validate_catalog():
         speed = np.linalg.norm(vel, axis=-1)
         if speed.min() <= 0:
             raise ValueError(f"{name}: not an immersion")
-        err = max(np.linalg.norm(fx.curve.surface.project(p) - p) for p in pts)
-        if err > 1e-9:
-            raise ValueError(f"{name}: leaves its surface by {err}")
+        fx.curve.surface.place(pts, f"{name}: curve point")
     return True

@@ -28,9 +28,9 @@ in the genus-1 face, on the torus; on the sphere it is the axis pole
 farthest from the curve, which is also the chart's point at infinity and
 alpha's singular point, whose level alpha reads as the anchor's index.
 The base point's face is read once, with the anchor's (base_dart), and
-the context's extraction checks it against the arc indices.  A base at the
-pole is the anchor: its misread face shifts every arc index, and the level
-areas, whose 4 pi goes by the pole's winding number, fail.
+must have index 0 by the arc indices.  A base at the pole is the anchor:
+its misread face shifts every arc index, and the level areas, whose 4 pi
+goes by the pole's winding number, fail.
 
 Each entry point answers from one NumericContext, new or given; a given
 one must be that of the call (_context), else ValueError.  It builds the
@@ -156,9 +156,9 @@ def _cross(u, w):
 
 
 # ---------------------------------------------------------------------------
-# model surfaces; each has chi, dim (the length of a point) and these methods:
+# model surfaces; each has chi, dim (the length of a point) and these methods,
+# each a formula of its arguments:
 #   orientation(x, u, w)  det of the frame (u, w) in the tangent plane at x
-#   project(x)            ambient points onto the surface
 #   place(x, name)        finite (k, dim) points x as a context reads them;
 #                         InvalidBasePoint, naming one off the surface
 #   anchor(pts)           the point off the curve whose index and face fix
@@ -166,9 +166,10 @@ def _cross(u, w):
 #   plane(anchor, x)      points x in an orientation-preserving planar chart
 #                         of the surface, less the anchor on the sphere,
 #                         which maps to nan
-#   area_form(ctx, x, v)  (alpha(v) at curve points x, index of alpha's
-#                         singular point), d alpha = K dA; None where K = 0
-#   regions(ctx, cycles)  (genus, cycles) of each extracted face; None: disks
+#   area_form(anchor, x, v)  alpha(v) at curve points x, d alpha = K dA,
+#                         singular at the anchor; None where K = 0
+#   regions(nodes, outer, cycles)  (genus, cycles) of each face, from the
+#                         arc nodes and the anchor's dart outer; None: disks
 
 
 class _UnitSphere:
@@ -180,9 +181,6 @@ class _UnitSphere:
     def orientation(self, x, u, w):
         c0, c1, c2 = _cross(u, w)
         return x[..., 0] * c0 + x[..., 1] * c1 + x[..., 2] * c2
-
-    def project(self, x):
-        return x / _norm(x)[..., None]
 
     def place(self, x, name):
         """x itself, if each point's norm is 1 within 1e-9."""
@@ -218,18 +216,17 @@ class _UnitSphere:
         out[~(d > 0.0)] = np.nan
         return out
 
-    def regions(self, ctx, cycles):
+    def regions(self, nodes, outer, cycles):
         return None   # every face of a connected curve is a disk
 
-    def area_form(self, ctx, x, v):
+    def area_form(self, s, x, v):
         """alpha = -s.(x cross v) / (1 - s.x), with d alpha = dA away from
-        the pole s, the context's anchor.  s = sign e_a, so both dot
-        products read component a alone."""
-        s = ctx.anchor
+        the pole s, the anchor.  s = sign e_a, so both dot products read
+        component a alone."""
         a = int(np.abs(s).argmax())
         i, j = (a + 1) % 3, (a + 2) % 3
         cross = x[..., i] * v[..., j] - x[..., j] * v[..., i]
-        return -(s[a] * cross) / (1.0 - s[a] * x[..., a]), ctx.anchor_index
+        return -(s[a] * cross) / (1.0 - s[a] * x[..., a])
 
 
 class _FlatTorus:
@@ -242,9 +239,6 @@ class _FlatTorus:
     def orientation(self, x, u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
-    def project(self, x):
-        return x
-
     def place(self, x, name):
         """x reduced mod 1 into the chart [0, 1)^2."""
         x = x % 1.0
@@ -256,20 +250,19 @@ class _FlatTorus:
     def plane(self, anchor, x):
         return x   # the chart holds the curve's plane lift
 
-    def area_form(self, ctx, x, v):
+    def area_form(self, anchor, x, v):
         return None   # K = 0: no area term
 
-    def regions(self, ctx, cycles):
+    def regions(self, nodes, outer, cycles):
         """Genus 1 for the chart-unbounded face, 0 for the others: the face
-        holding the chart's corner (0, 0), the context's anchor.  The curve
+        of outer, the anchor's at the chart's corner (0, 0).  The curve
         must stay 1e-6 inside the chart; between two arc nodes a parameter
         step h apart it strays at most max|x''| h^2 / 8 from their chord."""
-        ts, x, _v, acc = ctx.nodes
+        ts, x, _v, acc = nodes
         h = max(float((ts[1:] - ts[:-1]).max()), ts[0] + 1.0 - ts[-1])
         sag = float(_norm(acc).max()) * h * h / 8
         if x.min() - sag < 1e-6 or x.max() + sag > 1 - 1e-6:
             raise ChartViolation("the curve leaves the open fundamental-domain chart")
-        outer = ctx.anchor_dart
         return [(1 if outer in cycle else 0, (c,)) for c, cycle in enumerate(cycles)]
 
 
@@ -433,8 +426,7 @@ def find_double_points(curve: ParametricCurve, cfg: NumericConfig = None):
     gap = x - x2
     met = np.flatnonzero(~(np.sqrt(_dot(gap, gap)) > POSITION_TOL))
     keep = met[_distinct_roots(t1[met], t2[met])]
-    t1, t2, v1, v2 = t1[keep], t2[keep], v1[keep], v2[keep]
-    x = curve.surface.project(x[keep])
+    t1, t2, x, v1, v2 = t1[keep], t2[keep], x[keep], v1[keep], v2[keep]
     cosang = _dot(v1, -v2) / (np.sqrt(_dot(v1, v1)) * np.sqrt(_dot(v2, v2)))
     positive = curve.surface.orientation(x, v1, v2) > 0
     found = []
@@ -824,9 +816,10 @@ class NumericContext:
     chart's corner).  That index is the anchor's winding number less the
     base's (_winding), and that face is read at the anchor's foot
     (_face_dart) with the base's, kept as `base_dart`: either raises
-    PointOnCurve within POINT_TOL of the curve.  A crossing index that is
-    not an integer or a level area that is not positive is a TopologyError.
-    `extracted` and its `profile` are built on first read.
+    PointOnCurve within POINT_TOL of the curve.  A base face of index not
+    0, an arc's k_g ds integral not finite, a crossing index not an integer
+    or a level area not positive is a TopologyError.  `extracted` and its
+    `profile` are built on first read.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -839,11 +832,10 @@ class NumericContext:
     # -- smooth arcs between crossing parameters
 
     def _build_arcs(self):
-        events = sorted(
+        events = self.events = sorted(
             [(d.t1, k) for k, d in enumerate(self.double_points)]
             + [(d.t2, k) for k, d in enumerate(self.double_points)]
         )
-        self.events = events
         curve, cfg = self.curve, self.cfg
         bounds = [t for t, _ in events] or [0.0]
         spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
@@ -856,14 +848,18 @@ class NumericContext:
         x, v, acc = curve.jet(ts % 1.0)
         self.nodes = ts, x, v, acc
         self._index_arcs()
-        kg = _geodesic_curvature(curve.surface, x, v, acc) * _norm(v)
 
         def integral(f):   # over each arc, of f at its nodes
             return half * (weights * f.reshape(len(spans), -1)).sum(axis=1)
 
-        self.arc_kg = integral(kg).tolist()
-        form = curve.surface.area_form(self, x, v)
-        self.level_area = {} if form is None else self._fold_levels(integral(form[0]), form[1])
+        with np.errstate(divide="ignore", invalid="ignore"):   # |v|^3 may underflow to 0
+            kg = _geodesic_curvature(curve.surface, x, v, acc) * _norm(v)
+            self.arc_kg = integral(kg).tolist()
+        for k, w in enumerate(self.arc_kg):
+            if not math.isfinite(w):
+                raise TopologyError(f"arc {k}: the integral of k_g ds is {w}")
+        alpha = curve.surface.area_form(self.anchor, x, v)
+        self.level_area = {} if alpha is None else self._fold_levels(integral(alpha))
         # crossing index = mean of the four incident arc indices v + 1/2:
         # the arcs after and before each of the crossing's two events
         incident = [0] * len(self.double_points)
@@ -877,18 +873,18 @@ class NumericContext:
                 )
             self.crossing_index.append((total + 2) // 4)
 
-    def _fold_levels(self, alpha, pole_index):
+    def _fold_levels(self, alpha):
         """Each level's area by Stokes, from the area form's integral alpha
         along each arc: +alpha for the level v + 1 on its left, -alpha for
-        v on its right, and 2 pi chi (K = 1) for the level of the form's
+        v on its right, and 2 pi chi (K = 1) for the anchor's, the form's
         singular point.  A level is a non-empty open set, so an area that
         is not positive means that the arc indices are wrong."""
-        area = dict.fromkeys(sorted({pole_index, *self.arc_index,
+        area = dict.fromkeys(sorted({self.anchor_index, *self.arc_index,
                                      *(v + 1 for v in self.arc_index)}), 0.0)
         for v, a in zip(self.arc_index, alpha.tolist()):
             area[v + 1] += a
             area[v] -= a
-        area[pole_index] += TWO_PI * self.curve.surface.chi
+        area[self.anchor_index] += TWO_PI * self.curve.surface.chi
         for i, a in area.items():
             if not a > 0.0:
                 raise TopologyError(f"index level {i} has area {a}")
@@ -896,11 +892,12 @@ class NumericContext:
 
     def _index_arcs(self):
         """Sets anchor, anchor_index, anchor_dart, base_dart and arc_index.
-        The index just right of the curve drops by own at each passage,
-        +sign at a crossing's first parameter and -sign at its second, from
-        the anchor's index and face; extract_diagram reads the base's face
-        against them.  On the torus the anchor's winding number is 0 unless
-        the curve's lift goes around the chart's corner, leaving the chart."""
+        The index just right of the curve drops at each passage, by +sign
+        at a crossing's first parameter and by -sign at its second, from
+        the anchor's index and face.  The base's face must then have index
+        0, else TopologyError.  On the torus the anchor's winding number is
+        0 unless the curve's lift goes around the chart's corner, leaving
+        the chart."""
         self.anchor = self.curve.surface.anchor(self.nodes[1])
         points = np.array((self.base_point, self.anchor))
         self.base_dart, self.anchor_dart = _face_dart(self, points, ("base", "anchor"))
@@ -910,8 +907,11 @@ class NumericContext:
         right = list(itertools.accumulate(
             -dps[k].sign if t == dps[k].t1 else dps[k].sign for t, k in self.events)) or [0]
         arc, side = divmod(self.anchor_dart, 2)   # anchor_dart = dart_id(arc, side)
-        shift = self.anchor_index - right[arc] - (1 if side == LEFT else 0)
+        shift = self.anchor_index - right[arc] - (side == LEFT)
         self.arc_index = [v + shift for v in right]   # the lower side v of index v + 1/2
+        arc, side = divmod(self.base_dart, 2)
+        if self.arc_index[arc] + (side == LEFT) != 0:
+            raise TopologyError("the base point's face disagrees with the arc indices")
 
     # -- the bridge to the combinatorial path
 
@@ -920,18 +920,14 @@ class NumericContext:
         """(diagram, base region id): the signed Gauss code diagram, its
         crossing signs from the tangent frames in visit order, traced once;
         the surface assigns each face's genus (surface.regions).  The base
-        region holds the base point (base_dart); arc 0's left side must
-        have index arc_index[0] + 1 from it, as the anchor's index and face
-        set it, else TopologyError."""
+        region is the face of base_dart, checked by _index_arcs."""
         code = SignedGaussCode(tuple((k + 1, self.double_points[k].sign)
                                      for _t, k in self.events))
         cycles, dart_cycle = _trace(code)
-        table = _region_table(self.curve.surface.regions(self, cycles), len(cycles))
-        diagram = _assemble_diagram(code, cycles, dart_cycle, *table, self.curve.surface.chi, 0)
+        surface = self.curve.surface
+        table = _region_table(surface.regions(self.nodes, self.anchor_dart, cycles), len(cycles))
+        diagram = _assemble_diagram(code, cycles, dart_cycle, *table, surface.chi, 0)
         base = diagram.dart_region[self.base_dart]
-        left_region = diagram.dart_region[dart_id(0, LEFT)]
-        if index_function(diagram, base).values[left_region] != self.arc_index[0] + 1:
-            raise TopologyError("the base point's face disagrees with the arc indices")
         return replace(diagram, base_region=base), base
 
     @functools.cached_property

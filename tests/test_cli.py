@@ -39,22 +39,33 @@ def test_catalog_command(capsys):
     assert "figure8_sphere_param" in out
 
 
+# one run of each exact subcommand; CI runs the same six without numpy
+EXACT_COMMANDS = [
+    ["validate", "circle_torus"],
+    ["invariant", "figure8_sphere", "--format", "json"],
+    ["compare", "figure8_sphere"],
+    ["move", "circle_sphere", "--site", "birth:0:0.0.250:0.0.750:opposite"],
+    ["random", "--crossings", "4", "--seed", "1"],
+    ["catalog"],
+]
+
+
 def test_exact_command_does_not_import_numpy():
-    """`curveinv invariant` runs without loading numpy (-X importtime lists
-    every module the process imports)."""
+    """Every exact subcommand runs without loading numpy (-X importtime
+    lists every module the process imports)."""
     src = str(Path(curveinv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "curveinv.cli",
-         "invariant", "figure8_sphere"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert "curveinv.invariants" in imported
-    assert not {name for name in imported if name.split(".")[0] == "numpy"}
-    assert "curveinv.geometry" not in imported
+    for argv in EXACT_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "curveinv.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "curveinv.invariants" in imported, argv
+        assert not {name for name in imported if name.split(".")[0] == "numpy"}, argv
+        assert "curveinv.geometry" not in imported, argv
 
 
 def test_validate_exit_codes(capsys, tmp_path):
@@ -332,9 +343,10 @@ def test_numeric_reads_each_level_chi_from_the_profile(capsys, monkeypatch, fixt
 
 @pytest.mark.parametrize("fixture", PARAMETRIC_NAMES)
 def test_numeric_builds_two_profiles_and_two_foot_batches(capsys, monkeypatch, fixture):
-    # one profile for full_report and one for every Gauss-Bonnet level; one
-    # batch of feet per context, the fine and the coarse
-    counts = {"subsurface_profile": 0, "_feet": 0}
+    # one profile and one index function for full_report and one of each
+    # for every Gauss-Bonnet level (extraction builds none); one batch of
+    # feet per context, the fine and the coarse
+    counts = {"subsurface_profile": 0, "index_function": 0, "_feet": 0}
 
     def counting(name, function):
         def counted(*args):
@@ -342,13 +354,23 @@ def test_numeric_builds_two_profiles_and_two_foot_batches(capsys, monkeypatch, f
             return function(*args)
         return counted
 
-    for module in (geometry, invariants):
-        monkeypatch.setattr(module, "subsurface_profile",
-                            counting("subsurface_profile", module.subsurface_profile))
+    for name in ("subsurface_profile", "index_function"):
+        for module in (geometry, invariants, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(geometry, "_feet", counting("_feet", geometry._feet))
     code, out, _ = run(capsys, "numeric", "--fixture", fixture, "--format", "json")
     assert code == 0 and json.loads(out)["gauss_bonnet"]
-    assert counts == {"subsurface_profile": 2, "_feet": 2}
+    assert counts == {"subsurface_profile": 2, "index_function": 2, "_feet": 2}
+
+
+@pytest.mark.parametrize("fixture,param,value", [("circle_torus", "rho=1e-160", "inf"),
+                                                 ("latitude", "alpha=1e-300", "nan")])
+def test_numeric_curve_too_small_for_its_arc_integrals(capsys, fixture, param, value):
+    # |v|^3 underflows to 0: the error names the arc, and no warning precedes it
+    code, out, err = run(capsys, "numeric", "--fixture", fixture, "--param", param)
+    assert (code, out) == (1, "")
+    assert err == f"error: arc 0: the integral of k_g ds is {value}\n"
 
 
 def test_numeric_unknown_fixture(capsys):

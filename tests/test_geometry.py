@@ -28,7 +28,7 @@ from test_numeric_kernels import (
 import curveinv.diagram as diagram_module
 from curveinv import geometry, laurent
 from curveinv.catalog import PARAMETRIC_NAMES, parametric_fixture
-from curveinv.diagram import canonicalize, index_function
+from curveinv.diagram import LEFT, canonicalize, dart_id, index_function
 from curveinv.errors import (
     ChartViolation,
     ChiZero,
@@ -966,16 +966,51 @@ def test_epicycle_with_352_crossings_matches_exact_iq(cfg):
         assert abs(got - laurent.eval_real(iq, q)) <= 1e-10, q
 
 
+def flip_the_base_face(monkeypatch):
+    """Patch _face_dart to read the face of the point named "base" on the
+    wrong side of its arc, and every other point's as before."""
+    face_dart = geometry._face_dart
+    monkeypatch.setattr(geometry, "_face_dart", lambda ctx, points, names: [
+        d ^ (name == "base") for d, name in zip(face_dart(ctx, points, names), names)])
+
+
 @pytest.mark.parametrize("curve,base_point", [(LatitudeCircle(ALPHA), SOUTH),
                                               (SphereFigureEight(), (-1.0, 0.0, 0.0))],
                          ids=["latitude", "fig8"])
-def test_a_base_face_on_the_wrong_side_fails_the_cross_check(curve, base_point):
-    # extraction reads the base's face that the context read, and checks it;
-    # the context keeps its extraction, so the face is flipped before it
-    ctx = NumericContext(curve, base_point, CFG)
-    ctx.base_dart ^= 1
+def test_a_base_face_on_the_wrong_side_fails_the_cross_check(monkeypatch, curve, base_point):
+    # the context checks the base's face where it reads it, before any
+    # extraction.  Here the base is the anchor, whose own reading fixes the
+    # arc indices and is kept; a base elsewhere is misread in
+    # test_a_base_face_misread_by_a_new_context_is_a_topology_error
+    flip_the_base_face(monkeypatch)
     with pytest.raises(TopologyError, match="base point's face disagrees with the arc indices"):
-        extract_diagram(curve, base_point, context=ctx)
+        NumericContext(curve, base_point, CFG)
+
+
+def base_face_reference(ctx, dart):
+    """The reference check of a base face by the diagram's index function:
+    with the base in the face of dart, arc 0's left side has index
+    arc_index[0] + 1."""
+    diagram = ctx.extracted[0]
+    ind = index_function(diagram, diagram.dart_region[dart])
+    return ind.values[diagram.dart_region[dart_id(0, LEFT)]] == ctx.arc_index[0] + 1
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_the_base_face_check_equals_the_index_function_reference(monkeypatch, cfg):
+    # the context's check, that the base's face has index 0 by the arc
+    # indices, accepts each base face and refuses each flipped one, as the
+    # reference does
+    cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+    cases += list(side_probe_cases("specs"))
+    assert len(cases) == 4 + 192
+    contexts = [NumericContext(curve, base_point, cfg) for curve, base_point in cases]
+    flip_the_base_face(monkeypatch)
+    for ctx in contexts:
+        assert base_face_reference(ctx, ctx.base_dart)
+        assert not base_face_reference(ctx, ctx.base_dart ^ 1)
+        with pytest.raises(TopologyError, match="base point's face disagrees"):
+            NumericContext(ctx.curve, ctx.base_point, cfg).extracted
 
 
 # the five numeric entry points, each called with (curve, base point, config,
@@ -1086,6 +1121,16 @@ def test_the_profiles_levels_are_those_next_to_each_index_value(cfg):
         ind = index_function(*ctx.extracted)
         assert sorted(ctx.profile.a_j) == sorted(
             {2 * int(v) + s for v in ind.values.values() for s in (-1, 1)})
+
+
+@pytest.mark.parametrize("curve,base_point,value", [
+    (TorusCircle(1e-160), (0.05, 0.05), "inf"),   # |v|^3 underflows to 0
+    (LatitudeCircle(1e-300), SOUTH, "nan"),       # and so does det(x, v, a)
+], ids=["torus", "latitude"])
+def test_an_arc_integral_that_is_not_finite_is_a_topology_error(curve, base_point, value):
+    # the integrand's 0 denominators warn nothing: the integral is checked
+    with pytest.raises(TopologyError, match=rf"^arc 0: the integral of k_g ds is {value}$"):
+        NumericContext(curve, base_point, CFG)
 
 
 AREA_CHECK = "index level .* has area"

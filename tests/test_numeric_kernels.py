@@ -531,6 +531,12 @@ def test_batched_newton_equals_scalar_loop(curve):
 PROBE_EPS = 1e-3   # the offset of side probes from the curve
 
 
+def project(surface, x):
+    """Ambient points x onto the surface: scaled to unit norm on the
+    sphere, as they are on the torus."""
+    return x / geometry._norm(x)[..., None] if surface is UNIT_SPHERE else x
+
+
 def side_probes(ctx, t, eps=PROBE_EPS):
     """The points eps left and right of a context's curve at t (one
     parameter, or an array of them)."""
@@ -541,7 +547,7 @@ def side_probes(ctx, t, eps=PROBE_EPS):
         left = np.cross(x, u)
     else:
         left = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    return surface.project(x + eps * left), surface.project(x - eps * left)
+    return project(surface, x + eps * left), project(surface, x - eps * left)
 
 
 def side_probe_indices(ctx, eps=PROBE_EPS):
@@ -599,7 +605,7 @@ def test_meridian_index_equals_scalar_loop():
     curve = Meridian()
     samples = dense_samples(curve, CFG.curve_samples)
     rng = np.random.default_rng(5)
-    bases, probes = (UNIT_SPHERE.project(rng.normal(size=(k, 3))) for k in (12, 26))
+    bases, probes = (project(UNIT_SPHERE, rng.normal(size=(k, 3))) for k in (12, 26))
     seen = []
     for b in bases:
         got = geometry.point_index(curve, b, probes, CFG)
@@ -1006,7 +1012,7 @@ def test_fixture_indices_equal_scalar_loop(name):
     # along its leg from the base, or, where that leg is degenerate, along
     # the two legs through a waypoint
     fx = parametric_fixture(name)
-    via = UNIT_SPHERE.project(np.array([0.3, -0.5, 0.8]))
+    via = project(UNIT_SPHERE, np.array([0.3, -0.5, 0.8]))
     for cfg in (NumericConfig(), NumericConfig().halved()):
         ctx = NumericContext(fx.curve, fx.base_point, cfg)
         samples = reference_samples(ctx)
@@ -1144,19 +1150,13 @@ def test_norms_and_curvature_match_helper_formulas(curve, t):
 @pytest.mark.parametrize("t", PARAMS.values(), ids=PARAMS.keys())
 def test_sphere_frames_match_helper_formulas(curve, t):
     x, v, a = curve.jet(t)
-    off = 1.001 * x   # off the sphere, as a side probe before its projection
-    project = off / np.linalg.norm(off, axis=-1, keepdims=True)
-    assert_same(UNIT_SPHERE.project(off), project)
     for frame in ((v, a), (a, v), (x, v)):
         assert_same(UNIT_SPHERE.orientation(x, *frame),
                     np.einsum("...i,...i->...", x, np.cross(*frame)))
     for s in np.vstack((np.eye(3), -np.eye(3))):   # the six poles, those off the curve
         if np.min(1.0 - x @ s) < 1e-3:
             continue
-        ctx = SimpleNamespace(anchor=s, anchor_index=7)
-        alpha, index = UNIT_SPHERE.area_form(ctx, x, v)
-        assert index == 7
-        assert_same(alpha, -(np.cross(x, v) @ s) / (1.0 - x @ s))
+        assert_same(UNIT_SPHERE.area_form(s, x, v), -(np.cross(x, v) @ s) / (1.0 - x @ s))
 
 
 def test_contexts_call_no_numpy_helper(monkeypatch):
