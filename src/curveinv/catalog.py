@@ -8,6 +8,7 @@ are expected to meet against the exact path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .diagram import parse_diagram
@@ -44,45 +45,47 @@ class ParametricFixture:
     params: dict
 
 
-def parametric_fixture(name: str, **params) -> ParametricFixture:
-    """Construct a named parametric fixture.
+# a row: the curve's class in geometry, the (name, default) of its one
+# parameter or None, the base point and the tolerance
+_Row = namedtuple("_Row", "curve param base_point tolerance")
 
-    great_circle            the equator, base at the south pole
-    latitude [alpha]        circle at colatitude alpha (default pi/3)
-    circle_torus [rho]      chart circle of radius rho (default 0.2)
-    figure8_sphere_param    tilted spherical figure eight
+
+# one row per parametric fixture; a new fixture is a new row
+PARAMETRIC = {
+    # the equator, base at the south pole
+    "great_circle": _Row("GreatCircle", None, (0.0, 0.0, -1.0), 5e-3),
+    # circle at colatitude alpha
+    "latitude": _Row("LatitudeCircle", ("alpha", math.pi / 3), (0.0, 0.0, -1.0), 5e-3),
+    # chart circle of radius rho
+    "circle_torus": _Row("TorusCircle", ("rho", 0.2), (0.05, 0.05), 1e-6),
+    # tilted spherical figure eight
+    "figure8_sphere_param": _Row("SphereFigureEight", None, (-1.0, 0.0, 0.0), 1e-2),
+}
+
+PARAMETRIC_NAMES = tuple(PARAMETRIC)
+
+
+def parametric_fixture(name: str, **params) -> ParametricFixture:
+    """Construct a named parametric fixture from its row of PARAMETRIC: an
+    unknown name raises KeyError, the curve's own ValueError comes before
+    one for a parameter that the fixture does not take.
 
     The curves come from geometry, imported here so that the exact path
     never loads numpy.
     """
-    from .geometry import GreatCircle, LatitudeCircle, SphereFigureEight, TorusCircle
+    from . import geometry
 
-    if name == "great_circle":
-        fx = ParametricFixture(name, GreatCircle(), (0.0, 0.0, -1.0), 5e-3, {})
-    elif name == "latitude":
-        alpha = float(params.pop("alpha", math.pi / 3))
-        fx = ParametricFixture(
-            name, LatitudeCircle(alpha), (0.0, 0.0, -1.0), 5e-3, {"alpha": alpha}
-        )
-    elif name == "circle_torus":
-        rho = float(params.pop("rho", 0.2))
-        fx = ParametricFixture(
-            name, TorusCircle(rho), (0.05, 0.05), 1e-6, {"rho": rho}
-        )
-    elif name == "figure8_sphere_param":
-        fx = ParametricFixture(
-            name, SphereFigureEight(), (-1.0, 0.0, 0.0), 1e-2, {}
-        )
-    else:
+    if name not in PARAMETRIC:
         raise KeyError(f"unknown parametric fixture {name!r}")
+    row = PARAMETRIC[name]
+    args = {}
+    if row.param is not None:
+        key, default = row.param
+        args[key] = float(params.pop(key, default))
+    curve = getattr(geometry, row.curve)(**args)
     if params:
-        raise ValueError(
-            f"fixture {name!r} takes no parameter {', '.join(sorted(params))}"
-        )
-    return fx
-
-
-PARAMETRIC_NAMES = ("great_circle", "latitude", "circle_torus", "figure8_sphere_param")
+        raise ValueError(f"fixture {name!r} takes no parameter {', '.join(sorted(params))}")
+    return ParametricFixture(name, curve, row.base_point, row.tolerance, args)
 
 
 def diagram_fixture(name: str):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import laurent
 from .catalog import (
     DIAGRAM_FIXTURES,
-    PARAMETRIC_NAMES,
+    PARAMETRIC,
     diagram_fixture,
     parametric_fixture,
 )
@@ -441,7 +441,7 @@ def cmd_catalog(args):
     for name in DIAGRAM_FIXTURES:
         print(f"  {name}")
     print("parametric fixtures:")
-    for name in PARAMETRIC_NAMES:
+    for name in PARAMETRIC:
         print(f"  {name}")
     return 0
 
@@ -475,8 +475,8 @@ def main(argv=None):
 
     p = sub.add_parser("numeric", help="numeric-vs-exact verification")
     p.add_argument("--fixture", required=True)
-    p.add_argument("--param", action="append",
-                   help="fixture parameter k=v (alpha, rho)")
+    keys = ", ".join(row.param[0] for row in PARAMETRIC.values() if row.param)
+    p.add_argument("--param", action="append", help=f"fixture parameter k=v ({keys})")
     p.add_argument("--q", default=None, help="comma-separated q values")
     p.add_argument("--grid", type=int, default=None,
                    help=f"N sets the double-point seed grid to N samples, at least 50 "
@@ -498,9 +498,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except HomologicallyNontrivial as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,10 +251,6 @@ class CurveDiagram:
     def n(self):
         return self.code.n
 
-    @property
-    def num_arcs(self):
-        return max(2 * self.n, 1)
-
 
 def build_diagram(code, regions=None, surface_chi=None, base_region=0):
     """Assemble and validate a CurveDiagram.

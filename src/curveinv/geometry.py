@@ -72,7 +72,9 @@ from .diagram import (
     _check_half_integer,
     _region_table,
     _trace,
+    dart_arc,
     dart_id,
+    dart_side,
     index_function,
     subsurface_profile,
 )
@@ -810,16 +812,19 @@ class NumericContext:
     line_nodes) array of Gauss-Legendre nodes, whose parameters and jet it
     keeps as `nodes`) and the area of every index level, folded from the
     latter; every invariant is then a cheap weighted sum over these tables.
-    The double points come from one batched Newton refinement of all seeds,
-    and the arc indices from the crossing signs and the `anchor_index` and
-    face of the anchor (the sphere's pole, chosen from the nodes; the torus
-    chart's corner).  That index is the anchor's winding number less the
-    base's (_winding), and that face is read at the anchor's foot
-    (_face_dart) with the base's, kept as `base_dart`: either raises
-    PointOnCurve within POINT_TOL of the curve.  A base face of index not
-    0, an arc's k_g ds integral not finite, a crossing index not an integer
-    or a level area not positive is a TopologyError.  `extracted` and its
-    `profile` are built on first read.
+    The double points come from one batched Newton refinement of all seeds.
+    Their passages, sorted once into `passages` ((t, crossing, step) in
+    curve order), start the arcs (`arc_starts`, arc k from passage k) and
+    give the arc indices as prefix sums of the steps, fixed by the
+    `anchor_index` and face of the anchor (the sphere's pole, chosen from
+    the nodes; the torus chart's corner).  That index is the anchor's
+    winding number less the base's (_winding), and that face is read at the
+    anchor's foot (_face_dart) with the base's, kept as `base_dart`: either
+    raises PointOnCurve within POINT_TOL of the curve.  An arc's k_g ds
+    integral not finite, two consecutive nodes that coincide (a curve below
+    its chart's resolution), a base face of index not 0, a crossing index
+    not an integer or a level area not positive is a TopologyError.
+    `extracted` and its `profile` are built on first read.
     """
 
     def __init__(self, curve: ParametricCurve, base_point, cfg: NumericConfig = None):
@@ -832,25 +837,22 @@ class NumericContext:
     # -- smooth arcs between crossing parameters
 
     def _build_arcs(self):
-        events = self.events = sorted(
-            [(d.t1, k) for k, d in enumerate(self.double_points)]
-            + [(d.t2, k) for k, d in enumerate(self.double_points)]
-        )
-        curve, cfg = self.curve, self.cfg
-        bounds = [t for t, _ in events] or [0.0]
-        spans = list(zip(bounds, bounds[1:] + [bounds[0] + 1.0]))
-        self.arc_spans = spans   # read by _arc_at
+        dps, curve, cfg = self.double_points, self.curve, self.cfg
+        # the passage table: (t, crossing, step) of every crossing passage in
+        # curve order, step the change of the index just right of the curve
+        self.passages = sorted([(d.t1, k, -d.sign) for k, d in enumerate(dps)]
+                               + [(d.t2, k, d.sign) for k, d in enumerate(dps)])
+        starts = self.arc_starts = [t for t, _k, _step in self.passages] or [0.0]
+        a, b = np.array(starts), np.array(starts[1:] + [starts[0] + 1.0])
         nodes, weights = _leggauss(cfg.line_nodes)
-        a, b = np.array(spans).T
         half = 0.5 * (b - a)
-        # in cyclic order from bounds[0], so past 1 on the last arcs
+        # in cyclic order from starts[0], so past 1 on the last arcs
         ts = (half[:, None] * nodes + 0.5 * (a + b)[:, None]).ravel()
         x, v, acc = curve.jet(ts % 1.0)
         self.nodes = ts, x, v, acc
-        self._index_arcs()
 
         def integral(f):   # over each arc, of f at its nodes
-            return half * (weights * f.reshape(len(spans), -1)).sum(axis=1)
+            return half * (weights * f.reshape(len(starts), -1)).sum(axis=1)
 
         with np.errstate(divide="ignore", invalid="ignore"):   # |v|^3 may underflow to 0
             kg = _geodesic_curvature(curve.surface, x, v, acc) * _norm(v)
@@ -858,20 +860,24 @@ class NumericContext:
         for k, w in enumerate(self.arc_kg):
             if not math.isfinite(w):
                 raise TopologyError(f"arc {k}: the integral of k_g ds is {w}")
+        # a curve below its chart's resolution: its nodes round onto each other,
+        # and every side read from them is arbitrary
+        same = np.flatnonzero((x[1:] == x[:-1]).all(axis=1))
+        if len(same):
+            raise TopologyError(f"arc {same[0] // cfg.line_nodes}: two consecutive nodes coincide, "
+                                "the curve is below its chart's resolution")
+        self._index_arcs()
         alpha = curve.surface.area_form(self.anchor, x, v)
         self.level_area = {} if alpha is None else self._fold_levels(integral(alpha))
         # crossing index = mean of the four incident arc indices v + 1/2:
-        # the arcs after and before each of the crossing's two events
-        incident = [0] * len(self.double_points)
-        for pos, (_t, k) in enumerate(events):
+        # the arcs after and before each of the crossing's two passages
+        incident = [0] * len(dps)
+        for pos, (_t, k, _step) in enumerate(self.passages):
             incident[k] += self.arc_index[pos] + self.arc_index[pos - 1]
-        self.crossing_index = []
+        self.crossing_index = [(total + 2) // 4 for total in incident]
         for k, total in enumerate(incident):
             if (total + 2) % 4:
-                raise TopologyError(
-                    f"double point {k} has non-integer index {(total + 2) / 4}"
-                )
-            self.crossing_index.append((total + 2) // 4)
+                raise TopologyError(f"double point {k} has non-integer index {(total + 2) / 4}")
 
     def _fold_levels(self, alpha):
         """Each level's area by Stokes, from the area form's integral alpha
@@ -892,25 +898,22 @@ class NumericContext:
 
     def _index_arcs(self):
         """Sets anchor, anchor_index, anchor_dart, base_dart and arc_index.
-        The index just right of the curve drops at each passage, by +sign
-        at a crossing's first parameter and by -sign at its second, from
-        the anchor's index and face.  The base's face must then have index
-        0, else TopologyError.  On the torus the anchor's winding number is
-        0 unless the curve's lift goes around the chart's corner, leaving
-        the chart."""
+        The index just right of the curve changes at each passage by its
+        step, -sign at a crossing's first parameter and +sign at its
+        second, from the anchor's index and face.  The base's face must
+        then have index 0, else TopologyError.  On the torus the anchor's
+        winding number is 0 unless the curve's lift goes around the chart's
+        corner, leaving the chart."""
         self.anchor = self.curve.surface.anchor(self.nodes[1])
         points = np.array((self.base_point, self.anchor))
         self.base_dart, self.anchor_dart = _face_dart(self, points, ("base", "anchor"))
         base, anchor = _winding(self, points)
         self.anchor_index = anchor - base
-        dps = self.double_points
-        right = list(itertools.accumulate(
-            -dps[k].sign if t == dps[k].t1 else dps[k].sign for t, k in self.events)) or [0]
-        arc, side = divmod(self.anchor_dart, 2)   # anchor_dart = dart_id(arc, side)
-        shift = self.anchor_index - right[arc] - (side == LEFT)
+        right = list(itertools.accumulate(step for _t, _k, step in self.passages)) or [0]
+        anchor_dart, base_dart = self.anchor_dart, self.base_dart
+        shift = self.anchor_index - right[dart_arc(anchor_dart)] - (dart_side(anchor_dart) == LEFT)
         self.arc_index = [v + shift for v in right]   # the lower side v of index v + 1/2
-        arc, side = divmod(self.base_dart, 2)
-        if self.arc_index[arc] + (side == LEFT) != 0:
+        if self.arc_index[dart_arc(base_dart)] + (dart_side(base_dart) == LEFT) != 0:
             raise TopologyError("the base point's face disagrees with the arc indices")
 
     # -- the bridge to the combinatorial path
@@ -922,7 +925,7 @@ class NumericContext:
         the surface assigns each face's genus (surface.regions).  The base
         region is the face of base_dart, checked by _index_arcs."""
         code = SignedGaussCode(tuple((k + 1, self.double_points[k].sign)
-                                     for _t, k in self.events))
+                                     for _t, k, _step in self.passages))
         cycles, dart_cycle = _trace(code)
         surface = self.curve.surface
         table = _region_table(surface.regions(self.nodes, self.anchor_dart, cycles), len(cycles))
@@ -1093,5 +1096,4 @@ def _face_dart(ctx, points, names):
 
 def _arc_at(ctx, t):
     """The index of the context's arc whose span holds parameter t."""
-    starts = [a for a, _b in ctx.arc_spans]
-    return (bisect.bisect_right(starts, t % 1.0) - 1) % len(starts)
+    return (bisect.bisect_right(ctx.arc_starts, t % 1.0) - 1) % len(ctx.arc_starts)

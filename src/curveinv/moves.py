@@ -536,7 +536,10 @@ def triple_move(diagram: CurveDiagram, site) -> CurveDiagram:
 # random diagrams
 
 
-def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDiagram:
+RANDOM_TRIES = 20000   # most codes random_diagram draws before ExhaustedRetries
+
+
+def random_diagram(n: int, genus: int, seed) -> CurveDiagram:
     """Rejection-sample a homologically trivial diagram with n crossings on
     the closed oriented surface of the given genus.
 
@@ -547,7 +550,7 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
     if n < 0 or genus < 0:
         raise ValueError("n and genus must be nonnegative")
     rng = random.Random(f"curveinv:{n}:{genus}:{seed}")
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TRIES):
         slots = list(range(2 * n))
         rng.shuffle(slots)
         entries = [None] * (2 * n)
@@ -573,5 +576,5 @@ def random_diagram(n: int, genus: int, seed, max_tries: int = 20000) -> CurveDia
         return replace(diagram, base_region=rng.randrange(len(diagram.regions)))
     raise ExhaustedRetries(
         f"no homologically trivial diagram with n={n}, genus={genus} "
-        f"found in {max_tries} tries"
+        f"found in {RANDOM_TRIES} tries"
     )

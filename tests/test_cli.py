@@ -373,6 +373,27 @@ def test_numeric_curve_too_small_for_its_arc_integrals(capsys, fixture, param, v
     assert err == f"error: arc 0: the integral of k_g ds is {value}\n"
 
 
+@pytest.mark.parametrize("rho", ["1e-8", "1e-12", "1e-13", "1e-14", "1e-16", "4e-17", "3e-17",
+                                 "1e-17", "1e-50", "1e-159", "1e-160", "1e-300"])
+def test_numeric_tiny_torus_circle_passes_or_is_an_input_error(capsys, rho):
+    # below its chart's resolution the circle's arc nodes round onto each
+    # other, and faces read from them would put the genus inside the circle:
+    # each radius passes or is refused with one error line, never a FAIL
+    code, out, err = run(capsys, "numeric", "--fixture", "circle_torus", "--param", f"rho={rho}")
+    if code == 0:
+        assert out.endswith("\nPASS\n") and err == ""
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_numeric_torus_circle_below_its_charts_resolution(capsys):
+    code, out, err = run(capsys, "numeric", "--fixture", "circle_torus", "--param", "rho=1e-17")
+    assert (code, out) == (1, "")
+    assert err == ("error: arc 0: two consecutive nodes coincide, the curve is below "
+                   "its chart's resolution\n")
+
+
 def test_numeric_unknown_fixture(capsys):
     code, _, err = run(capsys, "numeric", "--fixture", "nonsense")
     assert code == 1

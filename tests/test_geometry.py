@@ -12,6 +12,7 @@ import pytest
 from test_numeric_kernels import (
     EPICYCLES,
     Epicycle,
+    arc_spans,
     close_pairs_reference,
     double_points_all_seeds,
     may_cross_reference,
@@ -594,7 +595,7 @@ def segment_base_regions(ctx, diagram, samples=16384, off=1e-5):
     edge = np.diff(poly, axis=0)
     for per_arc in (4, 32):
         found = set()
-        for k, (lo, hi) in enumerate(ctx.arc_spans):
+        for k, (lo, hi) in enumerate(arc_spans(ctx)):
             x, v = curve.jet(lo + (hi - lo) * (np.arange(per_arc) + 0.5) / per_arc, 1)
             left = np.stack([-v[:, 1], v[:, 0]], axis=-1) / np.linalg.norm(v, axis=-1)[:, None]
             for side, probes in enumerate((x + off * left, x - off * left)):
@@ -933,6 +934,27 @@ def test_point_index_of_the_anchor_is_the_contexts(cfg):
     for curve, base_point in cases:
         ctx = NumericContext(curve, base_point, cfg)
         assert point_index(curve, base_point, ctx.anchor, cfg) == ctx.anchor_index
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.halved()], ids=["default", "halved"])
+def test_the_passage_table_equals_the_float_lookup(cfg):
+    # each passage's step is the one that the lookup by float equality, on
+    # the sorted (t, crossing) pairs, gave it, and _arc_at puts every arc
+    # node in its own arc; no context is refused for coinciding nodes
+    cases = [(fx.curve, fx.base_point) for fx in map(parametric_fixture, PARAMETRIC_NAMES)]
+    cases += [*side_probe_cases("specs"), *side_probe_cases("epicycles")]
+    assert len(cases) == 4 + 192 + 5
+    for curve, base_point in cases:
+        ctx = NumericContext(curve, base_point, cfg)
+        dps = ctx.double_points
+        events = sorted([(d.t1, k) for k, d in enumerate(dps)]
+                        + [(d.t2, k) for k, d in enumerate(dps)])
+        assert ctx.passages == [(t, k, -dps[k].sign if t == dps[k].t1 else dps[k].sign)
+                                for t, k in events]
+        assert ctx.arc_starts == ([t for t, _k in events] or [0.0])
+        ts = ctx.nodes[0].tolist()
+        assert [geometry._arc_at(ctx, t) for t in ts] == [
+            i // cfg.line_nodes for i in range(len(ts))]
 
 
 @pytest.mark.parametrize("family,least", [("specs", 192), ("epicycles", 5),

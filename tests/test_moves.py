@@ -517,9 +517,10 @@ def test_random_deterministic():
     assert random_diagram(5, 2, seed=124) != a
 
 
-def test_random_exhausted_retries():
-    with pytest.raises(ExhaustedRetries):
-        random_diagram(5, 0, seed=0, max_tries=1)
+def test_random_exhausted_retries(monkeypatch):
+    monkeypatch.setattr(moves, "RANDOM_TRIES", 1)
+    with pytest.raises(ExhaustedRetries, match="found in 1 tries$"):
+        random_diagram(5, 0, seed=0)
 
 
 def same_rotation(before, after):

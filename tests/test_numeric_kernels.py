@@ -230,8 +230,8 @@ def sample_face_reference(ctx, samples, point, i):
     ts, pts = samples
     chord = pts[i + 1] - pts[i - 1 if i else -2]
     left = ctx.curve.surface.orientation(pts[i], chord, np.asarray(point) - pts[i]) > 0
-    k = int(np.searchsorted([a for a, _b in ctx.arc_spans], ts[i], side="right")) - 1
-    return 2 * (k % len(ctx.arc_spans)) + (0 if left else 1)
+    k = int(np.searchsorted(ctx.arc_starts, ts[i], side="right")) - 1
+    return 2 * (k % len(ctx.arc_starts)) + (0 if left else 1)
 
 
 def scan_indices_reference(ctx, n):
@@ -245,7 +245,7 @@ def scan_indices_reference(ctx, n):
                                                   np.array((ctx.base_point, anchor)))
     arc, side = divmod(sample_face_reference(ctx, samples, anchor, anchor_i), 2)
     right, total = [], 0
-    for t, k in ctx.events:
+    for t, k, _step in ctx.passages:
         d = ctx.double_points[k]
         total += -d.sign if t == d.t1 else d.sign
         right.append(total)
@@ -531,6 +531,13 @@ def test_batched_newton_equals_scalar_loop(curve):
 PROBE_EPS = 1e-3   # the offset of side probes from the curve
 
 
+def arc_spans(ctx):
+    """(start, end) of each arc of a context: from its start to the next
+    arc's, the last one turn on."""
+    starts = ctx.arc_starts
+    return list(zip(starts, starts[1:] + [starts[0] + 1.0]))
+
+
 def project(surface, x):
     """Ambient points x onto the surface: scaled to unit norm on the
     sphere, as they are on the torus."""
@@ -555,7 +562,7 @@ def side_probe_indices(ctx, eps=PROBE_EPS):
     them, on the context's own nodes as point_index reads them: the index
     of each arc's right probe.  None where a probe lies on the curve, or
     where the two probes of an arc do not differ by one."""
-    t = 0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0
+    t = 0.5 * np.sum(arc_spans(ctx), axis=1) % 1.0
     left, right = side_probes(ctx, t, eps)
     probes = np.concatenate((left, right))
     try:
@@ -635,7 +642,7 @@ def test_sweep_reference_within_2pi_over_m_of_stokes_areas(curve, base):
 def context_probes(ctx, stride=1):
     """The side probes of every stride-th arc of a context, with the index
     that the context gives each, then, on the sphere, its anchor with its."""
-    t = (0.5 * np.sum(ctx.arc_spans, axis=1) % 1.0)[::stride]
+    t = (0.5 * np.sum(arc_spans(ctx), axis=1) % 1.0)[::stride]
     left, right = side_probes(ctx, t)
     arcs = ctx.arc_index[::stride]
     pole = [(ctx.anchor, ctx.anchor_index)] if ctx.curve.surface is UNIT_SPHERE else []
@@ -653,7 +660,7 @@ def test_context_indices_match_scalar_loop(curve, base, cfg):
     ctx = NumericContext(curve, base, cfg)
     samples = reference_samples(ctx)
     checked = 0
-    for p, index in context_probes(ctx, max(1, len(ctx.arc_spans) // 8)):
+    for p, index in context_probes(ctx, max(1, len(ctx.arc_starts) // 8)):
         want = segment_reference(curve, ctx.base_point, p, *samples)
         if want is not None:
             assert index == want
@@ -712,7 +719,7 @@ def polygon_winding(vertices, points):
     curve = Polygon(vertices)
     ts = np.arange(len(curve.vertices)) / len(curve.vertices)
     ctx = SimpleNamespace(curve=curve, anchor=np.array([-50.0, -50.0]),
-                          nodes=(ts, curve.vertices), arc_spans=[(0.0, 1.0)])
+                          nodes=(ts, curve.vertices), arc_starts=[0.0])
     return geometry._winding(ctx, np.asarray(points, dtype=float))
 
 
@@ -986,7 +993,7 @@ def test_context_evaluates_each_array_once(monkeypatch, name, crossings, cfg):
     fx = parametric_fixture(name)
     ctx = NumericContext(fx.curve, fx.base_point, cfg)
     assert len(ctx.double_points) == crossings
-    nodes = len(ctx.arc_spans) * cfg.line_nodes
+    nodes = len(ctx.arc_starts) * cfg.line_nodes
     assert [c for c in calls if c[0] == nodes] == [(nodes, 2, False)]
     lower = [(size, order) for size, order, inside in calls if inside and order < 2]
     assert lower[0] == (cfg.double_grid, 1)   # the seed grid
